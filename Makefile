@@ -1,9 +1,9 @@
 # Tier-1 gate: `make check` must pass before any change lands.
 GO ?= go
 
-.PHONY: check lint vet build test race bench figures fuzz chaos
+.PHONY: check lint vet build test race bench-check bench figures fuzz chaos
 
-check: lint build test race
+check: lint build test race bench-check
 
 # gofmt emits the offending files on stdout and exits 0; turn any output
 # into a failure so unformatted code can't land.
@@ -24,6 +24,12 @@ test:
 # commands and the top-level benchmark package included.
 race:
 	$(GO) test -race ./...
+
+# bench/ is its own Go module, so `go build ./...` above never compiles
+# it; vet and test it separately so an API change cannot silently break
+# the benchmark.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Short chaos soak (CI-viable, well under a minute): the fault-injection
 # layer's own tests, the partition/reconnect and loopback soak of the

@@ -41,7 +41,7 @@ func TestEndToEndStringMatching(t *testing.T) {
 		matchers[i] = m
 		algos[i] = core.Algorithm{Name: n}
 	}
-	tuner, err := core.New(algos, nominal.NewEpsilonGreedy(0.10), nil, 3)
+	tuner, err := core.NewTuner(algos, nominal.NewEpsilonGreedy(0.10), nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestEndToEndRaytracing(t *testing.T) {
 		space, init := exp.BuilderSpace(n)
 		algos[i] = core.Algorithm{Name: n, Space: space, Init: init}
 	}
-	tuner, err := core.New(algos, nominal.NewSlidingWindowAUC(), core.DefaultFactory, 9)
+	tuner, err := core.NewTuner(algos, nominal.NewSlidingWindowAUC(), core.DefaultFactory, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestEndToEndWisdomRoundTrip(t *testing.T) {
 			d := cfg[0] - 6
 			return 3 + d*d
 		}
-		tuner, err := core.New(algos, nominal.NewEpsilonGreedy(0.15), nil, 2)
+		tuner, err := core.NewTuner(algos, nominal.NewEpsilonGreedy(0.15), nil, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

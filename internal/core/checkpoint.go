@@ -409,7 +409,7 @@ func Resume(dir string, every int, algos []Algorithm, selector nominal.Selector,
 	if err != nil {
 		return nil, fmt.Errorf("core: resume from %s: %w", dir, err)
 	}
-	t, err := New(algos, selector, factory, seed, opts...)
+	t, err := NewTuner(algos, selector, factory, seed, opts...)
 	if err != nil {
 		return nil, err
 	}

@@ -117,7 +117,7 @@ func TestConcurrentCrashResume(t *testing.T) {
 func TestConcurrentResumeOfSequentialJournal(t *testing.T) {
 	dir := t.TempDir()
 	algos := engineAlgos()
-	tn, err := New(algos, nominal.NewEpsilonGreedy(0.10), nil, 13, WithCheckpoint(dir, 8))
+	tn, err := NewTuner(algos, nominal.NewEpsilonGreedy(0.10), nil, 13, WithCheckpoint(dir, 8))
 	if err != nil {
 		t.Fatal(err)
 	}

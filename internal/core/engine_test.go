@@ -211,7 +211,7 @@ func TestMaxInFlight(t *testing.T) {
 // engine through Next/Observe sees the exact decision sequence of a bare
 // Tuner with the same seed.
 func TestAdapterMatchesSequentialTuner(t *testing.T) {
-	seq, err := New(engineAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 42)
+	seq, err := NewTuner(engineAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 42)
 	if err != nil {
 		t.Fatal(err)
 	}

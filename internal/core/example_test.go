@@ -28,7 +28,7 @@ func Example() {
 		return 4 + d*d // optimum 4 at x = 8
 	}
 
-	tuner, err := core.New(algorithms, nominal.NewEpsilonGreedy(0.10), nil, 1)
+	tuner, err := core.NewTuner(algorithms, nominal.NewEpsilonGreedy(0.10), nil, 1)
 	if err != nil {
 		panic(err)
 	}
@@ -45,7 +45,7 @@ func Example() {
 // their loop.
 func ExampleTuner_Next() {
 	algorithms := []core.Algorithm{{Name: "a"}, {Name: "b"}}
-	tuner, err := core.New(algorithms, nominal.NewRoundRobin(), nil, 1)
+	tuner, err := core.NewTuner(algorithms, nominal.NewRoundRobin(), nil, 1)
 	if err != nil {
 		panic(err)
 	}

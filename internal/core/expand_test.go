@@ -87,7 +87,7 @@ func TestExpandedTunerFindsNominalBranch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tuner, err := New(e.Algos, nominal.NewEpsilonGreedy(0.2), DefaultFactory, 3)
+	tuner, err := NewTuner(e.Algos, nominal.NewEpsilonGreedy(0.2), DefaultFactory, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestExpandNominalBestBeforeRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tuner, err := New(e.Algos, nominal.NewRoundRobin(), DefaultFactory, 1)
+	tuner, err := NewTuner(e.Algos, nominal.NewRoundRobin(), DefaultFactory, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,7 +109,7 @@ func TestMedianOfKImprovesTuningUnderNoise(t *testing.T) {
 			Space: param.NewSpace(param.NewInterval("x", 0, 10)),
 			Init:  param.Config{0},
 		}}
-		tu, err := New(algos, nominal.NewRoundRobin(), DefaultFactory, seed)
+		tu, err := NewTuner(algos, nominal.NewRoundRobin(), DefaultFactory, seed)
 		if err != nil {
 			t.Fatal(err)
 		}

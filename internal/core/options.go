@@ -9,11 +9,8 @@ import (
 
 // ErrOptionScope is returned (wrapped) by a constructor handed an Option
 // that does not apply to what it builds — for example WithMaxInFlight on
-// the sequential NewTuner, or WithShards on NewConcurrentTuner. The old
-// split between Option (tuner) and EngineOption (engine) made such
-// mismatches unrepresentable but forced every caller to juggle two
-// slices; the unified type makes them representable and loud instead of
-// silently no-oping.
+// the sequential NewTuner, or WithShards on NewConcurrentTuner, so a
+// misplaced option is loud instead of silently no-oping.
 var ErrOptionScope = errors.New("option does not apply to this constructor")
 
 // An Option configures any of the core constructors. One option type
@@ -26,12 +23,6 @@ type Option struct {
 	engine  func(*ConcurrentTuner)
 	sharded func(*shardConfig)
 }
-
-// EngineOption is the former engine-only option type.
-//
-// Deprecated: Option now covers every constructor; EngineOption is an
-// alias kept so existing []EngineOption call sites compile unchanged.
-type EngineOption = Option
 
 func tunerOption(name string, f func(*Tuner)) Option {
 	return Option{name: name, tuner: f}

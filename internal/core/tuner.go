@@ -214,15 +214,6 @@ func NewTuner(algos []Algorithm, selector nominal.Selector, factory search.Facto
 	return t, nil
 }
 
-// New creates a two-phase tuner.
-//
-// Deprecated: New is the original name of NewTuner, kept as an alias for
-// existing callers; use NewTuner for symmetry with NewConcurrentTuner
-// and NewShardedEngine.
-func New(algos []Algorithm, selector nominal.Selector, factory search.Factory, seed int64, opts ...Option) (*Tuner, error) {
-	return NewTuner(algos, selector, factory, seed, opts...)
-}
-
 // Watchdog defaults (see WithWatchdog).
 const (
 	// DefaultWatchWindow is the number of recent iterations over which

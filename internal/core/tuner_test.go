@@ -41,7 +41,7 @@ func syntheticAlgos() ([]Algorithm, Measure) {
 
 func mustNew(t *testing.T, algos []Algorithm, sel nominal.Selector, f search.Factory, seed int64, opts ...Option) *Tuner {
 	t.Helper()
-	tu, err := New(algos, sel, f, seed, opts...)
+	tu, err := NewTuner(algos, sel, f, seed, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,17 +172,17 @@ func TestTunerAskTellMisusePanics(t *testing.T) {
 }
 
 func TestTunerValidation(t *testing.T) {
-	if _, err := New(nil, nominal.NewRoundRobin(), DefaultFactory, 1); err == nil {
+	if _, err := NewTuner(nil, nominal.NewRoundRobin(), DefaultFactory, 1); err == nil {
 		t.Error("New with no algorithms did not fail")
 	}
-	if _, err := New([]Algorithm{{Name: "a"}}, nil, DefaultFactory, 1); err == nil {
+	if _, err := NewTuner([]Algorithm{{Name: "a"}}, nil, DefaultFactory, 1); err == nil {
 		t.Error("New with nil selector did not fail")
 	}
 }
 
 func TestTunerNilFactoryUsesDefault(t *testing.T) {
 	algos, m := syntheticAlgos()
-	tu, err := New(algos, nominal.NewEpsilonGreedy(0.1), nil, 1)
+	tu, err := NewTuner(algos, nominal.NewEpsilonGreedy(0.1), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestTunerFallbackForUnsupportedSpace(t *testing.T) {
 		Name:  "ordinal-algo",
 		Space: param.NewSpace(param.NewOrdinal("size", "s", "m", "l")),
 	}}
-	tu, err := New(algos, nominal.NewEpsilonGreedy(0.1), DefaultFactory, 1)
+	tu, err := NewTuner(algos, nominal.NewEpsilonGreedy(0.1), DefaultFactory, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ type Keyed struct {
 
 // NewKeyed prepares a per-context tuner family. The selector function
 // builds a fresh phase-two strategy per context (selectors are
-// stateful); factory and opts are as in core.New. Each context's random
+// stateful); factory and opts are as in core.NewTuner. Each context's random
 // stream is derived from the seed and the context key, so runs are
 // reproducible regardless of context arrival order.
 func NewKeyed(algos []core.Algorithm, selector func() nominal.Selector, factory search.Factory, seed int64, opts ...core.Option) *Keyed {
@@ -60,7 +60,7 @@ func (c *Keyed) For(context string) (*core.Tuner, error) {
 	}
 	h := fnv.New64a()
 	h.Write([]byte(context))
-	t, err := core.New(c.algos, c.selector(), c.factory, c.seed^int64(h.Sum64()), c.opts...)
+	t, err := core.NewTuner(c.algos, c.selector(), c.factory, c.seed^int64(h.Sum64()), c.opts...)
 	if err != nil {
 		return nil, err
 	}

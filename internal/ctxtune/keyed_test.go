@@ -69,7 +69,7 @@ func TestKeyedBeatsGlobalUnderAlternation(t *testing.T) {
 	// converges to ~5 in each context.
 	algos, model := keyedModel()
 
-	global, err := core.New(algos, nominal.NewEpsilonGreedy(0.1), nil, 1)
+	global, err := core.NewTuner(algos, nominal.NewEpsilonGreedy(0.1), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,7 @@ func synthMeasure(noise float64, r *rand.Rand) core.Measure {
 // cost over the final quarter of the run (converged performance) plus the
 // per-algorithm counts.
 func runSynth(sel nominal.Selector, factory search.Factory, iters int, seed int64, noise float64) (tail float64, counts []int) {
-	tuner, err := core.New(synthAlgorithms(), sel, factory, seed)
+	tuner, err := core.NewTuner(synthAlgorithms(), sel, factory, seed)
 	if err != nil {
 		panic(err)
 	}
@@ -155,7 +155,7 @@ func AblationCrossover(w io.Writer, reps, iters int, seed int64) *report.Table {
 			if err != nil {
 				panic(err)
 			}
-			tuner, err := core.New(synthAlgorithms(), sel, nil, seed+int64(rep))
+			tuner, err := core.NewTuner(synthAlgorithms(), sel, nil, seed+int64(rep))
 			if err != nil {
 				panic(err)
 			}
@@ -250,7 +250,7 @@ func AblationCombined(w io.Writer, reps, iters int, seed int64) *report.Table {
 			if err != nil {
 				panic(err)
 			}
-			tuner, err := core.New(synthAlgorithms(), sel, nil, seed+int64(rep))
+			tuner, err := core.NewTuner(synthAlgorithms(), sel, nil, seed+int64(rep))
 			if err != nil {
 				panic(err)
 			}
@@ -305,7 +305,7 @@ func AblationDrift(w io.Writer, reps, iters int, seed int64) *report.Table {
 			if mk2IsWindowed(sel) {
 				name += " windowed"
 			}
-			tuner, err := core.New(algos, sel, nil, seed+int64(rep))
+			tuner, err := core.NewTuner(algos, sel, nil, seed+int64(rep))
 			if err != nil {
 				panic(err)
 			}
@@ -359,7 +359,7 @@ func AblationNoise(w io.Writer, reps, iters int, seed int64) *report.Table {
 	trueCost := func(algo int, c param.Config) float64 { return synthSet[algo].cost(c) }
 	run := func(noise float64, k, budget int, seed int64) float64 {
 		sel := nominal.NewEpsilonGreedy(0.10)
-		tuner, err := core.New(synthAlgorithms(), sel, nil, seed)
+		tuner, err := core.NewTuner(synthAlgorithms(), sel, nil, seed)
 		if err != nil {
 			panic(err)
 		}
@@ -447,7 +447,7 @@ func AblationMixedNominal(w io.Writer, reps, iters int, seed int64) *report.Tabl
 				if err != nil {
 					panic(err)
 				}
-				tuner, err := core.New(e.Algos, nominal.NewEpsilonGreedy(0.10), nil, s)
+				tuner, err := core.NewTuner(e.Algos, nominal.NewEpsilonGreedy(0.10), nil, s)
 				if err != nil {
 					panic(err)
 				}
@@ -460,7 +460,7 @@ func AblationMixedNominal(w io.Writer, reps, iters int, seed int64) *report.Tabl
 					bestCfgCost = 8
 				}
 			} else {
-				tuner, err := core.New(baseAlgos, nominal.NewEpsilonGreedy(0.10), nil, s)
+				tuner, err := core.NewTuner(baseAlgos, nominal.NewEpsilonGreedy(0.10), nil, s)
 				if err != nil {
 					panic(err)
 				}
@@ -511,7 +511,7 @@ func AblationRegret(w io.Writer, reps, iters int, seed int64) *report.Table {
 			if err != nil {
 				panic(err)
 			}
-			tuner, err := core.New(synthAlgorithms(), sel, nil, seed+int64(rep))
+			tuner, err := core.NewTuner(synthAlgorithms(), sel, nil, seed+int64(rep))
 			if err != nil {
 				panic(err)
 			}

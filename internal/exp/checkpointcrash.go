@@ -106,7 +106,7 @@ func RunCheckpointCrash(cfg Config, iters, crashes, every int) (*CheckpointCrash
 	newSelector := func() nominal.Selector { return nominal.NewEpsilonGreedy(0.20) }
 
 	// Reference: one uninterrupted run, no persistence.
-	ref, err := core.New(algos, newSelector(), nil, cfg.Seed)
+	ref, err := core.NewTuner(algos, newSelector(), nil, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +138,7 @@ func RunCheckpointCrash(cfg Config, iters, crashes, every int) (*CheckpointCrash
 		ReferenceBest:   refVal,
 	}
 
-	t, err := core.New(algos, newSelector(), nil, cfg.Seed, core.WithCheckpoint(dir, every))
+	t, err := core.NewTuner(algos, newSelector(), nil, cfg.Seed, core.WithCheckpoint(dir, every))
 	if err != nil {
 		return nil, err
 	}

@@ -96,7 +96,7 @@ func RunConcurrentTuning(cfg Config, iters int) *ConcurrentTuning {
 		ThroughputIters: 96,
 	}
 
-	seq, err := core.New(matcherAlgorithms(), nominal.NewEpsilonGreedy(0.10), nil, cfg.Seed)
+	seq, err := core.NewTuner(matcherAlgorithms(), nominal.NewEpsilonGreedy(0.10), nil, cfg.Seed)
 	if err != nil {
 		panic(err)
 	}

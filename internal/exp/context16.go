@@ -199,7 +199,7 @@ func RunContextualTuning(cfg Config, iters int) *ContextualTuning {
 	// Global control: the identical class-alternating stream through one
 	// tuner that never sees the features.
 	gb := newClassBank(bible, dna, tailFrom)
-	tu, err := core.New(matcherAlgorithms(), sel(), nil, cfg.Seed)
+	tu, err := core.NewTuner(matcherAlgorithms(), sel(), nil, cfg.Seed)
 	if err != nil {
 		return fail(err)
 	}

@@ -269,7 +269,7 @@ func spreadBank(bank [][]float64, winner int) {
 func driftFleetRun(cfg Config, pre, post [][]float64, iters, swapAt int,
 	slowdowns []float64, calibrateEvery int, watchdog bool) (*phasedBank, []tuned.WorkerStats, core.DriftStats, error) {
 	pb := newPhasedBank(pre, post, swapAt, iters*3/4)
-	opts := []core.EngineOption{core.WithLeaseTimeout(250 * time.Millisecond)}
+	opts := []core.Option{core.WithLeaseTimeout(250 * time.Millisecond)}
 	if watchdog {
 		opts = append(opts, core.WithDriftWatchdog(core.DefaultDriftConfig()))
 	}

@@ -186,7 +186,7 @@ func RunFaultInjection(cfg Config, rates FaultRates, iters int) *FaultInjection 
 	run := func(m core.Measure) (*core.Tuner, *guard.Quarantine) {
 		q := guard.NewQuarantine(nominal.NewEpsilonGreedy(0.20))
 		q.K = 1 // fail fast: random 20% failures rarely form K=3 streaks
-		tuner, err := core.New(matcherAlgorithms(), q, nil, cfg.Seed,
+		tuner, err := core.NewTuner(matcherAlgorithms(), q, nil, cfg.Seed,
 			core.WithGuard(guard.WithTimeout(faultTimeout)))
 		if err != nil {
 			panic(err)

@@ -79,7 +79,7 @@ func TestFaultInjectionUnguardedPanics(t *testing.T) {
 			t.Fatal("unguarded tuning loop survived injected panics")
 		}
 	}()
-	tuner, err := core.New(matcherAlgorithms(), nominal.NewEpsilonGreedy(0.10), nil, cfg.Seed)
+	tuner, err := core.NewTuner(matcherAlgorithms(), nominal.NewEpsilonGreedy(0.10), nil, cfg.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}

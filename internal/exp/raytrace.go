@@ -194,7 +194,7 @@ func RunTunedRaytracing(cfg Config) *TunedRaytracing {
 				panic(err)
 			}
 			seed := cfg.Seed + int64(rep)*1000 + int64(si)
-			tuner, err := core.New(builderAlgorithms(), sel, core.DefaultFactory, seed)
+			tuner, err := core.NewTuner(builderAlgorithms(), sel, core.DefaultFactory, seed)
 			if err != nil {
 				panic(err)
 			}
@@ -316,7 +316,7 @@ func RunStructureChoice(cfg Config) *StructureChoice {
 			if err != nil {
 				panic(err)
 			}
-			tuner, err := core.New(algos, sel, core.DefaultFactory, cfg.Seed+int64(rep))
+			tuner, err := core.NewTuner(algos, sel, core.DefaultFactory, cfg.Seed+int64(rep))
 			if err != nil {
 				panic(err)
 			}

@@ -124,7 +124,7 @@ func RunTunedMatchers(cfg Config) *TunedMatchers {
 				panic(err)
 			}
 			seed := cfg.Seed + int64(rep)*1000 + int64(si)
-			tuner, err := core.New(matcherAlgorithms(), sel, nil, seed)
+			tuner, err := core.NewTuner(matcherAlgorithms(), sel, nil, seed)
 			if err != nil {
 				panic(err)
 			}
@@ -320,7 +320,7 @@ func RunPatternSweep(cfg Config, lengths []int) *PatternSweep {
 				strmatch.Run(matchers[algo], pattern, text, cfg.Workers)
 			})
 		}
-		tuner, err := core.New(matcherAlgorithms(), nominal.NewEpsilonGreedy(0.10), nil, cfg.Seed+int64(plen))
+		tuner, err := core.NewTuner(matcherAlgorithms(), nominal.NewEpsilonGreedy(0.10), nil, cfg.Seed+int64(plen))
 		if err != nil {
 			panic(err)
 		}
@@ -397,7 +397,7 @@ func RunContextualSweep(cfg Config) *ContextualSweep {
 	res := &ContextualSweep{ContextChoice: map[string]string{}}
 	iters := cfg.Iters * 2 // both treatments see every context cfg.Iters times
 
-	global, err := core.New(matcherAlgorithms(), nominal.NewEpsilonGreedy(0.10), nil, cfg.Seed)
+	global, err := core.NewTuner(matcherAlgorithms(), nominal.NewEpsilonGreedy(0.10), nil, cfg.Seed)
 	if err != nil {
 		panic(err)
 	}

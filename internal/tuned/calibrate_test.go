@@ -90,7 +90,7 @@ func TestCalibrateRejectsGarbage(t *testing.T) {
 // slow machine's costs land in fleet-normalized units.
 func TestCalibrateNormalizesReports(t *testing.T) {
 	srv, addr := startServer(t, nil)
-	c, err := Dial(addr)
+	c, err := Dial(addr, WithWorker(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,6 @@ func TestCalibrateNormalizesReports(t *testing.T) {
 	if _, _, err := c.Calibrate(9, 4.0); err != nil { // 4× slower
 		t.Fatal(err)
 	}
-	c.SetWorker(9)
 	lb, err := c.LeaseN(1)
 	if err != nil || len(lb.Trials) != 1 {
 		t.Fatalf("LeaseN: %v (%d trials)", err, len(lb.Trials))
@@ -194,5 +193,112 @@ func TestCalibrateHeterogeneousFleet(t *testing.T) {
 	// the true arm-0 range.
 	if _, _, v := eng.Best(); v < 2.5 || v > 3.2 {
 		t.Errorf("fleet-normalized best = %g, want within arm 0's true range [3, 3.1]", v)
+	}
+}
+
+// recordingEngine records every value that reaches the engine's
+// CompleteN, i.e. each report after calibration normalized it.
+type recordingEngine struct {
+	Engine
+	mu     sync.Mutex
+	values []float64
+}
+
+func (e *recordingEngine) CompleteN(results []core.TrialResult) []error {
+	e.mu.Lock()
+	for _, r := range results {
+		e.values = append(e.values, r.Value)
+	}
+	e.mu.Unlock()
+	return e.Engine.CompleteN(results)
+}
+
+// TestCalibrateSharedClient is TestCalibrateHeterogeneousFleet with both
+// calibrated workers on one Client, in both worker loops. Each must
+// report under its own ID: if one worker's identity were stamped on the
+// other's reports, the fast worker's costs would be divided by 4 or the
+// slow worker's left 4× too high. The reference probe is deterministic,
+// so every normalized value must land exactly in testMeasure's true
+// range.
+func TestCalibrateSharedClient(t *testing.T) {
+	for _, pipeline := range []bool{false, true} {
+		name := map[bool]string{false: "lockstep", true: "pipelined"}[pipeline]
+		t.Run(name, func(t *testing.T) { testCalibrateSharedClient(t, pipeline) })
+	}
+}
+
+func testCalibrateSharedClient(t *testing.T, pipeline bool) {
+	inner, err := core.NewConcurrentTuner(testAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := &recordingEngine{Engine: inner}
+	srv := NewServer(eng, WithTrialTarget(120))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	var opts []ClientOption
+	if pipeline {
+		opts = append(opts, WithPipeline(0))
+	}
+	c, err := Dial(ln.Addr().String(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, _, err := c.Calibrate(99, 3.0); err != nil { // fleet baseline
+		t.Fatal(err)
+	}
+
+	// Both workers hold a leased trial before either reports, so their
+	// runs overlap on the shared client.
+	var started sync.WaitGroup
+	started.Add(2)
+	var wg sync.WaitGroup
+	workers := make([]*Worker, 0, 2)
+	for id, slow := range map[uint64]float64{1: 1.0, 2: 4.0} {
+		var once sync.Once
+		w := &Worker{
+			Client: c,
+			Measure: func(algo int, cfg param.Config) float64 {
+				once.Do(func() { started.Done(); started.Wait() })
+				return slow * testMeasure(algo, cfg)
+			},
+			RefMeasure:     func() float64 { return slow * 3.0 },
+			Batch:          4,
+			ID:             id,
+			CalibrateEvery: 32,
+			Pipeline:       pipeline,
+		}
+		workers = append(workers, w)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := w.Run(context.Background()); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+
+	for _, w := range workers {
+		want := map[uint64]float64{1: 1, 2: 4}[w.ID]
+		if f := w.Stats().Factor; f != want {
+			t.Errorf("worker %d factor = %g, want %g", w.ID, f, want)
+		}
+	}
+	eng.mu.Lock()
+	defer eng.mu.Unlock()
+	if len(eng.values) == 0 {
+		t.Fatal("no reports reached the engine")
+	}
+	for _, v := range eng.values {
+		if v < 3 || v > 5.1 {
+			t.Fatalf("normalized report %g outside the true cost range [3, 5.1]", v)
+		}
 	}
 }

@@ -137,7 +137,7 @@ func WithTenant(name string) ClientOption {
 // server can apply that worker's calibrated speed factor. Zero (the
 // default) reports anonymously with factor 1.
 func WithWorker(id uint64) ClientOption {
-	return func(c *Client) { c.worker.Store(id) }
+	return func(c *Client) { c.worker = id }
 }
 
 // WithFeatures sets the client's sticky feature vector: LeaseN attaches
@@ -147,7 +147,7 @@ func WithWorker(id uint64) ClientOption {
 // requests feature-less — the global context. Servers without
 // contextual routing ignore the field entirely.
 func WithFeatures(f []float64) ClientOption {
-	return func(c *Client) { c.SetFeatures(f) }
+	return func(c *Client) { c.feats = append([]float64(nil), f...) }
 }
 
 // WithDialer replaces the TCP dialer, letting tests and soak runs route
@@ -192,10 +192,11 @@ type Client struct {
 	epoch   atomic.Int64  // most recent epoch seen in a handshake
 	algos   atomic.Pointer[[]string]
 	ttlMS   atomic.Int64
-	refAlgo atomic.Int64  // calibration reference algorithm (handshake)
-	worker  atomic.Uint64 // worker identity stamped into reports
-	feats   atomic.Pointer[[]float64]
+	refAlgo atomic.Int64 // calibration reference algorithm (handshake)
 	closed  atomic.Bool
+
+	worker uint64    // identity stamped into reports (WithWorker)
+	feats  []float64 // sticky lease feature vector (WithFeatures)
 }
 
 // clientConn is one connection with its handshake result.
@@ -294,16 +295,11 @@ func (c *Client) dial() (*clientConn, error) {
 	return &clientConn{conn: conn, br: br, epoch: ack.Epoch, proto: proto}, nil
 }
 
-// protoByte is the protocol version negotiated in the most recent
-// handshake (0 before first contact — Dial handshakes eagerly, so
-// callers never see that).
-func (c *Client) protoByte() byte { return byte(c.proto.Load()) }
-
 // pipelined reports whether requests go through the shared pipelined
 // connection. It requires both the option and a v3 handshake; against
 // an older server the client falls back to pooled lockstep.
 func (c *Client) pipelined() bool {
-	return c.pwindow > 0 && c.protoByte() >= 3
+	return c.pwindow > 0 && c.proto.Load() >= 3
 }
 
 // get returns a pooled connection or dials a new one.
@@ -377,45 +373,10 @@ func (c *Client) LeaseTTL() time.Duration {
 // from the most recent handshake.
 func (c *Client) RefAlgo() int { return int(c.refAlgo.Load()) }
 
-// SetWorker stamps subsequent CompleteN reports with a worker identity.
-//
-// Deprecated: mutating a shared client mid-flight races with its other
-// users. Configure the identity at construction with WithWorker, or
-// take a per-worker view with Session(SessionWorker(id)).
-func (c *Client) SetWorker(id uint64) { c.worker.Store(id) }
-
-// SetFeatures replaces the client's sticky feature vector (see
-// WithFeatures); nil reverts to feature-less global requests.
-//
-// Deprecated: mutating a shared client mid-flight races with its other
-// users. Configure the vector at construction with WithFeatures, or
-// take a per-context view with Session(SessionFeatures(f)).
-func (c *Client) SetFeatures(f []float64) {
-	if f == nil {
-		c.feats.Store(nil)
-		return
-	}
-	cp := append([]float64(nil), f...)
-	c.feats.Store(&cp)
-}
-
-// Features returns a copy of the sticky feature vector (nil when
-// unset).
-//
-// Deprecated: read the vector off a Session handle instead.
-func (c *Client) Features() []float64 {
-	p := c.feats.Load()
-	if p == nil {
-		return nil
-	}
-	return append([]float64(nil), (*p)...)
-}
-
 // Session is an immutable per-worker view of a Client: a worker
 // identity and a feature vector fixed at construction, sharing the
-// client's connections, retry policy and handshake state. Two sessions
-// of one client never race each other's identity the way the deprecated
-// SetWorker/SetFeatures mutators could.
+// client's connections, retry policy and handshake state, so workers
+// sharing one client each report under their own identity.
 type Session struct {
 	c      *Client
 	worker uint64
@@ -437,13 +398,10 @@ func SessionFeatures(f []float64) SessionOption {
 	return func(s *Session) { s.feats = append([]float64(nil), f...) }
 }
 
-// Session derives an immutable per-worker handle. Without options it
-// snapshots the client's current worker identity and feature vector.
+// Session derives an immutable per-worker handle. Options left unset
+// inherit the client's WithWorker identity and WithFeatures vector.
 func (c *Client) Session(opts ...SessionOption) *Session {
-	s := &Session{c: c, worker: c.worker.Load()}
-	if p := c.feats.Load(); p != nil {
-		s.feats = append([]float64(nil), (*p)...)
-	}
+	s := &Session{c: c, worker: c.worker, feats: c.feats}
 	for _, o := range opts {
 		o(s)
 	}
@@ -551,7 +509,8 @@ func (c *Client) poolDo(reqType wire.Type, req wire.Payload, respType wire.Type,
 func (c *Client) attempt(cc *clientConn, reqType wire.Type, req wire.Payload, respType wire.Type, resp wire.Payload) error {
 	cc.conn.SetDeadline(time.Now().Add(c.timeout))
 	defer cc.conn.SetDeadline(time.Time{})
-	if err := wire.WriteFrame(cc.conn, cc.proto, reqType, 0, req); err != nil {
+	reqType = reqType.ForVersion(cc.proto)
+	if err := wire.WriteFrame(cc.conn, cc.proto, reqType, 0, wire.Codec(reqType, req)); err != nil {
 		return err
 	}
 	typ, _, payload, rbuf, err := wire.ReadFrameBuf(cc.br, cc.rbuf)
@@ -563,7 +522,8 @@ func (c *Client) attempt(cc *clientConn, reqType wire.Type, req wire.Payload, re
 }
 
 // decodeResp interprets one response frame against the expected type,
-// turning TError answers into *RemoteError.
+// turning TError answers into *RemoteError. A trial response decodes
+// into its packed form whatever the frame's encoding.
 func decodeResp(typ wire.Type, payload []byte, respType wire.Type, resp wire.Payload) error {
 	if typ == wire.TError {
 		var e wire.ErrorResp
@@ -572,13 +532,13 @@ func decodeResp(typ wire.Type, payload []byte, respType wire.Type, resp wire.Pay
 		}
 		return &RemoteError{Code: e.Code, Msg: e.Msg}
 	}
-	if typ != respType {
+	if typ.Canonical() != respType {
 		return fmt.Errorf("tuned: answered with %s, want %s", typ, respType)
 	}
 	if resp == nil {
 		return nil
 	}
-	return resp.DecodeFrom(payload)
+	return wire.Codec(typ, resp).DecodeFrom(payload)
 }
 
 // pipeDo runs one exchange over the shared pipelined connection,
@@ -799,7 +759,7 @@ type LeaseBatch struct {
 // LeaseN leases up to n trials in one round trip, attaching the sticky
 // feature vector (if any) so a contextual server can route the lease.
 func (c *Client) LeaseN(n int) (LeaseBatch, error) {
-	return c.leaseN(c.Features(), n)
+	return c.leaseN(c.feats, n)
 }
 
 // LeaseNFor leases up to n trials under an explicit feature vector,
@@ -809,49 +769,21 @@ func (c *Client) LeaseNFor(features []float64, n int) (LeaseBatch, error) {
 	return c.leaseN(features, n)
 }
 
-// leaseN is the shared lease path: packed frames against a v3 server,
-// the JSON family otherwise.
+// leaseN is the lease path shared by Client and Session.
 func (c *Client) leaseN(features []float64, n int) (LeaseBatch, error) {
-	if c.protoByte() >= 3 {
-		var resp wire.PackedTrials
-		if err := c.roundTrip(wire.TLeaseP, &wire.PackedLeaseReq{N: n, Features: features}, wire.TTrialsP, &resp); err != nil {
-			return LeaseBatch{}, err
-		}
-		lb := LeaseBatch{
-			Epoch:      resp.Epoch,
-			Done:       resp.Done,
-			Draining:   resp.Draining,
-			Retry:      time.Duration(resp.RetryMS) * time.Millisecond,
-			SuggestMax: resp.SuggestMax,
-		}
-		if len(resp.Trials) > 0 {
-			lb.Trials = make([]core.Trial, 0, len(resp.Trials))
-		}
-		for _, wt := range resp.Trials {
-			tr := core.Trial{
-				ID:          wt.ID,
-				Algo:        wt.Algo,
-				Config:      param.Config(wt.Config),
-				Speculative: wt.Speculative,
-				Pinned:      wt.Pinned,
-			}
-			if wt.DeadlineMS != 0 {
-				tr.Deadline = time.UnixMilli(wt.DeadlineMS)
-			}
-			lb.Trials = append(lb.Trials, tr)
-		}
-		return lb, nil
-	}
-	var resp wire.LeaseNResp
-	if err := c.roundTrip(wire.TLeaseN, &wire.LeaseNReq{N: n, Features: features}, wire.TTrials, &resp); err != nil {
+	var resp wire.PackedTrials
+	if err := c.roundTrip(wire.TLeaseP, &wire.PackedLeaseReq{N: n, Features: features}, wire.TTrialsP, &resp); err != nil {
 		return LeaseBatch{}, err
 	}
 	lb := LeaseBatch{
 		Epoch:      resp.Epoch,
 		Done:       resp.Done,
-		Retry:      time.Duration(resp.RetryMS) * time.Millisecond,
 		Draining:   resp.Draining,
+		Retry:      time.Duration(resp.RetryMS) * time.Millisecond,
 		SuggestMax: resp.SuggestMax,
+	}
+	if len(resp.Trials) > 0 {
+		lb.Trials = make([]core.Trial, 0, len(resp.Trials))
 	}
 	for _, wt := range resp.Trials {
 		tr := core.Trial{
@@ -874,30 +806,19 @@ func (c *Client) leaseN(features []float64, n int) (LeaseBatch, error) {
 // not failures: the engine had already charged those trials (expired
 // lease, duplicate report, or older epoch).
 func (c *Client) CompleteN(epoch int64, results []core.TrialResult) (applied, dropped []uint64, err error) {
-	return c.completeN(c.worker.Load(), epoch, results)
+	return c.completeN(c.worker, epoch, results)
 }
 
 func (c *Client) completeN(worker uint64, epoch int64, results []core.TrialResult) (applied, dropped []uint64, err error) {
 	// No feature vector on results: a contextual server routes
 	// completions by trial ID through its route table, so echoing the
 	// sticky vector here would only fatten the hottest wire message.
-	if c.protoByte() >= 3 {
-		req := wire.PackedCompleteReq{Epoch: epoch, Worker: worker, Results: make([]wire.PackedResult, len(results))}
-		for i, r := range results {
-			req.Results[i] = wire.PackedResult{ID: r.ID, Value: r.Value}
-		}
-		var ack wire.PackedAck
-		if err := c.roundTrip(wire.TCompleteP, &req, wire.TAckP, &ack); err != nil {
-			return nil, nil, err
-		}
-		return ack.Applied, ack.Dropped, nil
-	}
-	req := wire.CompleteNReq{Epoch: epoch, Worker: worker, Results: make([]wire.Result, len(results))}
+	req := wire.PackedCompleteReq{Epoch: epoch, Worker: worker, Results: make([]wire.PackedResult, len(results))}
 	for i, r := range results {
-		req.Results[i] = wire.Result{ID: r.ID, Value: r.Value}
+		req.Results[i] = wire.PackedResult{ID: r.ID, Value: r.Value}
 	}
-	var ack wire.AckResp
-	if err := c.roundTrip(wire.TCompleteN, &req, wire.TAck, &ack); err != nil {
+	var ack wire.PackedAck
+	if err := c.roundTrip(wire.TCompleteP, &req, wire.TAckP, &ack); err != nil {
 		return nil, nil, err
 	}
 	return ack.Applied, ack.Dropped, nil
@@ -920,31 +841,16 @@ func wireFailKind(k guard.Kind) uint8 {
 // FailN reports a batch of measurement failures for trials leased under
 // epoch.
 func (c *Client) FailN(epoch int64, fails []core.TrialFailure) (applied, dropped []uint64, err error) {
-	if c.protoByte() >= 3 {
-		req := wire.PackedFailReq{Epoch: epoch, Fails: make([]wire.PackedFail, len(fails))}
-		for i, f := range fails {
-			wf := wire.PackedFail{ID: f.ID, Kind: wireFailKind(f.Failure.Kind), Penalty: f.Failure.Penalty}
-			if f.Failure.Err != nil {
-				wf.Msg = f.Failure.Err.Error()
-			}
-			req.Fails[i] = wf
-		}
-		var ack wire.PackedAck
-		if err := c.roundTrip(wire.TFailP, &req, wire.TAckP, &ack); err != nil {
-			return nil, nil, err
-		}
-		return ack.Applied, ack.Dropped, nil
-	}
-	req := wire.FailNReq{Epoch: epoch, Fails: make([]wire.Fail, len(fails))}
+	req := wire.PackedFailReq{Epoch: epoch, Fails: make([]wire.PackedFail, len(fails))}
 	for i, f := range fails {
-		wf := wire.Fail{ID: f.ID, Kind: f.Failure.Kind.String(), Penalty: f.Failure.Penalty}
+		wf := wire.PackedFail{ID: f.ID, Kind: wireFailKind(f.Failure.Kind), Penalty: f.Failure.Penalty}
 		if f.Failure.Err != nil {
 			wf.Msg = f.Failure.Err.Error()
 		}
 		req.Fails[i] = wf
 	}
-	var ack wire.AckResp
-	if err := c.roundTrip(wire.TFailN, &req, wire.TAck, &ack); err != nil {
+	var ack wire.PackedAck
+	if err := c.roundTrip(wire.TFailP, &req, wire.TAckP, &ack); err != nil {
 		return nil, nil, err
 	}
 	return ack.Applied, ack.Dropped, nil

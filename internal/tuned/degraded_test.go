@@ -18,7 +18,7 @@ import (
 // not-yet-measured trials dead and measureBatch skips them instead of
 // wasting the measurement.
 func TestHeartbeatDropsReclaimedLease(t *testing.T) {
-	_, addr := startServer(t, []core.EngineOption{core.WithLeaseTimeout(40 * time.Millisecond)})
+	_, addr := startServer(t, []core.Option{core.WithLeaseTimeout(40 * time.Millisecond)})
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +47,7 @@ func TestHeartbeatDropsReclaimedLease(t *testing.T) {
 	if len(lb.Trials) != 2 {
 		t.Fatalf("leased %d trials, want 2", len(lb.Trials))
 	}
-	results, fails, abandoned := w.measureBatch(context.Background(), lb)
+	results, fails, abandoned := w.measureBatch(context.Background(), c.Session(), lb)
 	if abandoned {
 		t.Fatal("measureBatch reported abandoned without cancellation")
 	}

@@ -91,7 +91,7 @@ func TestLoopbackE2EKillAndRestart(t *testing.T) {
 	algos, bank := e2eBank()
 
 	// Reference 1: the paper's sequential tuner.
-	seq, err := core.New(algos, nominal.NewEpsilonGreedy(0.10), nil, seed)
+	seq, err := core.NewTuner(algos, nominal.NewEpsilonGreedy(0.10), nil, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

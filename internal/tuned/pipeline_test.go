@@ -204,15 +204,17 @@ func TestRebalanceClampsHoarder(t *testing.T) {
 
 // TestSessionSnapshot pins Session immutability: the handle keeps the
 // worker identity and a private copy of the feature vector it was built
-// with, unaffected by later mutation of the caller's slice or of the
-// client's deprecated mutable state.
+// with, unaffected by later mutation of the caller's slice, and options
+// left unset inherit the client's dial-time identity and vector.
 func TestSessionSnapshot(t *testing.T) {
 	_, addr := startEngineServer(t)
-	c, err := Dial(addr)
+	dialFeats := []float64{5}
+	c, err := Dial(addr, WithWorker(9), WithFeatures(dialFeats))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	dialFeats[0] = 99 // the client copied its vector at Dial
 
 	feats := []float64{1, 2}
 	s := c.Session(SessionWorker(7), SessionFeatures(feats))
@@ -224,23 +226,16 @@ func TestSessionSnapshot(t *testing.T) {
 	if got := s.Features(); got[0] != 1 || got[1] != 2 {
 		t.Fatalf("session features = %v, want [1 2]", got)
 	}
-
-	// The deprecated client-level mutators seed new sessions but never
-	// touch existing ones.
-	c.SetWorker(9)
-	c.SetFeatures([]float64{5})
-	if s.Worker() != 7 {
-		t.Fatalf("session worker changed to %d after SetWorker", s.Worker())
-	}
-	if got := s.Features(); len(got) != 2 {
-		t.Fatalf("session features changed to %v after SetFeatures", got)
-	}
 	s2 := c.Session()
 	if s2.Worker() != 9 {
-		t.Fatalf("new session worker = %d, want 9 from SetWorker", s2.Worker())
+		t.Fatalf("default session worker = %d, want 9 from WithWorker", s2.Worker())
 	}
 	if got := s2.Features(); len(got) != 1 || got[0] != 5 {
-		t.Fatalf("new session features = %v, want [5]", got)
+		t.Fatalf("default session features = %v, want [5] from WithFeatures", got)
+	}
+	s2.Features()[0] = 42 // Features hands out a copy
+	if got := c.Session().Features(); got[0] != 5 {
+		t.Fatalf("client features changed to %v through a session copy", got)
 	}
 
 	// The session round-trips: leases and reports work through it.

@@ -248,15 +248,17 @@ type session struct {
 	leased map[uint64]struct{} // lease IDs issued to this connection
 }
 
-// reply buffers one reply frame at the session's protocol version,
-// echoing the request's correlation ID, and flushes only when no other
+// reply buffers one reply frame at the session's protocol version —
+// a packed trial message travels as its JSON twin below v3 — echoing
+// the request's correlation ID, and flushes only when no other
 // dispatched request remains unanswered — so a burst of pipelined
 // requests costs one write syscall, not one per reply. The write mutex
 // keeps pipelined replies from interleaving mid-frame.
-func (sess *session) reply(conn net.Conn, typ wire.Type, corr uint16, p wire.Payload) error {
+func (sess *session) reply(typ wire.Type, corr uint16, p wire.Payload) error {
+	typ = typ.ForVersion(sess.proto)
 	sess.wmu.Lock()
 	defer sess.wmu.Unlock()
-	err := wire.WriteFrame(sess.bw, sess.proto, typ, corr, p)
+	err := wire.WriteFrame(sess.bw, sess.proto, typ, corr, wire.Codec(typ, p))
 	if sess.outstanding.Add(-1) > 0 {
 		return err
 	}
@@ -269,9 +271,9 @@ func (sess *session) reply(conn net.Conn, typ wire.Type, corr uint16, p wire.Pay
 // write is reply for frames outside the request/reply ledger — the
 // handshake and abort paths — balancing the counter itself so the
 // frame flushes immediately.
-func (sess *session) write(conn net.Conn, typ wire.Type, corr uint16, p wire.Payload) error {
+func (sess *session) write(typ wire.Type, corr uint16, p wire.Payload) error {
 	sess.outstanding.Add(1)
-	return sess.reply(conn, typ, corr, p)
+	return sess.reply(typ, corr, p)
 }
 
 // holdCount returns the size of the session's lease ledger.
@@ -627,12 +629,12 @@ func (s *Server) handle(conn net.Conn) {
 		buf = nbuf
 		req, err := decodeReq(typ, payload)
 		if err != nil {
-			sess.write(conn, wire.TError, corr, &wire.ErrorResp{Code: wire.CodeBadRequest, Msg: err.Error()})
+			sess.write(wire.TError, corr, &wire.ErrorResp{Code: wire.CodeBadRequest, Msg: err.Error()})
 			return
 		}
 		sess.outstanding.Add(1)
 		if sem == nil {
-			if !s.serveReq(conn, sess, typ, corr, req) {
+			if !s.serveReq(sess, typ, corr, req) {
 				return
 			}
 			continue
@@ -642,7 +644,7 @@ func (s *Server) handle(conn net.Conn) {
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			if !s.serveReq(conn, sess, typ, corr, req) {
+			if !s.serveReq(sess, typ, corr, req) {
 				// The request loop notices the close on its next read.
 				conn.Close()
 			}
@@ -650,24 +652,19 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// decodeReq parses a request frame's payload into its typed message.
-// Decoding happens on the read loop — the payload aliases a reused
-// frame buffer, so it must not escape to a service goroutine. Bodyless
-// requests and unknown types return (nil, nil); serveReq rejects the
-// latter.
+// decodeReq parses a request frame's payload into its typed message;
+// trial requests decode into their packed form whatever the frame's
+// encoding. Decoding happens on the read loop — the payload aliases a
+// reused frame buffer, so it must not escape to a service goroutine.
+// Bodyless requests and unknown types return (nil, nil); serveReq
+// rejects the latter.
 func decodeReq(typ wire.Type, payload []byte) (wire.Payload, error) {
 	var req wire.Payload
-	switch typ {
-	case wire.TLeaseN:
-		req = &wire.LeaseNReq{}
+	switch typ.Canonical() {
 	case wire.TLeaseP:
 		req = &wire.PackedLeaseReq{}
-	case wire.TCompleteN:
-		req = &wire.CompleteNReq{}
 	case wire.TCompleteP:
 		req = &wire.PackedCompleteReq{}
-	case wire.TFailN:
-		req = &wire.FailNReq{}
 	case wire.TFailP:
 		req = &wire.PackedFailReq{}
 	case wire.TAbsorb:
@@ -679,7 +676,7 @@ func decodeReq(typ wire.Type, payload []byte) (wire.Payload, error) {
 	default:
 		return nil, nil
 	}
-	if err := req.DecodeFrom(payload); err != nil {
+	if err := wire.Codec(typ, req).DecodeFrom(payload); err != nil {
 		return nil, err
 	}
 	return req, nil
@@ -721,7 +718,7 @@ func (s *Server) handshake(conn net.Conn, br *bufio.Reader) *session {
 	}
 	if s.reg == nil {
 		if name != tenant.DefaultName {
-			sess.write(conn, wire.TError, 0, &wire.ErrorResp{
+			sess.write(wire.TError, 0, &wire.ErrorResp{
 				Code: wire.CodeUnknownTenant, Msg: fmt.Sprintf("unknown tenant %q (single-tenant server)", name)})
 			return nil
 		}
@@ -729,21 +726,21 @@ func (s *Server) handshake(conn net.Conn, br *bufio.Reader) *session {
 	} else {
 		t := s.reg.Tenant(name)
 		if t == nil {
-			sess.write(conn, wire.TError, 0, &wire.ErrorResp{
+			sess.write(wire.TError, 0, &wire.ErrorResp{
 				Code: wire.CodeUnknownTenant, Msg: fmt.Sprintf("unknown tenant %q", name)})
 			return nil
 		}
 		sess.rt = s.rtFor(t)
 	}
 	if h.Hash != 0 && h.Hash != sess.rt.hash {
-		sess.write(conn, wire.TError, 0, &wire.ErrorResp{
+		sess.write(wire.TError, 0, &wire.ErrorResp{
 			Code: wire.CodeConfigMismatch,
 			Msg:  fmt.Sprintf("config hash %08x, tenant %s runs %08x", h.Hash, name, sess.rt.hash)})
 		return nil
 	}
 	eng, release, err := sess.rt.acquire()
 	if err != nil {
-		sess.write(conn, wire.TError, 0, &wire.ErrorResp{Code: wire.CodeInternal, Msg: err.Error()})
+		sess.write(wire.TError, 0, &wire.ErrorResp{Code: wire.CodeInternal, Msg: err.Error()})
 		return nil
 	}
 	defer release()
@@ -763,7 +760,7 @@ func (s *Server) handshake(conn net.Conn, br *bufio.Reader) *session {
 		RefAlgo:    s.refAlgoFor(eng),
 		Tenant:     name,
 	}
-	if sess.write(conn, wire.THelloAck, 0, &ack) != nil {
+	if sess.write(wire.THelloAck, 0, &ack) != nil {
 		return nil
 	}
 	return sess
@@ -783,73 +780,56 @@ func (s *Server) refAlgoFor(eng Engine) int {
 // between requests — reporting whether the connection should stay open.
 // On a v3 session it runs on a per-request goroutine with corr echoing
 // the request frame; pre-v3 it runs lockstep on the read loop (corr 0).
-func (s *Server) serveReq(conn net.Conn, sess *session, typ wire.Type, corr uint16, req wire.Payload) bool {
+func (s *Server) serveReq(sess *session, typ wire.Type, corr uint16, req wire.Payload) bool {
 	if typ == wire.TTenants {
 		// The aggregate view needs no engine (and must not force one
 		// resident).
-		return s.serveTenants(conn, sess, corr)
+		return s.serveTenants(sess, corr)
 	}
 	eng, release, err := sess.rt.acquire()
 	if err != nil {
-		sess.reply(conn, wire.TError, corr, &wire.ErrorResp{Code: wire.CodeInternal, Msg: err.Error()})
+		sess.reply(wire.TError, corr, &wire.ErrorResp{Code: wire.CodeInternal, Msg: err.Error()})
 		return false
 	}
 	defer release()
-	switch typ {
-	case wire.TLeaseN:
-		return s.serveLeaseN(conn, sess, eng, corr, req.(*wire.LeaseNReq))
+	switch typ.Canonical() {
 	case wire.TLeaseP:
-		return s.serveLeaseP(conn, sess, eng, corr, req.(*wire.PackedLeaseReq))
-	case wire.TCompleteN:
-		return s.serveCompleteN(conn, sess, eng, corr, req.(*wire.CompleteNReq))
+		return s.serveLease(sess, eng, corr, req.(*wire.PackedLeaseReq))
 	case wire.TCompleteP:
-		return s.serveCompleteP(conn, sess, eng, corr, req.(*wire.PackedCompleteReq))
-	case wire.TFailN:
-		return s.serveFailN(conn, sess, eng, corr, req.(*wire.FailNReq))
+		return s.serveComplete(sess, eng, corr, req.(*wire.PackedCompleteReq))
 	case wire.TFailP:
-		return s.serveFailP(conn, sess, eng, corr, req.(*wire.PackedFailReq))
+		return s.serveFail(sess, eng, corr, req.(*wire.PackedFailReq))
 	case wire.TAbsorb:
-		return s.serveAbsorb(conn, sess, eng, corr, req.(*wire.AbsorbReq))
+		return s.serveAbsorb(sess, eng, corr, req.(*wire.AbsorbReq))
 	case wire.TCalibrate:
-		return s.serveCalibrate(conn, sess, corr, req.(*wire.CalibrateReq))
+		return s.serveCalibrate(sess, corr, req.(*wire.CalibrateReq))
 	case wire.THeartbeat:
-		return s.serveHeartbeat(conn, sess, eng, corr, req.(*wire.HeartbeatReq))
+		return s.serveHeartbeat(sess, eng, corr, req.(*wire.HeartbeatReq))
 	case wire.TBest:
-		return s.serveBest(conn, sess, eng, corr)
+		return s.serveBest(sess, eng, corr)
 	case wire.TStats:
-		return s.serveStats(conn, sess, eng, corr)
+		return s.serveStats(sess, eng, corr)
 	default:
-		sess.reply(conn, wire.TError, corr, &wire.ErrorResp{
+		sess.reply(wire.TError, corr, &wire.ErrorResp{
 			Code: wire.CodeBadRequest, Msg: fmt.Sprintf("unexpected frame %s", typ)})
 		return false
 	}
 }
 
-// leaseOut is the transport-agnostic result of one lease request; the
-// JSON and packed handlers render it into their response shapes.
-type leaseOut struct {
-	done       bool
-	draining   bool
-	retryMS    int64
-	suggestMax int
-	trials     []core.Trial
-}
-
-// lease runs the shared lease logic: target/drain checks, overload
-// control, fair-share rebalancing, then the engine call. A nil error
-// with empty trials is a busy answer carrying retryMS.
-func (s *Server) lease(sess *session, eng Engine, n int, features []float64) (leaseOut, error) {
-	var out leaseOut
+// lease runs the lease logic — target/drain checks, overload control,
+// fair-share rebalancing, then the engine call — filling resp. A nil
+// error with no trials is a busy answer carrying RetryMS.
+func (s *Server) lease(sess *session, eng Engine, n int, features []float64, resp *wire.PackedTrials) error {
 	if s.target > 0 && eng.Iterations() >= s.target {
-		out.done = true
-		return out, nil
+		resp.Done = true
+		return nil
 	}
 	if s.draining.Load() {
 		// Drain in progress: no new leases. Workers should report what
 		// they hold, then back off (or reconnect elsewhere).
-		out.draining = true
-		out.retryMS = 100
-		return out, nil
+		resp.Draining = true
+		resp.RetryMS = 100
+		return nil
 	}
 	if n < 1 {
 		n = 1
@@ -889,7 +869,7 @@ func (s *Server) lease(sess *session, eng Engine, n int, features []float64) (le
 			fair := max(s.globalCap/int(active), 1)
 			if held+n > fair {
 				n = fair - held
-				out.suggestMax = fair
+				resp.SuggestMax = fair
 				sess.rt.rebalanced.Add(1)
 				sess.rt.starved.Add(-1)
 			}
@@ -901,13 +881,13 @@ func (s *Server) lease(sess *session, eng Engine, n int, features []float64) (le
 			// Blocked by the session cap alone: scale the hint by how
 			// full this session is, not the whole server.
 			capacity, load = s.sessionCap, held
-		} else if out.suggestMax == 0 {
+		} else if resp.SuggestMax == 0 {
 			// Starved by the global cap while peers hold leases: note it
 			// so their next grants get clamped to the fair share.
 			sess.rt.starved.Add(1)
 		}
-		out.retryMS = loadRetryMS(load, capacity)
-		return out, nil
+		resp.RetryMS = loadRetryMS(load, capacity)
+		return nil
 	}
 	var trials []core.Trial
 	var err error
@@ -920,59 +900,13 @@ func (s *Server) lease(sess *session, eng Engine, n int, features []float64) (le
 	}
 	switch {
 	case errors.Is(err, core.ErrTooManyInFlight):
-		out.retryMS = loadRetryMS(eng.Stats().InFlight, s.globalCap)
+		resp.RetryMS = loadRetryMS(eng.Stats().InFlight, s.globalCap)
 	case err != nil:
-		return out, err
+		return err
 	}
 	sess.track(trials)
-	out.trials = trials
-	return out, nil
-}
-
-func (s *Server) serveLeaseN(conn net.Conn, sess *session, eng Engine, corr uint16, req *wire.LeaseNReq) bool {
-	out, err := s.lease(sess, eng, req.N, req.Features)
-	if err != nil {
-		sess.reply(conn, wire.TError, corr, &wire.ErrorResp{Code: wire.CodeInternal, Msg: err.Error()})
-		return false
-	}
-	resp := wire.LeaseNResp{
-		Epoch:      sess.rt.epoch,
-		Done:       out.done,
-		Draining:   out.draining,
-		RetryMS:    out.retryMS,
-		SuggestMax: out.suggestMax,
-	}
-	for _, tr := range out.trials {
-		wt := wire.Trial{
-			ID:          tr.ID,
-			Algo:        tr.Algo,
-			Config:      tr.Config,
-			Speculative: tr.Speculative,
-			Pinned:      tr.Pinned,
-		}
-		if !tr.Deadline.IsZero() {
-			wt.DeadlineMS = tr.Deadline.UnixMilli()
-		}
-		resp.Trials = append(resp.Trials, wt)
-	}
-	return sess.reply(conn, wire.TTrials, corr, &resp) == nil
-}
-
-func (s *Server) serveLeaseP(conn net.Conn, sess *session, eng Engine, corr uint16, req *wire.PackedLeaseReq) bool {
-	out, err := s.lease(sess, eng, req.N, req.Features)
-	if err != nil {
-		sess.reply(conn, wire.TError, corr, &wire.ErrorResp{Code: wire.CodeInternal, Msg: err.Error()})
-		return false
-	}
-	resp := wire.PackedTrials{
-		Epoch:      sess.rt.epoch,
-		Done:       out.done,
-		Draining:   out.draining,
-		RetryMS:    out.retryMS,
-		SuggestMax: out.suggestMax,
-		Trials:     make([]wire.PackedTrial, len(out.trials)),
-	}
-	for i, tr := range out.trials {
+	resp.Trials = make([]wire.PackedTrial, len(trials))
+	for i, tr := range trials {
 		pt := wire.PackedTrial{
 			ID:          tr.ID,
 			Algo:        tr.Algo,
@@ -985,48 +919,30 @@ func (s *Server) serveLeaseP(conn net.Conn, sess *session, eng Engine, corr uint
 		}
 		resp.Trials[i] = pt
 	}
-	return sess.reply(conn, wire.TTrialsP, corr, &resp) == nil
+	return nil
 }
 
-// serveCompleteN applies a completion batch. Reports from another epoch
+func (s *Server) serveLease(sess *session, eng Engine, corr uint16, req *wire.PackedLeaseReq) bool {
+	resp := wire.PackedTrials{Epoch: sess.rt.epoch}
+	if err := s.lease(sess, eng, req.N, req.Features, &resp); err != nil {
+		sess.reply(wire.TError, corr, &wire.ErrorResp{Code: wire.CodeInternal, Msg: err.Error()})
+		return false
+	}
+	return sess.reply(wire.TTrialsP, corr, &resp) == nil
+}
+
+// serveComplete applies a completion batch. Reports from another epoch
 // (leases issued by a dead server process, or by a different tenant,
 // possibly colliding with re-issued trial IDs) are dropped wholesale —
 // acknowledged, never applied. Tenant epochs are unique within a
 // process, so a report carried across tenants always fails this check.
-func (s *Server) serveCompleteN(conn net.Conn, sess *session, eng Engine, corr uint16, req *wire.CompleteNReq) bool {
-	var ack wire.AckResp
-	if req.Epoch != sess.rt.epoch {
-		for _, r := range req.Results {
-			ack.Dropped = append(ack.Dropped, r.ID)
-		}
-		return sess.reply(conn, wire.TAck, corr, &ack) == nil
-	}
-	factor := sess.rt.factorFor(req.Worker)
-	results := make([]core.TrialResult, len(req.Results))
-	for i, r := range req.Results {
-		results[i] = core.TrialResult{ID: r.ID, Value: r.Value / factor}
-		sess.untrack(r.ID)
-	}
-	for i, err := range eng.CompleteN(results) {
-		if err == nil {
-			ack.Applied = append(ack.Applied, results[i].ID)
-		} else {
-			ack.Dropped = append(ack.Dropped, results[i].ID)
-		}
-	}
-	return sess.reply(conn, wire.TAck, corr, &ack) == nil
-}
-
-// serveCompleteP is serveCompleteN over the packed hot-path encoding:
-// same epoch gate, calibration factor and idempotent engine semantics,
-// answered with a packed ack.
-func (s *Server) serveCompleteP(conn net.Conn, sess *session, eng Engine, corr uint16, req *wire.PackedCompleteReq) bool {
+func (s *Server) serveComplete(sess *session, eng Engine, corr uint16, req *wire.PackedCompleteReq) bool {
 	var ack wire.PackedAck
 	if req.Epoch != sess.rt.epoch {
 		for _, r := range req.Results {
 			ack.Dropped = append(ack.Dropped, r.ID)
 		}
-		return sess.reply(conn, wire.TAckP, corr, &ack) == nil
+		return sess.reply(wire.TAckP, corr, &ack) == nil
 	}
 	factor := sess.rt.factorFor(req.Worker)
 	results := make([]core.TrialResult, len(req.Results))
@@ -1041,12 +957,11 @@ func (s *Server) serveCompleteP(conn net.Conn, sess *session, eng Engine, corr u
 			ack.Dropped = append(ack.Dropped, results[i].ID)
 		}
 	}
-	return sess.reply(conn, wire.TAckP, corr, &ack) == nil
+	return sess.reply(wire.TAckP, corr, &ack) == nil
 }
 
 // failKindOf maps a packed failure kind byte onto guard's taxonomy;
-// unknown bytes become Invalid, mirroring the JSON path's treatment of
-// unknown kind strings.
+// FailOther and unknown bytes become Invalid.
 func failKindOf(kind uint8) guard.Kind {
 	switch kind {
 	case wire.FailPanic:
@@ -1058,44 +973,15 @@ func failKindOf(kind uint8) guard.Kind {
 	}
 }
 
-func (s *Server) serveFailN(conn net.Conn, sess *session, eng Engine, corr uint16, req *wire.FailNReq) bool {
-	var ack wire.AckResp
-	if req.Epoch != sess.rt.epoch {
-		for _, f := range req.Fails {
-			ack.Dropped = append(ack.Dropped, f.ID)
-		}
-		return sess.reply(conn, wire.TAck, corr, &ack) == nil
-	}
-	fails := make([]core.TrialFailure, len(req.Fails))
-	for i, f := range req.Fails {
-		sess.untrack(f.ID)
-		kind, ok := guard.KindFromString(f.Kind)
-		if !ok {
-			kind = guard.Invalid
-		}
-		fails[i] = core.TrialFailure{ID: f.ID, Failure: guard.Failure{
-			Kind:    kind,
-			Err:     errors.New(f.Msg),
-			Penalty: f.Penalty,
-		}}
-	}
-	for i, err := range eng.FailN(fails) {
-		if err == nil {
-			ack.Applied = append(ack.Applied, fails[i].ID)
-		} else {
-			ack.Dropped = append(ack.Dropped, fails[i].ID)
-		}
-	}
-	return sess.reply(conn, wire.TAck, corr, &ack) == nil
-}
-
-func (s *Server) serveFailP(conn net.Conn, sess *session, eng Engine, corr uint16, req *wire.PackedFailReq) bool {
+// serveFail applies a failure batch under the same epoch gate as
+// serveComplete.
+func (s *Server) serveFail(sess *session, eng Engine, corr uint16, req *wire.PackedFailReq) bool {
 	var ack wire.PackedAck
 	if req.Epoch != sess.rt.epoch {
 		for _, f := range req.Fails {
 			ack.Dropped = append(ack.Dropped, f.ID)
 		}
-		return sess.reply(conn, wire.TAckP, corr, &ack) == nil
+		return sess.reply(wire.TAckP, corr, &ack) == nil
 	}
 	fails := make([]core.TrialFailure, len(req.Fails))
 	for i, f := range req.Fails {
@@ -1113,10 +999,10 @@ func (s *Server) serveFailP(conn net.Conn, sess *session, eng Engine, corr uint1
 			ack.Dropped = append(ack.Dropped, fails[i].ID)
 		}
 	}
-	return sess.reply(conn, wire.TAckP, corr, &ack) == nil
+	return sess.reply(wire.TAckP, corr, &ack) == nil
 }
 
-func (s *Server) serveHeartbeat(conn net.Conn, sess *session, eng Engine, corr uint16, req *wire.HeartbeatReq) bool {
+func (s *Server) serveHeartbeat(sess *session, eng Engine, corr uint16, req *wire.HeartbeatReq) bool {
 	var resp wire.HeartbeatResp
 	if req.Epoch == sess.rt.epoch {
 		for i, ok := range eng.Heartbeat(req.IDs) {
@@ -1126,7 +1012,7 @@ func (s *Server) serveHeartbeat(conn net.Conn, sess *session, eng Engine, corr u
 		}
 	}
 	// Another epoch's leases are all dead here by definition: empty Alive.
-	return sess.reply(conn, wire.THeartbeatAck, corr, &resp) == nil
+	return sess.reply(wire.THeartbeatAck, corr, &resp) == nil
 }
 
 // serveAbsorb folds a degraded-mode worker's locally-learned delta into
@@ -1135,7 +1021,7 @@ func (s *Server) serveHeartbeat(conn net.Conn, sess *session, eng Engine, corr u
 // dropped, so transport retries can never double-count an observation.
 // Seqs must be strictly increasing per worker; the dedup check and the
 // engine call happen under one lock so concurrent retries serialize.
-func (s *Server) serveAbsorb(conn net.Conn, sess *session, eng Engine, corr uint16, req *wire.AbsorbReq) bool {
+func (s *Server) serveAbsorb(sess *session, eng Engine, corr uint16, req *wire.AbsorbReq) bool {
 	rt := sess.rt
 	var ack wire.AbsorbAck
 	rt.absorbMu.Lock()
@@ -1159,7 +1045,7 @@ func (s *Server) serveAbsorb(conn net.Conn, sess *session, eng Engine, corr uint
 		rt.absorbSeq[req.Worker] = req.Seq
 	}
 	rt.absorbMu.Unlock()
-	return sess.reply(conn, wire.TAbsorbAck, corr, &ack) == nil
+	return sess.reply(wire.TAbsorbAck, corr, &ack) == nil
 }
 
 // serveCalibrate registers a worker's reference-probe time and answers
@@ -1170,10 +1056,10 @@ func (s *Server) serveAbsorb(conn net.Conn, sess *session, eng Engine, corr uint
 // new fastest worker lowers the baseline, raising everyone else's factor
 // on their next report. Calibration is per tenant: fleets serving
 // different tenants may not even overlap.
-func (s *Server) serveCalibrate(conn net.Conn, sess *session, corr uint16, req *wire.CalibrateReq) bool {
+func (s *Server) serveCalibrate(sess *session, corr uint16, req *wire.CalibrateReq) bool {
 	rt := sess.rt
 	if req.Worker == 0 || req.Ref <= 0 || math.IsInf(req.Ref, 0) || math.IsNaN(req.Ref) {
-		sess.reply(conn, wire.TError, corr, &wire.ErrorResp{
+		sess.reply(wire.TError, corr, &wire.ErrorResp{
 			Code: wire.CodeBadRequest, Msg: "calibrate needs a nonzero worker and a positive finite reference"})
 		return false
 	}
@@ -1187,7 +1073,7 @@ func (s *Server) serveCalibrate(conn net.Conn, sess *session, corr uint16, req *
 	}
 	ack := wire.CalibrateAck{Factor: req.Ref / rt.baseline, Baseline: rt.baseline}
 	rt.calMu.Unlock()
-	return sess.reply(conn, wire.TCalibrateAck, corr, &ack) == nil
+	return sess.reply(wire.TCalibrateAck, corr, &ack) == nil
 }
 
 // factorFor returns the speed factor dividing a worker's reported
@@ -1205,7 +1091,7 @@ func (rt *tenantRT) factorFor(worker uint64) float64 {
 	return ref / rt.baseline
 }
 
-func (s *Server) serveBest(conn net.Conn, sess *session, eng Engine, corr uint16) bool {
+func (s *Server) serveBest(sess *session, eng Engine, corr uint16) bool {
 	algo, cfg, val := eng.Best()
 	resp := wire.BestResp{Algo: algo, Iterations: eng.Iterations()}
 	if algo >= 0 {
@@ -1215,10 +1101,10 @@ func (s *Server) serveBest(conn net.Conn, sess *session, eng Engine, corr uint16
 		resp.Config = cfg
 		resp.Value = val
 	}
-	return sess.reply(conn, wire.TBestAck, corr, &resp) == nil
+	return sess.reply(wire.TBestAck, corr, &resp) == nil
 }
 
-func (s *Server) serveStats(conn net.Conn, sess *session, eng Engine, corr uint16) bool {
+func (s *Server) serveStats(sess *session, eng Engine, corr uint16) bool {
 	st := eng.Stats()
 	ds := eng.DriftStats()
 	rt := sess.rt
@@ -1251,13 +1137,13 @@ func (s *Server) serveStats(conn net.Conn, sess *session, eng Engine, corr uint1
 	if ce, ok := eng.(contextualEngine); ok {
 		resp.Contexts = ce.ContextCount()
 	}
-	return sess.reply(conn, wire.TStatsAck, corr, &resp) == nil
+	return sess.reply(wire.TStatsAck, corr, &resp) == nil
 }
 
 // serveTenants answers the aggregate view: one row per registered
 // tenant (resident or spilled; listing never forces a warm restart)
 // plus fleet totals. A single-engine server reports its one tenant.
-func (s *Server) serveTenants(conn net.Conn, sess *session, corr uint16) bool {
+func (s *Server) serveTenants(sess *session, corr uint16) bool {
 	var resp wire.TenantsResp
 	if s.reg != nil {
 		for _, in := range s.reg.Snapshot() {
@@ -1302,5 +1188,5 @@ func (s *Server) serveTenants(conn net.Conn, sess *session, corr uint16) bool {
 		resp.Iterations = ts.Iterations
 		resp.InFlight = ts.InFlight
 	}
-	return sess.reply(conn, wire.TTenantsAck, corr, &resp) == nil
+	return sess.reply(wire.TTenantsAck, corr, &resp) == nil
 }

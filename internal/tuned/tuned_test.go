@@ -33,7 +33,7 @@ func testMeasure(algo int, cfg param.Config) float64 {
 
 // startServer builds an engine + server on an ephemeral port and
 // returns them with the address and a cleanup.
-func startServer(t *testing.T, opts []core.EngineOption, sopts ...ServerOption) (*Server, string) {
+func startServer(t *testing.T, opts []core.Option, sopts ...ServerOption) (*Server, string) {
 	t.Helper()
 	eng, err := core.NewConcurrentTuner(testAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 1, opts...)
 	if err != nil {
@@ -324,7 +324,7 @@ func TestLeaseNClampedToMaxBatch(t *testing.T) {
 // TestRetryHintUnderMaxInFlight: when the engine's in-flight cap is
 // reached the server answers with a backoff hint instead of an error.
 func TestRetryHintUnderMaxInFlight(t *testing.T) {
-	_, addr := startServer(t, []core.EngineOption{core.WithMaxInFlight(2)})
+	_, addr := startServer(t, []core.Option{core.WithMaxInFlight(2)})
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)

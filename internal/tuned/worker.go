@@ -166,11 +166,14 @@ func (w *Worker) Run(ctx context.Context) (int, error) {
 	if batch < 1 {
 		batch = 1
 	}
+	// A calibrated worker reports under its own identity through a
+	// session, so workers sharing one Client keep their speed factors.
+	sess := w.Client.Session()
 	if w.CalibrateEvery > 0 {
-		w.Client.SetWorker(w.workerID())
+		sess = w.Client.Session(SessionWorker(w.workerID()))
 	}
 	if w.Pipeline {
-		return w.runPipelined(ctx, batch)
+		return w.runPipelined(ctx, sess, batch)
 	}
 	completed := 0
 	nextCal := 0 // calibrate before the first lease, then on the interval
@@ -189,7 +192,7 @@ func (w *Worker) Run(ctx context.Context) (int, error) {
 		if w.MaxTrials > 0 && w.MaxTrials-completed < n {
 			n = w.MaxTrials - completed
 		}
-		lb, err := w.Client.LeaseN(n)
+		lb, err := sess.LeaseN(n)
 		if err != nil {
 			if !w.degradable(err) {
 				return completed, err
@@ -210,20 +213,20 @@ func (w *Worker) Run(ctx context.Context) (int, error) {
 			}
 			continue
 		}
-		results, fails, abandoned := w.measureBatch(ctx, lb)
+		results, fails, abandoned := w.measureBatch(ctx, sess, lb)
 		if abandoned {
 			return completed, ctx.Err()
 		}
 		reported := 0
 		err = nil
 		if len(results) > 0 {
-			if _, _, err = w.Client.CompleteN(lb.Epoch, results); err == nil {
+			if _, _, err = sess.CompleteN(lb.Epoch, results); err == nil {
 				reported += len(results)
 				results = nil
 			}
 		}
 		if err == nil && len(fails) > 0 {
-			if _, _, err = w.Client.FailN(lb.Epoch, fails); err == nil {
+			if _, _, err = sess.FailN(lb.Epoch, fails); err == nil {
 				reported += len(fails)
 				fails = nil
 			}
@@ -258,7 +261,7 @@ const pipelineReports = 4
 // outstanding). Accounting matches the lockstep loop — completed counts
 // acked reports only — and a failed report is converted to
 // degraded-mode observations exactly as there.
-func (w *Worker) runPipelined(ctx context.Context, batch int) (int, error) {
+func (w *Worker) runPipelined(ctx context.Context, sess *Session, batch int) (int, error) {
 	type leaseRes struct {
 		lb  LeaseBatch
 		err error
@@ -286,7 +289,7 @@ func (w *Worker) runPipelined(ctx context.Context, batch int) (int, error) {
 		go func() {
 			res := ackRes{lb: lb, results: results, fails: fails}
 			if len(results) > 0 {
-				if _, _, err := w.Client.CompleteN(lb.Epoch, results); err != nil {
+				if _, _, err := sess.CompleteN(lb.Epoch, results); err != nil {
 					res.err = err
 					ch <- res
 					return
@@ -295,7 +298,7 @@ func (w *Worker) runPipelined(ctx context.Context, batch int) (int, error) {
 				res.results = nil
 			}
 			if len(fails) > 0 {
-				if _, _, err := w.Client.FailN(lb.Epoch, fails); err != nil {
+				if _, _, err := sess.FailN(lb.Epoch, fails); err != nil {
 					res.err = err
 					ch <- res
 					return
@@ -346,7 +349,7 @@ func (w *Worker) runPipelined(ctx context.Context, batch int) (int, error) {
 		}
 		ch := make(chan leaseRes, 1)
 		go func() {
-			lb, err := w.Client.LeaseN(n)
+			lb, err := sess.LeaseN(n)
 			ch <- leaseRes{lb, err}
 		}()
 		pendingLease = ch
@@ -435,7 +438,7 @@ func (w *Worker) runPipelined(ctx context.Context, batch int) (int, error) {
 		}
 		measuring = len(lb.Trials)
 		startLease() // prefetch: the next batch flies while this one measures
-		results, fails, abandoned := w.measureBatch(ctx, lb)
+		results, fails, abandoned := w.measureBatch(ctx, sess, lb)
 		measuring = 0
 		if abandoned {
 			drain(0)
@@ -617,7 +620,7 @@ func (w *Worker) flushPending() error {
 // measureBatch runs every trial of a batch, heartbeating the not-yet-
 // measured leases in the background. abandoned reports a cancellation
 // mid-batch: the remaining leases are left to expire server-side.
-func (w *Worker) measureBatch(ctx context.Context, lb LeaseBatch) (results []core.TrialResult, fails []core.TrialFailure, abandoned bool) {
+func (w *Worker) measureBatch(ctx context.Context, sess *Session, lb LeaseBatch) (results []core.TrialResult, fails []core.TrialFailure, abandoned bool) {
 	var (
 		mu      sync.Mutex // guards outstanding under the heartbeat goroutine
 		outst   = make([]uint64, 0, len(lb.Trials))
@@ -646,7 +649,7 @@ func (w *Worker) measureBatch(ctx context.Context, lb LeaseBatch) (results []cor
 					if len(ids) == 0 {
 						return
 					}
-					alive, err := w.Client.Heartbeat(lb.Epoch, ids)
+					alive, err := sess.Heartbeat(lb.Epoch, ids)
 					if err != nil {
 						continue // transient; the next tick retries
 					}

@@ -103,6 +103,12 @@ func FuzzWireDecode(f *testing.F) {
 		{THello, &Hello{Proto: 1, Hash: 0xdeadbeef, Name: "v1-worker"}},
 		{TLeaseN, &LeaseNReq{N: 4}},
 		{TStats, nil},
+		// JSON trial frames, which the fuzz body also decodes through
+		// the packed conversion (Codec).
+		{TTrials, &LeaseNResp{Epoch: 42, Trials: []Trial{{ID: 7, Algo: 2, Config: []float64{1, 2.5}, Speculative: true}}}},
+		{TCompleteN, &CompleteNReq{Epoch: 42, Worker: 7, Results: []Result{{ID: 9, Value: 1.5, Features: []float64{100}}}}},
+		{TFailN, &FailNReq{Epoch: 42, Fails: []Fail{{ID: 9, Kind: "panic", Msg: "boom"}, {ID: 10, Kind: "meteor"}}}},
+		{TAck, &AckResp{Dropped: []uint64{3, 4}}},
 	} {
 		frame, err := EncodeV(1, m.typ, m.v)
 		if err != nil {
@@ -189,6 +195,15 @@ func FuzzWireDecode(f *testing.F) {
 				if err2 := msg.DecodeFrom(payload); err2 != nil {
 					t.Fatalf("decode clean, re-decode into reused receiver failed: %v", err2)
 				}
+			}
+		}
+		// A JSON trial payload also decodes into its packed form, which
+		// must then encode in both families without panicking.
+		if c := typ.Canonical(); c != typ {
+			msg := payloadFor(c)
+			if err := Codec(typ, msg).DecodeFrom(payload); err == nil {
+				msg.AppendEncode(nil)
+				Codec(typ, msg).AppendEncode(nil)
 			}
 		}
 	})

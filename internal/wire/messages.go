@@ -3,7 +3,9 @@ package wire
 import "hash/crc32"
 
 // Message payloads. Each struct here is the JSON body of exactly one
-// frame Type (the packed binary bodies live in packed.go). Fields are
+// frame Type. LeaseNReq, LeaseNResp, CompleteNReq, FailNReq and AckResp
+// are the v1/v2 twins of the packed trial messages in packed.go, which
+// twins.go converts them to and from. Fields are
 // additive-only within a protocol version: decoders ignore unknown
 // fields, so new optional fields need no version bump. Every payload
 // implements the Payload codec interface; for this family the two

@@ -6,9 +6,11 @@ import (
 	"math"
 )
 
-// Packed hot-path payloads (protocol v3). The trial lifecycle —
-// LeaseN/CompleteN/FailN and their responses — dominates wire traffic
-// by orders of magnitude, so it gets a binary encoding instead of JSON:
+// Packed trial payloads (protocol v3), the one in-memory form of each
+// trial message; pre-v3 sessions carry them as JSON twins (twins.go).
+// The trial lifecycle — LeaseN/CompleteN/FailN and their responses —
+// dominates wire traffic by orders of magnitude, so it gets a binary
+// encoding instead of JSON:
 // fixed-width 8-byte fields for values and epochs, unsigned varints for
 // IDs, indices and counts, one flag byte where booleans cluster. The
 // decisive property is not compactness but allocation behavior: every

@@ -23,10 +23,13 @@
 // Payload encodings come in two families. The handshake and
 // introspection messages are JSON: debuggable and extensible — unknown
 // fields are ignored on decode, so additive evolution needs no version
-// bump. The trial hot path (v3) is packed binary instead: fixed-width
-// value fields, varint indices and counts, no per-trial allocation on
-// either side (see packed.go). Both families implement the one Payload
-// interface, so the frame layer never cares which it is carrying.
+// bump. The trial messages are packed binary structs: fixed-width value
+// fields, varint indices and counts, no per-trial allocation on either
+// side (see packed.go). They are the only in-memory form of a trial
+// operation; v3 sessions carry them as is, and v1/v2 sessions carry
+// their JSON twins, converted in twins.go. Both families implement the
+// one Payload interface, so the frame layer never cares which it is
+// carrying.
 //
 // v3 frames repurpose the previously reserved-zero flags field as a
 // correlation ID: a pipelined peer stamps each request with a nonzero
