@@ -1,9 +1,9 @@
 # Tier-1 gate: `make check` must pass before any change lands.
 GO ?= go
 
-.PHONY: check lint vet build test race bench-check bench figures fuzz chaos
+.PHONY: check lint vet build test race bench-check resume-smoke bench figures fuzz chaos
 
-check: lint build test race bench-check
+check: lint build test race bench-check resume-smoke
 
 # gofmt emits the offending files on stdout and exits 0; turn any output
 # into a failure so unformatted code can't land.
@@ -30,6 +30,22 @@ race:
 # the benchmark.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# CLI-level crash/resume: a second atune-demo run over the same
+# -checkpoint directory must resume the first run's 60 iterations, for
+# the sequential loop and for the lease-based trial engine alike.
+resume-smoke:
+	@for w in 1 4; do \
+		tmp=$$(mktemp -d); \
+		$(GO) run ./cmd/atune-demo -checkpoint $$tmp -workers $$w -iters 60 >/dev/null && \
+		out=$$($(GO) run ./cmd/atune-demo -checkpoint $$tmp -workers $$w -iters 120); st=$$?; \
+		rm -rf $$tmp; \
+		if [ $$st -ne 0 ]; then echo "resume-smoke: atune-demo -workers $$w failed"; exit 1; fi; \
+		if ! echo "$$out" | grep -q "resumed from $$tmp at iteration 60"; then \
+			echo "resume-smoke: -workers $$w did not resume at iteration 60:"; echo "$$out"; exit 1; \
+		fi; \
+		echo "resume-smoke: -workers $$w resumed at iteration 60"; \
+	done
 
 # Short chaos soak (CI-viable, well under a minute): the fault-injection
 # layer's own tests, the partition/reconnect and loopback soak of the

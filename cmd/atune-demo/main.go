@@ -6,8 +6,7 @@
 // Usage:
 //
 //	atune-demo [-strategy name] [-iters N] [-seed S] [-faults] [-guard]
-//	           [-checkpoint dir] [-snap-every N] [-resume] [-workers N]
-//	           [-contextual]
+//	           [-checkpoint dir] [-snap-every N] [-workers N] [-contextual]
 //
 // Strategy names: egreedy:5, egreedy:10, egreedy:20, gradient, optimum,
 // auc, random, roundrobin, softmax:<temp>.
@@ -20,18 +19,19 @@
 //
 // -checkpoint makes the tuner durable: its state is snapshotted to dir
 // every -snap-every iterations and journaled in between. Kill the demo at
-// any point (Ctrl-C, kill -9) and run it again with -resume to watch the
-// tuner pick up where it left off, losing at most one iteration:
+// any point (Ctrl-C, kill -9) and run the same command again to watch the
+// tuner pick up where it left off, losing at most one iteration; a
+// directory that holds a checkpoint is always resumed, never overwritten:
 //
-//	atune-demo -checkpoint /tmp/demo-ckpt            # interrupt this...
-//	atune-demo -checkpoint /tmp/demo-ckpt -resume    # ...then warm-restart
+//	atune-demo -checkpoint /tmp/demo-ckpt    # interrupt this...
+//	atune-demo -checkpoint /tmp/demo-ckpt    # ...then warm-restart
 //
 // -workers N > 1 switches from the sequential Step loop to the lease-based
 // trial engine: N goroutines lease trials, measure them concurrently, and
 // complete them out of order (per-iteration progress lines are then
 // suppressed — completions have no single order to print them in). All
-// other flags compose; -resume with -workers replays the journal through
-// the concurrent path.
+// other flags compose; -checkpoint with -workers replays the journal
+// through the concurrent path.
 //
 // -contextual demonstrates feature-vector routing: the same three
 // algorithms, but the right answer now depends on the request. Two
@@ -70,9 +70,8 @@ func main() {
 		seed     = flag.Int64("seed", 1, "seed")
 		faults   = flag.Bool("faults", false, "make the plainly-bad algorithm fail 3 of 4 runs (panic/NaN/hang cycle)")
 		guarded  = flag.Bool("guard", false, "enable the fault-tolerant measurement layer (guard + quarantine)")
-		ckptDir  = flag.String("checkpoint", "", "directory for crash-safe tuner snapshots + journal (empty = off)")
+		ckptDir  = flag.String("checkpoint", "", "directory for crash-safe tuner snapshots + journal, resumed when it holds one (empty = off)")
 		snapEach = flag.Int("snap-every", 20, "snapshot cadence in iterations (with -checkpoint)")
-		resume   = flag.Bool("resume", false, "warm-restart from the -checkpoint directory instead of starting fresh")
 		workers  = flag.Int("workers", 1, "concurrent measurement workers (>1 uses the lease-based trial engine)")
 		ctxFlg   = flag.Bool("contextual", false, "demo feature-vector routing: two request classes with different winners")
 	)
@@ -151,69 +150,51 @@ func main() {
 		opts = append(opts, core.WithGuard(guard.WithTimeout(50*time.Millisecond)))
 	}
 
-	if *resume && *ckptDir == "" {
-		log.Fatal("-resume requires -checkpoint <dir>")
+	// A -checkpoint directory holding a previous run's state is resumed
+	// by the constructor; the trial engine also accepts a journal written
+	// by the sequential loop.
+	resumed := core.HasCheckpoint(*ckptDir)
+	if *ckptDir != "" {
+		opts = append(opts, core.WithCheckpoint(*ckptDir, *snapEach))
 	}
 
 	// The trial engine exposes the tuner's whole read-side surface, so
 	// the summary below works off either loop.
 	var state interface {
+		Iterations() int
 		Best() (int, param.Config, float64)
 		Counts() []int
 		FailureStats() core.FailureStats
 		Degraded() bool
 		CheckpointErr() error
 	}
+	var (
+		tuner *core.Tuner
+		ct    *core.ConcurrentTuner
+	)
+	if *workers > 1 {
+		ct, err = core.NewConcurrentTuner(algos, sel, nil, *seed, opts...)
+		state = ct
+	} else {
+		tuner, err = core.NewTuner(algos, sel, nil, *seed, opts...)
+		state = tuner
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	if resumed {
+		fmt.Printf("resumed from %s at iteration %d\n", *ckptDir, state.Iterations())
+	}
 
-	switch {
-	case *workers > 1:
-		var ct *core.ConcurrentTuner
-		if *resume {
-			// ResumeConcurrent enables checkpointing on the directory
-			// itself and replays interleaved trial IDs; it also accepts a
-			// journal written by the sequential loop.
-			ct, err = core.ResumeConcurrent(*ckptDir, *snapEach, algos, sel, nil, *seed, opts...)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("resumed from %s at iteration %d\n", *ckptDir, ct.Iterations())
-		} else {
-			if *ckptDir != "" {
-				opts = append(opts, core.WithCheckpoint(*ckptDir, *snapEach))
-			}
-			if ct, err = core.NewConcurrentTuner(algos, sel, nil, *seed, opts...); err != nil {
-				log.Fatal(err)
-			}
-		}
+	if ct != nil {
 		fmt.Printf("online-autotuning %d algorithms with %s across %d workers\n\n",
 			len(algos), sel.Name(), *workers)
 		ct.RunPool(*workers, *iters, measure)
 		s := ct.Stats()
 		fmt.Printf("leased %d trials: %d completed, %d failed, %d expired\n",
 			s.Leased, s.Completed, s.Failed, s.Expired)
-		state = ct
-
-	case *resume:
-		// Resume enables checkpointing on the directory itself; passing
-		// WithCheckpoint again would snapshot before the restore.
-		tuner, err := core.Resume(*ckptDir, *snapEach, algos, sel, nil, *seed, opts...)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("resumed from %s at iteration %d\n", *ckptDir, tuner.Iterations())
+	} else {
 		runSequential(tuner, algos, sel, measure, *iters)
-		state = tuner
-
-	default:
-		if *ckptDir != "" {
-			opts = append(opts, core.WithCheckpoint(*ckptDir, *snapEach))
-		}
-		tuner, err := core.NewTuner(algos, sel, nil, *seed, opts...)
-		if err != nil {
-			log.Fatal(err)
-		}
-		runSequential(tuner, algos, sel, measure, *iters)
-		state = tuner
 	}
 
 	if *ckptDir != "" {

@@ -89,7 +89,6 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/ctxtune"
 	"repro/internal/nominal"
@@ -183,14 +182,19 @@ func main() {
 		log.Fatal("-buckets and -split-min only apply with -contextual")
 	}
 
+	// The flat engine's recipe, shared by single-engine mode and every
+	// tenant built from the base flags.
+	base := core.EngineSpec{
+		Seed: *seed, Shards: *shards, LeaseTimeoutMS: leaseTTL.Milliseconds(),
+		MaxInFlight: *maxInFl, Drift: *driftFlg, SnapshotEvery: *every,
+	}
 	if *tenFlg != "" {
 		runTenants(tenantMode{
 			addr: *addr, spec: *tenFlg, workload: *workload, ckptDir: *ckptDir,
 			chaosSpec: *chaosFlg, selector: fmt.Sprintf("egreedy:%g", *epsilon),
-			seed: *seed, target: *target, every: *every, maxInFl: *maxInFl,
-			shards: *shards, sessCap: *sessCap, globCap: *globCap, refAlgo: *refAlgo,
-			maxResident: *maxRes, leaseTTL: *leaseTTL, statsIvl: *statsIvl,
-			drainTO: *drainTO, drift: *driftFlg,
+			engine: base, target: *target, sessCap: *sessCap, globCap: *globCap,
+			refAlgo: *refAlgo, maxResident: *maxRes, statsIvl: *statsIvl,
+			drainTO: *drainTO,
 		})
 		return
 	}
@@ -231,36 +235,16 @@ func main() {
 		}
 		eng = ceng
 	} else {
-		selector := nominal.NewEpsilonGreedy(*epsilon / 100)
-		opts := []core.Option{
-			core.WithLeaseTimeout(*leaseTTL),
-			core.WithMaxInFlight(*maxInFl),
-			core.WithShards(*shards),
+		// A previous incarnation's session in -checkpoint is resumed by
+		// the build. The new process gets a fresh epoch, so stale reports
+		// from leases the old process issued are dropped, not misapplied.
+		resumed := core.HasCheckpoint(*ckptDir)
+		seng, err := base.Build(algos, nominal.NewEpsilonGreedy(*epsilon/100), nil, *ckptDir)
+		if err != nil {
+			log.Fatalf("engine: %v", err)
 		}
-		if *driftFlg {
-			opts = append(opts, core.WithDriftWatchdog(core.DefaultDriftConfig()))
-		}
-		var (
-			seng *core.ShardedEngine
-			err  error
-		)
-		if *ckptDir != "" && len(checkpoint.Generations(*ckptDir)) > 0 {
-			// A previous incarnation left a session behind: resume it. The
-			// new process gets a fresh epoch, so stale reports from leases
-			// the old process issued are dropped, not misapplied.
-			seng, err = core.ResumeSharded(*ckptDir, *every, algos, selector, nil, *seed, opts...)
-			if err != nil {
-				log.Fatalf("resume from %s: %v", *ckptDir, err)
-			}
+		if resumed {
 			log.Printf("resumed session from %s at trial %d", *ckptDir, seng.Iterations())
-		} else {
-			if *ckptDir != "" {
-				opts = append(opts, core.WithCheckpoint(*ckptDir, *every))
-			}
-			seng, err = core.NewShardedEngine(algos, selector, nil, *seed, opts...)
-			if err != nil {
-				log.Fatalf("engine: %v", err)
-			}
 		}
 		eng = seng
 	}
@@ -374,11 +358,9 @@ func listen(addr, chaosSpec string) net.Listener {
 type tenantMode struct {
 	addr, spec, workload, ckptDir, chaosSpec, selector string
 
-	seed                                             int64
-	target, every, maxInFl, shards, sessCap, globCap int
-	refAlgo, maxResident                             int
-	leaseTTL, statsIvl, drainTO                      time.Duration
-	drift                                            bool
+	engine                                         core.EngineSpec
+	target, sessCap, globCap, refAlgo, maxResident int
+	statsIvl, drainTO                              time.Duration
 }
 
 // runTenants is the -tenants serving path: a tenant registry instead of
@@ -386,11 +368,7 @@ type tenantMode struct {
 // -checkpoint, and per-tenant lines in the stats log and the shutdown
 // summary.
 func runTenants(cfg tenantMode) {
-	base := core.EngineSpec{
-		Seed: cfg.seed, Shards: cfg.shards, LeaseTimeoutMS: cfg.leaseTTL.Milliseconds(),
-		MaxInFlight: cfg.maxInFl, Drift: cfg.drift, SnapshotEvery: cfg.every,
-	}
-	specs := parseTenantSpecs(cfg.spec, cfg.selector, base)
+	specs := parseTenantSpecs(cfg.spec, cfg.selector, cfg.engine)
 	hasDefault := false
 	for _, s := range specs {
 		if s.Name == tenant.DefaultName {
@@ -401,7 +379,7 @@ func runTenants(cfg tenantMode) {
 		// Workers that predate tenancy send no tenant name; they must
 		// always find a "default" tenant, built from the base flags.
 		specs = append(specs, tenant.Spec{
-			Name: tenant.DefaultName, Workload: cfg.workload, Selector: cfg.selector, Engine: base,
+			Name: tenant.DefaultName, Workload: cfg.workload, Selector: cfg.selector, Engine: cfg.engine,
 		})
 	}
 

@@ -214,9 +214,9 @@ func ReadJournalsSince(dir string, iter int) []Record {
 
 // MaxJournalTrial scans every journal generation in dir for the highest
 // trial ID ever journaled — including records already folded into a
-// snapshot, which ReadJournalsSince filters out. Resume paths use it to
-// keep fresh trial IDs disjoint from everything a previous incarnation
-// issued.
+// snapshot, which ReadJournalsSince filters out. A resuming engine uses
+// it to keep fresh trial IDs disjoint from everything a previous
+// incarnation issued.
 func MaxJournalTrial(dir string) uint64 {
 	var max uint64
 	for _, g := range JournalGenerations(dir) {

@@ -73,7 +73,8 @@ func TestAbsorbFeedsSelectorAndBest(t *testing.T) {
 }
 
 // TestAbsorbJournaled checks absorbed observations are journaled under
-// fresh unique trial IDs and replayed by ResumeConcurrent.
+// fresh unique trial IDs and replayed when NewConcurrentTuner resumes the
+// directory.
 func TestAbsorbJournaled(t *testing.T) {
 	dir := t.TempDir()
 	ct := newEngine(t, 5, WithCheckpoint(dir, 0))
@@ -112,9 +113,9 @@ func TestAbsorbJournaled(t *testing.T) {
 		seen[r.Trial] = true
 	}
 
-	// Resume must replay the absorbed records (as speculative: selector
+	// The resume must replay the absorbed records (as speculative: selector
 	// and best, not phase one) and issue fresh IDs above them.
-	rt, err := ResumeConcurrent(dir, 0, engineAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 5)
+	rt, err := NewConcurrentTuner(engineAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 5, WithCheckpoint(dir, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func TestEngineCheckpoint(t *testing.T) {
 	}
 	// The forced snapshot must cover all five iterations: a resume
 	// without any journal tail lands exactly there.
-	rt, err := ResumeConcurrent(dir, 0, engineAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 2)
+	rt, err := NewConcurrentTuner(engineAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 2, WithCheckpoint(dir, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

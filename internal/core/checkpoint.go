@@ -16,11 +16,13 @@ import (
 
 // WithCheckpoint enables crash-safe persistence: the tuner writes a
 // snapshot of its complete state to dir every `every` completed
-// iterations, and journals every iteration in between, so Resume can
-// reconstruct the tuner losing at most the in-flight iteration. An
-// `every` of 0 disables periodic snapshots (the journal alone still
-// makes every completed iteration recoverable from the initial
-// snapshot).
+// iterations, and journals every iteration in between. Starting and
+// restarting are the same call: when dir already holds a checkpoint
+// (HasCheckpoint), the constructor resumes from it, losing at most the
+// crashed process's in-flight iteration; otherwise it starts fresh and
+// writes the initial snapshot. An `every` of 0 disables periodic
+// snapshots (the journal alone still makes every completed iteration
+// recoverable from the initial snapshot).
 //
 // Checkpoint I/O failures after construction never interrupt tuning;
 // they are recorded and exposed through CheckpointErr.
@@ -303,17 +305,6 @@ func (t *Tuner) RestoreState(payload []byte) error {
 	return nil
 }
 
-// initCheckpoint creates the checkpoint directory and writes the
-// initial snapshot; called from New when WithCheckpoint is set. Unlike
-// later periodic snapshots, a failure here is fatal: a tuner that was
-// asked to be durable but cannot write its directory should not start.
-func (t *Tuner) initCheckpoint() error {
-	if err := os.MkdirAll(t.ckptDir, 0o755); err != nil {
-		return fmt.Errorf("core: checkpoint dir: %w", err)
-	}
-	return t.snapshotNow()
-}
-
 // snapshotNow writes a snapshot at the current iteration and starts a
 // new journal generation.
 func (t *Tuner) snapshotNow() error {
@@ -392,38 +383,47 @@ func (t *Tuner) journalSync() {
 	}
 }
 
-// Resume reconstructs a checkpointed tuner from dir: it builds a fresh
-// tuner exactly as New would (same algorithms, selector, factory, seed
-// and options), loads the newest valid snapshot — falling back to the
-// previous generation when the newest is truncated or corrupt — and
-// replays the write-ahead journal through the normal Next/Observe path,
-// so the resumed tuner is in the exact state of the crashed one up to
-// its last journaled iteration. At most the single in-flight iteration
-// of the crashed process is lost.
+// HasCheckpoint reports whether dir holds at least one snapshot
+// generation: the constructors resume such a directory instead of
+// starting fresh in it. The empty dir ("checkpointing off") holds none.
+func HasCheckpoint(dir string) bool {
+	return dir != "" && len(checkpoint.Generations(dir)) > 0
+}
+
+// openCheckpoint makes a freshly built tuner durable in t.ckptDir (a
+// no-op without WithCheckpoint). A directory without generations starts
+// fresh: it is created and gets the initial snapshot. A directory with
+// generations is resumed: the newest valid snapshot is restored —
+// falling back to the previous generation when the newest is truncated
+// or corrupt — the journal tail since it is replayed, one completion at
+// a time, through replay, and a fresh snapshot is written, so a
+// corrupted newest snapshot is healed by the resume itself. At most the
+// single in-flight iteration of the crashed process is lost.
 //
-// The returned tuner has checkpointing enabled on dir with the given
-// cadence and has written a fresh snapshot, so a corrupted newest
-// snapshot is healed by the resume itself.
-func Resume(dir string, every int, algos []Algorithm, selector nominal.Selector, factory search.Factory, seed int64, opts ...Option) (*Tuner, error) {
+// Unlike later periodic snapshots, any failure here is fatal: a tuner
+// that was asked to be durable but cannot write its directory, or would
+// drop the history the directory holds, must not start.
+func (t *Tuner) openCheckpoint(replay func(checkpoint.Record) error) error {
+	dir := t.ckptDir
+	if dir == "" {
+		return nil
+	}
+	if !HasCheckpoint(dir) {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return fmt.Errorf("core: checkpoint dir: %w", err)
+		}
+		return t.snapshotNow()
+	}
 	payload, snapIter, err := checkpoint.LoadLatest(dir)
 	if err != nil {
-		return nil, fmt.Errorf("core: resume from %s: %w", dir, err)
-	}
-	t, err := NewTuner(algos, selector, factory, seed, opts...)
-	if err != nil {
-		return nil, err
+		return fmt.Errorf("core: resume from %s: %w", dir, err)
 	}
 	if err := t.RestoreState(payload); err != nil {
-		return nil, err
-	}
-	records := checkpoint.ReadJournalsSince(dir, snapIter)
-	for _, rec := range records {
-		if rec.Trial != 0 {
-			return nil, fmt.Errorf("core: resume from %s: journal holds trial-engine records (trial %d) — use ResumeConcurrent", dir, rec.Trial)
-		}
+		return fmt.Errorf("core: resume from %s: %w", dir, err)
 	}
 	t.replaying = true
-	for _, rec := range records {
+	defer func() { t.replaying = false }()
+	for _, rec := range checkpoint.ReadJournalsSince(dir, snapIter) {
 		if rec.Drift != "" {
 			// A journaled selector reset. Detection never fires during
 			// replay (snapshots do not persist detector state, so a
@@ -438,135 +438,74 @@ func Resume(dir string, every int, algos []Algorithm, selector nominal.Selector,
 			continue // already inside the snapshot
 		}
 		if rec.Iter > t.Iterations() {
-			t.replaying = false
-			return nil, fmt.Errorf("core: resume from %s: journal gap at iteration %d (tuner at %d)", dir, rec.Iter, t.Iterations())
+			return fmt.Errorf("core: resume from %s: journal gap at iteration %d (tuner at %d)", dir, rec.Iter, t.Iterations())
 		}
-		algo, cfg := t.Next()
-		if t.algos[algo].Name != rec.Algo || !cfg.Equal(param.Config(checkpoint.Unfloats(rec.Config))) {
-			t.replaying = false
-			return nil, fmt.Errorf("core: resume from %s: journal iteration %d proposes %s, tuner proposes %s — checkpoint was written by a different configuration",
-				dir, rec.Iter, rec.Algo, t.algos[algo].Name)
-		}
-		if rec.FailKind != "" {
-			kind, ok := guard.KindFromString(rec.FailKind)
-			if !ok {
-				kind = guard.Invalid
-			}
-			t.ObserveFailure(guard.Failure{
-				Kind:    kind,
-				Algo:    algo,
-				Err:     errors.New("replayed failure"),
-				Penalty: float64(rec.Value),
-			})
-		} else {
-			t.Observe(float64(rec.Value))
+		if err := replay(rec); err != nil {
+			return fmt.Errorf("core: resume from %s: %w", dir, err)
 		}
 	}
-	t.replaying = false
-	t.ckptDir = dir
-	t.ckptEvery = every
-	if err := t.snapshotNow(); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return t.snapshotNow()
 }
 
-// ResumeConcurrent reconstructs a checkpointed ConcurrentTuner from dir.
-// It mirrors Resume — fresh tuner, newest valid snapshot, journal tail —
-// but replays the tail the only way a concurrent journal can be
-// replayed: by applying the journaled completions directly to the
-// decision state. A concurrent run's interleaving of selector draws,
-// speculative proposals and out-of-order completions is not reproducible
-// from the seed, so unlike Resume there is no proposal-by-proposal
-// verification; instead each record routes exactly as it did live —
-// primary completions re-report to their algorithm's strategy in journal
-// order (the order the strategy originally saw), speculative and pinned
-// completions bypass phase one. Trials leased but never completed before
-// the crash are lost by design: they were never journaled.
-//
-// opts mixes tuner-scope and engine-scope options, exactly as in
-// NewConcurrentTuner. The returned engine has checkpointing enabled on
-// dir with the given cadence, has written a fresh snapshot, and issues
-// trial IDs above every journaled one.
-func ResumeConcurrent(dir string, every int, algos []Algorithm, selector nominal.Selector, factory search.Factory, seed int64, opts ...Option) (*ConcurrentTuner, error) {
-	tunerOpts, engineOpts, err := splitEngineOptions(opts)
-	if err != nil {
-		return nil, err
+// replayVerified is the sequential tuner's replay step: it re-derives
+// the journaled iteration through the normal Next/Observe path and
+// checks that the tuner proposes exactly what was journaled, so the
+// resumed tuner is in the exact state of the crashed one. A trial
+// engine's journal cannot be verified this way (its interleaving is not
+// reproducible from the seed) and is refused.
+func (t *Tuner) replayVerified(rec checkpoint.Record) error {
+	if rec.Trial != 0 {
+		return fmt.Errorf("journal holds trial-engine records (trial %d) — build it with NewConcurrentTuner", rec.Trial)
 	}
-	payload, snapIter, err := checkpoint.LoadLatest(dir)
-	if err != nil {
-		return nil, fmt.Errorf("core: resume from %s: %w", dir, err)
+	algo, cfg := t.Next()
+	if t.algos[algo].Name != rec.Algo || !cfg.Equal(param.Config(checkpoint.Unfloats(rec.Config))) {
+		return fmt.Errorf("journal iteration %d proposes %s, tuner proposes %s — checkpoint was written by a different configuration",
+			rec.Iter, rec.Algo, t.algos[algo].Name)
 	}
-	t, err := NewTuner(algos, selector, factory, seed, tunerOpts...)
-	if err != nil {
-		return nil, err
+	if f := replayedFailure(rec, algo); f != nil {
+		t.ObserveFailure(*f)
+	} else {
+		t.Observe(float64(rec.Value))
 	}
-	if err := t.RestoreState(payload); err != nil {
-		return nil, err
+	return nil
+}
+
+// replayCompletion is the trial engine's replay step: it applies the
+// journaled completion directly to the decision state. A concurrent
+// run's interleaving of selector draws, speculative proposals and
+// out-of-order completions is not reproducible from the seed, so there
+// is no proposal-by-proposal verification; instead each record routes
+// exactly as it did live — primary completions re-report to their
+// algorithm's strategy in journal order (the order the strategy
+// originally saw), speculative and pinned completions bypass phase one.
+// Trials leased but never completed before the crash are lost by
+// design: they were never journaled.
+func (t *Tuner) replayCompletion(rec checkpoint.Record) error {
+	algo := t.algoIndex(rec.Algo)
+	if algo < 0 {
+		return fmt.Errorf("journal iteration %d names unknown algorithm %q", rec.Iter, rec.Algo)
 	}
-	records := checkpoint.ReadJournalsSince(dir, snapIter)
-	var maxTrial uint64
-	t.replaying = true
-	for _, rec := range records {
-		if rec.Drift != "" {
-			// Journaled selector reset: re-apply it in stream position
-			// (see Resume). The engine path never restarts strategies,
-			// which rec.DriftP1 = false preserves on replay.
-			t.applyDriftRecord(rec)
-			continue
-		}
-		if rec.Trial > maxTrial {
-			maxTrial = rec.Trial
-		}
-		if rec.Iter < t.Iterations() {
-			continue // already inside the snapshot
-		}
-		if rec.Iter > t.Iterations() {
-			t.replaying = false
-			return nil, fmt.Errorf("core: resume from %s: journal gap at iteration %d (tuner at %d)", dir, rec.Iter, t.Iterations())
-		}
-		algo := t.algoIndex(rec.Algo)
-		if algo < 0 {
-			t.replaying = false
-			return nil, fmt.Errorf("core: resume from %s: journal iteration %d names unknown algorithm %q", dir, rec.Iter, rec.Algo)
-		}
-		cfg := param.Config(checkpoint.Unfloats(rec.Config))
-		value := float64(rec.Value)
-		var fail *guard.Failure
-		if rec.FailKind != "" {
-			kind, ok := guard.KindFromString(rec.FailKind)
-			if !ok {
-				kind = guard.Invalid
-			}
-			fail = &guard.Failure{Kind: kind, Algo: algo, Err: errors.New("replayed failure"), Penalty: value}
-		}
-		var report func(param.Config, float64)
-		if !rec.Pinned && !rec.Spec {
-			s := t.strategies[algo]
-			report = func(cf param.Config, v float64) { s.Report(cf, v) }
-		}
-		t.applyCompletion(completion{
-			algo: algo, cfg: cfg, value: value, fail: fail,
-			pinned: rec.Pinned, trial: rec.Trial, spec: rec.Spec,
-		}, report)
+	var report func(param.Config, float64)
+	if !rec.Pinned && !rec.Spec {
+		s := t.strategies[algo]
+		report = func(cf param.Config, v float64) { s.Report(cf, v) }
 	}
-	t.replaying = false
-	t.ckptDir = dir
-	t.ckptEvery = every
-	ct, err := wrapEngine(t, engineOpts)
-	if err != nil {
-		return nil, err
+	t.applyCompletion(completion{
+		algo: algo, cfg: param.Config(checkpoint.Unfloats(rec.Config)), value: float64(rec.Value),
+		fail: replayedFailure(rec, algo), pinned: rec.Pinned, trial: rec.Trial, spec: rec.Spec,
+	}, report)
+	return nil
+}
+
+// replayedFailure rebuilds a journaled failure, or returns nil when the
+// record is a measurement. An unknown kind replays as guard.Invalid.
+func replayedFailure(rec checkpoint.Record, algo int) *guard.Failure {
+	if rec.FailKind == "" {
+		return nil
 	}
-	// maxTrial only covers the records replayed above; older generations
-	// already folded into the snapshot may hold higher IDs (a sharded
-	// incarnation snapshotted right before dying). Scan them all so fresh
-	// IDs never collide with anything journaled.
-	if all := checkpoint.MaxJournalTrial(dir); all > maxTrial {
-		maxTrial = all
+	kind, ok := guard.KindFromString(rec.FailKind)
+	if !ok {
+		kind = guard.Invalid
 	}
-	ct.nextID = maxTrial
-	if err := t.snapshotNow(); err != nil {
-		return nil, err
-	}
-	return ct, nil
+	return &guard.Failure{Kind: kind, Algo: algo, Err: errors.New("replayed failure"), Penalty: float64(rec.Value)}
 }

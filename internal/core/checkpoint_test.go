@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"os"
-	"strings"
+	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -22,11 +24,12 @@ func runRef(t *testing.T, seed int64, iters int) *Tuner {
 	return tu
 }
 
-// resumeSynthetic is Resume with the syntheticAlgos setup.
+// resumeSynthetic builds a checkpointed tuner over dir with the
+// syntheticAlgos setup, resuming whatever dir holds.
 func resumeSynthetic(t *testing.T, dir string, every int, seed int64) (*Tuner, error) {
 	t.Helper()
 	algos, _ := syntheticAlgos()
-	return Resume(dir, every, algos, nominal.NewEpsilonGreedy(0.2), DefaultFactory, seed)
+	return NewTuner(algos, nominal.NewEpsilonGreedy(0.2), DefaultFactory, seed, WithCheckpoint(dir, every))
 }
 
 // TestCheckpointResumeMatchesUninterrupted is the core acceptance
@@ -137,7 +140,7 @@ func TestResumeCorruptNewestSnapshot(t *testing.T) {
 	if re.Iterations() != 35 {
 		t.Errorf("recovered %d iterations, want 35", re.Iterations())
 	}
-	// Resume writes a fresh snapshot, healing the directory: a second
+	// The resume writes a fresh snapshot, healing the directory: a second
 	// resume must load it directly.
 	re = nil
 	re2, err := resumeSynthetic(t, dir, every, seed)
@@ -190,25 +193,130 @@ func TestResumeRejectsDifferentConfiguration(t *testing.T) {
 	tu = nil
 
 	other := []Algorithm{{Name: "impostor-a"}, {Name: "impostor-b"}, {Name: "impostor-c"}}
-	if _, err := Resume(dir, every, other, nominal.NewEpsilonGreedy(0.2), DefaultFactory, seed); err == nil {
+	if _, err := NewTuner(other, nominal.NewEpsilonGreedy(0.2), DefaultFactory, seed, WithCheckpoint(dir, every)); err == nil {
 		t.Error("resuming with renamed algorithms succeeded")
 	}
-	if _, err := Resume(dir, every, algos[:2], nominal.NewEpsilonGreedy(0.2), DefaultFactory, seed); err == nil {
+	if _, err := NewTuner(algos[:2], nominal.NewEpsilonGreedy(0.2), DefaultFactory, seed, WithCheckpoint(dir, every)); err == nil {
 		t.Error("resuming with fewer algorithms succeeded")
 	}
 }
 
-// TestResumeEmptyDir: nothing to resume from is an error, not a fresh
-// start — silently losing a run's history would defeat the feature.
+// TestResumeEmptyDir: a directory without state is a fresh start, but a
+// directory whose state cannot be read is an error from every
+// constructor, never a fresh engine — silently losing a run's history
+// would defeat the feature.
 func TestResumeEmptyDir(t *testing.T) {
-	_, err := resumeSynthetic(t, t.TempDir(), 10, 1)
-	if err == nil {
-		t.Fatal("resuming from an empty directory succeeded")
+	const seed, every = 1, 10
+	algos, m := syntheticAlgos()
+	sel := func() nominal.Selector { return nominal.NewEpsilonGreedy(0.2) }
+	for name, dir := range map[string]string{
+		"empty":   t.TempDir(),
+		"missing": filepath.Join(t.TempDir(), "not", "yet"),
+	} {
+		tu, err := resumeSynthetic(t, dir, every, seed)
+		if err != nil {
+			t.Fatalf("%s dir: %v", name, err)
+		}
+		if got := tu.Iterations(); got != 0 {
+			t.Errorf("%s dir: fresh tuner at iteration %d, want 0", name, got)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "snap-000000000000.ckpt")); err != nil {
+			t.Errorf("%s dir: initial snapshot not written: %v", name, err)
+		}
 	}
-	if !strings.Contains(err.Error(), "no valid snapshot") {
-		t.Errorf("unexpected error: %v", err)
+
+	dir := t.TempDir()
+	tu := mustNew(t, algos, sel(), DefaultFactory, seed, WithCheckpoint(dir, every))
+	tu.Run(35, m)
+	tu = nil
+	gens := checkpoint.Generations(dir)
+	for _, g := range gens {
+		path := checkpoint.SnapPath(dir, g)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)/2] ^= 0xff
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	builds := map[string]func() error{
+		"NewTuner": func() error {
+			_, err := NewTuner(algos, sel(), DefaultFactory, seed, WithCheckpoint(dir, every))
+			return err
+		},
+		"NewConcurrentTuner": func() error {
+			_, err := NewConcurrentTuner(algos, sel(), DefaultFactory, seed, WithCheckpoint(dir, every))
+			return err
+		},
+		"NewShardedEngine": func() error {
+			_, err := NewShardedEngine(algos, sel(), DefaultFactory, seed, WithShards(2), WithCheckpoint(dir, every))
+			return err
+		},
+	}
+	for name, build := range builds {
+		if err := build(); !errors.Is(err, checkpoint.ErrNoSnapshot) {
+			t.Errorf("%s over all-corrupt snapshots: err = %v, want %v", name, err, checkpoint.ErrNoSnapshot)
+		}
+	}
+	if got := checkpoint.Generations(dir); !slices.Equal(got, gens) {
+		t.Errorf("failed builds rewrote the directory: generations %v, want %v", got, gens)
 	}
 }
+
+// TestRebuildOverCheckpointResumes: building again over a directory
+// with state resumes it, for every constructor. A fresh start there
+// would write snapshots older than the ones on disk, which pruning
+// deletes as soon as they are written, so the next restart would come
+// back with the previous run's state.
+func TestRebuildOverCheckpointResumes(t *testing.T) {
+	sel := func() nominal.Selector { return nominal.NewEpsilonGreedy(0.10) }
+	type engine interface {
+		Iterations() int
+		RunPool(workers, total int, m Measure)
+	}
+	cases := []struct {
+		name  string
+		build func(dir string) (engine, error)
+	}{
+		{"NewTuner", func(dir string) (engine, error) {
+			tu, err := NewTuner(engineAlgos(), sel(), nil, 3, WithCheckpoint(dir, 10))
+			return sequentialPool{tu}, err
+		}},
+		{"NewConcurrentTuner", func(dir string) (engine, error) {
+			return NewConcurrentTuner(engineAlgos(), sel(), nil, 3, WithCheckpoint(dir, 10))
+		}},
+		{"NewShardedEngine", func(dir string) (engine, error) {
+			return NewShardedEngine(engineAlgos(), sel(), nil, 3, WithShards(2), WithCheckpoint(dir, 10))
+		}},
+		{"EngineSpec.Build", func(dir string) (engine, error) {
+			return EngineSpec{Seed: 3, SnapshotEvery: 10}.Build(engineAlgos(), sel(), nil, dir)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			want := 0
+			for _, n := range []int{65, 30, 0} {
+				e, err := tc.build(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := e.Iterations(); got != want {
+					t.Fatalf("build over a checkpoint at %d iterations came back at %d", want, got)
+				}
+				e.RunPool(2, n, engineMeasure)
+				want += n
+			}
+		})
+	}
+}
+
+// sequentialPool drives a Tuner through the engines' RunPool signature.
+type sequentialPool struct{ *Tuner }
+
+func (p sequentialPool) RunPool(_, total int, m Measure) { p.Run(total, m) }
 
 // TestCheckpointWithGuardAndFailures: failed iterations journal their
 // kind and penalty and replay through ObserveFailure, reconstructing the
@@ -244,7 +352,7 @@ func TestCheckpointWithGuardAndFailures(t *testing.T) {
 	tu.Next()
 	tu = nil
 
-	re, err := Resume(dir, every, algos, mkSel(), DefaultFactory, seed, opts()...)
+	re, err := NewTuner(algos, mkSel(), DefaultFactory, seed, append(opts(), WithCheckpoint(dir, every))...)
 	if err != nil {
 		t.Fatal(err)
 	}

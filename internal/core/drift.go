@@ -453,8 +453,8 @@ func (t *Tuner) journalDrift(arm int, refork bool, keep float64, restartP1 bool)
 
 // applyDriftRecord re-applies a journaled drift sentinel during resume.
 // The sequence guard makes it idempotent: a reset the replayed
-// observation stream already re-fired (the sequential Resume path
-// replays through the live code, which bumps driftSeq itself) is
+// observation stream already re-fired (the sequential replay step
+// runs through the live code, which bumps driftSeq itself) is
 // skipped, and so is a reset already inside the snapshot.
 func (t *Tuner) applyDriftRecord(rec checkpoint.Record) {
 	if rec.DriftSeq <= t.driftSeq {

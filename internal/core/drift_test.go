@@ -216,7 +216,7 @@ func TestDriftCheckpointResume(t *testing.T) {
 			t.Fatalf("checkpointing degraded before kill at %d: %v", kill, err)
 		}
 		cur.Next() // in-flight proposal dies with the process
-		re, err := Resume(dir, every, algos, mk(), nil, seed, wd())
+		re, err := NewTuner(algos, mk(), nil, seed, wd(), WithCheckpoint(dir, every))
 		if err != nil {
 			t.Fatalf("resume after kill at %d: %v", kill, err)
 		}
@@ -282,8 +282,8 @@ func TestDriftShardedResume(t *testing.T) {
 	}
 	iters := eng.Iterations()
 
-	rs, err := ResumeSharded(dir, every, algos, nominal.NewEpsilonGreedy(0.1), nil, seed,
-		WithShards(2), WithMergeEvery(8), WithDriftWatchdog(DefaultDriftConfig()))
+	rs, err := NewShardedEngine(algos, nominal.NewEpsilonGreedy(0.1), nil, seed,
+		WithShards(2), WithMergeEvery(8), WithDriftWatchdog(DefaultDriftConfig()), WithCheckpoint(dir, every))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/guard"
 	"repro/internal/nominal"
 	"repro/internal/param"
@@ -142,16 +143,38 @@ type ConcurrentTuner struct {
 // tuner-scope options (WithGuard, WithCheckpoint, ...) and engine-scope
 // options (WithLeaseTimeout, WithMaxInFlight); sharded-scope options are
 // rejected with ErrOptionScope.
+//
+// With WithCheckpoint on a directory that holds a checkpoint, the engine
+// resumes from it: journaled completions are applied directly to the
+// decision state (see replayCompletion), which also accepts a sequential
+// tuner's journal, and fresh trial IDs are issued above every journaled
+// one.
 func NewConcurrentTuner(algos []Algorithm, selector nominal.Selector, factory search.Factory, seed int64, opts ...Option) (*ConcurrentTuner, error) {
 	tunerOpts, engineOpts, err := splitEngineOptions(opts)
 	if err != nil {
 		return nil, err
 	}
-	t, err := NewTuner(algos, selector, factory, seed, tunerOpts...)
+	t, err := newTuner(algos, selector, factory, seed, tunerOpts)
 	if err != nil {
 		return nil, err
 	}
-	return wrapEngine(t, engineOpts)
+	// Scan every journal generation before openCheckpoint's closing
+	// snapshot prunes the old ones: generations already folded into the
+	// restored snapshot may hold the highest IDs (a sharded incarnation
+	// snapshotted right before dying).
+	var maxTrial uint64
+	if t.ckptDir != "" {
+		maxTrial = checkpoint.MaxJournalTrial(t.ckptDir)
+	}
+	if err := t.openCheckpoint(t.replayCompletion); err != nil {
+		return nil, err
+	}
+	c, err := wrapEngine(t, engineOpts)
+	if err != nil {
+		return nil, err
+	}
+	c.nextID = maxTrial
+	return c, nil
 }
 
 // wrapEngine wraps a freshly built (or resumed) Tuner in the trial

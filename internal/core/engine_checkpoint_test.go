@@ -12,8 +12,8 @@ import (
 // TestConcurrentCrashResume drives the trial engine with several leases
 // in flight, completing them out of order (interleaved trial IDs,
 // speculative records, failures), kills it with leases outstanding, and
-// checks that ResumeConcurrent reconstructs the decision state from the
-// journal and the engine keeps working.
+// checks that NewConcurrentTuner over the same directory reconstructs
+// the decision state from the journal and the engine keeps working.
 func TestConcurrentCrashResume(t *testing.T) {
 	dir := t.TempDir()
 	algos := engineAlgos()
@@ -64,12 +64,12 @@ func TestConcurrentCrashResume(t *testing.T) {
 	preFS := ct.FailureStats()
 	maxID := ct.nextID
 
-	// Sequential Resume must refuse a trial-engine journal.
-	if _, err := Resume(dir, 10, algos, mk(), nil, 11); err == nil || !strings.Contains(err.Error(), "ResumeConcurrent") {
-		t.Fatalf("sequential Resume on a concurrent journal: err = %v, want a pointer to ResumeConcurrent", err)
+	// A sequential build must refuse a trial-engine journal.
+	if _, err := NewTuner(algos, mk(), nil, 11, WithCheckpoint(dir, 10)); err == nil || !strings.Contains(err.Error(), "NewConcurrentTuner") {
+		t.Fatalf("sequential NewTuner on a concurrent journal: err = %v, want a pointer to NewConcurrentTuner", err)
 	}
 
-	res, err := ResumeConcurrent(dir, 10, algos, mk(), nil, 11)
+	res, err := NewConcurrentTuner(algos, mk(), nil, 11, WithCheckpoint(dir, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestConcurrentCrashResume(t *testing.T) {
 	}
 }
 
-// TestConcurrentResumeOfSequentialJournal checks ResumeConcurrent also
+// TestConcurrentResumeOfSequentialJournal checks NewConcurrentTuner also
 // accepts a plain sequential journal (trial IDs all zero): the engine is
 // the superset.
 func TestConcurrentResumeOfSequentialJournal(t *testing.T) {
@@ -124,7 +124,7 @@ func TestConcurrentResumeOfSequentialJournal(t *testing.T) {
 	tn.Run(27, engineMeasure)
 	want := tn.Counts()
 
-	res, err := ResumeConcurrent(dir, 8, algos, nominal.NewEpsilonGreedy(0.10), nil, 13)
+	res, err := NewConcurrentTuner(algos, nominal.NewEpsilonGreedy(0.10), nil, 13, WithCheckpoint(dir, 8))
 	if err != nil {
 		t.Fatal(err)
 	}

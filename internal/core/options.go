@@ -14,8 +14,8 @@ import (
 var ErrOptionScope = errors.New("option does not apply to this constructor")
 
 // An Option configures any of the core constructors. One option type
-// serves NewTuner, NewConcurrentTuner, NewShardedEngine and the Resume
-// functions; each option documents its scope, and a constructor outside
+// serves NewTuner, NewConcurrentTuner, NewShardedEngine and
+// EngineSpec.Build; each option documents its scope, and a constructor outside
 // that scope rejects it with an error wrapping ErrOptionScope.
 type Option struct {
 	name    string
@@ -137,8 +137,7 @@ func WithMaxInFlight(n int) Option {
 
 // WithShards sets the number of selector shards of a ShardedEngine.
 // One shard (the default) disables sharding: the engine delegates
-// directly to the wrapped ConcurrentTuner. Scope: NewShardedEngine /
-// ResumeSharded only.
+// directly to the wrapped ConcurrentTuner. Scope: NewShardedEngine only.
 func WithShards(n int) Option {
 	return shardedOption("WithShards", func(sc *shardConfig) {
 		if n > 0 {
@@ -151,7 +150,7 @@ func WithShards(n int) Option {
 // merge of the shard's delta into the authoritative selector (the
 // staleness bound: a replica lags the global state by at most K·shards
 // observations between folds). Best() reads always force a merge first.
-// Scope: NewShardedEngine / ResumeSharded only.
+// Scope: NewShardedEngine only.
 func WithMergeEvery(k int) Option {
 	return shardedOption("WithMergeEvery", func(sc *shardConfig) {
 		if k > 0 {

@@ -25,8 +25,8 @@ const DefaultMergeEvery = 16
 // keeps the two ID spaces disjoint forever.
 const shardIDBase = uint64(1) << 32
 
-// ErrNotMergeable is returned by NewShardedEngine/ResumeSharded when
-// more than one shard is requested but the selector does not implement
+// ErrNotMergeable is returned by NewShardedEngine when more than one
+// shard is requested but the selector does not implement
 // nominal.Mergeable (for example a guard.Quarantine wrapper). Sharding
 // replicates selector state per shard; a selector that cannot fork and
 // merge cannot be replicated.
@@ -48,8 +48,8 @@ type shardConfig struct {
 // existing decision mutex: the observations replay through the exact
 // applyCompletion path a live trial takes (so counters, watchdog,
 // incumbent, and the write-ahead journal all see them identically — a
-// journal written by a sharded engine resumes through ResumeConcurrent
-// or ResumeSharded alike), the whole batch is journaled under a single
+// journal written by a sharded engine resumes into a concurrent or a
+// sharded engine alike), the whole batch is journaled under a single
 // fsync, and the shard catches its replica up by replaying the other
 // shards' folded observations from the engine's observation log (its own
 // it already saw live), then adopts the authoritative incumbents for its
@@ -197,24 +197,14 @@ type shardObs struct {
 // option scope. With more than one shard the selector must implement
 // nominal.Mergeable (ErrNotMergeable otherwise); with one shard (the
 // default) the engine is a transparent wrapper over NewConcurrentTuner.
+// With WithCheckpoint on a directory holding a checkpoint, the engine
+// resumes exactly as NewConcurrentTuner does (shard deltas were
+// journaled through the same write-ahead path), and fresh shards fork
+// off the recovered selector.
 func NewShardedEngine(algos []Algorithm, selector nominal.Selector, factory search.Factory, seed int64, opts ...Option) (*ShardedEngine, error) {
 	cfg := shardConfig{shards: 1, mergeEvery: DefaultMergeEvery}
 	rest := splitShardedOptions(opts, &cfg)
 	inner, err := NewConcurrentTuner(algos, selector, factory, seed, rest...)
-	if err != nil {
-		return nil, err
-	}
-	return newShardedOver(inner, cfg)
-}
-
-// ResumeSharded reconstructs a checkpointed sharded engine from dir: the
-// snapshot and journal replay exactly as in ResumeConcurrent (shard
-// deltas were journaled through the same write-ahead path), and fresh
-// shards fork off the recovered selector.
-func ResumeSharded(dir string, every int, algos []Algorithm, selector nominal.Selector, factory search.Factory, seed int64, opts ...Option) (*ShardedEngine, error) {
-	cfg := shardConfig{shards: 1, mergeEvery: DefaultMergeEvery}
-	rest := splitShardedOptions(opts, &cfg)
-	inner, err := ResumeConcurrent(dir, every, algos, selector, factory, seed, rest...)
 	if err != nil {
 		return nil, err
 	}

@@ -203,9 +203,9 @@ func TestShardedUnknownAndDuplicate(t *testing.T) {
 }
 
 // TestShardedCheckpointResume runs a sharded session against a
-// checkpoint directory and verifies both resume paths reconstruct it:
-// ResumeSharded (same topology) and plain ResumeConcurrent (the journal
-// is engine-agnostic).
+// checkpoint directory and verifies both engines resume it:
+// NewShardedEngine (same topology) and plain NewConcurrentTuner (the
+// journal is engine-agnostic).
 func TestShardedCheckpointResume(t *testing.T) {
 	const total = 600
 	dir := t.TempDir()
@@ -240,19 +240,19 @@ func TestShardedCheckpointResume(t *testing.T) {
 		}
 	}
 
-	rs, err := ResumeSharded(dir, 50, algos, nominal.NewEpsilonGreedy(0.10), nil, 21, WithShards(4))
+	rs, err := NewShardedEngine(algos, nominal.NewEpsilonGreedy(0.10), nil, 21, WithShards(4), WithCheckpoint(dir, 50))
 	if err != nil {
 		t.Fatal(err)
 	}
 	a, c, v := rs.Best()
-	check("ResumeSharded", rs.Iterations(), rs.Counts(), a, c, v)
+	check("sharded", rs.Iterations(), rs.Counts(), a, c, v)
 
-	rc, err := ResumeConcurrent(dir, 50, algos, nominal.NewEpsilonGreedy(0.10), nil, 21)
+	rc, err := NewConcurrentTuner(algos, nominal.NewEpsilonGreedy(0.10), nil, 21, WithCheckpoint(dir, 50))
 	if err != nil {
 		t.Fatal(err)
 	}
 	a, c, v = rc.Best()
-	check("ResumeConcurrent", rc.Iterations(), rc.Counts(), a, c, v)
+	check("concurrent", rc.Iterations(), rc.Counts(), a, c, v)
 
 	// The resumed sharded engine keeps going, with trial IDs disjoint
 	// from everything journaled.

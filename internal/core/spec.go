@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"time"
 
-	"repro/internal/checkpoint"
 	"repro/internal/nominal"
 	"repro/internal/search"
 )
@@ -15,14 +14,15 @@ import (
 // NewShardedEngine takes through []Option that a service must be able to
 // store, compare and reconstruct per tuning problem. A multi-tenant
 // server keeps one EngineSpec per tenant on disk next to the tenant's
-// checkpoints; Build and Resume turn it back into a live engine, and
-// Hash pins the configuration so a resumed tenant cannot silently come
-// back with different tuning semantics.
+// checkpoints; Build turns it back into a live engine, resuming the
+// tenant's checkpoint when there is one, and Hash pins the configuration
+// so a resumed tenant cannot silently come back with different tuning
+// semantics.
 //
 // The spec covers the engine-scope and sharded-scope knobs. What it
 // deliberately does not serialize: the algorithm roster (a []Algorithm
-// with live measurement spaces — callers pass it to Build/Resume, and
-// Hash folds the names in), the selector (an interface value — callers
+// with live measurement spaces — callers pass it to Build, and Hash
+// folds the names in), the selector (an interface value — callers
 // construct it, typically via nominal.NewByName), and the search
 // factory. Those are code, not configuration.
 type EngineSpec struct {
@@ -44,7 +44,7 @@ type EngineSpec struct {
 	// Drift arms the drift watchdog with DefaultDriftConfig.
 	Drift bool `json:"drift,omitempty"`
 	// SnapshotEvery is the checkpoint cadence in completed trials when
-	// Build/Resume are given a checkpoint directory; 0 means 100.
+	// Build is given a checkpoint directory; 0 means 100.
 	SnapshotEvery int `json:"snapshot_every,omitempty"`
 }
 
@@ -74,8 +74,7 @@ func (s EngineSpec) withDefaults() EngineSpec {
 }
 
 // Options expands the spec into the option slice the constructors take.
-// ckptDir, when non-empty, adds WithCheckpoint at the spec's cadence
-// (Resume paths pass "" — resuming re-enables checkpointing itself).
+// ckptDir, when non-empty, adds WithCheckpoint at the spec's cadence.
 func (s EngineSpec) Options(ckptDir string) []Option {
 	s = s.withDefaults()
 	ttl := time.Duration(s.LeaseTimeoutMS) * time.Millisecond
@@ -118,31 +117,14 @@ func (s EngineSpec) Hash(algos []string, selector string) uint32 {
 	return h.Sum32()
 }
 
-// Build constructs a fresh sharded engine from the spec. A non-empty
-// ckptDir makes the engine durable there at the spec's snapshot cadence.
+// Build constructs a sharded engine from the spec. A non-empty ckptDir
+// makes the engine durable there at the spec's snapshot cadence, and
+// resumes it when ckptDir already holds a checkpoint (see
+// WithCheckpoint).
 func (s EngineSpec) Build(algos []Algorithm, selector nominal.Selector, factory search.Factory, ckptDir string) (*ShardedEngine, error) {
 	eng, err := NewShardedEngine(algos, selector, factory, s.Seed, s.Options(ckptDir)...)
 	if err != nil {
 		return nil, fmt.Errorf("core: build from spec: %w", err)
 	}
 	return eng, nil
-}
-
-// Resume reconstructs a checkpointed engine from the spec and its
-// directory (see ResumeSharded). It is an error to Resume a directory
-// without generations; use HasCheckpoint to pick between Build and
-// Resume.
-func (s EngineSpec) Resume(algos []Algorithm, selector nominal.Selector, factory search.Factory, ckptDir string) (*ShardedEngine, error) {
-	d := s.withDefaults()
-	eng, err := ResumeSharded(ckptDir, d.SnapshotEvery, algos, selector, factory, s.Seed, s.Options("")...)
-	if err != nil {
-		return nil, fmt.Errorf("core: resume from spec: %w", err)
-	}
-	return eng, nil
-}
-
-// HasCheckpoint reports whether dir holds at least one snapshot
-// generation a Resume could start from.
-func HasCheckpoint(dir string) bool {
-	return len(checkpoint.Generations(dir)) > 0
 }

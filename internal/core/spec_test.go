@@ -86,7 +86,7 @@ func TestEngineSpecBuildAndResume(t *testing.T) {
 	if !HasCheckpoint(dir) {
 		t.Fatal("HasCheckpoint false after Checkpoint")
 	}
-	resumed, err := spec.Resume(specAlgos(), nominal.NewEpsilonGreedy(0.1), nil, dir)
+	resumed, err := spec.Build(specAlgos(), nominal.NewEpsilonGreedy(0.1), nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

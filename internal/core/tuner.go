@@ -134,7 +134,7 @@ type Tuner struct {
 	driftSeq    uint64
 	engineOwned bool
 
-	// Crash-safe persistence (see WithCheckpoint / Resume).
+	// Crash-safe persistence (see WithCheckpoint).
 	ckptDir      string
 	ckptEvery    int
 	ckptGen      int // iteration of the current snapshot generation
@@ -153,8 +153,23 @@ type Tuner struct {
 // ordinal parameters), and when an option outside the sequential tuner's
 // scope is passed (ErrOptionScope). The seed determines all stochastic
 // choices; runs with equal seeds and deterministic measurement functions
-// are identical.
+// are identical. With WithCheckpoint on a directory that holds a
+// checkpoint, NewTuner resumes from it, replaying the journal through
+// Next/Observe and verifying every journaled proposal.
 func NewTuner(algos []Algorithm, selector nominal.Selector, factory search.Factory, seed int64, opts ...Option) (*Tuner, error) {
+	t, err := newTuner(algos, selector, factory, seed, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := t.openCheckpoint(t.replayVerified); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// newTuner builds a tuner without touching its checkpoint directory; the
+// caller opens it with the replay step that fits what it builds.
+func newTuner(algos []Algorithm, selector nominal.Selector, factory search.Factory, seed int64, opts []Option) (*Tuner, error) {
 	if len(algos) == 0 {
 		return nil, fmt.Errorf("core: no algorithms to tune")
 	}
@@ -206,11 +221,6 @@ func NewTuner(algos []Algorithm, selector nominal.Selector, factory search.Facto
 		t.drift.init(len(algos))
 	}
 	t.perAlgoHistory = make([][]float64, len(algos))
-	if t.ckptDir != "" {
-		if err := t.initCheckpoint(); err != nil {
-			return nil, err
-		}
-	}
 	return t, nil
 }
 

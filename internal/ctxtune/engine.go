@@ -183,28 +183,18 @@ func New(cfg Config) (*Engine, error) {
 		e.part = NewTree(0, 0, 0)
 	}
 
+	opts := cfg.Opts
+	if cfg.Dir != "" {
+		opts = append(append([]core.Option(nil), cfg.Opts...), core.WithCheckpoint(filepath.Join(cfg.Dir, "global"), cfg.Every))
+	}
 	var err error
-	if cfg.Dir == "" {
-		e.global, err = core.NewConcurrentTuner(cfg.Algos, cfg.Selector(), cfg.Factory, cfg.Seed, cfg.Opts...)
-		if err != nil {
-			return nil, err
-		}
-		e.hookJournal()
-		return e, nil
-	}
-
-	globalDir := filepath.Join(cfg.Dir, "global")
-	if err := os.MkdirAll(globalDir, 0o755); err != nil {
-		return nil, fmt.Errorf("ctxtune: %w", err)
-	}
-	if len(checkpoint.Generations(globalDir)) > 0 {
-		e.global, err = core.ResumeConcurrent(globalDir, cfg.Every, cfg.Algos, cfg.Selector(), cfg.Factory, cfg.Seed, cfg.Opts...)
-	} else {
-		opts := append(append([]core.Option(nil), cfg.Opts...), core.WithCheckpoint(globalDir, cfg.Every))
-		e.global, err = core.NewConcurrentTuner(cfg.Algos, cfg.Selector(), cfg.Factory, cfg.Seed, opts...)
-	}
+	e.global, err = core.NewConcurrentTuner(cfg.Algos, cfg.Selector(), cfg.Factory, cfg.Seed, opts...)
 	if err != nil {
 		return nil, err
+	}
+	if cfg.Dir == "" {
+		e.hookJournal()
+		return e, nil
 	}
 	if err := e.restoreContexts(); err != nil {
 		return nil, err

@@ -21,7 +21,7 @@ import (
 // runs the string matching case study under core.WithCheckpoint, hard-kills
 // the tuner at several random iterations (the tuner object is discarded
 // with a proposal in flight, exactly what SIGKILL leaves behind), resumes
-// each time with core.Resume, and requires that the stitched-together run
+// each time by building the tuner again over the same directory, and requires that the stitched-together run
 // reach the same winner as an uninterrupted run with the same seed, losing
 // at most the single in-flight iteration per crash. A final check corrupts
 // the newest snapshot on disk and resumes once more: recovery must fall
@@ -53,7 +53,7 @@ type CheckpointCrash struct {
 	ReferenceBest, ResumedBest     float64
 	// MaxLossPerCrash is the worst per-crash iteration loss, counting the
 	// in-flight proposal: (iterations started before the kill) −
-	// (iterations recovered by Resume). The journal makes this 1.
+	// (iterations recovered by the resume). The journal makes this 1.
 	MaxLossPerCrash int
 	// ReplayedIterations counts journal records replayed across all
 	// resumes (iterations recovered beyond the loaded snapshots).
@@ -138,7 +138,12 @@ func RunCheckpointCrash(cfg Config, iters, crashes, every int) (*CheckpointCrash
 		ReferenceBest:   refVal,
 	}
 
-	t, err := core.NewTuner(algos, newSelector(), nil, cfg.Seed, core.WithCheckpoint(dir, every))
+	// Starting and restarting are the same call: over a directory that
+	// holds a checkpoint, NewTuner resumes it.
+	build := func() (*core.Tuner, error) {
+		return core.NewTuner(algos, newSelector(), nil, cfg.Seed, core.WithCheckpoint(dir, every))
+	}
+	t, err := build()
 	if err != nil {
 		return nil, err
 	}
@@ -154,7 +159,7 @@ func RunCheckpointCrash(cfg Config, iters, crashes, every int) (*CheckpointCrash
 
 		gens := checkpoint.Generations(dir)
 		snap := gens[len(gens)-1]
-		t, err = core.Resume(dir, every, algos, newSelector(), nil, cfg.Seed)
+		t, err = build()
 		if err != nil {
 			return nil, fmt.Errorf("exp: resume after kill at iteration %d: %w", p, err)
 		}
@@ -173,7 +178,7 @@ func RunCheckpointCrash(cfg Config, iters, crashes, every int) (*CheckpointCrash
 	res.WinnersAgree = best == refBest
 	t = nil
 
-	// Fallback: flip a byte in the newest snapshot; Resume must recover
+	// Fallback: flip a byte in the newest snapshot; the resume must recover
 	// from the previous generation plus the chained journals.
 	gens := checkpoint.Generations(dir)
 	path := checkpoint.SnapPath(dir, gens[len(gens)-1])
@@ -185,7 +190,7 @@ func RunCheckpointCrash(cfg Config, iters, crashes, every int) (*CheckpointCrash
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return nil, err
 	}
-	fb, err := core.Resume(dir, every, algos, newSelector(), nil, cfg.Seed)
+	fb, err := build()
 	if err != nil {
 		return nil, fmt.Errorf("exp: resume with corrupt newest snapshot: %w", err)
 	}

@@ -281,17 +281,13 @@ func (r *Registry) materialize(t *Tenant) error {
 		return err // validated at Register; cannot happen
 	}
 	dir := r.ckptDir(t.spec.Name)
-	if dir != "" && core.HasCheckpoint(dir) {
-		t.eng, err = t.spec.Engine.Resume(t.algos, sel, r.cfg.Factory, dir)
-		if err != nil {
-			return fmt.Errorf("tenant %s: %w", t.spec.Name, err)
-		}
+	restart := core.HasCheckpoint(dir)
+	t.eng, err = t.spec.Engine.Build(t.algos, sel, r.cfg.Factory, dir)
+	if err != nil {
+		return fmt.Errorf("tenant %s: %w", t.spec.Name, err)
+	}
+	if restart {
 		t.restarts++
-	} else {
-		t.eng, err = t.spec.Engine.Build(t.algos, sel, r.cfg.Factory, dir)
-		if err != nil {
-			return fmt.Errorf("tenant %s: %w", t.spec.Name, err)
-		}
 	}
 	return nil
 }

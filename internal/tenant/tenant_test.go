@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/checkpoint"
 	"repro/internal/core"
 )
 
@@ -113,7 +112,7 @@ func TestLRUSpillAndWarmRestart(t *testing.T) {
 	if got := r.Resident(); got != 1 {
 		t.Fatalf("resident=%d after spill, want 1", got)
 	}
-	if gens := checkpoint.Generations(filepath.Join(root, "alpha", "ckpt")); len(gens) == 0 {
+	if !core.HasCheckpoint(filepath.Join(root, "alpha", "ckpt")) {
 		t.Fatal("spill wrote no checkpoint for alpha")
 	}
 

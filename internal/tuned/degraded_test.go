@@ -239,7 +239,7 @@ func TestDrain(t *testing.T) {
 	}
 	// The final checkpoint must make the completed iteration durable:
 	// a resume with no journal replay still sees it.
-	rt, err := core.ResumeConcurrent(dir, 0, testAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 1)
+	rt, err := core.NewConcurrentTuner(testAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 1, core.WithCheckpoint(dir, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -163,8 +163,8 @@ func TestLoopbackE2EKillAndRestart(t *testing.T) {
 		// Kill the server. Workers stall on backoff while we resume the
 		// session from its snapshot + journal on the same address.
 		srv.Close()
-		eng2, err := core.ResumeConcurrent(dir, 200, algos, nominal.NewEpsilonGreedy(0.10), nil, seed,
-			core.WithLeaseTimeout(leaseTTL))
+		eng2, err := core.NewConcurrentTuner(algos, nominal.NewEpsilonGreedy(0.10), nil, seed,
+			core.WithLeaseTimeout(leaseTTL), core.WithCheckpoint(dir, 200))
 		if err != nil {
 			errs <- err
 			close(restarted)

@@ -14,8 +14,9 @@
 //     stay alive by heartbeating.
 //   - A duplicate or late report (client retry, reclaimed lease) is
 //     acknowledged and dropped — completion is idempotent per trial ID.
-//   - A server restart resumes from snapshot + journal
-//     (core.ResumeConcurrent) under a fresh session epoch; reports for
+//   - A server restart resumes from snapshot + journal (the engine
+//     constructors resume a WithCheckpoint directory that holds a
+//     checkpoint) under a fresh session epoch; reports for
 //     leases issued by the dead process carry the old epoch and are
 //     dropped, never misapplied to a re-issued trial ID.
 //
