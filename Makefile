@@ -1,9 +1,9 @@
 # Tier-1 gate: `make check` must pass before any change lands.
 GO ?= go
 
-.PHONY: check lint vet build test race bench-check resume-smoke bench figures fuzz chaos
+.PHONY: check lint vet build test race bench-check resume-smoke durable-smoke bench figures fuzz chaos
 
-check: lint build test race bench-check resume-smoke
+check: lint build test race bench-check resume-smoke durable-smoke
 
 # gofmt emits the offending files on stdout and exits 0; turn any output
 # into a failure so unformatted code can't land.
@@ -46,6 +46,17 @@ resume-smoke:
 		fi; \
 		echo "resume-smoke: -workers $$w resumed at iteration 60"; \
 	done
+
+# End-to-end durable path: a one-second durable_tenants benchmark run
+# (two journalled tenants served over loopback, then a restart that
+# checks both resume at exactly the iterations they served) must pass
+# every correctness check with no failed trial.
+durable-smoke:
+	@out=$$(bash bench/run.sh --workload durable_tenants --seconds 1 --trace 0 2>&1); st=$$?; \
+	if [ $$st -ne 0 ] || ! echo "$$out" | grep -q '"correct":true' || ! echo "$$out" | grep -q '"failed":0,'; then \
+		echo "durable-smoke: durable_tenants run not clean:"; echo "$$out"; exit 1; \
+	fi; \
+	echo "durable-smoke: durable_tenants correct, 0 failed"
 
 # Short chaos soak (CI-viable, well under a minute): the fault-injection
 # layer's own tests, the partition/reconnect and loopback soak of the

@@ -8,9 +8,10 @@
 // position — and is written atomically (temp file in the same directory,
 // fsync, rename), so a crash mid-write can never destroy the previous
 // snapshot. Between snapshots every completed iteration is appended to a
-// line-delimited journal and fsynced, so on restart the journal can be
-// replayed through the tuner's normal Observe/ObserveFailure path and at
-// most the in-flight iteration is lost.
+// line-delimited journal, and the records an operation wrote are fsynced
+// together before it returns, so on restart the journal can be replayed
+// through the tuner's normal Observe/ObserveFailure path and only the
+// records of an operation still in flight at the crash can be lost.
 //
 // Corruption is expected, not exceptional: every snapshot carries a
 // CRC32 over its payload and every journal line a CRC32 over its record,

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"strings"
+	"sync"
 )
 
 // Record is one completed tuning iteration in the write-ahead journal.
@@ -55,66 +56,121 @@ const (
 	DriftRefork = "refork"
 )
 
-// Journal is an append-only, fsync-per-append record of iterations
-// completed since the last snapshot. Each line is
+// Journal is an append-only record of the iterations completed since
+// the last snapshot. Each line is
 //
 //	crc32hex <space> json-record <newline>
 //
 // so a torn final line (the common crash artifact) is detected and
-// dropped by the reader rather than corrupting the replay.
+// dropped by the reader rather than corrupting the replay. Records are
+// made durable in groups: AppendBuffered writes, Sync fsyncs everything
+// written since the previous Sync, and Close syncs before it closes, so
+// no buffered record is ever dropped silently.
 type Journal struct {
-	f *os.File
+	f     File
+	buf   []byte // line buffer, reused across appends
+	dirty bool   // records written since the last successful Sync
+}
+
+// File is the journal's handle on its file. Every journal write and
+// sync goes through it, which is the seam crash-point tests use to
+// stand in a file that forgets its unsynced bytes on a simulated power
+// cut (see package crashtest).
+type File interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
+}
+
+// Opener opens the journal file at path for appending, creating it
+// when absent.
+type Opener func(path string) (File, error)
+
+var (
+	openerMu sync.Mutex
+	opener   Opener = osOpen
+)
+
+func osOpen(path string) (File, error) {
+	return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+}
+
+// SetOpener routes every journal opened from now on through open (nil
+// restores the operating system's files) and returns the previous
+// opener. It is a test seam: nothing outside tests calls it.
+func SetOpener(open Opener) Opener {
+	if open == nil {
+		open = osOpen
+	}
+	openerMu.Lock()
+	defer openerMu.Unlock()
+	prev := opener
+	opener = open
+	return prev
 }
 
 // OpenJournal opens (creating if absent) the journal for the generation
 // starting at iteration iter, positioned for appending.
 func OpenJournal(dir string, iter int) (*Journal, error) {
-	f, err := os.OpenFile(WalPath(dir, iter), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	openerMu.Lock()
+	open := opener
+	openerMu.Unlock()
+	f, err := open(WalPath(dir, iter))
 	if err != nil {
 		return nil, err
 	}
 	return &Journal{f: f}, nil
 }
 
-// Append writes one record and fsyncs, so an iteration acknowledged to
-// the journal survives an immediate crash.
+// Append writes one record and fsyncs, so the record survives an
+// immediate crash.
 func (j *Journal) Append(rec Record) error {
 	if err := j.AppendBuffered(rec); err != nil {
 		return err
 	}
-	return j.f.Sync()
+	return j.Sync()
 }
 
-// AppendBuffered writes one record without fsyncing. Batch writers — the
-// sharded engine folds a whole observation delta at once — append every
-// record of the batch this way and then call Sync once, paying a single
-// fsync per fold instead of one per trial. A crash between the write and
-// the Sync loses at most the unsynced tail of the batch; the line CRC
-// keeps a torn final record detectable either way.
+// AppendBuffered writes one record without fsyncing. Writers group the
+// records of one operation — a CompleteN batch, an Absorb, a sharded
+// fold — and call Sync once, paying a single fsync per operation
+// instead of one per record. A crash before the Sync loses at most the
+// unsynced records; the line CRC keeps a torn final record detectable
+// either way.
 func (j *Journal) AppendBuffered(rec Record) error {
 	body, err := json.Marshal(rec)
 	if err != nil {
 		return err
 	}
-	line := fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE(body), body)
-	_, err = j.f.WriteString(line)
+	j.buf = fmt.Appendf(j.buf[:0], "%08x %s\n", crc32.ChecksumIEEE(body), body)
+	j.dirty = true
+	_, err = j.f.Write(j.buf)
 	return err
 }
 
-// Sync flushes previously buffered appends to stable storage.
+// Sync flushes the records written since the previous Sync to stable
+// storage. It does nothing when no record is waiting.
 func (j *Journal) Sync() error {
-	if j == nil || j.f == nil {
+	if j == nil || j.f == nil || !j.dirty {
 		return nil
 	}
-	return j.f.Sync()
+	if err := j.f.Sync(); err != nil {
+		return err
+	}
+	j.dirty = false
+	return nil
 }
 
-// Close closes the underlying file.
+// Close syncs any buffered records and closes the underlying file.
 func (j *Journal) Close() error {
 	if j == nil || j.f == nil {
 		return nil
 	}
-	return j.f.Close()
+	err := j.Sync()
+	if cerr := j.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // ReadJournal returns the valid records of one journal file in order.

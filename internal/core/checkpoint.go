@@ -312,28 +312,43 @@ func (t *Tuner) snapshotNow() error {
 	if err != nil {
 		return err
 	}
+	// Close the outgoing generation first: Close syncs the records this
+	// operation journaled before the boundary, so the previous snapshot
+	// plus its journal stays a complete fallback should the new snapshot
+	// be lost.
+	closeErr := t.journal.Close()
+	t.journal = nil // reopened lazily at the new generation
 	iter := t.Iterations()
 	if err := checkpoint.WriteSnapshot(t.ckptDir, iter, payload); err != nil {
 		return err
 	}
-	t.journal.Close()
-	t.journal = nil // reopened lazily at the new generation
 	t.ckptGen = iter
-	return nil
+	return closeErr
+}
+
+// openJournal opens the current generation's journal on first use and
+// reports whether one is open; a failure lands in ckptErr.
+func (t *Tuner) openJournal() bool {
+	if t.journal != nil {
+		return true
+	}
+	j, err := checkpoint.OpenJournal(t.ckptDir, t.ckptGen)
+	if err != nil {
+		t.ckptErr = err
+		return false
+	}
+	t.journal = j
+	return true
 }
 
 // checkpointObserve is called from applyCompletion for every completed
-// iteration: it journals the record and takes the periodic snapshot.
-// Failures are absorbed into ckptErr — persistence must never take the
-// tuning loop down with it.
+// iteration: it journals the record unsynced — the operation that
+// completed it syncs once, through journalSync, before it returns — and
+// takes the periodic snapshot. Failures are absorbed into ckptErr —
+// persistence must never take the tuning loop down with it.
 func (t *Tuner) checkpointObserve(iter int, c completion) {
-	if t.journal == nil {
-		j, err := checkpoint.OpenJournal(t.ckptDir, t.ckptGen)
-		if err != nil {
-			t.ckptErr = err
-			return
-		}
-		t.journal = j
+	if !t.openJournal() {
+		return
 	}
 	rec := checkpoint.Record{
 		Iter:   iter,
@@ -347,15 +362,7 @@ func (t *Tuner) checkpointObserve(iter int, c completion) {
 	if c.fail != nil {
 		rec.FailKind = c.fail.Kind.String()
 	}
-	var err error
-	if t.journalBatch {
-		// Batch writers (the sharded engine's fold) append the whole
-		// delta unsynced and fsync once via journalSync.
-		err = t.journal.AppendBuffered(rec)
-	} else {
-		err = t.journal.Append(rec)
-	}
-	if err != nil {
+	if err := t.journal.AppendBuffered(rec); err != nil {
 		t.ckptErr = err
 		return
 	}
@@ -371,13 +378,12 @@ func (t *Tuner) checkpointObserve(iter int, c completion) {
 	}
 }
 
-// journalSync flushes journal appends buffered while journalBatch was
-// set. No-op without an open journal (including right after a snapshot
-// rotated generations, which fsyncs through WriteSnapshot anyway).
+// journalSync makes every record journaled since the last sync durable.
+// It is the one durability point: every operation that journals reaches
+// it before it returns (Tuner.observe, and ConcurrentTuner.unlock for
+// the trial engines), so no acknowledged trial rests on unsynced bytes.
+// No-op when nothing is buffered.
 func (t *Tuner) journalSync() {
-	if t.journal == nil {
-		return
-	}
 	if err := t.journal.Sync(); err != nil {
 		t.ckptErr = err
 	}

@@ -419,13 +419,8 @@ func (t *Tuner) applySelectorReset(refork bool, keep float64) {
 // was restarted — plus the sequence number that makes re-application
 // idempotent.
 func (t *Tuner) journalDrift(arm int, refork bool, keep float64, restartP1 bool) {
-	if t.journal == nil {
-		j, err := checkpoint.OpenJournal(t.ckptDir, t.ckptGen)
-		if err != nil {
-			t.ckptErr = err
-			return
-		}
-		t.journal = j
+	if !t.openJournal() {
+		return
 	}
 	kind := checkpoint.DriftDecay
 	if refork {
@@ -440,13 +435,7 @@ func (t *Tuner) journalDrift(arm int, refork bool, keep float64, restartP1 bool)
 		DriftProbes: t.drift.cfg.ProbesPerArm,
 		DriftP1:     restartP1,
 	}
-	var err error
-	if t.journalBatch {
-		err = t.journal.AppendBuffered(rec)
-	} else {
-		err = t.journal.Append(rec)
-	}
-	if err != nil {
+	if err := t.journal.AppendBuffered(rec); err != nil {
 		t.ckptErr = err
 	}
 }
@@ -516,7 +505,7 @@ func (t *Tuner) DriftStats() DriftStats {
 // DriftStats returns the drift-watchdog counters under the engine lock.
 func (c *ConcurrentTuner) DriftStats() DriftStats {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	return c.t.DriftStats()
 }
 

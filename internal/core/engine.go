@@ -104,7 +104,8 @@ type EngineStats struct {
 // a worker that dies never wedges the tuner.
 //
 // Internally one mutex guards the decision state (selector, strategies,
-// counters, checkpoint journal); Best, Counts and Iterations are
+// counters, checkpoint journal), and it is released only after the
+// journal records a call wrote are synced; Best, Counts and Iterations are
 // lock-free reads of copy-on-write snapshots refreshed at every
 // completion. Phase one is served through a per-algorithm
 // search.Proposer, which hands the strategy's genuine proposal to the
@@ -219,7 +220,7 @@ func wrapEngine(t *Tuner, opts []Option) (*ConcurrentTuner, error) {
 // reclaims it as a timeout.
 func (c *ConcurrentTuner) Lease() (Trial, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	return c.leaseLocked()
 }
 
@@ -283,7 +284,7 @@ func (c *ConcurrentTuner) selectLocked() int {
 // returns ErrUnknownTrial.
 func (c *ConcurrentTuner) Complete(id uint64, value float64) error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	c.reclaimLocked()
 	return c.completeLocked(id, value)
 }
@@ -313,7 +314,7 @@ func (c *ConcurrentTuner) completeLocked(id uint64, value float64) error {
 // unset — to both phases, as Tuner.ObserveFailure would.
 func (c *ConcurrentTuner) Fail(id uint64, f guard.Failure) error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	c.reclaimLocked()
 	return c.failLocked(id, f)
 }
@@ -344,7 +345,7 @@ func (c *ConcurrentTuner) LeaseN(n int) ([]Trial, error) {
 		return nil, nil
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	c.reclaimLocked()
 	out := make([]Trial, 0, n)
 	for i := 0; i < n; i++ {
@@ -370,7 +371,7 @@ func (c *ConcurrentTuner) LeaseN(n int) ([]Trial, error) {
 // which is what makes Complete idempotent per trial ID.
 func (c *ConcurrentTuner) CompleteN(results []TrialResult) []error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	c.reclaimLocked()
 	errs := make([]error, len(results))
 	for i, r := range results {
@@ -384,7 +385,7 @@ func (c *ConcurrentTuner) CompleteN(results []TrialResult) []error {
 // CompleteN.
 func (c *ConcurrentTuner) FailN(fails []TrialFailure) []error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	c.reclaimLocked()
 	errs := make([]error, len(fails))
 	for i, f := range fails {
@@ -402,7 +403,7 @@ func (c *ConcurrentTuner) FailN(fails []TrialFailure) []error {
 // deadline to extend.
 func (c *ConcurrentTuner) Heartbeat(ids []uint64) []bool {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	c.reclaimLocked()
 	alive := make([]bool, len(ids))
 	var deadline time.Time
@@ -428,7 +429,7 @@ func (c *ConcurrentTuner) Heartbeat(ids []uint64) []bool {
 // leases alive.
 func (c *ConcurrentTuner) Alive(ids []uint64) []bool {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	c.reclaimLocked()
 	alive := make([]bool, len(ids))
 	for i, id := range ids {
@@ -455,7 +456,7 @@ func (c *ConcurrentTuner) Absorb(obs []nominal.Observation) int {
 		return 0
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	return c.absorbLocked(obs)
 }
 
@@ -463,9 +464,6 @@ func (c *ConcurrentTuner) Absorb(obs []nominal.Observation) int {
 // sharded engine, which adds replica propagation around it).
 func (c *ConcurrentTuner) absorbLocked(obs []nominal.Observation) int {
 	t := c.t
-	if t.ckptDir != "" {
-		t.journalBatch = true
-	}
 	applied := 0
 	for _, o := range obs {
 		if o.Arm < 0 || o.Arm >= len(t.algos) || math.IsNaN(o.Value) || math.IsInf(o.Value, 0) {
@@ -486,10 +484,6 @@ func (c *ConcurrentTuner) absorbLocked(obs []nominal.Observation) int {
 		}, nil)
 		applied++
 	}
-	if t.journalBatch {
-		t.journalBatch = false
-		t.journalSync()
-	}
 	c.nAbsorbed += uint64(applied)
 	c.publishLocked()
 	return applied
@@ -501,7 +495,7 @@ func (c *ConcurrentTuner) absorbLocked(obs []nominal.Observation) int {
 // built-in selectors do).
 func (c *ConcurrentTuner) ExportSelectorState() ([]byte, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	sel, ok := c.t.selector.(nominal.Stateful)
 	if !ok {
 		return nil, fmt.Errorf("core: selector %T does not export state", c.t.selector)
@@ -515,7 +509,7 @@ func (c *ConcurrentTuner) ExportSelectorState() ([]byte, error) {
 // as contextual replicas do with the global engine's selector).
 func (c *ConcurrentTuner) RestoreSelectorState(data []byte) error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	sel, ok := c.t.selector.(nominal.Stateful)
 	if !ok {
 		return fmt.Errorf("core: selector %T does not restore state", c.t.selector)
@@ -536,7 +530,7 @@ func (c *ConcurrentTuner) RestoreSelectorState(data []byte) error {
 // selectors that do not implement Decayable.
 func (c *ConcurrentTuner) DecaySelector(keep float64) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	if d, ok := c.t.selector.(nominal.Decayable); ok {
 		d.Decay(keep)
 	}
@@ -548,7 +542,7 @@ func (c *ConcurrentTuner) DecaySelector(keep float64) {
 // No-op without WithCheckpoint.
 func (c *ConcurrentTuner) Checkpoint() error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	if c.t.ckptDir == "" {
 		return nil
 	}
@@ -622,7 +616,7 @@ func (c *ConcurrentTuner) reclaimLocked() {
 // it reclaimed as timeouts.
 func (c *ConcurrentTuner) ReclaimExpired() int {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	before := c.nExpired
 	c.sweepAt = time.Time{} // explicit call: force the scan past the watermark
 	c.reclaimLocked()
@@ -664,6 +658,17 @@ func (c *ConcurrentTuner) finishLocked(l *lease, value float64, fail *guard.Fail
 		spec:   l.trial.Speculative,
 	}, report)
 	c.publishLocked()
+}
+
+// unlock releases the decision mutex after making durable every journal
+// record the operation wrote: one fsync per engine operation, taken
+// before anything the operation acknowledges can reach its caller.
+// Every path that journals — completions, failures, Absorb, sharded
+// folds, and the expiry sweeps Lease, Heartbeat and Alive run — releases
+// the mutex here.
+func (c *ConcurrentTuner) unlock() {
+	c.t.journalSync()
+	c.mu.Unlock()
 }
 
 // publishLocked refreshes the copy-on-write snapshots read lock-free by
@@ -708,7 +713,7 @@ func (c *ConcurrentTuner) Iterations() int { return int(c.iters.Load()) }
 // Stats returns the trial-engine event counters.
 func (c *ConcurrentTuner) Stats() EngineStats {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	return EngineStats{
 		Leased:    c.nLeased,
 		Completed: c.nCompleted,
@@ -722,7 +727,7 @@ func (c *ConcurrentTuner) Stats() EngineStats {
 // InFlight returns the number of currently outstanding leases.
 func (c *ConcurrentTuner) InFlight() int {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	return len(c.leases)
 }
 
@@ -739,21 +744,21 @@ func (c *ConcurrentTuner) Guard() *guard.Guard { return c.t.guard }
 // FailureStats returns the failure counters (see Tuner.FailureStats).
 func (c *ConcurrentTuner) FailureStats() FailureStats {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	return c.t.FailureStats()
 }
 
 // Degraded reports whether the watchdog currently pins the incumbent.
 func (c *ConcurrentTuner) Degraded() bool {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	return c.t.degraded
 }
 
 // History returns the per-iteration records, in completion order.
 func (c *ConcurrentTuner) History() []Record {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	return c.t.History()
 }
 
@@ -761,21 +766,21 @@ func (c *ConcurrentTuner) History() []Record {
 // order (see Tuner.ValuesOf for the WithoutHistory bound).
 func (c *ConcurrentTuner) ValuesOf(algo int) []float64 {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	return c.t.ValuesOf(algo)
 }
 
 // BestConfigOf returns phase one's incumbent for one algorithm.
 func (c *ConcurrentTuner) BestConfigOf(algo int) (param.Config, float64) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	return c.proposers[algo].Best()
 }
 
 // CheckpointErr returns the most recent checkpoint I/O error, or nil.
 func (c *ConcurrentTuner) CheckpointErr() error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	return c.t.ckptErr
 }
 
@@ -786,7 +791,7 @@ func (c *ConcurrentTuner) CheckpointErr() error {
 // switch a *Tuner for a *ConcurrentTuner without other changes.
 func (c *ConcurrentTuner) Next() (algo int, cfg param.Config) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	if c.adapterID != 0 {
 		panic("core: Next called with an observation pending")
 	}
@@ -801,7 +806,7 @@ func (c *ConcurrentTuner) Next() (algo int, cfg param.Config) {
 // Observe completes the adapter trial leased by the preceding Next.
 func (c *ConcurrentTuner) Observe(value float64) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	id := c.adapterID
 	if id == 0 {
 		panic("core: Observe called without a pending Next")
@@ -815,7 +820,7 @@ func (c *ConcurrentTuner) Observe(value float64) {
 // ObserveFailure fails the adapter trial leased by the preceding Next.
 func (c *ConcurrentTuner) ObserveFailure(f guard.Failure) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	id := c.adapterID
 	if id == 0 {
 		panic("core: ObserveFailure called without a pending Next")
@@ -845,7 +850,7 @@ func (c *ConcurrentTuner) Step(m Measure) Record {
 		c.Complete(tr.ID, m(tr.Algo, tr.Config))
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	return Record{
 		Iteration: c.t.Iterations() - 1,
 		Algo:      tr.Algo,

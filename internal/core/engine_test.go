@@ -45,15 +45,32 @@ func newEngine(t *testing.T, seed int64, opts ...Option) *ConcurrentTuner {
 // TestConcurrentTunerStress hammers the engine from 32 goroutines with
 // interleaved lease/complete/fail/expire and asserts that no iteration
 // is lost or double-counted. Run under -race this is the engine's
-// synchronization proof.
+// synchronization proof. The checkpointed case also drives the journal
+// sync on every mutex release, and a rebuild over its directory must
+// come back with every completed, failed and expired trial.
 func TestConcurrentTunerStress(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		name := "in-memory"
+		if durable {
+			name = "checkpointed"
+		}
+		t.Run(name, func(t *testing.T) { stressEngine(t, durable) })
+	}
+}
+
+func stressEngine(t *testing.T, durable bool) {
 	const (
 		workers   = 32
 		perWorker = 100
 		total     = workers * perWorker
 	)
-	ct := newEngine(t, 1, WithLeaseTimeout(40*time.Millisecond))
-
+	opts := []Option{WithLeaseTimeout(40 * time.Millisecond)}
+	var dir string
+	if durable {
+		dir = t.TempDir()
+		opts = append(opts, WithCheckpoint(dir, 50))
+	}
+	ct := newEngine(t, 1, opts...)
 	var wg sync.WaitGroup
 	var abandoned atomic.Int64
 	for w := 0; w < workers; w++ {
@@ -130,6 +147,16 @@ func TestConcurrentTunerStress(t *testing.T) {
 	}
 	if algo, cfg, val := ct.Best(); algo < 0 || cfg == nil || math.IsInf(val, 1) {
 		t.Fatalf("no best after %d trials: (%d, %v, %v)", total, algo, cfg, val)
+	}
+	if !durable {
+		return
+	}
+	if err := ct.CheckpointErr(); err != nil {
+		t.Fatal(err)
+	}
+	re := newEngine(t, 1, WithCheckpoint(dir, 50))
+	if got, want := re.Iterations(), int(st.Completed+st.Failed+st.Expired); got != want {
+		t.Fatalf("rebuilt engine at %d iterations, want completed + failed + expired = %d", got, want)
 	}
 }
 

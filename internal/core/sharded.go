@@ -241,7 +241,7 @@ func newShardedOver(c *ConcurrentTuner, cfg shardConfig) (*ShardedEngine, error)
 	pinAlgo, pinCfg := degradedPinLocked(t)
 	bases, baseVals := proposerBestsLocked(c)
 	driftSeq := t.driftSeq
-	c.mu.Unlock()
+	c.unlock()
 
 	e.shards = make([]*shard, e.n)
 	for i := range e.shards {
@@ -461,11 +461,22 @@ func (s *shard) leaseOneLocked(e *ShardedEngine) Trial {
 // Complete finishes a leased trial: the shard's replica and speculator
 // learn immediately (so the very next local lease benefits), and the
 // observation joins the shard's delta for the next fold. Non-finite
-// values become Invalid failures with the shard's cached penalty.
+// values become Invalid failures with the shard's cached penalty. On a
+// durable engine (WithCheckpoint) the shard folds before Complete
+// returns, so the completion is journaled and synced once acknowledged.
 func (e *ShardedEngine) Complete(id uint64, value float64) error {
 	if e.n == 1 {
 		return e.inner.Complete(id, value)
 	}
+	err := e.complete(id, value)
+	e.settle()
+	return err
+}
+
+// complete records one completion in its shard's delta. It folds a full
+// delta itself only when the engine is not durable; a durable engine's
+// caller folds once, in settle.
+func (e *ShardedEngine) complete(id uint64, value float64) error {
 	s := e.shardOf(id)
 	if s == nil {
 		return ErrUnknownTrial
@@ -491,7 +502,7 @@ func (e *ShardedEngine) Complete(id uint64, value float64) error {
 		obs.value = value
 	}
 	s.recordLocked(e, obs)
-	flush := len(s.delta) >= e.mergeEvery
+	flush := len(s.delta) >= e.mergeEvery && !e.durable()
 	s.mu.Unlock()
 	e.nCompleted.Add(1)
 	if flush {
@@ -502,11 +513,19 @@ func (e *ShardedEngine) Complete(id uint64, value float64) error {
 
 // Fail finishes a leased trial as a measurement failure; the failure's
 // penalty (or the shard's cached one) feeds the replica now and both
-// authoritative phases at the fold.
+// authoritative phases at the fold, which a durable engine runs before
+// Fail returns (see Complete).
 func (e *ShardedEngine) Fail(id uint64, f guard.Failure) error {
 	if e.n == 1 {
 		return e.inner.Fail(id, f)
 	}
+	err := e.fail(id, f)
+	e.settle()
+	return err
+}
+
+// fail is complete for a failure.
+func (e *ShardedEngine) fail(id uint64, f guard.Failure) error {
 	s := e.shardOf(id)
 	if s == nil {
 		return ErrUnknownTrial
@@ -529,7 +548,7 @@ func (e *ShardedEngine) Fail(id uint64, f guard.Failure) error {
 		prop: l.prop, primary: l.primary, pinned: l.trial.Pinned,
 		epoch: l.epoch,
 	})
-	flush := len(s.delta) >= e.mergeEvery
+	flush := len(s.delta) >= e.mergeEvery && !e.durable()
 	s.mu.Unlock()
 	e.nFailed.Add(1)
 	if flush {
@@ -538,28 +557,45 @@ func (e *ShardedEngine) Fail(id uint64, f guard.Failure) error {
 	return nil
 }
 
-// CompleteN finishes a batch, routing each completion to its shard.
+// CompleteN finishes a batch, routing each completion to its shard; a
+// durable engine then folds once, as Complete does.
 func (e *ShardedEngine) CompleteN(results []TrialResult) []error {
 	if e.n == 1 {
 		return e.inner.CompleteN(results)
 	}
 	errs := make([]error, len(results))
 	for i, r := range results {
-		errs[i] = e.Complete(r.ID, r.Value)
+		errs[i] = e.complete(r.ID, r.Value)
 	}
+	e.settle()
 	return errs
 }
 
-// FailN fails a batch, routing each failure to its shard.
+// FailN fails a batch, routing each failure to its shard, with
+// CompleteN's folding.
 func (e *ShardedEngine) FailN(fails []TrialFailure) []error {
 	if e.n == 1 {
 		return e.inner.FailN(fails)
 	}
 	errs := make([]error, len(fails))
 	for i, f := range fails {
-		errs[i] = e.Fail(f.ID, f.Failure)
+		errs[i] = e.fail(f.ID, f.Failure)
 	}
+	e.settle()
 	return errs
+}
+
+// durable reports whether the engine journals (WithCheckpoint).
+func (e *ShardedEngine) durable() bool { return e.inner.t.ckptDir != "" }
+
+// settle ends a completing call. A durable engine acknowledges no
+// completion before it is journaled and synced, so it folds every shard
+// here (a shard with nothing recorded returns without taking the
+// decision mutex); an in-memory engine folds every K (WithMergeEvery).
+func (e *ShardedEngine) settle() {
+	if e.durable() {
+		e.Flush()
+	}
 }
 
 // Heartbeat extends still-outstanding leases and reports liveness,
@@ -628,7 +664,7 @@ func (e *ShardedEngine) Absorb(obs []nominal.Observation) int {
 		}
 		e.log = append(e.log, logObs{arm: int32(o.Arm), shard: -1, value: o.Value})
 	}
-	c.mu.Unlock()
+	c.unlock()
 	e.nAbsorbed.Add(uint64(applied))
 	return applied
 }
@@ -705,9 +741,6 @@ func (e *ShardedEngine) flushShard(s *shard) {
 	c := e.inner
 	t := c.t
 	c.mu.Lock()
-	if t.ckptDir != "" {
-		t.journalBatch = true
-	}
 	for i := range batch {
 		o := &batch[i]
 		if o.epoch != t.driftSeq {
@@ -752,10 +785,6 @@ func (e *ShardedEngine) flushShard(s *shard) {
 			e.log = append(e.log, logObs{arm: int32(o.algo), shard: int32(s.idx), value: o.value})
 		}
 	}
-	if t.journalBatch {
-		t.journalBatch = false
-		t.journalSync()
-	}
 	e.refillPrimariesLocked()
 	c.publishLocked()
 
@@ -791,7 +820,7 @@ func (e *ShardedEngine) flushShard(s *shard) {
 	pen := t.penalty()
 	pinAlgo, pinCfg := degradedPinLocked(t)
 	bases, baseVals := proposerBestsLocked(c)
-	c.mu.Unlock()
+	c.unlock()
 	e.pending.Add(-int64(len(batch)))
 
 	// Rebroadcast: replay the other shards' folded observations into the

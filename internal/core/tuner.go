@@ -135,13 +135,12 @@ type Tuner struct {
 	engineOwned bool
 
 	// Crash-safe persistence (see WithCheckpoint).
-	ckptDir      string
-	ckptEvery    int
-	ckptGen      int // iteration of the current snapshot generation
-	journal      *checkpoint.Journal
-	ckptErr      error
-	replaying    bool
-	journalBatch bool // buffer journal appends; owner calls journalSync per batch
+	ckptDir   string
+	ckptEvery int
+	ckptGen   int // iteration of the current snapshot generation
+	journal   *checkpoint.Journal
+	ckptErr   error
+	replaying bool
 }
 
 // NewTuner creates a two-phase tuner over the given algorithms.
@@ -345,6 +344,7 @@ func (t *Tuner) observe(value float64, fail *guard.Failure) {
 	algo, cfg := t.pendingAlgo, t.pendingCfg
 	t.applyCompletion(completion{algo: algo, cfg: cfg, value: value, fail: fail, pinned: pinned},
 		func(cf param.Config, v float64) { t.strategies[algo].Report(cf, v) })
+	t.journalSync()
 }
 
 // completion describes one finished trial, however it was driven:
