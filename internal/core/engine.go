@@ -106,8 +106,8 @@ type EngineStats struct {
 // Internally one mutex guards the decision state (selector, strategies,
 // counters, checkpoint journal), and it is released only after the
 // journal records a call wrote are synced; Best, Counts and Iterations are
-// lock-free reads of copy-on-write snapshots refreshed at every
-// completion. Phase one is served through a per-algorithm
+// lock-free reads of copy-on-write snapshots refreshed once per
+// operation that changed them. Phase one is served through a per-algorithm
 // search.Proposer, which hands the strategy's genuine proposal to the
 // first taker and incumbent-perturbed speculative configurations to
 // every concurrent one; phase two goes through
@@ -134,6 +134,7 @@ type ConcurrentTuner struct {
 
 	nLeased, nCompleted, nFailed, nExpired, nAbsorbed uint64
 
+	dirty  bool // decision state changed since the last publish
 	best   atomic.Pointer[bestSnap]
 	counts atomic.Pointer[[]int]
 	iters  atomic.Uint64
@@ -485,7 +486,7 @@ func (c *ConcurrentTuner) absorbLocked(obs []nominal.Observation) int {
 		applied++
 	}
 	c.nAbsorbed += uint64(applied)
-	c.publishLocked()
+	c.dirty = true
 	return applied
 }
 
@@ -517,7 +518,7 @@ func (c *ConcurrentTuner) RestoreSelectorState(data []byte) error {
 	if err := sel.Restore(data); err != nil {
 		return err
 	}
-	c.publishLocked()
+	c.dirty = true
 	return nil
 }
 
@@ -534,7 +535,7 @@ func (c *ConcurrentTuner) DecaySelector(keep float64) {
 	if d, ok := c.t.selector.(nominal.Decayable); ok {
 		d.Decay(keep)
 	}
-	c.publishLocked()
+	c.dirty = true
 }
 
 // Checkpoint forces a snapshot of the current state, rotating the
@@ -624,8 +625,8 @@ func (c *ConcurrentTuner) ReclaimExpired() int {
 }
 
 // finishLocked routes one taken lease through the shared completion
-// path and refreshes the lock-free snapshots. A lease older than the
-// current drift epoch is discarded instead: its measurement belongs to
+// path and marks the lock-free snapshots for refresh. A lease older than
+// the current drift epoch is discarded instead: its measurement belongs to
 // the regime whose evidence the reset dropped, and folding it in would
 // re-poison the decayed selector (a single stale best-value record
 // re-enthrones the dethroned incumbent). Phase one is still unblocked —
@@ -657,25 +658,32 @@ func (c *ConcurrentTuner) finishLocked(l *lease, value float64, fail *guard.Fail
 		trial:  l.trial.ID,
 		spec:   l.trial.Speculative,
 	}, report)
-	c.publishLocked()
+	c.dirty = true
 }
 
 // unlock releases the decision mutex after making durable every journal
-// record the operation wrote: one fsync per engine operation, taken
-// before anything the operation acknowledges can reach its caller.
-// Every path that journals — completions, failures, Absorb, sharded
-// folds, and the expiry sweeps Lease, Heartbeat and Alive run — releases
-// the mutex here.
+// record the operation wrote and publishing the snapshots it changed:
+// one fsync and one publish per engine operation, both before anything
+// the operation acknowledges can reach its caller. Every path that
+// journals or marks the snapshots dirty — completions, failures, Absorb,
+// sharded folds, and the expiry sweeps Lease, Heartbeat and Alive run —
+// releases the mutex here.
 func (c *ConcurrentTuner) unlock() {
 	c.t.journalSync()
+	if c.dirty {
+		c.publishLocked()
+		c.dirty = false
+	}
 	c.mu.Unlock()
 }
 
 // publishLocked refreshes the copy-on-write snapshots read lock-free by
-// Best, Counts and Iterations.
+// Best, Counts and Iterations. Engine operations do not call it
+// directly: they set dirty, and unlock publishes once per operation.
 func (c *ConcurrentTuner) publishLocked() {
 	t := c.t
-	if t.bestAlgo >= 0 {
+	// Most operations leave the best where it was; keep its snapshot.
+	if b := c.best.Load(); t.bestAlgo >= 0 && (b == nil || b.algo != t.bestAlgo || b.val != t.bestVal || !b.cfg.Equal(t.bestCfg)) {
 		c.best.Store(&bestSnap{algo: t.bestAlgo, cfg: t.bestCfg.Clone(), val: t.bestVal})
 	}
 	counts := make([]int, len(t.counts))

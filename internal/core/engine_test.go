@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -359,5 +360,78 @@ func TestSpeculativeLeasesMarked(t *testing.T) {
 	}
 	if _, _, v := ct.Best(); v != 0.25 {
 		t.Fatalf("global best = %v, want the speculative 0.25", v)
+	}
+}
+
+// TestSnapshotsExactAfterEachOperation checks that the lock-free reads
+// match the decision state as soon as each call returns, although the
+// snapshots are published once per operation rather than per
+// completion: a 16-trial CompleteN, a FailN, an Absorb and an expiry
+// sweep each leave Best, Counts and Iterations exact. A completion that
+// leaves the best where it was keeps the best snapshot.
+func TestSnapshotsExactAfterEachOperation(t *testing.T) {
+	ct := newEngine(t, 5, WithLeaseTimeout(time.Second))
+	now := time.Unix(1000, 0)
+	ct.now = func() time.Time { return now }
+	check := func(op string) {
+		t.Helper()
+		ct.mu.Lock()
+		algo, cfg, val := ct.t.bestAlgo, ct.t.bestCfg.Clone(), ct.t.bestVal
+		counts := append([]int(nil), ct.t.counts...)
+		iters := ct.t.Iterations()
+		ct.mu.Unlock()
+		if gAlgo, gCfg, gVal := ct.Best(); gAlgo != algo || gVal != val || !gCfg.Equal(cfg) {
+			t.Fatalf("after %s: Best() = (%d, %v, %g), state holds (%d, %v, %g)", op, gAlgo, gCfg, gVal, algo, cfg, val)
+		}
+		if got := ct.Counts(); !slices.Equal(got, counts) {
+			t.Fatalf("after %s: Counts() = %v, state holds %v", op, got, counts)
+		}
+		if got := ct.Iterations(); got != iters {
+			t.Fatalf("after %s: Iterations() = %d, state holds %d", op, got, iters)
+		}
+	}
+
+	trials, err := ct.LeaseN(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make([]TrialResult, len(trials))
+	for i, tr := range trials {
+		results[i] = TrialResult{ID: tr.ID, Value: engineMeasure(tr.Algo, tr.Config)}
+	}
+	ct.CompleteN(results)
+	check("CompleteN")
+
+	if trials, err = ct.LeaseN(4); err != nil {
+		t.Fatal(err)
+	}
+	fails := make([]TrialFailure, len(trials))
+	for i, tr := range trials {
+		fails[i] = TrialFailure{ID: tr.ID, Failure: guard.Failure{Kind: guard.Panic}}
+	}
+	ct.FailN(fails)
+	check("FailN")
+
+	ct.Absorb([]nominal.Observation{{Arm: 0, Value: 1}, {Arm: 3, Value: 2}})
+	check("Absorb")
+
+	if _, err := ct.LeaseN(2); err != nil {
+		t.Fatal(err)
+	}
+	now = now.Add(2 * time.Second)
+	if n := ct.ReclaimExpired(); n != 2 {
+		t.Fatalf("reclaimed %d, want 2", n)
+	}
+	check("expiry sweep")
+
+	before := ct.best.Load()
+	tr, err := ct.Lease()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct.CompleteN([]TrialResult{{ID: tr.ID, Value: 1e9}})
+	check("a completion worse than the best")
+	if ct.best.Load() != before {
+		t.Fatal("a completion that left the best unchanged replaced its snapshot")
 	}
 }

@@ -786,7 +786,7 @@ func (e *ShardedEngine) flushShard(s *shard) {
 		}
 	}
 	e.refillPrimariesLocked()
-	c.publishLocked()
+	c.dirty = true
 
 	// Snapshot the merged state for the rebroadcast: copy the catch-up
 	// slice out (compaction may shift the live log), advance the synced

@@ -26,9 +26,11 @@ const (
 	DefaultBackoffMax     = time.Second
 
 	// DefaultPipelineWindow is the in-flight request window WithPipeline
-	// uses when given a non-positive value. It matches the server's own
-	// pipelineWindow so one client can saturate its connection without
-	// tripping the server's protection limit.
+	// uses when given a non-positive value. The server serves a
+	// connection's requests one after another on its read loop and
+	// answers in request order, so the window only bounds how many
+	// requests may queue behind the one in service; 32 keeps the
+	// connection busy while a reply is on its way back.
 	DefaultPipelineWindow = 32
 )
 

@@ -233,70 +233,39 @@ type tenantRT struct {
 // spoke (every reply frame is stamped with it, so a v1 decoder never
 // sees a frame it refuses), the tenant it was routed to, the shard its
 // leases are pinned to, and the lease ledger backing the session cap.
-// A v3 session serves pipelined requests on concurrent goroutines, so
-// the ledger is locked and reply writes echo each request's correlation
-// ID; pre-v3 sessions run strict lockstep with corr 0 throughout.
+// The connection's read loop is the only goroutine that touches a
+// session, so nothing in it is locked, and the decode targets and reply
+// scratch below serve every request in turn: the packed decoders reset
+// every field and reuse their slices, and no engine keeps a request or
+// reply slice past the call.
 type session struct {
-	proto byte
-	rt    *tenantRT
-	shard int
-
-	wmu         sync.Mutex    // serializes buffered reply writes
-	bw          *bufio.Writer // reply buffer over the connection
-	outstanding atomic.Int32  // requests dispatched but not yet replied
-
-	mu     sync.Mutex
+	proto  byte
+	rt     *tenantRT
+	shard  int
+	bw     *bufio.Writer       // reply buffer over the connection
 	leased map[uint64]struct{} // lease IDs issued to this connection
+
+	leaseReq    wire.PackedLeaseReq
+	completeReq wire.PackedCompleteReq
+	failReq     wire.PackedFailReq
+	trials      wire.PackedTrials
+	ack         wire.PackedAck
+	results     []core.TrialResult
 }
 
 // reply buffers one reply frame at the session's protocol version —
 // a packed trial message travels as its JSON twin below v3 — echoing
-// the request's correlation ID, and flushes only when no other
-// dispatched request remains unanswered — so a burst of pipelined
-// requests costs one write syscall, not one per reply. The write mutex
-// keeps pipelined replies from interleaving mid-frame.
+// the request's correlation ID. The read loop flushes the buffer.
 func (sess *session) reply(typ wire.Type, corr uint16, p wire.Payload) error {
 	typ = typ.ForVersion(sess.proto)
-	sess.wmu.Lock()
-	defer sess.wmu.Unlock()
-	err := wire.WriteFrame(sess.bw, sess.proto, typ, corr, wire.Codec(typ, p))
-	if sess.outstanding.Add(-1) > 0 {
-		return err
-	}
-	if ferr := sess.bw.Flush(); err == nil {
-		err = ferr
-	}
-	return err
+	return wire.WriteFrame(sess.bw, sess.proto, typ, corr, wire.Codec(typ, p))
 }
 
-// write is reply for frames outside the request/reply ledger — the
-// handshake and abort paths — balancing the counter itself so the
-// frame flushes immediately.
-func (sess *session) write(typ wire.Type, corr uint16, p wire.Payload) error {
-	sess.outstanding.Add(1)
-	return sess.reply(typ, corr, p)
-}
-
-// holdCount returns the size of the session's lease ledger.
-func (sess *session) holdCount() int {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	return len(sess.leased)
-}
-
-// track records issued leases; untrack clears reported ones.
-func (sess *session) track(ids []core.Trial) {
-	sess.mu.Lock()
-	for _, tr := range ids {
-		sess.leased[tr.ID] = struct{}{}
-	}
-	sess.mu.Unlock()
-}
-
-func (sess *session) untrack(id uint64) {
-	sess.mu.Lock()
-	delete(sess.leased, id)
-	sess.mu.Unlock()
+// resetAck empties the session's reusable ack.
+func (sess *session) resetAck() *wire.PackedAck {
+	ack := &sess.ack
+	ack.Applied, ack.Dropped = ack.Applied[:0], ack.Dropped[:0]
+	return ack
 }
 
 // prune drops ledger entries the engine no longer considers live
@@ -304,24 +273,18 @@ func (sess *session) untrack(id uint64) {
 // deadlines, so a session that abandons leases gets its quota back as
 // the engine reclaims them.
 func (sess *session) prune(eng Engine) {
-	sess.mu.Lock()
 	if len(sess.leased) == 0 {
-		sess.mu.Unlock()
 		return
 	}
 	ids := make([]uint64, 0, len(sess.leased))
 	for id := range sess.leased {
 		ids = append(ids, id)
 	}
-	sess.mu.Unlock()
-	alive := eng.Alive(ids)
-	sess.mu.Lock()
-	for i, ok := range alive {
+	for i, ok := range eng.Alive(ids) {
 		if !ok {
 			delete(sess.leased, ids[i])
 		}
 	}
-	sess.mu.Unlock()
 }
 
 // loadRetryMS derives the busy-response retry hint from current load:
@@ -589,85 +552,69 @@ func (s *Server) inFlightAll() int {
 	return s.eng.Stats().InFlight
 }
 
-// pipelineWindow bounds the requests one v3 connection may have in
-// service concurrently. It is a server-protection limit, not a promise:
-// the client's own window is what paces the wire.
-const pipelineWindow = 64
-
-// handle runs one connection: handshake, then the request loop. On a
-// sharded engine the session is pinned to one shard, assigned
+// handle runs one connection: handshake, then the request loop, which
+// serves every request inline, whatever the protocol version, so replies
+// leave in request order (echoing each request's correlation ID, 0
+// before v3). All of a session's requests meet on one engine's decision
+// mutex anyway; serving them concurrently would buy goroutine and
+// stack-growth cost, not throughput. A slow request (a tenant warm
+// restart, a journal fsync) delays only the requests queued behind it on
+// this connection.
+//
+// Replies buffer, and the loop flushes them before any read that could
+// block: while the read buffer still holds a whole request frame it
+// serves that first, so a pipelined burst costs one write syscall, and a
+// half-arrived frame never holds back the replies already computed.
+//
+// On a sharded engine the session is pinned to one shard, assigned
 // round-robin across the tenant's connections, so all its leases come
 // from one selector replica.
-//
-// Pre-v3 sessions run request/response lockstep on this goroutine. A
-// v3 session pipelines: the loop decodes each request synchronously
-// (the frame buffer is reused, so payload bytes never outlive one
-// iteration) and serves it on its own goroutine, replies stamped with
-// the request's correlation ID in whatever order the engine finishes.
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, 64<<10)
-	sess := s.handshake(conn, br)
+	bw := bufio.NewWriterSize(conn, 64<<10)
+	defer bw.Flush() // the last reply: a handshake refusal or an abort
+	sess := s.handshake(br, bw)
 	if sess == nil {
 		return
 	}
 	sess.rt.sessions.Add(1)
 	defer sess.rt.sessions.Add(-1)
-	var (
-		buf []byte
-		sem chan struct{}
-		wg  sync.WaitGroup
-	)
-	if sess.proto >= 3 {
-		sem = make(chan struct{}, pipelineWindow)
-		defer wg.Wait()
-	}
+	var buf []byte
 	for {
+		if !wire.FrameBuffered(br) && bw.Flush() != nil {
+			return
+		}
 		typ, corr, payload, nbuf, err := wire.ReadFrameBuf(br, buf)
 		if err != nil {
 			return // disconnect, or a frame this protocol can't resync from
 		}
 		buf = nbuf
-		req, err := decodeReq(typ, payload)
+		req, err := sess.decode(typ, payload)
 		if err != nil {
-			sess.write(wire.TError, corr, &wire.ErrorResp{Code: wire.CodeBadRequest, Msg: err.Error()})
+			sess.reply(wire.TError, corr, &wire.ErrorResp{Code: wire.CodeBadRequest, Msg: err.Error()})
 			return
 		}
-		sess.outstanding.Add(1)
-		if sem == nil {
-			if !s.serveReq(sess, typ, corr, req) {
-				return
-			}
-			continue
+		if !s.serveReq(sess, typ, corr, req) {
+			return
 		}
-		sem <- struct{}{}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if !s.serveReq(sess, typ, corr, req) {
-				// The request loop notices the close on its next read.
-				conn.Close()
-			}
-		}()
 	}
 }
 
-// decodeReq parses a request frame's payload into its typed message;
-// trial requests decode into their packed form whatever the frame's
-// encoding. Decoding happens on the read loop — the payload aliases a
-// reused frame buffer, so it must not escape to a service goroutine.
-// Bodyless requests and unknown types return (nil, nil); serveReq
-// rejects the latter.
-func decodeReq(typ wire.Type, payload []byte) (wire.Payload, error) {
+// decode parses a request frame's payload into its typed message; trial
+// requests decode into the session's packed targets whatever the frame's
+// encoding. The payload aliases the read loop's reused frame buffer, and
+// the targets are overwritten by the next request. Bodyless requests and
+// unknown types return (nil, nil); serveReq rejects the latter.
+func (sess *session) decode(typ wire.Type, payload []byte) (wire.Payload, error) {
 	var req wire.Payload
 	switch typ.Canonical() {
 	case wire.TLeaseP:
-		req = &wire.PackedLeaseReq{}
+		req = &sess.leaseReq
 	case wire.TCompleteP:
-		req = &wire.PackedCompleteReq{}
+		req = &sess.completeReq
 	case wire.TFailP:
-		req = &wire.PackedFailReq{}
+		req = &sess.failReq
 	case wire.TAbsorb:
 		req = &wire.AbsorbReq{}
 	case wire.TCalibrate:
@@ -688,28 +635,28 @@ func decodeReq(typ wire.Type, payload []byte) (wire.Payload, error) {
 // established session, or nil when the connection must not proceed.
 // Error frames before the client's version is known are stamped v1 —
 // the one version every decoder accepts.
-func (s *Server) handshake(conn net.Conn, br *bufio.Reader) *session {
+func (s *Server) handshake(br *bufio.Reader, bw *bufio.Writer) *session {
 	typ, payload, err := wire.ReadFrame(br)
 	if err != nil {
 		return nil
 	}
 	if typ != wire.THello {
-		wire.WriteMsgV(conn, 1, wire.TError, &wire.ErrorResp{Code: wire.CodeBadRequest, Msg: "expected hello"})
+		wire.WriteMsgV(bw, 1, wire.TError, &wire.ErrorResp{Code: wire.CodeBadRequest, Msg: "expected hello"})
 		return nil
 	}
 	var h wire.Hello
 	if err := h.DecodeFrom(payload); err != nil {
-		wire.WriteMsgV(conn, 1, wire.TError, &wire.ErrorResp{Code: wire.CodeBadRequest, Msg: err.Error()})
+		wire.WriteMsgV(bw, 1, wire.TError, &wire.ErrorResp{Code: wire.CodeBadRequest, Msg: err.Error()})
 		return nil
 	}
 	if h.Proto < 1 || h.Proto > wire.Version {
-		wire.WriteMsgV(conn, 1, wire.TError, &wire.ErrorResp{
+		wire.WriteMsgV(bw, 1, wire.TError, &wire.ErrorResp{
 			Code: wire.CodeBadRequest, Msg: fmt.Sprintf("protocol version %d, server speaks 1..%d", h.Proto, wire.Version)})
 		return nil
 	}
 	sess := &session{
 		proto:  byte(h.Proto),
-		bw:     bufio.NewWriterSize(conn, 64<<10),
+		bw:     bw,
 		leased: make(map[uint64]struct{}),
 	}
 	name := h.Tenant
@@ -719,7 +666,7 @@ func (s *Server) handshake(conn net.Conn, br *bufio.Reader) *session {
 	}
 	if s.reg == nil {
 		if name != tenant.DefaultName {
-			sess.write(wire.TError, 0, &wire.ErrorResp{
+			sess.reply(wire.TError, 0, &wire.ErrorResp{
 				Code: wire.CodeUnknownTenant, Msg: fmt.Sprintf("unknown tenant %q (single-tenant server)", name)})
 			return nil
 		}
@@ -727,21 +674,21 @@ func (s *Server) handshake(conn net.Conn, br *bufio.Reader) *session {
 	} else {
 		t := s.reg.Tenant(name)
 		if t == nil {
-			sess.write(wire.TError, 0, &wire.ErrorResp{
+			sess.reply(wire.TError, 0, &wire.ErrorResp{
 				Code: wire.CodeUnknownTenant, Msg: fmt.Sprintf("unknown tenant %q", name)})
 			return nil
 		}
 		sess.rt = s.rtFor(t)
 	}
 	if h.Hash != 0 && h.Hash != sess.rt.hash {
-		sess.write(wire.TError, 0, &wire.ErrorResp{
+		sess.reply(wire.TError, 0, &wire.ErrorResp{
 			Code: wire.CodeConfigMismatch,
 			Msg:  fmt.Sprintf("config hash %08x, tenant %s runs %08x", h.Hash, name, sess.rt.hash)})
 		return nil
 	}
 	eng, release, err := sess.rt.acquire()
 	if err != nil {
-		sess.write(wire.TError, 0, &wire.ErrorResp{Code: wire.CodeInternal, Msg: err.Error()})
+		sess.reply(wire.TError, 0, &wire.ErrorResp{Code: wire.CodeInternal, Msg: err.Error()})
 		return nil
 	}
 	defer release()
@@ -761,7 +708,7 @@ func (s *Server) handshake(conn net.Conn, br *bufio.Reader) *session {
 		RefAlgo:    s.refAlgoFor(eng),
 		Tenant:     name,
 	}
-	if sess.write(wire.THelloAck, 0, &ack) != nil {
+	if sess.reply(wire.THelloAck, 0, &ack) != nil {
 		return nil
 	}
 	return sess
@@ -776,11 +723,10 @@ func (s *Server) refAlgoFor(eng Engine) int {
 	return 0
 }
 
-// serveReq serves one decoded request against the session's tenant
-// engine — acquired per request, so the registry may spill the tenant
-// between requests — reporting whether the connection should stay open.
-// On a v3 session it runs on a per-request goroutine with corr echoing
-// the request frame; pre-v3 it runs lockstep on the read loop (corr 0).
+// serveReq serves one decoded request on the session's read loop
+// against the session's tenant engine — acquired per request, so the
+// registry may spill the tenant between requests — and buffers its reply
+// echoing corr. It reports whether the connection should stay open.
 func (s *Server) serveReq(sess *session, typ wire.Type, corr uint16, req wire.Payload) bool {
 	if typ == wire.TTenants {
 		// The aggregate view needs no engine (and must not force one
@@ -843,10 +789,10 @@ func (s *Server) lease(sess *session, eng Engine, n int, features []float64, res
 	// answer with an empty busy response whose RetryMS grows with load,
 	// so backoff pressure rises before the engine's own hard limit
 	// (core.ErrTooManyInFlight) is ever reached.
-	held := sess.holdCount()
+	held := len(sess.leased)
 	if s.sessionCap > 0 && held >= s.sessionCap {
 		sess.prune(eng)
-		held = sess.holdCount()
+		held = len(sess.leased)
 	}
 	inFlight := 0
 	if s.sessionCap > 0 || s.globalCap > 0 {
@@ -905,9 +851,8 @@ func (s *Server) lease(sess *session, eng Engine, n int, features []float64, res
 	case err != nil:
 		return err
 	}
-	sess.track(trials)
-	resp.Trials = make([]wire.PackedTrial, len(trials))
-	for i, tr := range trials {
+	for _, tr := range trials {
+		sess.leased[tr.ID] = struct{}{}
 		pt := wire.PackedTrial{
 			ID:          tr.ID,
 			Algo:        tr.Algo,
@@ -918,18 +863,19 @@ func (s *Server) lease(sess *session, eng Engine, n int, features []float64, res
 		if !tr.Deadline.IsZero() {
 			pt.DeadlineMS = tr.Deadline.UnixMilli()
 		}
-		resp.Trials[i] = pt
+		resp.Trials = append(resp.Trials, pt)
 	}
 	return nil
 }
 
 func (s *Server) serveLease(sess *session, eng Engine, corr uint16, req *wire.PackedLeaseReq) bool {
-	resp := wire.PackedTrials{Epoch: sess.rt.epoch}
-	if err := s.lease(sess, eng, req.N, req.Features, &resp); err != nil {
+	resp := &sess.trials
+	*resp = wire.PackedTrials{Epoch: sess.rt.epoch, Trials: resp.Trials[:0]}
+	if err := s.lease(sess, eng, req.N, req.Features, resp); err != nil {
 		sess.reply(wire.TError, corr, &wire.ErrorResp{Code: wire.CodeInternal, Msg: err.Error()})
 		return false
 	}
-	return sess.reply(wire.TTrialsP, corr, &resp) == nil
+	return sess.reply(wire.TTrialsP, corr, resp) == nil
 }
 
 // serveComplete applies a completion batch. Reports from another epoch
@@ -938,19 +884,20 @@ func (s *Server) serveLease(sess *session, eng Engine, corr uint16, req *wire.Pa
 // acknowledged, never applied. Tenant epochs are unique within a
 // process, so a report carried across tenants always fails this check.
 func (s *Server) serveComplete(sess *session, eng Engine, corr uint16, req *wire.PackedCompleteReq) bool {
-	var ack wire.PackedAck
+	ack := sess.resetAck()
 	if req.Epoch != sess.rt.epoch {
 		for _, r := range req.Results {
 			ack.Dropped = append(ack.Dropped, r.ID)
 		}
-		return sess.reply(wire.TAckP, corr, &ack) == nil
+		return sess.reply(wire.TAckP, corr, ack) == nil
 	}
 	factor := sess.rt.factorFor(req.Worker)
-	results := make([]core.TrialResult, len(req.Results))
-	for i, r := range req.Results {
-		results[i] = core.TrialResult{ID: r.ID, Value: r.Value / factor}
-		sess.untrack(r.ID)
+	results := sess.results[:0]
+	for _, r := range req.Results {
+		results = append(results, core.TrialResult{ID: r.ID, Value: r.Value / factor})
+		delete(sess.leased, r.ID)
 	}
+	sess.results = results
 	for i, err := range eng.CompleteN(results) {
 		if err == nil {
 			ack.Applied = append(ack.Applied, results[i].ID)
@@ -958,7 +905,7 @@ func (s *Server) serveComplete(sess *session, eng Engine, corr uint16, req *wire
 			ack.Dropped = append(ack.Dropped, results[i].ID)
 		}
 	}
-	return sess.reply(wire.TAckP, corr, &ack) == nil
+	return sess.reply(wire.TAckP, corr, ack) == nil
 }
 
 // failKindOf maps a packed failure kind byte onto guard's taxonomy;
@@ -977,16 +924,16 @@ func failKindOf(kind uint8) guard.Kind {
 // serveFail applies a failure batch under the same epoch gate as
 // serveComplete.
 func (s *Server) serveFail(sess *session, eng Engine, corr uint16, req *wire.PackedFailReq) bool {
-	var ack wire.PackedAck
+	ack := sess.resetAck()
 	if req.Epoch != sess.rt.epoch {
 		for _, f := range req.Fails {
 			ack.Dropped = append(ack.Dropped, f.ID)
 		}
-		return sess.reply(wire.TAckP, corr, &ack) == nil
+		return sess.reply(wire.TAckP, corr, ack) == nil
 	}
 	fails := make([]core.TrialFailure, len(req.Fails))
 	for i, f := range req.Fails {
-		sess.untrack(f.ID)
+		delete(sess.leased, f.ID)
 		fails[i] = core.TrialFailure{ID: f.ID, Failure: guard.Failure{
 			Kind:    failKindOf(f.Kind),
 			Err:     errors.New(f.Msg),
@@ -1000,7 +947,7 @@ func (s *Server) serveFail(sess *session, eng Engine, corr uint16, req *wire.Pac
 			ack.Dropped = append(ack.Dropped, fails[i].ID)
 		}
 	}
-	return sess.reply(wire.TAckP, corr, &ack) == nil
+	return sess.reply(wire.TAckP, corr, ack) == nil
 }
 
 func (s *Server) serveHeartbeat(sess *session, eng Engine, corr uint16, req *wire.HeartbeatReq) bool {

@@ -42,6 +42,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -363,6 +364,19 @@ func WriteFrame(w io.Writer, version byte, typ Type, corr uint16, p Payload) err
 func ReadFrame(r io.Reader) (Type, []byte, error) {
 	typ, _, payload, _, err := ReadFrameBuf(r, nil)
 	return typ, payload, err
+}
+
+// FrameBuffered reports whether br already holds one whole frame — the
+// header and the payload length it announces — so reading that frame
+// cannot block. A responder that buffers its replies flushes them
+// before any read for which this is false.
+func FrameBuffered(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n < HeaderSize {
+		return false
+	}
+	hdr, _ := br.Peek(HeaderSize) // cannot fail: n ≥ HeaderSize bytes are buffered
+	return uint64(n) >= HeaderSize+uint64(binary.BigEndian.Uint32(hdr[8:12]))
 }
 
 // ReadFrameBuf reads and validates one frame from r into buf, growing

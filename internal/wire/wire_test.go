@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
@@ -8,6 +9,7 @@ import (
 	"io"
 	"reflect"
 	"testing"
+	"testing/iotest"
 )
 
 func TestRoundTrip(t *testing.T) {
@@ -247,5 +249,24 @@ func TestEncodeRejectsBadType(t *testing.T) {
 	}
 	if _, err := Encode(numTypes, nil); !errors.Is(err, ErrBadType) {
 		t.Fatalf("Encode(numTypes) = %v", err)
+	}
+}
+
+// TestFrameBuffered feeds a frame to a bufio.Reader one byte at a time:
+// only once the header and every payload byte it announces are buffered
+// may the reader call the frame complete.
+func TestFrameBuffered(t *testing.T) {
+	frame, err := Encode(TLeaseN, &LeaseNReq{N: 4, Features: []float64{1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(iotest.OneByteReader(bytes.NewReader(frame)))
+	for i := range frame {
+		if _, err := br.Peek(i + 1); err != nil { // buffers exactly one more byte
+			t.Fatal(err)
+		}
+		if got, want := FrameBuffered(br), i == len(frame)-1; got != want {
+			t.Fatalf("%d of %d bytes buffered: FrameBuffered = %v, want %v", i+1, len(frame), got, want)
+		}
 	}
 }
