@@ -8,10 +8,13 @@
 // position — and is written atomically (temp file in the same directory,
 // fsync, rename), so a crash mid-write can never destroy the previous
 // snapshot. Between snapshots every completed iteration is appended to a
-// line-delimited journal, and the records an operation wrote are fsynced
-// together before it returns, so on restart the journal can be replayed
-// through the tuner's normal Observe/ObserveFailure path and only the
-// records of an operation still in flight at the crash can be lost.
+// line-delimited journal. Appending only encodes the record into the
+// journal's buffer (by hand, byte-identical to its json.Marshal form);
+// the records an operation buffered reach the file in one write and are
+// fsynced together before it returns, so on restart the journal can be
+// replayed through the tuner's normal Observe/ObserveFailure path and
+// only the records of an operation still in flight at the crash can be
+// lost — any prefix of them may survive.
 //
 // Corruption is expected, not exceptional: every snapshot carries a
 // CRC32 over its payload and every journal line a CRC32 over its record,
@@ -38,16 +41,38 @@ type F float64
 
 // MarshalJSON encodes non-finite values as strings.
 func (f F) MarshalJSON() ([]byte, error) {
+	var buf [32]byte
+	return AppendF(buf[:0], f), nil
+}
+
+// AppendF appends the JSON encoding of f to dst: the strings "NaN",
+// "+Inf" and "-Inf" for non-finite values, and otherwise exactly the
+// bytes encoding/json writes for a float64 — shortest round-trip digits,
+// exponent form below 1e-6 and from 1e21 up, no zero-padded exponent.
+func AppendF(dst []byte, f F) []byte {
 	v := float64(f)
 	switch {
 	case math.IsNaN(v):
-		return []byte(`"NaN"`), nil
+		return append(dst, `"NaN"`...)
 	case math.IsInf(v, 1):
-		return []byte(`"+Inf"`), nil
+		return append(dst, `"+Inf"`...)
 	case math.IsInf(v, -1):
-		return []byte(`"-Inf"`), nil
+		return append(dst, `"-Inf"`...)
 	}
-	return json.Marshal(v)
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, v, format, -1, 64)
+	if format == 'e' {
+		// encoding/json writes e-7, not e-07.
+		n := len(dst)
+		if n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst
 }
 
 // UnmarshalJSON accepts numbers and the three non-finite strings.
@@ -107,14 +132,18 @@ func Unfloats(xs []F) []float64 {
 // (rename is only atomic within a filesystem), is fsynced, and is
 // renamed over the target. The directory is fsynced afterwards so the
 // rename itself survives a crash.
-func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
+func WriteFileAtomic(path string, data []byte, perm os.FileMode) (err error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
 	tmpName := tmp.Name()
-	defer os.Remove(tmpName) // no-op after a successful rename
+	defer func() {
+		if err != nil {
+			os.Remove(tmpName) // renamed away on success
+		}
+	}()
 
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()

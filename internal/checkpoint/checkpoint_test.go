@@ -1,7 +1,11 @@
 package checkpoint
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -86,6 +90,52 @@ func TestSnapshotEncodeDecode(t *testing.T) {
 	}
 	if _, err := EncodeSnapshot([]byte(`{"un终`)); err == nil {
 		t.Error("encoding invalid JSON succeeded")
+	}
+}
+
+// TestSnapshotRoundTripsAnyJSON: whatever valid JSON goes in comes back
+// out of DecodeSnapshot, checksum intact — whitespace and characters
+// json.Marshal would HTML-escape included — less only the whitespace
+// around it.
+func TestSnapshotRoundTripsAnyJSON(t *testing.T) {
+	for _, c := range []struct{ in, want string }{
+		{`{"a": 1}`, `{"a": 1}`},
+		{`{"s":"<b>&amp;</b>"}`, `{"s":"<b>&amp;</b>"}`},
+		{"\n [1,\t2] \r\n", `[1,	2]`},
+		{`"\u2028"`, `"\u2028"`},
+	} {
+		data, err := EncodeSnapshot([]byte(c.in))
+		if err != nil {
+			t.Fatalf("encode %q: %v", c.in, err)
+		}
+		got, err := DecodeSnapshot(data)
+		if err != nil {
+			t.Fatalf("decode the frame of %q: %v", c.in, err)
+		}
+		if string(got) != c.want {
+			t.Errorf("%q round-tripped to %q, want %q", c.in, got, c.want)
+		}
+	}
+}
+
+// TestSnapshotFrameMatchesJSON: for a json.Marshal payload the frame is
+// byte-identical to json.Marshal of the envelope, the form snapshots
+// have always been written in.
+func TestSnapshotFrameMatchesJSON(t *testing.T) {
+	payload, err := json.Marshal(map[string]any{"best": F(math.Inf(1)), "name": "<a&b>", "v": []F{0.5, 1e-9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := EncodeSnapshot(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(envelope{Version: Version, CRC32: crc32.ChecksumIEEE(payload), Payload: payload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("frame\n%s\nwant\n%s", got, want)
 	}
 }
 
@@ -340,4 +390,184 @@ func FuzzSnapshotDecode(f *testing.F) {
 			t.Fatalf("payload changed across re-encode: %s vs %s", payload, back)
 		}
 	})
+}
+
+// recordCases covers every branch of appendRecord: non-finite floats,
+// both exponent cutoffs, nil and empty Config, names that need
+// escaping, and every omitempty field, drift sentinels included.
+var recordCases = []Record{
+	{},
+	{Iter: 3, Algo: "a", Config: []F{}, Value: 1},
+	{Iter: 4, Algo: "b", Config: []F{F(math.NaN()), F(math.Inf(1)), F(math.Inf(-1))}, Value: F(math.NaN())},
+	{Iter: 5, Algo: "c", Config: []F{1e-6, 9.99e-7, 1e-7, 5e-324, -1e-7, 1.5e-300}, Value: F(math.Inf(-1))},
+	{Iter: 6, Algo: "d", Config: []F{1e20, 1e21, 123456789e15, -1e21, math.MaxFloat64, 0.1, -0.0}, Value: F(math.Copysign(0, -1))},
+	{Iter: -7, Algo: "quote\" back\\ slash", Value: 2.5},
+	{Iter: 8, Algo: "<script>&amp;</script>", Value: 3},
+	{Iter: 9, Algo: "\x00\x01\b\f\n\r\t\x1f\x7f", Value: 4},
+	{Iter: 10, Algo: "bad utf8 \xff\xfe, cut \xe2\x82, line\u2028para\u2029", Value: 5},
+	{Iter: 11, Algo: "héllo, 世界 🙂", Value: 6},
+	{Iter: math.MaxInt64, Algo: "plain", Config: []F{1, 2}, Value: 3.5, FailKind: "timeout",
+		Trial: math.MaxUint64, Spec: true, Pinned: true},
+	{Iter: 12, Drift: DriftRefork, DriftSeq: 2, DriftArm: -1, DriftKeep: 0.25, DriftProbes: 4, DriftP1: true},
+	{Iter: 13, Drift: DriftDecay, DriftSeq: 1, DriftArm: 2, DriftKeep: F(math.NaN())},
+	{Iter: 14, Drift: DriftDecay, DriftKeep: F(math.Copysign(0, -1))},
+}
+
+// TestAppendRecordMatchesJSON: the hand-written record encoder writes
+// exactly what json.Marshal writes, and its journal line reads back.
+func TestAppendRecordMatchesJSON(t *testing.T) {
+	for i, r := range recordCases {
+		checkRecordEncoding(t, fmt.Sprintf("case %d", i), r)
+	}
+	// Every field set, found by reflection, so a field added to Record
+	// but not to appendRecord fails here.
+	var all Record
+	v := reflect.ValueOf(&all).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(i + 1))
+		case reflect.Uint64:
+			f.SetUint(uint64(i + 1))
+		case reflect.Float64:
+			f.SetFloat(float64(i) + 0.5)
+		case reflect.String:
+			f.SetString(fmt.Sprint("s", i))
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Slice:
+			f.Set(reflect.ValueOf([]F{F(i), 0.25}))
+		default:
+			t.Fatalf("Record.%s has kind %v; teach this test and appendRecord about it", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	checkRecordEncoding(t, "every field set", all)
+}
+
+// FuzzJournalRecord: for any record, the hand-written encoder writes
+// exactly what json.Marshal writes.
+func FuzzJournalRecord(f *testing.F) {
+	f.Add(0, "", []byte(nil), true, 0.0, "", uint64(0), false, false, "", uint64(0), 0, 0.0, 0, false)
+	f.Add(5, "tuned", []byte{0, 0, 0, 0, 0, 0, 0xf8, 0x7f}, false, 1e-7, "panic", uint64(9), true, true,
+		DriftRefork, uint64(3), 2, 0.5, 4, true)
+	f.Add(-1, "<\xff\u2028>", []byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, false, 2.5e21, "\n", uint64(1), false, true,
+		DriftDecay, uint64(1), -3, math.Inf(-1), -2, false)
+	f.Fuzz(func(t *testing.T, iter int, algo string, cfgBits []byte, cfgNil bool, value float64, fail string,
+		trial uint64, spec, pinned bool, drift string, dseq uint64, darm int, dkeep float64, dprobes int, dp1 bool) {
+		// Long inputs add no encoder branch, only time per run, and the
+		// fuzzer's minimizer pays that time once per byte of them.
+		algo, fail, drift = clip(algo), clip(fail), clip(drift)
+		if len(cfgBits) > 8*32 {
+			cfgBits = cfgBits[:8*32]
+		}
+		var cfg []F
+		if !cfgNil {
+			cfg = []F{}
+		}
+		for ; len(cfgBits) >= 8; cfgBits = cfgBits[8:] {
+			cfg = append(cfg, F(math.Float64frombits(binary.LittleEndian.Uint64(cfgBits))))
+		}
+		checkRecordEncoding(t, "fuzz", Record{
+			Iter: iter, Algo: algo, Config: cfg, Value: F(value), FailKind: fail, Trial: trial,
+			Spec: spec, Pinned: pinned, Drift: drift, DriftSeq: dseq, DriftArm: darm,
+			DriftKeep: F(dkeep), DriftProbes: dprobes, DriftP1: dp1,
+		})
+	})
+}
+
+func clip(s string) string {
+	if len(s) > 256 {
+		return s[:256]
+	}
+	return s
+}
+
+func checkRecordEncoding(t *testing.T, name string, r Record) {
+	t.Helper()
+	// json.Marshal(r) goes through F.MarshalJSON, that is AppendF, so
+	// hold AppendF to encoding/json's own float64 encoding separately.
+	for _, f := range append([]F{r.Value, r.DriftKeep}, r.Config...) {
+		if v := float64(f); !math.IsNaN(v) && !math.IsInf(v, 0) {
+			want, err := json.Marshal(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := AppendF(nil, f); !bytes.Equal(got, want) {
+				t.Fatalf("%s: AppendF(%v) = %s, encoding/json writes %s", name, v, got, want)
+			}
+		}
+	}
+	want, err := json.Marshal(r)
+	if err != nil {
+		t.Fatalf("%s: json.Marshal: %v", name, err)
+	}
+	if got := appendRecord(nil, &r); !bytes.Equal(got, want) {
+		t.Fatalf("%s: appendRecord wrote\n%s\njson.Marshal writes\n%s", name, got, want)
+	}
+	if got, want := appendLine(nil, &r), fmt.Appendf(nil, "%08x %s\n", crc32.ChecksumIEEE(want), want); !bytes.Equal(got, want) {
+		t.Fatalf("%s: journal line\n%s\nwant\n%s", name, got, want)
+	}
+}
+
+// TestJournalFixtureReencodes: a journal and snapshot written before the
+// hand-written encoders (testdata/engine-v2: a trial engine's run of
+// completions, failures, speculative records and an Absorb) come out of
+// today's encoders byte for byte.
+func TestJournalFixtureReencodes(t *testing.T) {
+	dir := filepath.Join("testdata", "engine-v2")
+	orig, err := os.ReadFile(WalPath(dir, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := ReadJournal(WalPath(dir, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(orig, []byte("\n")); len(recs) != n {
+		t.Fatalf("read %d records from a %d-line journal", len(recs), n)
+	}
+	var lines []byte
+	for i := range recs {
+		lines = appendLine(lines, &recs[i])
+	}
+	if !bytes.Equal(lines, orig) {
+		t.Fatalf("re-encoded journal differs from the fixture:\n%s", lines)
+	}
+
+	snap, err := os.ReadFile(SnapPath(dir, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := DecodeSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := EncodeSnapshot(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, snap) {
+		t.Fatalf("re-encoded snapshot differs from the fixture:\n%s", again)
+	}
+}
+
+// TestGenerationNames: only the fixed-width names SnapPath and WalPath
+// write count as generations; temp files and near misses do not.
+func TestGenerationNames(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{
+		"snap-000000000020.ckpt", "snap-000000000003.ckpt", "wal-000000000003.log", "wal-999999999999.log",
+		"snap-5.ckpt", "snap-0000000000005.ckpt", "snap-00000000000x.ckpt", "snap-+00000000001.ckpt",
+		".snap-000000000007.ckpt.tmp-1", "snap-000000000007.ckpt.tmp", "wal-000000000003.ckpt", "README",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := Generations(dir); !reflect.DeepEqual(got, []int{3, 20}) {
+		t.Errorf("snapshot generations %v, want [3 20]", got)
+	}
+	if got := JournalGenerations(dir); !reflect.DeepEqual(got, []int{3, 999999999999}) {
+		t.Errorf("journal generations %v, want [3 999999999999]", got)
+	}
 }

@@ -1,14 +1,17 @@
 // Package crashtest simulates power loss beneath the checkpoint journal.
 // Install routes every journal file through a Disk, which counts writes
 // and syncs, can cut the power at a chosen write, and on PowerLoss
-// throws away every byte not yet synced: the state a disk may be left in
-// when the machine goes down. Snapshots are not routed through it; they
-// are fsynced and renamed into place before they become visible.
+// throws away every byte not yet synced — or, after Tear, a seeded
+// random suffix of them: the states a disk may be left in when the
+// machine goes down. Snapshots are not routed through it; they are
+// fsynced and renamed into place before they become visible.
 package crashtest
 
 import (
 	"errors"
+	"math/rand"
 	"os"
+	"sort"
 	"sync"
 	"testing"
 
@@ -29,7 +32,8 @@ type Disk struct {
 	syncs  int
 	cutAt  int // write number at which the power fails; 0 = never
 	down   bool
-	boot   int // bumped by PowerLoss; handles from an earlier boot stay dead
+	boot   int        // bumped by PowerLoss; handles from an earlier boot stay dead
+	tear   *rand.Rand // non-nil after Tear: unsynced bytes survive in part
 }
 
 // extent is one file's length and the prefix of it that is synced.
@@ -66,6 +70,18 @@ func (d *Disk) CutAt(n int) {
 	d.cutAt = d.writes + n
 }
 
+// Tear switches the disk to torn writes, drawn from seed. The write the
+// power is cut at still fails, but its bytes reach the file unsynced,
+// and PowerLoss keeps a random prefix — anywhere from none to all — of
+// each file's unsynced bytes instead of dropping them all. That is what
+// a disk may hold after a multi-record write the machine went down in:
+// any prefix of it, a torn final line included.
+func (d *Disk) Tear(seed int64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.tear = rand.New(rand.NewSource(seed))
+}
+
 // Down reports whether the power has been cut.
 func (d *Disk) Down() bool {
 	d.mu.Lock()
@@ -74,16 +90,28 @@ func (d *Disk) Down() bool {
 }
 
 // PowerLoss ends the current boot: every journal file is cut back to its
-// synced length, handles opened before it fail from now on, and the disk
-// accepts new files again, as after a restart.
+// synced length (after Tear, to a random point between its synced and
+// its written length), handles opened before it fail from now on, and
+// the disk accepts new files again, as after a restart.
 func (d *Disk) PowerLoss() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for path, e := range d.files {
-		if err := os.Truncate(path, e.synced); err != nil && !os.IsNotExist(err) {
+	// Sorted, so a torn disk draws its cuts in the same order every run.
+	paths := make([]string, 0, len(d.files))
+	for path := range d.files {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	for _, path := range paths {
+		e := d.files[path]
+		keep := e.synced
+		if d.tear != nil && e.size > e.synced {
+			keep += d.tear.Int63n(e.size - e.synced + 1)
+		}
+		if err := os.Truncate(path, keep); err != nil && !os.IsNotExist(err) {
 			return err
 		}
-		e.size = e.synced
+		e.size, e.synced = keep, keep
 	}
 	d.down, d.cutAt = false, 0
 	d.boot++
@@ -135,6 +163,10 @@ func (f *file) Write(p []byte) (int, error) {
 	d.writes++
 	if d.cutAt > 0 && d.writes >= d.cutAt {
 		d.down = true
+		if d.tear != nil {
+			n, _ := f.f.Write(p)
+			f.ext.size += int64(n)
+		}
 		return 0, ErrPowerCut
 	}
 	n, err := f.f.Write(p)

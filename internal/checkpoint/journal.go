@@ -2,12 +2,15 @@ package checkpoint
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"hash/crc32"
 	"os"
-	"strings"
+	"strconv"
 	"sync"
+	"unicode/utf8"
 )
 
 // Record is one completed tuning iteration in the write-ahead journal.
@@ -32,6 +35,10 @@ import (
 // carry the reset parameters so replay re-applies it verbatim. Version
 // ≤ 2 readers never see these fields; version-3 readers see them as
 // zero values on old journals, i.e. "no drift".
+//
+// appendRecord encodes a Record by hand, so a field added here must be
+// added there too; TestAppendRecordMatchesJSON sets every field through
+// reflection and fails until it is.
 type Record struct {
 	Iter     int    `json:"iter"`
 	Algo     string `json:"algo"`
@@ -62,15 +69,23 @@ const (
 //	crc32hex <space> json-record <newline>
 //
 // so a torn final line (the common crash artifact) is detected and
-// dropped by the reader rather than corrupting the replay. Records are
-// made durable in groups: AppendBuffered writes, Sync fsyncs everything
-// written since the previous Sync, and Close syncs before it closes, so
-// no buffered record is ever dropped silently.
+// dropped by the reader rather than corrupting the replay. The record
+// is the json.Marshal form of a Record, byte for byte, but encoded by
+// hand. Records are made durable in groups: AppendBuffered buffers,
+// Sync writes everything buffered since the previous Sync in one write
+// and fsyncs it, and Close syncs before it closes, so no buffered
+// record is ever dropped silently.
 type Journal struct {
 	f     File
-	buf   []byte // line buffer, reused across appends
-	dirty bool   // records written since the last successful Sync
+	buf   []byte // encoded lines not yet written, reused across writes
+	dirty bool   // bytes written since the last successful fsync
 }
+
+// maxPending bounds the lines a Journal holds unwritten: AppendBuffered
+// writes them out early once they reach it, so one huge operation does
+// not pin an equally huge buffer for the journal's lifetime. Trial
+// engine batches stay far below it and cost one write per Sync.
+const maxPending = 64 << 10
 
 // File is the journal's handle on its file. Every journal write and
 // sync goes through it, which is the seam crash-point tests use to
@@ -131,27 +146,47 @@ func (j *Journal) Append(rec Record) error {
 	return j.Sync()
 }
 
-// AppendBuffered writes one record without fsyncing. Writers group the
-// records of one operation — a CompleteN batch, an Absorb, a sharded
-// fold — and call Sync once, paying a single fsync per operation
-// instead of one per record. A crash before the Sync loses at most the
-// unsynced records; the line CRC keeps a torn final record detectable
-// either way.
+// AppendBuffered adds one record to the journal's buffer without
+// writing it. Writers group the records of one operation — a CompleteN
+// batch, an Absorb, a sharded fold — and call Sync once, paying a single
+// write and a single fsync per operation instead of one write per
+// record. A crash before the Sync loses at most the unsynced records,
+// and any prefix of them may survive; the line CRC keeps a torn final
+// record detectable either way. The error is that of an early write
+// once maxPending bytes are waiting.
 func (j *Journal) AppendBuffered(rec Record) error {
-	body, err := json.Marshal(rec)
-	if err != nil {
-		return err
+	j.buf = appendLine(j.buf, &rec)
+	if len(j.buf) >= maxPending {
+		return j.write()
 	}
-	j.buf = fmt.Appendf(j.buf[:0], "%08x %s\n", crc32.ChecksumIEEE(body), body)
+	return nil
+}
+
+// write hands the buffered lines to the file in one Write. The buffer
+// is emptied whether or not the write succeeds, so a failing file
+// cannot make it grow without bound; the records of a failed write are
+// lost, and its error says so.
+func (j *Journal) write() error {
+	if len(j.buf) == 0 {
+		return nil
+	}
 	j.dirty = true
-	_, err = j.f.Write(j.buf)
+	_, err := j.f.Write(j.buf)
+	j.buf = j.buf[:0]
 	return err
 }
 
-// Sync flushes the records written since the previous Sync to stable
-// storage. It does nothing when no record is waiting.
+// Sync writes the records buffered since the previous Sync and flushes
+// them to stable storage: one write and one fsync. It does nothing when
+// no record is waiting.
 func (j *Journal) Sync() error {
-	if j == nil || j.f == nil || !j.dirty {
+	if j == nil || j.f == nil {
+		return nil
+	}
+	if err := j.write(); err != nil {
+		return err
+	}
+	if !j.dirty {
 		return nil
 	}
 	if err := j.f.Sync(); err != nil {
@@ -159,6 +194,136 @@ func (j *Journal) Sync() error {
 	}
 	j.dirty = false
 	return nil
+}
+
+// appendLine appends rec's journal line to b. The CRC field is reserved
+// first and filled in place once the record body is encoded behind it.
+func appendLine(b []byte, rec *Record) []byte {
+	start := len(b)
+	b = append(b, "00000000 "...)
+	b = appendRecord(b, rec)
+	var sum [4]byte
+	binary.BigEndian.PutUint32(sum[:], crc32.ChecksumIEEE(b[start+9:]))
+	hex.Encode(b[start:start+8], sum[:])
+	return append(b, '\n')
+}
+
+// appendRecord appends the JSON encoding of rec to b. The output is
+// byte-identical to json.Marshal(rec): the same field order, omitempty
+// rules, float format and string escaping (HTML-safe, invalid UTF-8 as
+// U+FFFD), so journals read the same whichever encoder wrote them.
+func appendRecord(b []byte, rec *Record) []byte {
+	b = append(b, `{"iter":`...)
+	b = strconv.AppendInt(b, int64(rec.Iter), 10)
+	b = append(b, `,"algo":`...)
+	b = appendString(b, rec.Algo)
+	b = append(b, `,"config":`...)
+	if rec.Config == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, f := range rec.Config {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = AppendF(b, f)
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"value":`...)
+	b = AppendF(b, rec.Value)
+	if rec.FailKind != "" {
+		b = append(b, `,"fail":`...)
+		b = appendString(b, rec.FailKind)
+	}
+	if rec.Trial != 0 {
+		b = append(b, `,"trial":`...)
+		b = strconv.AppendUint(b, rec.Trial, 10)
+	}
+	if rec.Spec {
+		b = append(b, `,"spec":true`...)
+	}
+	if rec.Pinned {
+		b = append(b, `,"pinned":true`...)
+	}
+	if rec.Drift != "" {
+		b = append(b, `,"drift":`...)
+		b = appendString(b, rec.Drift)
+	}
+	if rec.DriftSeq != 0 {
+		b = append(b, `,"dseq":`...)
+		b = strconv.AppendUint(b, rec.DriftSeq, 10)
+	}
+	if rec.DriftArm != 0 {
+		b = append(b, `,"darm":`...)
+		b = strconv.AppendInt(b, int64(rec.DriftArm), 10)
+	}
+	if rec.DriftKeep != 0 { // omitempty drops ±0; NaN is not empty
+		b = append(b, `,"dkeep":`...)
+		b = AppendF(b, rec.DriftKeep)
+	}
+	if rec.DriftProbes != 0 {
+		b = append(b, `,"dprobes":`...)
+		b = strconv.AppendInt(b, int64(rec.DriftProbes), 10)
+	}
+	if rec.DriftP1 {
+		b = append(b, `,"dp1":true`...)
+	}
+	return append(b, '}')
+}
+
+// appendString appends s as a JSON string escaped the way json.Marshal
+// escapes it: quote, backslash and control characters, the HTML
+// characters <, > and &, U+2028 and U+2029, and each byte of invalid
+// UTF-8 as \ufffd.
+func appendString(b []byte, s string) []byte {
+	const hexDigits = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xf])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
 }
 
 // Close syncs any buffered records and closes the underlying file.
@@ -192,24 +357,23 @@ func ReadJournal(path string) ([]Record, error) {
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
 			continue
 		}
-		var sum uint32
-		sp := strings.IndexByte(line, ' ')
-		if sp != 8 {
+		if len(line) < 9 || line[8] != ' ' {
 			break
 		}
-		if _, err := fmt.Sscanf(line[:sp], "%08x", &sum); err != nil {
+		var sum [4]byte
+		if _, err := hex.Decode(sum[:], line[:8]); err != nil {
 			break
 		}
-		body := line[sp+1:]
-		if crc32.ChecksumIEEE([]byte(body)) != sum {
+		body := line[9:]
+		if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(sum[:]) {
 			break
 		}
 		var rec Record
-		if err := json.Unmarshal([]byte(body), &rec); err != nil {
+		if err := json.Unmarshal(body, &rec); err != nil {
 			break
 		}
 		recs = append(recs, rec)

@@ -1,13 +1,15 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
+	"strconv"
+	"strings"
 )
 
 // Version is the current snapshot format version. A loader refuses
@@ -21,9 +23,13 @@ const Version = 2
 // readable snapshot at all.
 var ErrNoSnapshot = errors.New("checkpoint: no valid snapshot")
 
-// envelope is the on-disk frame around a snapshot payload. The CRC is
-// computed over the raw payload bytes exactly as they appear in the
-// file, so any torn write or bit flip inside the payload is detected.
+// envelope is the on-disk frame around a snapshot payload:
+//
+//	{"version":V,"crc32":C,"payload":P}
+//
+// The CRC is computed over the raw payload bytes exactly as they appear
+// in the file, so any torn write or bit flip inside the payload is
+// detected.
 type envelope struct {
 	Version int             `json:"version"`
 	CRC32   uint32          `json:"crc32"`
@@ -31,17 +37,23 @@ type envelope struct {
 }
 
 // EncodeSnapshot frames payload (already-marshaled JSON) in a versioned,
-// checksummed envelope ready for WriteFileAtomic.
+// checksummed envelope ready for WriteFileAtomic. The payload goes into
+// the frame as given, less any whitespace around it, so the checksum
+// covers the very bytes DecodeSnapshot returns; for a json.Marshal
+// payload the frame is byte-identical to json.Marshal of the envelope.
 func EncodeSnapshot(payload []byte) ([]byte, error) {
 	if !json.Valid(payload) {
 		return nil, errors.New("checkpoint: snapshot payload is not valid JSON")
 	}
-	env := envelope{
-		Version: Version,
-		CRC32:   crc32.ChecksumIEEE(payload),
-		Payload: json.RawMessage(payload),
-	}
-	return json.Marshal(env)
+	payload = bytes.TrimSpace(payload)
+	b := make([]byte, 0, len(payload)+48)
+	b = append(b, `{"version":`...)
+	b = strconv.AppendInt(b, Version, 10)
+	b = append(b, `,"crc32":`...)
+	b = strconv.AppendUint(b, uint64(crc32.ChecksumIEEE(payload)), 10)
+	b = append(b, `,"payload":`...)
+	b = append(b, payload...)
+	return append(b, '}'), nil
 }
 
 // DecodeSnapshot verifies the envelope and returns the payload bytes.
@@ -67,12 +79,13 @@ func DecodeSnapshot(data []byte) ([]byte, error) {
 }
 
 // Snapshot and journal files are named by the iteration at which the
-// snapshot was taken, zero-padded so lexical order is numeric order.
-// wal-N.log records iterations completed at or after iteration N, i.e.
-// since snap-N.ckpt was written.
+// snapshot was taken, zero-padded to genDigits so lexical order is
+// numeric order. wal-N.log records iterations completed at or after
+// iteration N, i.e. since snap-N.ckpt was written.
 const (
-	snapPattern = "snap-%012d.ckpt"
-	walPattern  = "wal-%012d.log"
+	snapPrefix, snapSuffix = "snap-", ".ckpt"
+	walPrefix, walSuffix   = "wal-", ".log"
+	genDigits              = 12
 	// keepSnapshots is how many snapshot generations survive pruning.
 	// Two generations make the newest snapshot expendable: if it is
 	// corrupt the loader falls back to the previous one and re-replays
@@ -82,13 +95,13 @@ const (
 
 // SnapPath returns the snapshot filename for a given iteration.
 func SnapPath(dir string, iter int) string {
-	return filepath.Join(dir, fmt.Sprintf(snapPattern, iter))
+	return filepath.Join(dir, fmt.Sprintf("%s%0*d%s", snapPrefix, genDigits, iter, snapSuffix))
 }
 
 // WalPath returns the journal filename for the generation starting at
 // the given iteration.
 func WalPath(dir string, iter int) string {
-	return filepath.Join(dir, fmt.Sprintf(walPattern, iter))
+	return filepath.Join(dir, fmt.Sprintf("%s%0*d%s", walPrefix, genDigits, iter, walSuffix))
 }
 
 // WriteSnapshot frames payload and writes it atomically as the snapshot
@@ -103,51 +116,73 @@ func WriteSnapshot(dir string, iter int, payload []byte) error {
 	if err := WriteFileAtomic(SnapPath(dir, iter), data, 0o644); err != nil {
 		return err
 	}
-	prune(dir, iter)
+	prune(dir)
 	return nil
 }
 
-// listGenerations returns the snapshot iterations present in dir in
-// ascending order. Files that do not match the naming pattern are
-// ignored.
-func listGenerations(dir string, pattern string) []int {
+// listGenerations lists dir once and returns the snapshot and the
+// journal generations in it, each ascending: os.ReadDir sorts by name,
+// and the fixed-width names sort numerically. Files that do not match
+// either naming pattern are ignored.
+func listGenerations(dir string) (snaps, wals []int) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil
+		return nil, nil
 	}
-	var iters []int
 	for _, e := range entries {
-		var n int
-		if _, err := fmt.Sscanf(e.Name(), pattern, &n); err == nil {
-			iters = append(iters, n)
+		name := e.Name()
+		if n, ok := parseGen(name, snapPrefix, snapSuffix); ok {
+			snaps = append(snaps, n)
+		} else if n, ok := parseGen(name, walPrefix, walSuffix); ok {
+			wals = append(wals, n)
 		}
 	}
-	sort.Ints(iters)
-	return iters
+	return snaps, wals
+}
+
+// parseGen returns the iteration in a generation file name made of
+// prefix, genDigits decimal digits and suffix.
+func parseGen(name, prefix, suffix string) (int, bool) {
+	if len(name) != len(prefix)+genDigits+len(suffix) ||
+		!strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
+		return 0, false
+	}
+	n := 0
+	for _, c := range []byte(name[len(prefix) : len(prefix)+genDigits]) {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		n = n*10 + int(c-'0')
+	}
+	return n, true
 }
 
 // Generations returns the snapshot iterations present in dir, ascending.
-func Generations(dir string) []int { return listGenerations(dir, snapPattern) }
+func Generations(dir string) []int {
+	snaps, _ := listGenerations(dir)
+	return snaps
+}
 
 // JournalGenerations returns the journal-file start iterations in dir,
 // ascending.
-func JournalGenerations(dir string) []int { return listGenerations(dir, walPattern) }
+func JournalGenerations(dir string) []int {
+	_, wals := listGenerations(dir)
+	return wals
+}
 
 // prune removes snapshot generations older than the keepSnapshots most
 // recent, along with journal files older than the oldest kept snapshot
 // (their contents are fully covered by newer snapshots).
-func prune(dir string, newest int) {
-	snaps := Generations(dir)
+func prune(dir string) {
+	snaps, wals := listGenerations(dir)
 	if len(snaps) <= keepSnapshots {
 		return
 	}
 	cut := snaps[len(snaps)-keepSnapshots] // oldest kept generation
-	for _, n := range snaps {
-		if n < cut {
-			os.Remove(SnapPath(dir, n))
-		}
+	for _, n := range snaps[:len(snaps)-keepSnapshots] {
+		os.Remove(SnapPath(dir, n))
 	}
-	for _, n := range JournalGenerations(dir) {
+	for _, n := range wals {
 		if n < cut {
 			os.Remove(WalPath(dir, n))
 		}

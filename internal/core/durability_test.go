@@ -26,9 +26,10 @@ type durableEngine interface {
 
 // TestCrashPointsLoseNoAcknowledgedTrial cuts the power at seeded
 // journal writes while mixed CompleteN, FailN and Absorb batches run,
-// throws away every unsynced byte, and rebuilds over the directory.
-// Every trial whose call had returned must come back; of the batch in
-// flight at the cut, any prefix may.
+// throws away every unsynced byte — or, on a torn disk, a random suffix
+// of them — and rebuilds over the directory. Every trial whose call had
+// returned must come back; of the batch in flight at the cut, any
+// prefix may.
 func TestCrashPointsLoseNoAcknowledgedTrial(t *testing.T) {
 	sel := func() nominal.Selector { return nominal.NewEpsilonGreedy(0.10) }
 	cases := []struct {
@@ -46,46 +47,63 @@ func TestCrashPointsLoseNoAcknowledgedTrial(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		for seed := int64(1); seed <= 8; seed++ {
-			t.Run(fmt.Sprintf("%s/seed=%d", tc.name, seed), func(t *testing.T) {
-				dir := t.TempDir()
-				disk := crashtest.Install(t)
-				e, err := tc.build(dir)
-				if err != nil {
-					t.Fatal(err)
+		for _, torn := range []bool{false, true} {
+			for seed := int64(1); seed <= 8; seed++ {
+				name := fmt.Sprintf("%s/seed=%d", tc.name, seed)
+				if torn {
+					name = fmt.Sprintf("%s/torn/seed=%d", tc.name, seed)
 				}
-				rng := rand.New(rand.NewSource(seed))
-				disk.CutAt(1 + rng.Intn(200))
-				acked := e.Counts() // per-arm counts every returned call reached
-				for !disk.Down() {
-					runBatch(t, e, rng)
-					if !disk.Down() {
-						acked = e.Counts()
-					}
-				}
-				upper := e.Counts() // the in-flight batch included
-				if err := disk.PowerLoss(); err != nil {
-					t.Fatal(err)
-				}
-
-				re, err := tc.build(dir)
-				if err != nil {
-					t.Fatalf("rebuild after the power cut: %v", err)
-				}
-				got := re.Counts()
-				sum := 0
-				for i := range got {
-					if got[i] < acked[i] || got[i] > upper[i] {
-						t.Fatalf("arm %d: rebuilt count %d, want between acknowledged %d and in-flight %d (counts %v, acked %v)",
-							i, got[i], acked[i], upper[i], got, acked)
-					}
-					sum += got[i]
-				}
-				if re.Iterations() != sum {
-					t.Fatalf("rebuilt Iterations() = %d, counts sum to %d", re.Iterations(), sum)
-				}
-			})
+				t.Run(name, func(t *testing.T) { crashAndRebuild(t, tc.build, seed, torn) })
+			}
 		}
+	}
+}
+
+// crashAndRebuild runs seeded batches through the engine build makes
+// until the power cut, rebuilds over the directory after the loss, and
+// checks the rebuilt counts against the acknowledged and in-flight ones.
+// A torn disk keeps a random prefix of the unsynced bytes: the write the
+// cut landed on carries the in-flight batch, so any prefix of that batch
+// may survive, a torn final line included.
+func crashAndRebuild(t *testing.T, build func(dir string) (durableEngine, error), seed int64, torn bool) {
+	dir := t.TempDir()
+	disk := crashtest.Install(t)
+	if torn {
+		disk.Tear(seed)
+	}
+	e, err := build(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	disk.CutAt(1 + rng.Intn(200))
+	acked := e.Counts() // per-arm counts every returned call reached
+	for !disk.Down() {
+		runBatch(t, e, rng)
+		if !disk.Down() {
+			acked = e.Counts()
+		}
+	}
+	upper := e.Counts() // the in-flight batch included
+	if err := disk.PowerLoss(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := build(dir)
+	if err != nil {
+		t.Fatalf("rebuild after the power cut: %v", err)
+	}
+	got := re.Counts()
+	sum := 0
+	for i := range got {
+		if got[i] < acked[i] || got[i] > upper[i] {
+			t.Fatalf("arm %d: rebuilt count %d, want between acknowledged %d and in-flight %d (counts %v, acked %v)",
+				i, got[i], acked[i], upper[i], got, acked)
+		}
+		sum += got[i]
+	}
+	if re.Iterations() != sum {
+		t.Fatalf("rebuilt Iterations() = %d, counts sum to %d", re.Iterations(), sum)
 	}
 }
 

@@ -1,10 +1,15 @@
 package core
 
 import (
+	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/guard"
 	"repro/internal/nominal"
 )
@@ -139,5 +144,53 @@ func TestConcurrentResumeOfSequentialJournal(t *testing.T) {
 	res.RunPool(2, 10, engineMeasure)
 	if res.Iterations() != 37 {
 		t.Fatalf("post-resume iterations = %d, want 37", res.Iterations())
+	}
+}
+
+// TestResumeJournalFixture resumes a checkpoint a trial engine wrote
+// before the journal's hand-written encoder (checkpoint's
+// testdata/engine-v2: 36 completions and failures leased in batches of
+// three and completed in reverse, then an Absorb of 8) and checks the
+// resumed engine reaches the state that engine exported at the end of
+// its run, state.json. The one field left out is rng_drawn: direct
+// replay applies journaled trials without re-drawing their proposals.
+func TestResumeJournalFixture(t *testing.T) {
+	fixture := filepath.Join("..", "checkpoint", "testdata", "engine-v2")
+	dir := t.TempDir()
+	for _, path := range []string{checkpoint.SnapPath(fixture, 0), checkpoint.WalPath(fixture, 0)} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(path)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	re, err := NewConcurrentTuner(engineAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 11, WithCheckpoint(dir, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.Iterations() != 44 {
+		t.Fatalf("resumed at %d iterations, want 44", re.Iterations())
+	}
+	got, err := re.t.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(fixture, "state.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g, w map[string]any
+	if err := json.Unmarshal(got, &g); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(want, &w); err != nil {
+		t.Fatal(err)
+	}
+	delete(g, "rng_drawn")
+	delete(w, "rng_drawn")
+	if !reflect.DeepEqual(g, w) {
+		t.Fatalf("resumed state\n%s\nwant\n%s", got, want)
 	}
 }
