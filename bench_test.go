@@ -375,7 +375,8 @@ func newBenchRand() *rand.Rand { return rand.New(rand.NewSource(42)) }
 // BenchmarkTrialEngineLeaseComplete measures the trial engine's per-trial
 // bookkeeping (lease + complete + publish, no measurement cost) — the
 // concurrent counterpart of BenchmarkNelderMeadStep, and the fixed
-// overhead under the throughput numbers of cmd/atune-bench.
+// engine overhead under the end-to-end numbers of the repository
+// benchmark in bench/.
 func BenchmarkTrialEngineLeaseComplete(b *testing.B) {
 	algos := []core.Algorithm{
 		{Name: "plain"},

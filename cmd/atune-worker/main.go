@@ -21,8 +21,9 @@
 // server actually runs — ordering disagreements are impossible.
 //
 // -batch > 1 amortizes the network round trip over several trials per
-// lease (see BENCH_wire.json for the effect); -heartbeat keeps long
-// measurements alive past the server's lease TTL.
+// lease (the repository benchmark in bench/ runs batch 16 in its
+// hot_pipelined workload and batch 1 in lockstep_b1); -heartbeat keeps
+// long measurements alive past the server's lease TTL.
 //
 // With -fallback (the default) the worker survives partitions: when the
 // client retry budget exhausts it degrades to a local tuner over the

@@ -3,11 +3,9 @@ package exp
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/nominal"
-	"repro/internal/param"
 	"repro/internal/report"
 )
 
@@ -107,50 +105,6 @@ func RunShardedTuning(cfg Config, iters, reps int) *ShardedTuning {
 		res.Agreement[si] = float64(agree[si]) / float64(reps)
 	}
 	return res
-}
-
-// ShardedThroughput measures leases/sec of the sharded engine for each
-// (workers × shards) cell over a synthetic workload with a fixed sleep
-// per trial (zero isolates pure engine overhead). Every cell completes
-// the same total; rows are workers, columns shards. All cells run
-// WithoutHistory — the long-lived production-loop configuration — so the
-// columns compare decision-path overhead, not the shared per-record
-// history appends.
-func ShardedThroughput(workerCounts, shardCounts []int, total int, sleep time.Duration) [][]float64 {
-	algos := []core.Algorithm{
-		{Name: "a"},
-		{Name: "b", Space: param.NewSpace(param.NewInterval("x", 0, 1))},
-	}
-	m := func(algo int, cfg param.Config) float64 {
-		if sleep > 0 {
-			time.Sleep(sleep)
-		}
-		if algo == 0 {
-			return 2
-		}
-		return 1 + cfg[0]
-	}
-	out := make([][]float64, len(workerCounts))
-	for wi, w := range workerCounts {
-		out[wi] = make([]float64, len(shardCounts))
-		for si, shards := range shardCounts {
-			// Best of three, fresh engine each rep: the minimum-time rep
-			// is the least scheduler- and GC-disturbed measurement.
-			for rep := 0; rep < 3; rep++ {
-				eng, err := core.NewShardedEngine(algos, nominal.NewEpsilonGreedy(0.10), nil, 1,
-					core.WithShards(shards), core.WithMaxInFlight(2*w), core.WithoutHistory())
-				if err != nil {
-					panic(err)
-				}
-				start := time.Now()
-				eng.RunPool(w, total, m)
-				if lps := float64(total) / time.Since(start).Seconds(); lps > out[wi][si] {
-					out[wi][si] = lps
-				}
-			}
-		}
-	}
-	return out
 }
 
 // RenderFigureA13 writes the sharded-selection summary table.
