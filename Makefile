@@ -73,14 +73,16 @@ chaos:
 
 # Fuzz the two frame decoders — arbitrary bytes must never panic them or
 # slip a payload past the checksum, neither from a snapshot file nor
-# from the network — the journal's hand-written record encoder, which
-# must write exactly what json.Marshal writes, the drift detectors,
+# from the network — the hand-written encoders of journal records and
+# of the tuner's snapshot state, which must write exactly what
+# json.Marshal writes, the drift detectors,
 # which must stay finite and panic-free on any cost stream, and the
 # context partitioner, whose routing must stay stable and replayable
 # under arbitrary feature streams and hostile restore blobs.
 fuzz:
 	$(GO) test -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/checkpoint
 	$(GO) test -fuzz=FuzzJournalRecord -fuzztime=10s ./internal/checkpoint
+	$(GO) test -fuzz=FuzzExportState -fuzztime=10s ./internal/core
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=10s ./internal/wire
 	$(GO) test -fuzz=FuzzDriftUpdate -fuzztime=10s ./internal/stats
 	$(GO) test -fuzz=FuzzPartitioner -fuzztime=10s ./internal/ctxtune

@@ -75,6 +75,39 @@ func AppendF(dst []byte, f F) []byte {
 	return dst
 }
 
+// AppendFloats appends the JSON encoding of xs as a []F to dst, the way
+// json.Marshal writes it: null for a nil slice, otherwise an array of
+// AppendF values.
+func AppendFloats[T ~float64](dst []byte, xs []T) []byte {
+	if xs == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i, x := range xs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = AppendF(dst, F(x))
+	}
+	return append(dst, ']')
+}
+
+// AppendInts appends the JSON encoding of xs to dst, the way
+// json.Marshal writes it: null for a nil slice, otherwise an array.
+func AppendInts(dst []byte, xs []int) []byte {
+	if xs == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i, x := range xs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(dst, int64(x), 10)
+	}
+	return append(dst, ']')
+}
+
 // UnmarshalJSON accepts numbers and the three non-finite strings.
 func (f *F) UnmarshalJSON(data []byte) error {
 	if len(data) > 0 && data[0] == '"' {

@@ -216,25 +216,14 @@ func appendRecord(b []byte, rec *Record) []byte {
 	b = append(b, `{"iter":`...)
 	b = strconv.AppendInt(b, int64(rec.Iter), 10)
 	b = append(b, `,"algo":`...)
-	b = appendString(b, rec.Algo)
+	b = AppendString(b, rec.Algo)
 	b = append(b, `,"config":`...)
-	if rec.Config == nil {
-		b = append(b, "null"...)
-	} else {
-		b = append(b, '[')
-		for i, f := range rec.Config {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = AppendF(b, f)
-		}
-		b = append(b, ']')
-	}
+	b = AppendFloats(b, rec.Config)
 	b = append(b, `,"value":`...)
 	b = AppendF(b, rec.Value)
 	if rec.FailKind != "" {
 		b = append(b, `,"fail":`...)
-		b = appendString(b, rec.FailKind)
+		b = AppendString(b, rec.FailKind)
 	}
 	if rec.Trial != 0 {
 		b = append(b, `,"trial":`...)
@@ -248,7 +237,7 @@ func appendRecord(b []byte, rec *Record) []byte {
 	}
 	if rec.Drift != "" {
 		b = append(b, `,"drift":`...)
-		b = appendString(b, rec.Drift)
+		b = AppendString(b, rec.Drift)
 	}
 	if rec.DriftSeq != 0 {
 		b = append(b, `,"dseq":`...)
@@ -272,11 +261,11 @@ func appendRecord(b []byte, rec *Record) []byte {
 	return append(b, '}')
 }
 
-// appendString appends s as a JSON string escaped the way json.Marshal
+// AppendString appends s as a JSON string escaped the way json.Marshal
 // escapes it: quote, backslash and control characters, the HTML
 // characters <, > and &, U+2028 and U+2029, and each byte of invalid
 // UTF-8 as \ufffd.
-func appendString(b []byte, s string) []byte {
+func AppendString(b []byte, s string) []byte {
 	const hexDigits = "0123456789abcdef"
 	b = append(b, '"')
 	start := 0

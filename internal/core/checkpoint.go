@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strconv"
 
 	"repro/internal/checkpoint"
 	"repro/internal/guard"
@@ -49,6 +50,11 @@ func (t *Tuner) CheckpointDir() string { return t.ckptDir }
 // are intentionally not persisted (only a bounded tail is) — they are
 // diagnostics, not decision state, and would make snapshots O(run
 // length).
+//
+// RestoreState decodes it with encoding/json, but ExportState encodes it
+// by hand, field by field in this order; a field added here must be
+// added there too. TestExportStateMatchesJSON pins the hand encoding to
+// json.Marshal of this struct.
 type tunerState struct {
 	Algos    []string       `json:"algos"`
 	RngSeed  int64          `json:"rng_seed"`
@@ -114,48 +120,50 @@ type recState struct {
 const stateHistoryTail = 64
 
 // ExportState serializes the tuner's complete resumable state. It must
-// be called at an iteration boundary (no observation pending).
+// be called at an iteration boundary (no observation pending). The
+// payload is the json.Marshal form of tunerState, byte for byte, but
+// encoded by hand into a buffer the tuner reuses: the returned bytes
+// are valid until the next ExportState call. The selector, strategy and
+// guard states are their own Export payloads, appended as they are.
 func (t *Tuner) ExportState() ([]byte, error) {
 	if t.pending {
 		return nil, fmt.Errorf("core: ExportState with an observation pending")
-	}
-	seed, drawn := t.src.State()
-	st := tunerState{
-		Algos:       make([]string, len(t.algos)),
-		RngSeed:     seed,
-		RngDrawn:    drawn,
-		Counts:      append([]int(nil), t.counts...),
-		BestAlgo:    t.bestAlgo,
-		BestCfg:     checkpoint.Floats(t.bestCfg),
-		BestVal:     checkpoint.F(t.bestVal),
-		WorstVal:    checkpoint.F(t.worstVal),
-		Strategies:  make([]json.RawMessage, len(t.strategies)),
-		FailTotal:   t.failTotal,
-		FailPanics:  t.failPanics,
-		FailTimeout: t.failTimeout,
-		FailInvalid: t.failInvalid,
-		FailPerAlgo: append([]int(nil), t.failPerAlgo...),
-		LastValue:   checkpoint.F(t.lastValue),
-		LastFailed:  t.lastFailed,
-		Recent:      append([]bool(nil), t.recent...),
-		RecentIdx:   t.recentIdx,
-		RecentFill:  t.recentFill,
-		RecentFails: t.recentFails,
-		Degraded:    t.degraded,
-		PinnedIters: t.pinnedIters,
-	}
-	for i, a := range t.algos {
-		st.Algos[i] = a.Name
 	}
 	sel, ok := t.selector.(nominal.Stateful)
 	if !ok {
 		return nil, fmt.Errorf("core: selector %s is not checkpointable", t.selector.Name())
 	}
-	raw, err := sel.Export()
+	selRaw, err := sel.Export()
 	if err != nil {
 		return nil, fmt.Errorf("core: exporting selector: %w", err)
 	}
-	st.Selector = raw
+	seed, drawn := t.src.State()
+	b := append(t.stateBuf[:0], `{"algos":[`...)
+	for i, a := range t.algos {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = checkpoint.AppendString(b, a.Name)
+	}
+	b = append(b, `],"rng_seed":`...)
+	b = strconv.AppendInt(b, seed, 10)
+	b = append(b, `,"rng_drawn":`...)
+	b = strconv.AppendUint(b, drawn, 10)
+	b = append(b, `,"counts":`...)
+	b = checkpoint.AppendInts(b, t.counts)
+	b = append(b, `,"best_algo":`...)
+	b = strconv.AppendInt(b, int64(t.bestAlgo), 10)
+	if len(t.bestCfg) > 0 {
+		b = append(b, `,"best_cfg":`...)
+		b = checkpoint.AppendFloats(b, t.bestCfg)
+	}
+	b = append(b, `,"best_val":`...)
+	b = checkpoint.AppendF(b, checkpoint.F(t.bestVal))
+	b = append(b, `,"worst_val":`...)
+	b = checkpoint.AppendF(b, checkpoint.F(t.worstVal))
+	b = append(b, `,"selector":`...)
+	b = append(b, selRaw...)
+	b = append(b, `,"strategies":[`...)
 	for i, s := range t.strategies {
 		ss, ok := s.(search.Stateful)
 		if !ok {
@@ -165,19 +173,80 @@ func (t *Tuner) ExportState() ([]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: exporting strategy for %q: %w", t.algos[i].Name, err)
 		}
-		st.Strategies[i] = raw
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, raw...)
 	}
+	b = append(b, ']')
 	if t.guard != nil {
 		raw, err := t.guard.Export()
 		if err != nil {
 			return nil, fmt.Errorf("core: exporting guard: %w", err)
 		}
-		st.Guard = raw
+		if len(raw) > 0 {
+			b = append(b, `,"guard":`...)
+			b = append(b, raw...)
+		}
+	}
+	b = append(b, `,"fail_total":`...)
+	b = strconv.AppendInt(b, int64(t.failTotal), 10)
+	b = append(b, `,"fail_panics":`...)
+	b = strconv.AppendInt(b, int64(t.failPanics), 10)
+	b = append(b, `,"fail_timeout":`...)
+	b = strconv.AppendInt(b, int64(t.failTimeout), 10)
+	b = append(b, `,"fail_invalid":`...)
+	b = strconv.AppendInt(b, int64(t.failInvalid), 10)
+	b = append(b, `,"fail_per_algo":`...)
+	b = checkpoint.AppendInts(b, t.failPerAlgo)
+	b = append(b, `,"last_value":`...)
+	b = checkpoint.AppendF(b, checkpoint.F(t.lastValue))
+	b = append(b, `,"last_failed":`...)
+	b = strconv.AppendBool(b, t.lastFailed)
+	if len(t.recent) > 0 {
+		b = append(b, `,"recent":[`...)
+		for i, r := range t.recent {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendBool(b, r)
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"recent_idx":`...)
+	b = strconv.AppendInt(b, int64(t.recentIdx), 10)
+	b = append(b, `,"recent_fill":`...)
+	b = strconv.AppendInt(b, int64(t.recentFill), 10)
+	b = append(b, `,"recent_fails":`...)
+	b = strconv.AppendInt(b, int64(t.recentFails), 10)
+	b = append(b, `,"degraded":`...)
+	b = strconv.AppendBool(b, t.degraded)
+	b = append(b, `,"pinned_iters":`...)
+	b = strconv.AppendInt(b, int64(t.pinnedIters), 10)
+	if tail := t.history[max(0, len(t.history)-stateHistoryTail):]; len(tail) > 0 {
+		b = append(b, `,"history_tail":[`...)
+		for i, r := range tail {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"iteration":`...)
+			b = strconv.AppendInt(b, int64(r.Iteration), 10)
+			b = append(b, `,"algo":`...)
+			b = strconv.AppendInt(b, int64(r.Algo), 10)
+			b = append(b, `,"config":`...)
+			b = checkpoint.AppendFloats(b, r.Config)
+			b = append(b, `,"value":`...)
+			b = checkpoint.AppendF(b, checkpoint.F(r.Value))
+			b = append(b, `,"failed":`...)
+			b = strconv.AppendBool(b, r.Failed)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
 	}
 	if t.driftSeq > 0 || t.drift != nil {
-		ds := &driftState{Seq: t.driftSeq}
+		ds := driftState{Seq: t.driftSeq}
 		if d := t.drift; d != nil {
-			ds.ProbeQ = append([]int(nil), d.probeQ...)
+			ds.ProbeQ = d.probeQ
 			ds.Cooldown = d.cooldown
 			ds.Events = d.events
 			ds.Decays = d.decays
@@ -186,21 +255,16 @@ func (t *Tuner) ExportState() ([]byte, error) {
 			ds.Outliers = d.outliers
 			ds.Stale = d.staleDrops
 		}
-		st.Drift = ds
-	}
-	tail := t.history
-	if len(tail) > stateHistoryTail {
-		tail = tail[len(tail)-stateHistoryTail:]
-	}
-	st.HistoryTail = make([]recState, len(tail))
-	for i, r := range tail {
-		st.HistoryTail[i] = recState{
-			Iteration: r.Iteration, Algo: r.Algo,
-			Config: checkpoint.Floats(r.Config),
-			Value:  checkpoint.F(r.Value), Failed: r.Failed,
+		raw, err := json.Marshal(ds)
+		if err != nil {
+			return nil, fmt.Errorf("core: exporting drift state: %w", err)
 		}
+		b = append(b, `,"drift":`...)
+		b = append(b, raw...)
 	}
-	return json.Marshal(st)
+	b = append(b, '}')
+	t.stateBuf = b
+	return b, nil
 }
 
 // RestoreState overwrites a freshly constructed tuner's state with a

@@ -763,7 +763,9 @@ func (c *ConcurrentTuner) Degraded() bool {
 	return c.t.degraded
 }
 
-// History returns the per-iteration records, in completion order.
+// History returns the per-iteration records, in completion order. It is
+// empty for an engine built WithoutHistory, as EngineSpec.Build and
+// ctxtune build theirs (see Tuner.History).
 func (c *ConcurrentTuner) History() []Record {
 	c.mu.Lock()
 	defer c.unlock()
@@ -771,7 +773,9 @@ func (c *ConcurrentTuner) History() []Record {
 }
 
 // ValuesOf returns the completed values of one algorithm in completion
-// order (see Tuner.ValuesOf for the WithoutHistory bound).
+// order. For an engine built WithoutHistory, as EngineSpec.Build and
+// ctxtune build theirs, only the most recent values are kept (see
+// Tuner.ValuesOf).
 func (c *ConcurrentTuner) ValuesOf(algo int) []float64 {
 	c.mu.Lock()
 	defer c.unlock()

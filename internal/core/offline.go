@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"math"
-	"strconv"
 
 	"repro/internal/param"
 	"repro/internal/search"
@@ -57,22 +55,4 @@ func OfflineTune(algos []Algorithm, budgetPerAlgo int, factory search.Factory, m
 		}
 	}
 	return bestAlgo, bestCfg, bestVal, nil
-}
-
-// WriteHistoryCSV emits the tuner's per-iteration records as CSV:
-// iteration, algorithm name, measured value, formatted configuration.
-// It is the raw-data export behind the figures.
-func (t *Tuner) WriteHistoryCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "iteration,algorithm,value,config"); err != nil {
-		return err
-	}
-	for _, r := range t.history {
-		cfgStr := t.algos[r.Algo].space().Format(r.Config)
-		if _, err := fmt.Fprintf(w, "%d,%s,%s,%q\n",
-			r.Iteration, t.algos[r.Algo].Name,
-			strconv.FormatFloat(r.Value, 'g', -1, 64), cfgStr); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -2,10 +2,8 @@ package core
 
 import (
 	"math"
-	"strings"
 	"testing"
 
-	"repro/internal/nominal"
 	"repro/internal/param"
 	"repro/internal/search"
 )
@@ -77,29 +75,5 @@ func TestOfflineTuneFallbackStrategy(t *testing.T) {
 	}
 	if algo != 0 || val != 0 || cfg[0] != 7 {
 		t.Errorf("ordinal fallback: %d %v %g", algo, cfg, val)
-	}
-}
-
-func TestWriteHistoryCSV(t *testing.T) {
-	algos, m := syntheticAlgos()
-	tu := mustNew(t, algos, nominal.NewRoundRobin(), DefaultFactory, 1)
-	tu.Run(6, m)
-	var sb strings.Builder
-	if err := tu.WriteHistoryCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 7 {
-		t.Fatalf("CSV has %d lines, want header + 6", len(lines))
-	}
-	if lines[0] != "iteration,algorithm,value,config" {
-		t.Errorf("header = %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "0,fast-fixed,10,") {
-		t.Errorf("first record = %q", lines[1])
-	}
-	if !strings.Contains(lines[2], "tunable") || !strings.Contains(lines[2], "x=") {
-		t.Errorf("config cell missing: %q", lines[2])
 	}
 }

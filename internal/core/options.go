@@ -83,8 +83,13 @@ func (e *optionScopeError) Error() string {
 func (e *optionScopeError) Unwrap() error { return ErrOptionScope }
 
 // WithoutHistory disables per-iteration record keeping (the counts and
-// incumbent are still maintained). Long-running production loops use this
-// to keep memory constant. Scope: every constructor (it configures the
+// incumbent are still maintained): History stays empty, each ValuesOf
+// timeline keeps only its most recent values (see DefaultValuesTail),
+// and snapshots carry no history tail. Memory then stays constant
+// however long the tuner runs. Every engine a service builds —
+// EngineSpec.Build, and the global and per-context engines of a
+// contextual ctxtune engine — applies it; a checkpoint journal still
+// records every trial. Scope: every constructor (it configures the
 // underlying Tuner).
 func WithoutHistory() Option {
 	return tunerOption("WithoutHistory", func(t *Tuner) { t.keepHistory = false })

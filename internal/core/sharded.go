@@ -991,6 +991,8 @@ func (e *ShardedEngine) BestConfigOf(algo int) (param.Config, float64) {
 }
 
 // History merges and returns the per-iteration records, in fold order.
+// It is empty for an engine built WithoutHistory, as EngineSpec.Build
+// builds every engine (see Tuner.History).
 func (e *ShardedEngine) History() []Record {
 	e.Flush()
 	return e.inner.History()

@@ -75,6 +75,10 @@ func (s EngineSpec) withDefaults() EngineSpec {
 
 // Options expands the spec into the option slice the constructors take.
 // ckptDir, when non-empty, adds WithCheckpoint at the spec's cadence.
+// A spec-built engine serves for as long as its process runs, so it
+// keeps no per-trial log (WithoutHistory): its memory stays constant
+// however many trials it serves, and the checkpoint journal, not the
+// engine, records every trial.
 func (s EngineSpec) Options(ckptDir string) []Option {
 	s = s.withDefaults()
 	ttl := time.Duration(s.LeaseTimeoutMS) * time.Millisecond
@@ -82,6 +86,7 @@ func (s EngineSpec) Options(ckptDir string) []Option {
 		ttl = 0
 	}
 	opts := []Option{
+		WithoutHistory(),
 		WithLeaseTimeout(ttl),
 		WithShards(s.Shards),
 		WithMergeEvery(s.MergeEvery),

@@ -141,6 +141,7 @@ type Tuner struct {
 	journal   *checkpoint.Journal
 	ckptErr   error
 	replaying bool
+	stateBuf  []byte // ExportState's reused payload buffer
 }
 
 // NewTuner creates a two-phase tuner over the given algorithms.
@@ -619,9 +620,11 @@ func (t *Tuner) Counts() []int {
 	return c
 }
 
-// History returns the per-iteration records (empty with WithoutHistory).
-// The records are deep copies: mutating a returned Record's Config does
-// not touch the tuner's log.
+// History returns the per-iteration records: every iteration of this
+// process plus, after a resume, the snapshot's history tail and the
+// replayed journal. It is empty with WithoutHistory, which every
+// service-built engine uses. The records are deep copies: mutating a
+// returned Record's Config does not touch the tuner's log.
 func (t *Tuner) History() []Record {
 	h := make([]Record, len(t.history))
 	copy(h, t.history)
@@ -633,9 +636,9 @@ func (t *Tuner) History() []Record {
 
 // ValuesOf returns the measured values of one algorithm in observation
 // order — the per-algorithm timeline behind the paper's Figure 5. With
-// WithoutHistory the timeline is bounded: only the most recent values
-// (between DefaultValuesTail and 2×DefaultValuesTail of them) are
-// retained.
+// WithoutHistory, which every service-built engine uses, the timeline is
+// bounded: only the most recent values (between DefaultValuesTail and
+// 2×DefaultValuesTail of them) are retained.
 func (t *Tuner) ValuesOf(algo int) []float64 {
 	v := make([]float64, len(t.perAlgoHistory[algo]))
 	copy(v, t.perAlgoHistory[algo])

@@ -81,7 +81,8 @@ type Config struct {
 	Scope string
 	// Opts are engine/tuner options applied to the global engine and to
 	// every replica (lease timeout, max in-flight, drift watchdog, ...).
-	// Do not pass core.WithCheckpoint here — Dir owns persistence.
+	// New adds core.WithoutHistory to them. Do not pass
+	// core.WithCheckpoint here — Dir owns persistence.
 	Opts []core.Option
 }
 
@@ -170,6 +171,9 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Every <= 0 {
 		cfg.Every = 100
 	}
+	// Every engine, global and per context, keeps no per-trial log, so
+	// a long-running contextual server stays at constant memory.
+	cfg.Opts = append(append([]core.Option(nil), cfg.Opts...), core.WithoutHistory())
 	e := &Engine{
 		cfg:      cfg,
 		part:     cfg.Partitioner,

@@ -3,6 +3,7 @@ package nominal
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"repro/internal/checkpoint"
 )
@@ -37,25 +38,51 @@ type historyState struct {
 	Best []checkpoint.F  `json:"best"`
 }
 
-func (h *history) exportHist() historyState {
-	st := historyState{
-		Arms: make([][]sampleState, len(h.arms)),
-		Seen: append([]int(nil), h.seen...),
-		Iter: h.iter,
-		Best: checkpoint.Floats(h.best),
-	}
+// appendHist appends the history's checkpoint state to b: a
+// historyState holding each arm's last historyTail samples, encoded by
+// hand and byte-identical to its json.Marshal form.
+// TestExportMatchesJSON keeps that form as the reference, so a field
+// added to historyState must be added here too.
+func (h *history) appendHist(b []byte) []byte {
+	b = append(b, `{"arms":[`...)
 	for i, arm := range h.arms {
-		tail := arm
-		if len(tail) > historyTail {
-			tail = tail[len(tail)-historyTail:]
+		if i > 0 {
+			b = append(b, ',')
 		}
-		ss := make([]sampleState, len(tail))
-		for j, s := range tail {
-			ss[j] = sampleState{Iter: s.iter, Value: checkpoint.F(s.value)}
+		if len(arm) > historyTail {
+			arm = arm[len(arm)-historyTail:]
 		}
-		st.Arms[i] = ss
+		b = append(b, '[')
+		for j, s := range arm {
+			if j > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"iter":`...)
+			b = strconv.AppendInt(b, int64(s.iter), 10)
+			b = append(b, `,"value":`...)
+			b = checkpoint.AppendF(b, checkpoint.F(s.value))
+			b = append(b, '}')
+		}
+		b = append(b, ']')
 	}
-	return st
+	b = append(b, `],"seen":`...)
+	b = checkpoint.AppendInts(b, h.seen)
+	b = append(b, `,"iter":`...)
+	b = strconv.AppendInt(b, int64(h.iter), 10)
+	b = append(b, `,"best":`...)
+	b = checkpoint.AppendFloats(b, h.best)
+	return append(b, '}')
+}
+
+// exportBuf returns an empty buffer with room for the history's
+// checkpoint state plus extra bytes of selector-specific state, so
+// Export usually encodes without growing it.
+func (h *history) exportBuf(extra int) []byte {
+	n := 64 + extra
+	for _, arm := range h.arms {
+		n += 40 + 48*min(len(arm), historyTail)
+	}
+	return make([]byte, 0, n)
 }
 
 func (h *history) restoreHist(st historyState) error {
@@ -92,7 +119,7 @@ func (h *history) Export() ([]byte, error) {
 	if h.arms == nil {
 		return nil, fmt.Errorf("nominal: Export before Init")
 	}
-	return json.Marshal(h.exportHist())
+	return h.appendHist(h.exportBuf(0)), nil
 }
 
 // Restore overwrites the history of an Init'ed selector.
@@ -116,7 +143,11 @@ func (rr *RoundRobin) Export() ([]byte, error) {
 	if rr.arms == nil {
 		return nil, fmt.Errorf("nominal: Export before Init")
 	}
-	return json.Marshal(roundRobinState{Hist: rr.exportHist(), Next: rr.next})
+	b := append(rr.exportBuf(32), `{"hist":`...)
+	b = rr.appendHist(b)
+	b = append(b, `,"next":`...)
+	b = strconv.AppendInt(b, int64(rr.next), 10)
+	return append(b, '}'), nil
 }
 
 // Restore overwrites the state of an Init'ed selector.
@@ -147,7 +178,11 @@ func (u *UCB1) Export() ([]byte, error) {
 	if u.arms == nil {
 		return nil, fmt.Errorf("nominal: Export before Init")
 	}
-	return json.Marshal(ucb1State{Hist: u.exportHist(), Sums: checkpoint.Floats(u.sums)})
+	b := append(u.exportBuf(16+24*len(u.sums)), `{"hist":`...)
+	b = u.appendHist(b)
+	b = append(b, `,"sums":`...)
+	b = checkpoint.AppendFloats(b, u.sums)
+	return append(b, '}'), nil
 }
 
 // Restore overwrites the state of an Init'ed selector.

@@ -1,8 +1,13 @@
 package nominal
 
 import (
+	"bytes"
+	"encoding/json"
+	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/checkpoint"
 )
 
 var stateSelectorNames = []string{
@@ -149,6 +154,78 @@ func TestHistoryTailPreservesVisitCounts(t *testing.T) {
 		}
 		if len(b.arms[arm]) > historyTail {
 			t.Errorf("arm %d: restored %d samples, tail bound is %d", arm, len(b.arms[arm]), historyTail)
+		}
+	}
+}
+
+// self exposes the history every selector embeds, for the reference
+// encoder below.
+func (h *history) self() *history { return h }
+
+// referenceHist is the reflective form of a history's checkpoint state:
+// historyState with each arm cut to its last historyTail samples.
+func referenceHist(h *history) historyState {
+	st := historyState{
+		Arms: make([][]sampleState, len(h.arms)),
+		Seen: append([]int(nil), h.seen...),
+		Iter: h.iter,
+		Best: checkpoint.Floats(h.best),
+	}
+	for i, arm := range h.arms {
+		tail := arm
+		if len(tail) > historyTail {
+			tail = tail[len(tail)-historyTail:]
+		}
+		ss := make([]sampleState, len(tail))
+		for j, s := range tail {
+			ss[j] = sampleState{Iter: s.iter, Value: checkpoint.F(s.value)}
+		}
+		st.Arms[i] = ss
+	}
+	return st
+}
+
+// referenceExport is the json.Marshal encoding each selector's Export
+// must reproduce byte for byte.
+func referenceExport(sel Selector) ([]byte, error) {
+	h := sel.(interface{ self() *history }).self()
+	switch s := sel.(type) {
+	case *RoundRobin:
+		return json.Marshal(roundRobinState{Hist: referenceHist(h), Next: s.next})
+	case *UCB1:
+		return json.Marshal(ucb1State{Hist: referenceHist(h), Sums: checkpoint.Floats(s.sums)})
+	}
+	return json.Marshal(referenceHist(h))
+}
+
+// TestExportMatchesJSON: every selector's hand-encoded Export equals
+// json.Marshal of its state, across fresh, short and tail-trimmed
+// histories and values json cannot write as numbers.
+func TestExportMatchesJSON(t *testing.T) {
+	values := []float64{1, 0.5, -3, 0, math.Copysign(0, -1), 1e-7, 1e21, 123456.789,
+		math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64, math.SmallestNonzeroFloat64}
+	for _, name := range stateSelectorNames {
+		for _, warm := range []int{0, 1, 7, 40, 3 * historyTail * 4} {
+			s, err := NewByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Init(4)
+			rng := rand.New(rand.NewSource(int64(warm)))
+			for i := 0; i < warm; i++ {
+				s.Report(s.Select(rng), values[rng.Intn(len(values))])
+			}
+			got, err := s.(Stateful).Export()
+			if err != nil {
+				t.Fatalf("%s@%d: Export: %v", name, warm, err)
+			}
+			want, err := referenceExport(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s@%d: Export wrote\n%s\njson.Marshal writes\n%s", name, warm, got, want)
+			}
 		}
 	}
 }
