@@ -33,18 +33,24 @@ bench-check:
 
 # CLI-level crash/resume: a second atune-demo run over the same
 # -checkpoint directory must resume the first run's 60 iterations, for
-# the sequential loop and for the lease-based trial engine alike.
+# the sequential loop and for the lease-based trial engine alike, and
+# leave a directory of journal segments only: no snap-*.ckpt or
+# wal-*.log.
 resume-smoke:
 	@for w in 1 4; do \
 		tmp=$$(mktemp -d); \
 		$(GO) run ./cmd/atune-demo -checkpoint $$tmp -workers $$w -iters 60 >/dev/null && \
 		out=$$($(GO) run ./cmd/atune-demo -checkpoint $$tmp -workers $$w -iters 120); st=$$?; \
+		files=$$(ls -A $$tmp); \
 		rm -rf $$tmp; \
 		if [ $$st -ne 0 ]; then echo "resume-smoke: atune-demo -workers $$w failed"; exit 1; fi; \
 		if ! echo "$$out" | grep -q "resumed from $$tmp at iteration 60"; then \
 			echo "resume-smoke: -workers $$w did not resume at iteration 60:"; echo "$$out"; exit 1; \
 		fi; \
-		echo "resume-smoke: -workers $$w resumed at iteration 60"; \
+		if [ -z "$$files" ] || echo "$$files" | grep -qv '^seg-[0-9]*\.log$$'; then \
+			echo "resume-smoke: -workers $$w left more than journal segments:"; echo "$$files"; exit 1; \
+		fi; \
+		echo "resume-smoke: -workers $$w resumed at iteration 60 into" $$files; \
 	done
 
 # End-to-end smoke of the repository benchmark: a one-second run of each
@@ -71,16 +77,19 @@ chaos:
 	$(GO) test -race -run 'TestChaos|TestDegradedMode|TestDrain|TestAbsorb|TestSessionCap|TestGlobalCap' \
 		./internal/tuned ./internal/exp
 
-# Fuzz the two frame decoders — arbitrary bytes must never panic them or
-# slip a payload past the checksum, neither from a snapshot file nor
-# from the network — the hand-written encoders of journal records and
-# of the tuner's snapshot state, which must write exactly what
-# json.Marshal writes, the drift detectors,
-# which must stay finite and panic-free on any cost stream, and the
-# context partitioner, whose routing must stay stable and replayable
-# under arbitrary feature streams and hostile restore blobs.
+# Fuzz the frame decoders — arbitrary bytes must never panic them or
+# slip a payload past the checksum, neither from a format-2 snapshot
+# file, nor from a journal segment's lines, nor from the network — the
+# hand-written journal record encoder and decoder, which must write
+# exactly what json.Marshal writes and read exactly what json.Unmarshal
+# reads, the hand-written encoder of the tuner's snapshot state, the
+# drift detectors, which must stay finite and panic-free on any cost
+# stream, and the context partitioner, whose routing must stay stable
+# and replayable under arbitrary feature streams and hostile restore
+# blobs.
 fuzz:
 	$(GO) test -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/checkpoint
+	$(GO) test -fuzz=FuzzSegmentRead -fuzztime=10s ./internal/checkpoint
 	$(GO) test -fuzz=FuzzJournalRecord -fuzztime=10s ./internal/checkpoint
 	$(GO) test -fuzz=FuzzExportState -fuzztime=10s ./internal/core
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=10s ./internal/wire

@@ -6,11 +6,13 @@
 //
 //	atune-wisdom show <file>
 //	atune-wisdom merge <out> <in>...
-//	atune-wisdom inspect <checkpoint-dir | snap-*.ckpt | wal-*.log>
+//	atune-wisdom inspect <checkpoint-dir | seg-*.log | snap-*.ckpt | wal-*.log>
 //
-// inspect validates a checkpoint directory (every snapshot's frame and
-// checksum, every journal's records) or pretty-prints a single snapshot
-// or journal file.
+// inspect validates a checkpoint directory — each journal segment's
+// snapshot lines, record count and first damaged line, or a format-2
+// directory's snapshot files and journals — and pretty-prints the
+// snapshot a resume would restore. Given one file it lists a segment's
+// lines, or validates a format-2 snapshot or journal file.
 package main
 
 import (
@@ -78,56 +80,119 @@ func inspect(path string) {
 	}
 	base := filepath.Base(path)
 	switch {
+	case strings.HasPrefix(base, "seg-"):
+		inspectSegment(path)
 	case strings.HasPrefix(base, "snap-"):
 		inspectSnapshot(path)
 	case strings.HasPrefix(base, "wal-"):
 		inspectJournal(path)
 	default:
-		log.Fatalf("inspect: %s is neither a checkpoint directory, a snap-*.ckpt, nor a wal-*.log", path)
+		log.Fatalf("inspect: %s is neither a checkpoint directory, a seg-*.log, a snap-*.ckpt, nor a wal-*.log", path)
 	}
 }
 
-// inspectDir validates every snapshot and journal generation in a
-// checkpoint directory and summarizes them.
+// inspectDir validates every segment, and any format-2 snapshot and
+// journal file, in a checkpoint directory, summarizes them, and prints
+// the snapshot a resume would restore.
 func inspectDir(dir string) {
-	snaps := checkpoint.Generations(dir)
-	wals := checkpoint.JournalGenerations(dir)
-	if len(snaps) == 0 && len(wals) == 0 {
+	if !checkpoint.Exists(dir) {
 		log.Fatalf("inspect: %s contains no checkpoint state", dir)
 	}
 	t := report.NewTable(fmt.Sprintf("checkpoint: %s", dir),
-		"file", "kind", "iteration", "status")
-	for _, g := range snaps {
-		p := checkpoint.SnapPath(dir, g)
-		status := "ok"
-		data, err := os.ReadFile(p)
+		"file", "kind", "snapshots at", "records", "first damaged line")
+	for _, seq := range checkpoint.Segments(dir) {
+		p := checkpoint.SegPath(dir, seq)
+		info, err := checkpoint.InspectSegment(p)
 		if err != nil {
-			status = err.Error()
-		} else if _, err := checkpoint.DecodeSnapshot(data); err != nil {
-			status = err.Error()
+			t.Addf(filepath.Base(p), "segment", "-", "-", err.Error())
+			continue
 		}
-		t.Addf(filepath.Base(p), "snapshot", g, status)
+		t.Addf(filepath.Base(p), "segment", snapshotIters(info.Snapshots), info.Records, damagedLine(info.Damaged))
 	}
-	for _, g := range wals {
-		p := checkpoint.WalPath(dir, g)
-		recs, err := checkpoint.ReadJournal(p)
-		status := fmt.Sprintf("%d records", len(recs))
-		if n := len(recs); n > 0 {
-			status = fmt.Sprintf("%d records, iterations %d..%d", n, recs[0].Iter, recs[n-1].Iter)
+	for _, name := range legacyFiles(dir) {
+		p := filepath.Join(dir, name)
+		if strings.HasPrefix(name, "snap-") {
+			status := "none"
+			data, err := os.ReadFile(p)
+			if err == nil {
+				_, err = checkpoint.DecodeSnapshot(data)
+			}
+			if err != nil {
+				status = err.Error()
+			}
+			t.Addf(name, "v2 snapshot", "-", "-", status)
+			continue
 		}
+		info, err := checkpoint.InspectSegment(p)
 		if err != nil {
-			status += fmt.Sprintf(" (%v)", err)
+			t.Addf(name, "v2 journal", "-", "-", err.Error())
+			continue
 		}
-		t.Addf(filepath.Base(p), "journal", g, status)
+		t.Addf(name, "v2 journal", "-", info.Records, damagedLine(info.Damaged))
 	}
 	t.Render(os.Stdout)
 
-	payload, iter, err := checkpoint.LoadLatest(dir)
+	st, err := checkpoint.Load(dir)
 	if err != nil {
 		log.Fatalf("inspect: no loadable snapshot: %v", err)
 	}
-	fmt.Printf("\nnewest valid snapshot (iteration %d):\n", iter)
-	printJSON(payload)
+	fmt.Printf("\nresume point: snapshot at iteration %d, %d records after it, highest trial %d\n",
+		st.Iter, len(st.Records), st.Trial)
+	printJSON(st.Payload)
+}
+
+// legacyFiles lists the format-2 snap-*.ckpt and wal-*.log files in dir.
+func legacyFiles(dir string) []string {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		log.Fatal(err)
+	}
+	var out []string
+	for _, e := range entries {
+		name := e.Name()
+		if (strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".ckpt")) ||
+			(strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log")) {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
+// snapshotIters lists the iterations of a segment's snapshot lines.
+func snapshotIters(snaps []checkpoint.SnapshotLine) string {
+	if len(snaps) == 0 {
+		return "none"
+	}
+	iters := make([]string, len(snaps))
+	for i, s := range snaps {
+		iters[i] = fmt.Sprint(s.Iter)
+	}
+	return strings.Join(iters, ",")
+}
+
+func damagedLine(n int) string {
+	if n == 0 {
+		return "none"
+	}
+	return fmt.Sprint(n)
+}
+
+// inspectSegment lists one segment's snapshot lines and valid records.
+func inspectSegment(path string) {
+	info, err := checkpoint.InspectSegment(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("%s: %d lines, %d snapshot lines, %d valid records, first damaged line %s\n",
+		path, info.Lines, len(info.Snapshots), info.Records, damagedLine(info.Damaged))
+	for _, s := range info.Snapshots {
+		fmt.Printf("  line %d: snapshot at iteration %d, highest trial %d, %d bytes\n", s.Line, s.Iter, s.Trial, s.Len)
+	}
+	recs, err := checkpoint.ReadJournal(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	printRecords(recs)
 }
 
 // inspectSnapshot validates one snapshot file and pretty-prints its
@@ -141,17 +206,21 @@ func inspectSnapshot(path string) {
 	if err != nil {
 		log.Fatalf("inspect: %s: %v", path, err)
 	}
-	fmt.Printf("%s: valid (version %d, %d payload bytes)\n", path, checkpoint.Version, len(payload))
+	fmt.Printf("%s: valid (format 2, %d payload bytes)\n", path, len(payload))
 	printJSON(payload)
 }
 
-// inspectJournal prints every valid record of one journal file.
+// inspectJournal prints every valid record of one format-2 journal file.
 func inspectJournal(path string) {
 	recs, rerr := checkpoint.ReadJournal(path)
 	fmt.Printf("%s: %d valid records\n", path, len(recs))
 	if rerr != nil {
 		fmt.Printf("  (read stopped early: %v)\n", rerr)
 	}
+	printRecords(recs)
+}
+
+func printRecords(recs []checkpoint.Record) {
 	for _, r := range recs {
 		line, err := json.Marshal(r)
 		if err != nil {

@@ -1,26 +1,37 @@
 // Package checkpoint implements crash-safe persistence for tuner state:
-// versioned, checksummed snapshots plus a write-ahead journal of the
-// iterations completed since the last snapshot.
+// one durable log per tuner, made of journal segments that hold both
+// the iterations completed and periodic snapshots of the whole state.
 //
-// The durability contract is the classical snapshot+WAL design. A
-// snapshot captures everything needed to resume tuning — search-strategy
-// state, selector state, quarantine circuits, incumbent, RNG stream
-// position — and is written atomically (temp file in the same directory,
-// fsync, rename), so a crash mid-write can never destroy the previous
-// snapshot. Between snapshots every completed iteration is appended to a
-// line-delimited journal. Appending only encodes the record into the
-// journal's buffer (by hand, byte-identical to its json.Marshal form);
-// the records an operation buffered reach the file in one write and are
-// fsynced together before it returns, so on restart the journal can be
-// replayed through the tuner's normal Observe/ObserveFailure path and
-// only the records of an operation still in flight at the crash can be
-// lost — any prefix of them may survive.
+// The durability contract is the classical snapshot+WAL design, kept in
+// a single file at a time. A snapshot captures everything needed to
+// resume tuning — search-strategy state, selector state, quarantine
+// circuits, incumbent, RNG stream position — and between snapshots every
+// completed iteration is a record. Both are lines of the current
+// segment (seg-N.log). Appending only encodes the line into the
+// journal's buffer (a record by hand, byte-identical to its json.Marshal
+// form); the lines an operation buffered, a snapshot's included, reach
+// the file in one write and are fsynced together before it returns, so
+// on restart the newest snapshot is restored and the records after it
+// are replayed through the tuner's normal Observe/ObserveFailure path,
+// and only the lines of an operation still in flight at the crash can
+// be lost — any prefix of them may survive.
 //
-// Corruption is expected, not exceptional: every snapshot carries a
-// CRC32 over its payload and every journal line a CRC32 over its record,
-// and the loader falls back — to the previous snapshot when the newest
-// fails its checksum, and to a truncated replay when a journal line is
-// damaged — instead of failing the resume.
+// A snapshot creates no file. A new segment starts only when the
+// current one passes SegmentBytes, when a tuner resumes (so a torn tail
+// is never followed by new lines), and at the first snapshot after a
+// checkpoint error; it opens with a snapshot line, is fsynced, and its
+// directory is fsynced before the segments older than the previous one
+// are deleted (Roll). Two segments survive, so a damaged opening
+// snapshot still falls back to the previous segment.
+//
+// Corruption is expected, not exceptional: every line carries a CRC32
+// over its body, and the loader falls back — to the previous snapshot
+// when the newest fails its checksum, and to a truncated replay when a
+// record is damaged — instead of failing the resume (see Load).
+// Directories written in format 2 (a snap-N.ckpt file per snapshot,
+// framed with its own CRC and written by temp file and rename, beside a
+// wal-N.log journal) still load; the first segment their resume writes
+// replaces them.
 package checkpoint
 
 import (

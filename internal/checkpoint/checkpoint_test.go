@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -75,9 +76,21 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 }
 
+// encodeSnapshot frames payload in a format-2 snapshot envelope, the
+// way format-2 snapshot files were written, for the v2 reader's tests.
+func encodeSnapshot(payload []byte) ([]byte, error) {
+	if !json.Valid(payload) {
+		return nil, errors.New("snapshot payload is not valid JSON")
+	}
+	payload = bytes.TrimSpace(payload)
+	b := fmt.Appendf(nil, `{"version":2,"crc32":%d,"payload":`, crc32.ChecksumIEEE(payload))
+	b = append(b, payload...)
+	return append(b, '}'), nil
+}
+
 func TestSnapshotEncodeDecode(t *testing.T) {
 	payload := []byte(`{"hello":"world","n":3}`)
-	data, err := EncodeSnapshot(payload)
+	data, err := encodeSnapshot(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +101,7 @@ func TestSnapshotEncodeDecode(t *testing.T) {
 	if string(got) != string(payload) {
 		t.Errorf("payload round-tripped to %s", got)
 	}
-	if _, err := EncodeSnapshot([]byte(`{"un终`)); err == nil {
+	if _, err := encodeSnapshot([]byte(`{"un终`)); err == nil {
 		t.Error("encoding invalid JSON succeeded")
 	}
 }
@@ -104,7 +117,7 @@ func TestSnapshotRoundTripsAnyJSON(t *testing.T) {
 		{"\n [1,\t2] \r\n", `[1,	2]`},
 		{`"\u2028"`, `"\u2028"`},
 	} {
-		data, err := EncodeSnapshot([]byte(c.in))
+		data, err := encodeSnapshot([]byte(c.in))
 		if err != nil {
 			t.Fatalf("encode %q: %v", c.in, err)
 		}
@@ -119,18 +132,18 @@ func TestSnapshotRoundTripsAnyJSON(t *testing.T) {
 }
 
 // TestSnapshotFrameMatchesJSON: for a json.Marshal payload the frame is
-// byte-identical to json.Marshal of the envelope, the form snapshots
-// have always been written in.
+// byte-identical to json.Marshal of the envelope, the form format-2
+// snapshot files were written in.
 func TestSnapshotFrameMatchesJSON(t *testing.T) {
 	payload, err := json.Marshal(map[string]any{"best": F(math.Inf(1)), "name": "<a&b>", "v": []F{0.5, 1e-9}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := EncodeSnapshot(payload)
+	got, err := encodeSnapshot(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := json.Marshal(envelope{Version: Version, CRC32: crc32.ChecksumIEEE(payload), Payload: payload})
+	want, err := json.Marshal(envelope{Version: 2, CRC32: crc32.ChecksumIEEE(payload), Payload: payload})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +154,7 @@ func TestSnapshotFrameMatchesJSON(t *testing.T) {
 
 func TestSnapshotDecodeRejectsDamage(t *testing.T) {
 	payload := []byte(`{"counts":[1,2,3],"value":0.5}`)
-	data, err := EncodeSnapshot(payload)
+	data, err := encodeSnapshot(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +199,7 @@ func TestJournalAppendRead(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJournal(WalPath(dir, 0))
+	got, err := ReadJournal(SegPath(dir, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +218,7 @@ func TestJournalAppendRead(t *testing.T) {
 
 func TestJournalReadStopsAtDamage(t *testing.T) {
 	dir := t.TempDir()
-	path := WalPath(dir, 0)
+	path := SegPath(dir, 0)
 	j, err := OpenJournal(dir, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -266,35 +279,52 @@ func TestReadJournalMissingFile(t *testing.T) {
 	}
 }
 
-// writeGen writes a snapshot and a journal covering [iter, iter+n).
+// writeGen writes a format-2 generation: a snapshot file and a journal
+// covering [iter, iter+n).
 func writeGen(t *testing.T, dir string, iter, n int) {
 	t.Helper()
-	payload := []byte(fmt.Sprintf(`{"iter":%d}`, iter))
-	if err := WriteSnapshot(dir, iter, payload); err != nil {
-		t.Fatal(err)
-	}
-	j, err := OpenJournal(dir, iter)
+	snap, err := encodeSnapshot([]byte(fmt.Sprintf(`{"iter":%d}`, iter)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j.Close()
+	if err := os.WriteFile(SnapPath(dir, iter), snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var lines []byte
 	for i := iter; i < iter+n; i++ {
-		if err := j.Append(Record{Iter: i, Algo: "a", Value: F(i)}); err != nil {
-			t.Fatal(err)
-		}
+		lines = appendLine(lines, &Record{Iter: i, Algo: "a", Value: F(i)})
+	}
+	if err := os.WriteFile(WalPath(dir, iter), lines, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
+// TestPruneKeepsTwoGenerations: a roll keeps the new segment and the
+// one before it, and deletes older segments and every format-2 file —
+// but only once the new segment is written.
 func TestPruneKeepsTwoGenerations(t *testing.T) {
 	dir := t.TempDir()
 	writeGen(t, dir, 0, 10)
-	writeGen(t, dir, 10, 10)
-	writeGen(t, dir, 20, 10)
-	if got := Generations(dir); !reflect.DeepEqual(got, []int{10, 20}) {
-		t.Errorf("snapshot generations after prune: %v", got)
+	for seq := 1; seq <= 4; seq++ {
+		j, err := Roll(dir, seq, 10*seq, 0, []byte(`{"s":1}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
 	}
-	if got := JournalGenerations(dir); !reflect.DeepEqual(got, []int{10, 20}) {
-		t.Errorf("journal generations after prune: %v", got)
+	if got := Segments(dir); !reflect.DeepEqual(got, []int{3, 4}) {
+		t.Errorf("segments after four rolls: %v, want [3 4]", got)
+	}
+	if segs, snaps, wals := list(dir); len(snaps)+len(wals) != 0 {
+		t.Errorf("format-2 files survive a roll: snapshots %v, journals %v (segments %v)", snaps, wals, segs)
+	}
+	// A failed roll — here, onto an existing segment — leaves the
+	// directory as it was.
+	if _, err := Roll(dir, 4, 50, 0, []byte(`{"s":1}`)); err == nil {
+		t.Fatal("rolling onto an existing segment succeeded")
+	}
+	if got := Segments(dir); !reflect.DeepEqual(got, []int{3, 4}) {
+		t.Errorf("segments after a failed roll: %v, want [3 4]", got)
 	}
 }
 
@@ -304,9 +334,9 @@ func TestLoadLatestFallsBack(t *testing.T) {
 	writeGen(t, dir, 5, 5)
 
 	// Healthy: newest wins.
-	_, iter, err := LoadLatest(dir)
-	if err != nil || iter != 5 {
-		t.Fatalf("LoadLatest: iter %d, err %v", iter, err)
+	st, err := Load(dir)
+	if err != nil || st.Iter != 5 {
+		t.Fatalf("Load: %+v, err %v", st, err)
 	}
 
 	// Corrupt the newest: previous generation must load, and the chained
@@ -319,15 +349,14 @@ func TestLoadLatestFallsBack(t *testing.T) {
 	if err := os.WriteFile(SnapPath(dir, 5), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, iter, err = LoadLatest(dir)
-	if err != nil || iter != 0 {
-		t.Fatalf("LoadLatest after corruption: iter %d, err %v", iter, err)
+	st, err = Load(dir)
+	if err != nil || st.Iter != 0 {
+		t.Fatalf("Load after corruption: %+v, err %v", st, err)
 	}
-	recs := ReadJournalsSince(dir, 0)
-	if len(recs) != 10 {
-		t.Fatalf("chained journals replay %d records, want 10", len(recs))
+	if len(st.Records) != 10 {
+		t.Fatalf("chained journals replay %d records, want 10", len(st.Records))
 	}
-	for i, r := range recs {
+	for i, r := range st.Records {
 		if r.Iter != i {
 			t.Errorf("replay record %d has iteration %d", i, r.Iter)
 		}
@@ -341,8 +370,8 @@ func TestLoadLatestFallsBack(t *testing.T) {
 	if err := os.WriteFile(SnapPath(dir, 0), data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadLatest(dir); err == nil {
-		t.Error("LoadLatest with every snapshot damaged succeeded")
+	if _, err := Load(dir); !errors.Is(err, ErrNoSnapshot) {
+		t.Errorf("Load with every snapshot damaged: %v, want ErrNoSnapshot", err)
 	}
 }
 
@@ -350,7 +379,8 @@ func TestReadJournalsSinceSkipsOlderRecords(t *testing.T) {
 	dir := t.TempDir()
 	writeGen(t, dir, 0, 10)
 	writeGen(t, dir, 10, 4)
-	recs := ReadJournalsSince(dir, 10)
+	_, _, wals := list(dir)
+	recs, _ := readJournalsSince(dir, wals, 10)
 	if len(recs) != 4 {
 		t.Fatalf("replay from 10 yields %d records, want 4", len(recs))
 	}
@@ -362,7 +392,7 @@ func TestReadJournalsSinceSkipsOlderRecords(t *testing.T) {
 // FuzzSnapshotDecode asserts the decoder never panics and never returns a
 // payload that fails validation, no matter the input bytes.
 func FuzzSnapshotDecode(f *testing.F) {
-	valid, err := EncodeSnapshot([]byte(`{"counts":[1,2,3],"value":0.5}`))
+	valid, err := encodeSnapshot([]byte(`{"counts":[1,2,3],"value":0.5}`))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -378,7 +408,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 		// Whatever decodes must be self-consistent: re-encoding and
 		// re-decoding yields the same payload.
-		again, err := EncodeSnapshot(payload)
+		again, err := encodeSnapshot(payload)
 		if err != nil {
 			t.Fatalf("decoded payload does not re-encode: %v", err)
 		}
@@ -445,15 +475,19 @@ func TestAppendRecordMatchesJSON(t *testing.T) {
 }
 
 // FuzzJournalRecord: for any record, the hand-written encoder writes
-// exactly what json.Marshal writes.
+// exactly what json.Marshal writes, and the hand-written decoder reads
+// it back. On any body — arbitrary bytes, and the encoded record with
+// them spliced in — the decoder agrees with json.Unmarshal.
 func FuzzJournalRecord(f *testing.F) {
-	f.Add(0, "", []byte(nil), true, 0.0, "", uint64(0), false, false, "", uint64(0), 0, 0.0, 0, false)
+	f.Add(0, "", []byte(nil), true, 0.0, "", uint64(0), false, false, "", uint64(0), 0, 0.0, 0, false,
+		[]byte(`{"iter":1,"algo":"a","config":null,"value":1}`))
 	f.Add(5, "tuned", []byte{0, 0, 0, 0, 0, 0, 0xf8, 0x7f}, false, 1e-7, "panic", uint64(9), true, true,
-		DriftRefork, uint64(3), 2, 0.5, 4, true)
+		DriftRefork, uint64(3), 2, 0.5, 4, true, []byte(`,"spec":true`))
 	f.Add(-1, "<\xff\u2028>", []byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, false, 2.5e21, "\n", uint64(1), false, true,
-		DriftDecay, uint64(1), -3, math.Inf(-1), -2, false)
+		DriftDecay, uint64(1), -3, math.Inf(-1), -2, false, []byte(`"\u004eaN"`))
 	f.Fuzz(func(t *testing.T, iter int, algo string, cfgBits []byte, cfgNil bool, value float64, fail string,
-		trial uint64, spec, pinned bool, drift string, dseq uint64, darm int, dkeep float64, dprobes int, dp1 bool) {
+		trial uint64, spec, pinned bool, drift string, dseq uint64, darm int, dkeep float64, dprobes int, dp1 bool,
+		body []byte) {
 		// Long inputs add no encoder branch, only time per run, and the
 		// fuzzer's minimizer pays that time once per byte of them.
 		algo, fail, drift = clip(algo), clip(fail), clip(drift)
@@ -467,11 +501,20 @@ func FuzzJournalRecord(f *testing.F) {
 		for ; len(cfgBits) >= 8; cfgBits = cfgBits[8:] {
 			cfg = append(cfg, F(math.Float64frombits(binary.LittleEndian.Uint64(cfgBits))))
 		}
-		checkRecordEncoding(t, "fuzz", Record{
+		if len(body) > 512 {
+			body = body[:512]
+		}
+		rec := Record{
 			Iter: iter, Algo: algo, Config: cfg, Value: F(value), FailKind: fail, Trial: trial,
 			Spec: spec, Pinned: pinned, Drift: drift, DriftSeq: dseq, DriftArm: darm,
 			DriftKeep: F(dkeep), DriftProbes: dprobes, DriftP1: dp1,
-		})
+		}
+		checkRecordEncoding(t, "fuzz", rec)
+		checkRecordDecoding(t, "fuzz", rec)
+		checkDecodeAgrees(t, body)
+		enc := appendRecord(nil, &rec)
+		k := len(body) % (len(enc) + 1)
+		checkDecodeAgrees(t, cat(enc[:k], body, enc[k:]))
 	})
 }
 
@@ -542,7 +585,7 @@ func TestJournalFixtureReencodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := EncodeSnapshot(payload)
+	again, err := encodeSnapshot(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,23 +594,29 @@ func TestJournalFixtureReencodes(t *testing.T) {
 	}
 }
 
-// TestGenerationNames: only the fixed-width names SnapPath and WalPath
-// write count as generations; temp files and near misses do not.
+// TestGenerationNames: only the fixed-width names SegPath, SnapPath and
+// WalPath write count as segments and generations; temp files and near
+// misses do not.
 func TestGenerationNames(t *testing.T) {
 	dir := t.TempDir()
 	for _, name := range []string{
 		"snap-000000000020.ckpt", "snap-000000000003.ckpt", "wal-000000000003.log", "wal-999999999999.log",
 		"snap-5.ckpt", "snap-0000000000005.ckpt", "snap-00000000000x.ckpt", "snap-+00000000001.ckpt",
 		".snap-000000000007.ckpt.tmp-1", "snap-000000000007.ckpt.tmp", "wal-000000000003.ckpt", "README",
+		"seg-000000000002.log", "seg-000000000011.log", "seg-2.log", "seg-000000000002.ckpt", "seg-00000000001a.log",
 	} {
 		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := Generations(dir); !reflect.DeepEqual(got, []int{3, 20}) {
-		t.Errorf("snapshot generations %v, want [3 20]", got)
+	segs, snaps, wals := list(dir)
+	if !reflect.DeepEqual(segs, []int{2, 11}) {
+		t.Errorf("segments %v, want [2 11]", segs)
 	}
-	if got := JournalGenerations(dir); !reflect.DeepEqual(got, []int{3, 999999999999}) {
-		t.Errorf("journal generations %v, want [3 999999999999]", got)
+	if !reflect.DeepEqual(snaps, []int{3, 20}) {
+		t.Errorf("snapshot generations %v, want [3 20]", snaps)
+	}
+	if !reflect.DeepEqual(wals, []int{3, 999999999999}) {
+		t.Errorf("journal generations %v, want [3 999999999999]", wals)
 	}
 }

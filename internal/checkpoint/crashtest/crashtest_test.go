@@ -3,6 +3,7 @@ package crashtest
 import (
 	"errors"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -42,7 +43,7 @@ func TestPowerLossKeepsSyncedPrefix(t *testing.T) {
 	if err := d.PowerLoss(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := checkpoint.ReadJournal(checkpoint.WalPath(dir, 0))
+	recs, err := checkpoint.ReadJournal(checkpoint.SegPath(dir, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestPowerLossKeepsSyncedPrefix(t *testing.T) {
 	if err := j2.Append(rec(1)); err != nil {
 		t.Fatal(err)
 	}
-	if recs, _ := checkpoint.ReadJournal(checkpoint.WalPath(dir, 0)); len(recs) != 2 {
+	if recs, _ := checkpoint.ReadJournal(checkpoint.SegPath(dir, 0)); len(recs) != 2 {
 		t.Fatalf("after restart the journal holds %d records, want 2", len(recs))
 	}
 }
@@ -99,7 +100,7 @@ func TestTornPowerLossKeepsAPrefix(t *testing.T) {
 		if err := d.PowerLoss(); err != nil {
 			t.Fatal(err)
 		}
-		recs, err := checkpoint.ReadJournal(checkpoint.WalPath(dir, 0))
+		recs, err := checkpoint.ReadJournal(checkpoint.SegPath(dir, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +113,7 @@ func TestTornPowerLossKeepsAPrefix(t *testing.T) {
 			}
 		}
 		seen[len(recs)-1] = true
-		data, err := os.ReadFile(checkpoint.WalPath(dir, 0))
+		data, err := os.ReadFile(checkpoint.SegPath(dir, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +146,7 @@ func TestLargeGroupWritesEarly(t *testing.T) {
 	if err := j.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := checkpoint.ReadJournal(checkpoint.WalPath(dir, 0))
+	recs, err := checkpoint.ReadJournal(checkpoint.SegPath(dir, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,5 +157,59 @@ func TestLargeGroupWritesEarly(t *testing.T) {
 		if r.Iter != i {
 			t.Fatalf("record %d has iteration %d", i, r.Iter)
 		}
+	}
+}
+
+// TestUnsyncedCreationIsLost: a file created without a later directory
+// fsync is gone after a power loss, synced bytes and all; once its
+// directory is synced it survives. Creations, directory syncs and open
+// handles are counted.
+func TestUnsyncedCreationIsLost(t *testing.T) {
+	dir := t.TempDir()
+	d := Install(t)
+	lost, kept := filepath.Join(dir, "lost.log"), filepath.Join(dir, "kept.log")
+	for _, path := range []string{kept, lost} {
+		f, err := d.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write([]byte("line\n")); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if path == kept {
+			if err := d.SyncDir(dir); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+		}
+	}
+	if d.Creates() != 2 || d.DirSyncs() != 1 || d.Handles(dir) != 1 {
+		t.Fatalf("creates %d, dir syncs %d, open handles %d; want 2, 1 and 1", d.Creates(), d.DirSyncs(), d.Handles(dir))
+	}
+	d.CutAt(1)
+	f, err := d.Open(kept)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("more\n")); !errors.Is(err, ErrPowerCut) {
+		t.Fatalf("write at the cut: %v", err)
+	}
+	if err := d.Remove(lost); !errors.Is(err, ErrPowerCut) {
+		t.Fatalf("Remove with the power cut: %v, want ErrPowerCut", err)
+	}
+	if err := d.PowerLoss(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(lost); !os.IsNotExist(err) {
+		t.Errorf("file created without a directory sync survives the power loss: %v", err)
+	}
+	if data, err := os.ReadFile(kept); err != nil || string(data) != "line\n" {
+		t.Errorf("synced file after the power loss: %q, %v", data, err)
+	}
+	if d.Handles(dir) != 0 {
+		t.Errorf("%d handles survive the power loss", d.Handles(dir))
 	}
 }

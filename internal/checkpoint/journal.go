@@ -1,12 +1,12 @@
 package checkpoint
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
+	"errors"
 	"hash/crc32"
+	"io"
 	"os"
 	"strconv"
 	"sync"
@@ -25,16 +25,16 @@ import (
 // strategy, and Pinned marks a degradation-mode incumbent run that
 // bypassed both phases. All three decode as zero values from version-1
 // journals, which is exactly their sequential meaning.
-// Drift sentinels (format version 3): a record with a non-empty Drift
-// is not an observation but a journaled selector reset by core's drift
-// watchdog — Algo and Config are empty, and Iter is the iteration count
-// at the moment the reset fired. DriftSeq is the tuner's monotonic
-// reset sequence number, which makes replay idempotent (a reset already
+// Drift sentinels: a record with a non-empty Drift is not an
+// observation but a journaled selector reset by core's drift watchdog —
+// Algo and Config are empty, and Iter is the iteration count at the
+// moment the reset fired. DriftSeq is the tuner's monotonic reset
+// sequence number, which makes replay idempotent (a reset already
 // inside the snapshot, or re-fired deterministically by the replayed
 // stream, is skipped); DriftArm, DriftKeep, DriftProbes and DriftP1
-// carry the reset parameters so replay re-applies it verbatim. Version
-// ≤ 2 readers never see these fields; version-3 readers see them as
-// zero values on old journals, i.e. "no drift".
+// carry the reset parameters so replay re-applies it verbatim. The
+// fields were added inside format version 2 and are omitted when empty,
+// so journals written before them read as "no drift".
 //
 // appendRecord encodes a Record by hand, so a field added here must be
 // added there too; TestAppendRecordMatchesJSON sets every field through
@@ -63,59 +63,91 @@ const (
 	DriftRefork = "refork"
 )
 
-// Journal is an append-only record of the iterations completed since
-// the last snapshot. Each line is
+// Journal appends to one journal segment. Each line is
 //
-//	crc32hex <space> json-record <newline>
+//	crc32hex <space> body <newline>
 //
 // so a torn final line (the common crash artifact) is detected and
-// dropped by the reader rather than corrupting the replay. The record
-// is the json.Marshal form of a Record, byte for byte, but encoded by
-// hand. Records are made durable in groups: AppendBuffered buffers,
-// Sync writes everything buffered since the previous Sync in one write
-// and fsyncs it, and Close syncs before it closes, so no buffered
-// record is ever dropped silently.
+// dropped by the reader rather than corrupting the replay. A record's
+// body is the json.Marshal form of a Record, byte for byte, but encoded
+// by hand; a snapshot's body frames a tuner state payload (see
+// AppendSnapshot). Lines are made durable in groups: AppendBuffered and
+// AppendSnapshot buffer, Sync writes everything buffered since the
+// previous Sync in one write and fsyncs it, and Close syncs before it
+// closes, so no buffered line is ever dropped silently.
 type Journal struct {
-	f     File
+	path  string
+	f     File   // nil while closed: the next write reopens the segment
 	buf   []byte // encoded lines not yet written, reused across writes
+	size  int64  // bytes in the segment, written or buffered
 	dirty bool   // bytes written since the last successful fsync
 }
 
-// maxPending bounds the lines a Journal holds unwritten: AppendBuffered
-// writes them out early once they reach it, so one huge operation does
-// not pin an equally huge buffer for the journal's lifetime. Trial
-// engine batches stay far below it and cost one write per Sync.
+// maxPending bounds the lines a Journal holds unwritten: appends write
+// them out early once they reach it, so one huge operation does not pin
+// an equally huge buffer for the journal's lifetime. Trial engine
+// batches stay far below it and cost one write per Sync.
 const maxPending = 64 << 10
 
-// File is the journal's handle on its file. Every journal write and
-// sync goes through it, which is the seam crash-point tests use to
-// stand in a file that forgets its unsynced bytes on a simulated power
-// cut (see package crashtest).
+// File is the journal's handle on a segment file. Every journal write
+// and sync goes through it.
 type File interface {
 	Write(p []byte) (int, error)
 	Sync() error
 	Close() error
 }
 
-// Opener opens the journal file at path for appending, creating it
-// when absent.
-type Opener func(path string) (File, error)
+// Opener is the file system beneath the journal: every segment opened,
+// created or removed, and every directory fsync that makes a creation
+// durable, goes through it. It is the seam crash-point tests use to
+// stand in a disk that forgets unsynced bytes and unsynced directory
+// entries on a simulated power cut (see package crashtest).
+type Opener interface {
+	// Open opens an existing segment for appending.
+	Open(path string) (File, error)
+	// Create creates a new, empty segment for appending; it fails when
+	// path exists.
+	Create(path string) (File, error)
+	// SyncDir makes the entries of the files created in dir durable.
+	SyncDir(dir string) error
+	// Remove deletes a segment or a format-2 file.
+	Remove(path string) error
+}
+
+type osOpener struct{}
+
+func (osOpener) Open(path string) (File, error) {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+func (osOpener) Create(path string) (File, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	preallocate(f, segmentCap.Load())
+	return f, nil
+}
+
+func (osOpener) SyncDir(dir string) error { return syncDir(dir) }
+
+func (osOpener) Remove(path string) error { return os.Remove(path) }
 
 var (
 	openerMu sync.Mutex
-	opener   Opener = osOpen
+	opener   Opener = osOpener{}
 )
 
-func osOpen(path string) (File, error) {
-	return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-}
-
-// SetOpener routes every journal opened from now on through open (nil
-// restores the operating system's files) and returns the previous
-// opener. It is a test seam: nothing outside tests calls it.
+// SetOpener routes every segment opened or created from now on through
+// open (nil restores the operating system's files) and returns the
+// previous opener. It is a test seam: nothing outside tests calls it.
 func SetOpener(open Opener) Opener {
 	if open == nil {
-		open = osOpen
+		open = osOpener{}
 	}
 	openerMu.Lock()
 	defer openerMu.Unlock()
@@ -124,17 +156,35 @@ func SetOpener(open Opener) Opener {
 	return prev
 }
 
-// OpenJournal opens (creating if absent) the journal for the generation
-// starting at iteration iter, positioned for appending.
-func OpenJournal(dir string, iter int) (*Journal, error) {
+func currentOpener() Opener {
 	openerMu.Lock()
-	open := opener
-	openerMu.Unlock()
-	f, err := open(WalPath(dir, iter))
+	defer openerMu.Unlock()
+	return opener
+}
+
+// OpenJournal opens segment seq in dir for appending, creating it —
+// and making its directory entry durable — when absent. Tuners do not
+// use it: their segments start with a snapshot line (see Roll).
+func OpenJournal(dir string, seq int) (*Journal, error) {
+	path := SegPath(dir, seq)
+	op := currentOpener()
+	f, err := op.Open(path)
+	if os.IsNotExist(err) {
+		if f, err = op.Create(path); err == nil {
+			err = op.SyncDir(dir)
+		}
+	}
 	if err != nil {
+		if f != nil {
+			f.Close()
+		}
 		return nil, err
 	}
-	return &Journal{f: f}, nil
+	j := &Journal{path: path, f: f}
+	if st, err := os.Stat(path); err == nil {
+		j.size = st.Size()
+	}
+	return j, nil
 }
 
 // Append writes one record and fsyncs, so the record survives an
@@ -155,20 +205,64 @@ func (j *Journal) Append(rec Record) error {
 // record detectable either way. The error is that of an early write
 // once maxPending bytes are waiting.
 func (j *Journal) AppendBuffered(rec Record) error {
+	n := len(j.buf)
 	j.buf = appendLine(j.buf, &rec)
+	return j.buffered(n)
+}
+
+// AppendSnapshot adds a snapshot line to the journal's buffer: the
+// tuner state payload taken at iteration iter, and trial, the highest
+// trial ID issued so far. Like a record, it reaches the file with
+// the next Sync. The payload must be one line of JSON. It fails when
+// the segment is no longer in its directory: a segment unlinked under
+// an open journal still takes writes and fsyncs, and only its name
+// shows that it is gone.
+func (j *Journal) AppendSnapshot(iter int, trial uint64, payload []byte) error {
+	if _, err := os.Stat(j.path); err != nil {
+		return err
+	}
+	return j.appendSnapshot(iter, trial, payload)
+}
+
+func (j *Journal) appendSnapshot(iter int, trial uint64, payload []byte) error {
+	if len(payload) == 0 || bytes.IndexByte(payload, '\n') >= 0 {
+		return errors.New("checkpoint: snapshot payload is empty or spans lines")
+	}
+	n := len(j.buf)
+	j.buf = appendSnapshotLine(j.buf, iter, trial, payload)
+	return j.buffered(n)
+}
+
+// buffered accounts for the line appended to the buffer at n and
+// writes the buffer out early once maxPending bytes are waiting.
+func (j *Journal) buffered(n int) error {
+	j.size += int64(len(j.buf) - n)
 	if len(j.buf) >= maxPending {
 		return j.write()
 	}
 	return nil
 }
 
-// write hands the buffered lines to the file in one Write. The buffer
-// is emptied whether or not the write succeeds, so a failing file
-// cannot make it grow without bound; the records of a failed write are
-// lost, and its error says so.
+// Full reports whether the segment has reached the segment size cap
+// (SegmentBytes): the tuner's next snapshot then starts a new segment.
+func (j *Journal) Full() bool { return j.size >= segmentCap.Load() }
+
+// write hands the buffered lines to the file in one Write, reopening
+// the segment first when Close released it. The buffer is emptied
+// whether or not the write succeeds, so a failing file cannot make it
+// grow without bound; the lines of a failed write are lost, and its
+// error says so.
 func (j *Journal) write() error {
 	if len(j.buf) == 0 {
 		return nil
+	}
+	if j.f == nil {
+		f, err := currentOpener().Open(j.path)
+		if err != nil {
+			j.buf = j.buf[:0]
+			return err
+		}
+		j.f = f
 	}
 	j.dirty = true
 	_, err := j.f.Write(j.buf)
@@ -176,11 +270,11 @@ func (j *Journal) write() error {
 	return err
 }
 
-// Sync writes the records buffered since the previous Sync and flushes
+// Sync writes the lines buffered since the previous Sync and flushes
 // them to stable storage: one write and one fsync. It does nothing when
-// no record is waiting.
+// no line is waiting.
 func (j *Journal) Sync() error {
-	if j == nil || j.f == nil {
+	if j == nil {
 		return nil
 	}
 	if err := j.write(); err != nil {
@@ -196,12 +290,54 @@ func (j *Journal) Sync() error {
 	return nil
 }
 
-// appendLine appends rec's journal line to b. The CRC field is reserved
-// first and filled in place once the record body is encoded behind it.
+// Close syncs any buffered lines and closes the segment file. The
+// journal stays usable: its next write reopens the segment.
+func (j *Journal) Close() error {
+	if j == nil {
+		return nil
+	}
+	err := j.Sync()
+	if j.f != nil {
+		if cerr := j.f.Close(); err == nil {
+			err = cerr
+		}
+		j.f = nil
+	}
+	return err
+}
+
+// appendLine appends rec's journal line to b.
 func appendLine(b []byte, rec *Record) []byte {
 	start := len(b)
 	b = append(b, "00000000 "...)
 	b = appendRecord(b, rec)
+	return frameLine(b, start)
+}
+
+// appendSnapshotLine appends a snapshot line to b. Its body is
+//
+//	{"version":V,"iter":N,"trial":T,"state":P}
+//
+// with P the tuner state payload exactly as given.
+func appendSnapshotLine(b []byte, iter int, trial uint64, payload []byte) []byte {
+	start := len(b)
+	b = append(b, "00000000 "...)
+	b = append(b, `{"version":`...)
+	b = strconv.AppendInt(b, Version, 10)
+	b = append(b, `,"iter":`...)
+	b = strconv.AppendInt(b, int64(iter), 10)
+	b = append(b, `,"trial":`...)
+	b = strconv.AppendUint(b, trial, 10)
+	b = append(b, `,"state":`...)
+	b = append(b, payload...)
+	b = append(b, '}')
+	return frameLine(b, start)
+}
+
+// frameLine completes the line started at b[start:]: the CRC field
+// reserved there is filled in with the checksum of the body behind it,
+// and the newline is appended.
+func frameLine(b []byte, start int) []byte {
 	var sum [4]byte
 	binary.BigEndian.PutUint32(sum[:], crc32.ChecksumIEEE(b[start+9:]))
 	hex.Encode(b[start:start+8], sum[:])
@@ -315,23 +451,14 @@ func AppendString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// Close syncs any buffered records and closes the underlying file.
-func (j *Journal) Close() error {
-	if j == nil || j.f == nil {
-		return nil
-	}
-	err := j.Sync()
-	if cerr := j.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// ReadJournal returns the valid records of one journal file in order.
-// Reading stops at the first damaged line — a bad checksum, unparsable
-// JSON, or a missing CRC prefix — because everything after a torn write
-// is untrustworthy. Blank lines are skipped (they can appear when an
-// append was cut before the body). A missing file is an empty journal.
+// ReadJournal returns the valid records of one journal file in order:
+// a segment's records, its snapshot lines left out, or a format-2
+// wal-*.log. A damaged line — a bad checksum, a body that does not
+// decode, a missing CRC prefix — ends the read unless the next valid
+// line carries the iteration the damaged one would have (see
+// readState), because everything after a torn write is untrustworthy.
+// Blank lines are skipped (they can appear when an append was cut
+// before the body). A missing file is an empty journal.
 func ReadJournal(path string) ([]Record, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -341,103 +468,27 @@ func ReadJournal(path string) ([]Record, error) {
 		return nil, err
 	}
 	defer f.Close()
-
-	var recs []Record
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		if len(line) < 9 || line[8] != ' ' {
-			break
-		}
-		var sum [4]byte
-		if _, err := hex.Decode(sum[:], line[:8]); err != nil {
-			break
-		}
-		body := line[9:]
-		if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(sum[:]) {
-			break
-		}
-		var rec Record
-		if err := json.Unmarshal(body, &rec); err != nil {
-			break
-		}
-		recs = append(recs, rec)
-	}
-	return recs, nil
+	return readRecords(f)
 }
 
-// ReadJournalsSince collects the records of every journal generation
-// starting at or after iter, in generation order, dropping records below
-// iter. Chaining generations this way means a fallback to an older
-// snapshot still replays the full tail: the journals between the old
-// snapshot and the crash are all still on disk (pruning only removes
-// journals older than the oldest kept snapshot).
-func ReadJournalsSince(dir string, iter int) []Record {
-	var recs []Record
-	for _, g := range JournalGenerations(dir) {
-		if g < iter {
-			// An older generation can still contain records >= iter
-			// when iter's own snapshot was corrupt and we fell back:
-			// include its tail.
-			rs, err := ReadJournal(WalPath(dir, g))
-			if err != nil {
-				continue
-			}
-			for _, r := range rs {
-				if r.Iter >= iter {
-					recs = append(recs, r)
-				}
-			}
-			continue
-		}
-		rs, err := ReadJournal(WalPath(dir, g))
-		if err != nil {
-			continue
-		}
-		recs = append(recs, rs...)
-	}
-	// Defensive: records must be strictly increasing in Iter across the
-	// chain; clip anything out of order (overlapping generations after
-	// a partial prune). Drift sentinels are exempt — they share their
-	// Iter with the observation that triggered them (and with the first
-	// observation of a fresh generation), so the strict-monotonic rule
-	// would silently drop them.
-	out := recs[:0]
-	last := iter - 1
-	for _, r := range recs {
-		if r.Drift != "" {
-			out = append(out, r)
-			continue
-		}
-		if r.Iter > last {
-			out = append(out, r)
-			last = r.Iter
-		}
-	}
-	return out
-}
-
-// MaxJournalTrial scans every journal generation in dir for the highest
-// trial ID ever journaled — including records already folded into a
-// snapshot, which ReadJournalsSince filters out. A resuming engine uses
-// it to keep fresh trial IDs disjoint from everything a previous
-// incarnation issued.
-func MaxJournalTrial(dir string) uint64 {
-	var max uint64
-	for _, g := range JournalGenerations(dir) {
-		rs, err := ReadJournal(WalPath(dir, g))
-		if err != nil {
-			continue
-		}
-		for _, r := range rs {
-			if r.Trial > max {
-				max = r.Trial
+// readRecords is ReadJournal over a file's contents.
+func readRecords(rd io.Reader) ([]Record, error) {
+	var (
+		recs []Record
+		seq  readState
+	)
+	err := scanLines(rd, func(l line) {
+		switch l.kind {
+		case lineDamaged:
+			seq.damaged()
+		case lineSnapshot:
+			seq.snapshot(l.iter)
+		case lineRecord:
+			var rec Record
+			if seq.record(l.iter, l.drift) && decodeRecord(l.body, &rec) == nil {
+				recs = append(recs, rec)
 			}
 		}
-	}
-	return max
+	})
+	return recs, err
 }

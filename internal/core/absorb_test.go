@@ -95,8 +95,8 @@ func TestAbsorbJournaled(t *testing.T) {
 
 	// Journal audit: 13 records, unique trial IDs.
 	var recs []checkpoint.Record
-	for _, g := range checkpoint.JournalGenerations(dir) {
-		rs, err := checkpoint.ReadJournal(checkpoint.WalPath(dir, g))
+	for _, seg := range checkpoint.Segments(dir) {
+		rs, err := checkpoint.ReadJournal(checkpoint.SegPath(dir, seg))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,15 +15,17 @@ import (
 	"repro/internal/xrand"
 )
 
-// WithCheckpoint enables crash-safe persistence: the tuner writes a
-// snapshot of its complete state to dir every `every` completed
-// iterations, and journals every iteration in between. Starting and
-// restarting are the same call: when dir already holds a checkpoint
-// (HasCheckpoint), the constructor resumes from it, losing at most the
-// crashed process's in-flight iteration; otherwise it starts fresh and
-// writes the initial snapshot. An `every` of 0 disables periodic
-// snapshots (the journal alone still makes every completed iteration
-// recoverable from the initial snapshot).
+// WithCheckpoint enables crash-safe persistence: the tuner journals
+// every completed iteration to dir and, every `every` completed
+// iterations, a snapshot of its complete state — a line in the same
+// journal, leaving in the same write and fsync as the operation's
+// records. Starting and restarting are the same call: when dir already
+// holds a checkpoint (HasCheckpoint), the constructor resumes from it,
+// losing at most the crashed process's in-flight iteration; otherwise it
+// starts fresh and journals the initial snapshot. An `every` of 0
+// disables periodic snapshots (the journal alone still makes every
+// completed iteration recoverable from the initial snapshot, and the
+// journal then stays in one segment, however long it grows).
 //
 // Checkpoint I/O failures after construction never interrupt tuning;
 // they are recorded and exposed through CheckpointErr.
@@ -36,10 +38,12 @@ func WithCheckpoint(dir string, every int) Option {
 
 // CheckpointErr returns the most recent checkpoint I/O error, or nil.
 // A non-nil value means durability is degraded (tuning continues, but a
-// crash may lose more than one iteration). The error is sticky: it is
-// cleared only when a subsequent periodic snapshot completes, because a
-// snapshot is the only operation that proves the directory is writable
-// again (journal appends keep "succeeding" against an unlinked file).
+// crash may lose more than one iteration). The error is sticky: the
+// next periodic snapshot after it starts a fresh journal segment, and
+// only that segment's successful creation — written, fsynced and its
+// directory fsynced — clears the error, because a new file is the only
+// proof that the directory is writable again (journal appends keep
+// "succeeding" against an unlinked file).
 func (t *Tuner) CheckpointErr() error { return t.ckptErr }
 
 // CheckpointDir returns the checkpoint directory ("" when disabled).
@@ -369,40 +373,40 @@ func (t *Tuner) RestoreState(payload []byte) error {
 	return nil
 }
 
-// snapshotNow writes a snapshot at the current iteration and starts a
-// new journal generation.
+// snapshotNow journals a snapshot at the current iteration. It only
+// appends a line to the journal's buffer — the operation's one write and
+// fsync carry it — unless a new segment is due: the tuner has none yet
+// (a fresh start or a resume), the current one is full, or a checkpoint
+// error is pending.
 func (t *Tuner) snapshotNow() error {
 	payload, err := t.ExportState()
 	if err != nil {
 		return err
 	}
-	// Close the outgoing generation first: Close syncs the records this
-	// operation journaled before the boundary, so the previous snapshot
-	// plus its journal stays a complete fallback should the new snapshot
-	// be lost.
-	closeErr := t.journal.Close()
-	t.journal = nil // reopened lazily at the new generation
 	iter := t.Iterations()
-	if err := checkpoint.WriteSnapshot(t.ckptDir, iter, payload); err != nil {
-		return err
+	if t.journal == nil || t.ckptErr != nil || t.journal.Full() {
+		return t.rollSegment(iter, payload)
 	}
-	t.ckptGen = iter
-	return closeErr
+	return t.journal.AppendSnapshot(iter, t.maxTrial, payload)
 }
 
-// openJournal opens the current generation's journal on first use and
-// reports whether one is open; a failure lands in ckptErr.
-func (t *Tuner) openJournal() bool {
-	if t.journal != nil {
-		return true
-	}
-	j, err := checkpoint.OpenJournal(t.ckptDir, t.ckptGen)
+// rollSegment starts the next segment with a snapshot line. The
+// outgoing segment is synced first, so the previous snapshot plus the
+// records this operation journaled before the boundary stay a complete
+// fallback should the new opening snapshot be lost. When the new segment
+// cannot be created the tuner keeps journaling into the old one. Once it
+// is created, the outgoing segment's errors no longer matter: the new
+// snapshot holds everything it held.
+func (t *Tuner) rollSegment(iter int, payload []byte) error {
+	t.journal.Sync()
+	t.ckptSeq++
+	j, err := checkpoint.Roll(t.ckptDir, t.ckptSeq, iter, t.maxTrial, payload)
 	if err != nil {
-		t.ckptErr = err
-		return false
+		return err
 	}
+	t.journal.Close()
 	t.journal = j
-	return true
+	return nil
 }
 
 // checkpointObserve is called from applyCompletion for every completed
@@ -411,38 +415,36 @@ func (t *Tuner) openJournal() bool {
 // takes the periodic snapshot. Failures are absorbed into ckptErr —
 // persistence must never take the tuning loop down with it.
 func (t *Tuner) checkpointObserve(iter int, c completion) {
-	if !t.openJournal() {
-		return
-	}
-	rec := checkpoint.Record{
-		Iter:   iter,
-		Algo:   t.algos[c.algo].Name,
-		Config: checkpoint.Floats(c.cfg),
-		Value:  checkpoint.F(c.value),
-		Trial:  c.trial,
-		Spec:   c.spec,
-		Pinned: c.pinned,
-	}
-	if c.fail != nil {
-		rec.FailKind = c.fail.Kind.String()
-	}
-	if err := t.journal.AppendBuffered(rec); err != nil {
-		t.ckptErr = err
-		return
+	t.maxTrial = max(t.maxTrial, c.trial)
+	if t.journal != nil {
+		rec := checkpoint.Record{
+			Iter:   iter,
+			Algo:   t.algos[c.algo].Name,
+			Config: checkpoint.Floats(c.cfg),
+			Value:  checkpoint.F(c.value),
+			Trial:  c.trial,
+			Spec:   c.spec,
+			Pinned: c.pinned,
+		}
+		if c.fail != nil {
+			rec.FailKind = c.fail.Kind.String()
+		}
+		if err := t.journal.AppendBuffered(rec); err != nil {
+			t.ckptErr = err
+		}
 	}
 	if t.ckptEvery > 0 && (iter+1)%t.ckptEvery == 0 {
 		if err := t.snapshotNow(); err != nil {
 			t.ckptErr = err
 			return
 		}
-		// Only a fully written snapshot clears a degraded flag: journal
-		// appends can "succeed" against an unlinked file long after the
-		// checkpoint directory is gone.
+		// A pending error made this snapshot roll a new segment, whose
+		// creation proves the directory is writable again.
 		t.ckptErr = nil
 	}
 }
 
-// journalSync makes every record journaled since the last sync durable.
+// journalSync makes every line journaled since the last sync durable.
 // It is the one durability point: every operation that journals reaches
 // it before it returns (Tuner.observe, and ConcurrentTuner.unlock for
 // the trial engines), so no acknowledged trial rests on unsynced bytes.
@@ -453,21 +455,23 @@ func (t *Tuner) journalSync() {
 	}
 }
 
-// HasCheckpoint reports whether dir holds at least one snapshot
-// generation: the constructors resume such a directory instead of
-// starting fresh in it. The empty dir ("checkpointing off") holds none.
+// HasCheckpoint reports whether dir holds checkpoint state to resume: a
+// journal segment with bytes in it, or a format-2 snapshot. The
+// constructors resume such a directory instead of starting fresh in it.
+// The empty dir ("checkpointing off") holds none.
 func HasCheckpoint(dir string) bool {
-	return dir != "" && len(checkpoint.Generations(dir)) > 0
+	return dir != "" && checkpoint.Exists(dir)
 }
 
 // openCheckpoint makes a freshly built tuner durable in t.ckptDir (a
-// no-op without WithCheckpoint). A directory without generations starts
-// fresh: it is created and gets the initial snapshot. A directory with
-// generations is resumed: the newest valid snapshot is restored —
-// falling back to the previous generation when the newest is truncated
-// or corrupt — the journal tail since it is replayed, one completion at
-// a time, through replay, and a fresh snapshot is written, so a
-// corrupted newest snapshot is healed by the resume itself. At most the
+// no-op without WithCheckpoint). A directory without state starts fresh:
+// it is created and its first segment opens with the initial snapshot. A
+// directory with state is resumed: the newest valid snapshot is
+// restored — falling back to the one before it when the newest is
+// truncated or corrupt — the records after it are replayed, one
+// completion at a time, through replay, and a new segment opens with a
+// fresh snapshot, so a corrupted newest snapshot is healed by the resume
+// itself and a torn tail is never followed by new records. At most the
 // single in-flight iteration of the crashed process is lost.
 //
 // Unlike later periodic snapshots, any failure here is fatal: a tuner
@@ -478,22 +482,23 @@ func (t *Tuner) openCheckpoint(replay func(checkpoint.Record) error) error {
 	if dir == "" {
 		return nil
 	}
-	if !HasCheckpoint(dir) {
+	st, err := checkpoint.Load(dir)
+	if err != nil {
+		return fmt.Errorf("core: resume from %s: %w", dir, err)
+	}
+	t.ckptSeq = st.Seq
+	if st.Payload == nil {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return fmt.Errorf("core: checkpoint dir: %w", err)
 		}
 		return t.snapshotNow()
 	}
-	payload, snapIter, err := checkpoint.LoadLatest(dir)
-	if err != nil {
-		return fmt.Errorf("core: resume from %s: %w", dir, err)
-	}
-	if err := t.RestoreState(payload); err != nil {
+	if err := t.RestoreState(st.Payload); err != nil {
 		return fmt.Errorf("core: resume from %s: %w", dir, err)
 	}
 	t.replaying = true
 	defer func() { t.replaying = false }()
-	for _, rec := range checkpoint.ReadJournalsSince(dir, snapIter) {
+	for _, rec := range st.Records {
 		if rec.Drift != "" {
 			// A journaled selector reset. Detection never fires during
 			// replay (snapshots do not persist detector state, so a
@@ -514,6 +519,7 @@ func (t *Tuner) openCheckpoint(replay func(checkpoint.Record) error) error {
 			return fmt.Errorf("core: resume from %s: %w", dir, err)
 		}
 	}
+	t.maxTrial = st.Trial
 	return t.snapshotNow()
 }
 

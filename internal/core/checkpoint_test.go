@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/checkpoint/crashtest"
 	"repro/internal/guard"
 	"repro/internal/nominal"
 	"repro/internal/param"
@@ -107,9 +108,39 @@ func TestResumeAfterCleanStop(t *testing.T) {
 	}
 }
 
+// newestSnapshots returns the path of dir's newest segment and its valid
+// snapshot lines.
+func newestSnapshots(t *testing.T, dir string) (string, []checkpoint.SnapshotLine) {
+	t.Helper()
+	segs := checkpoint.Segments(dir)
+	if len(segs) == 0 {
+		t.Fatalf("%s holds no segment", dir)
+	}
+	path := checkpoint.SegPath(dir, segs[len(segs)-1])
+	info, err := checkpoint.InspectSegment(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path, info.Snapshots
+}
+
+// corruptSnapshotLine flips a byte in the middle of snapshot line s of
+// the segment at path.
+func corruptSnapshotLine(t *testing.T, path string, s checkpoint.SnapshotLine) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[s.Offset+int64(s.Len/2)] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestResumeCorruptNewestSnapshot: flipping a byte in the newest snapshot
-// must silently fall back to the previous generation plus chained
-// journals — same state, no error.
+// line must silently fall back to the previous snapshot plus the records
+// after it — same state, no error.
 func TestResumeCorruptNewestSnapshot(t *testing.T) {
 	const seed, every = 7, 10
 	dir := t.TempDir()
@@ -119,19 +150,11 @@ func TestResumeCorruptNewestSnapshot(t *testing.T) {
 	tu.Run(35, m)
 	tu = nil
 
-	gens := checkpoint.Generations(dir)
-	if len(gens) < 2 {
-		t.Fatalf("want ≥ 2 snapshot generations, have %v", gens)
+	path, snaps := newestSnapshots(t, dir)
+	if len(snaps) < 2 {
+		t.Fatalf("want ≥ 2 snapshot lines, have %v", snaps)
 	}
-	path := checkpoint.SnapPath(dir, gens[len(gens)-1])
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	corruptSnapshotLine(t, path, snaps[len(snaps)-1])
 
 	re, err := resumeSynthetic(t, dir, every, seed)
 	if err != nil {
@@ -140,8 +163,8 @@ func TestResumeCorruptNewestSnapshot(t *testing.T) {
 	if re.Iterations() != 35 {
 		t.Errorf("recovered %d iterations, want 35", re.Iterations())
 	}
-	// The resume writes a fresh snapshot, healing the directory: a second
-	// resume must load it directly.
+	// The resume opens a new segment with a fresh snapshot, healing the
+	// directory: a second resume must load it directly.
 	re = nil
 	re2, err := resumeSynthetic(t, dir, every, seed)
 	if err != nil {
@@ -155,7 +178,7 @@ func TestResumeCorruptNewestSnapshot(t *testing.T) {
 // TestResumeTornJournalLine: a torn final journal line (the classic
 // crash artifact) costs exactly that iteration, nothing more.
 func TestResumeTornJournalLine(t *testing.T) {
-	const seed, every = 11, 100 // no periodic snapshot: everything in one journal
+	const seed, every = 11, 100 // no periodic snapshot: everything after the initial one
 	dir := t.TempDir()
 	algos, m := syntheticAlgos()
 	tu := mustNew(t, algos, nominal.NewEpsilonGreedy(0.2), DefaultFactory, seed,
@@ -163,7 +186,7 @@ func TestResumeTornJournalLine(t *testing.T) {
 	tu.Run(20, m)
 	tu = nil
 
-	wal := checkpoint.WalPath(dir, 0)
+	wal, _ := newestSnapshots(t, dir)
 	data, err := os.ReadFile(wal)
 	if err != nil {
 		t.Fatal(err)
@@ -220,8 +243,9 @@ func TestResumeEmptyDir(t *testing.T) {
 		if got := tu.Iterations(); got != 0 {
 			t.Errorf("%s dir: fresh tuner at iteration %d, want 0", name, got)
 		}
-		if _, err := os.Stat(filepath.Join(dir, "snap-000000000000.ckpt")); err != nil {
-			t.Errorf("%s dir: initial snapshot not written: %v", name, err)
+		info, err := checkpoint.InspectSegment(checkpoint.SegPath(dir, 1))
+		if err != nil || len(info.Snapshots) != 1 || info.Snapshots[0].Iter != 0 {
+			t.Errorf("%s dir: initial snapshot not written: %+v, %v", name, info, err)
 		}
 	}
 
@@ -229,16 +253,15 @@ func TestResumeEmptyDir(t *testing.T) {
 	tu := mustNew(t, algos, sel(), DefaultFactory, seed, WithCheckpoint(dir, every))
 	tu.Run(35, m)
 	tu = nil
-	gens := checkpoint.Generations(dir)
+	gens := checkpoint.Segments(dir)
 	for _, g := range gens {
-		path := checkpoint.SnapPath(dir, g)
-		data, err := os.ReadFile(path)
+		path := checkpoint.SegPath(dir, g)
+		info, err := checkpoint.InspectSegment(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		data[len(data)/2] ^= 0xff
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
+		for _, s := range info.Snapshots {
+			corruptSnapshotLine(t, path, s)
 		}
 	}
 	builds := map[string]func() error{
@@ -260,8 +283,8 @@ func TestResumeEmptyDir(t *testing.T) {
 			t.Errorf("%s over all-corrupt snapshots: err = %v, want %v", name, err, checkpoint.ErrNoSnapshot)
 		}
 	}
-	if got := checkpoint.Generations(dir); !slices.Equal(got, gens) {
-		t.Errorf("failed builds rewrote the directory: generations %v, want %v", got, gens)
+	if got := checkpoint.Segments(dir); !slices.Equal(got, gens) {
+		t.Errorf("failed builds rewrote the directory: segments %v, want %v", got, gens)
 	}
 }
 
@@ -385,6 +408,41 @@ func TestExportStateWithPendingObservationFails(t *testing.T) {
 	tu.Next()
 	if _, err := tu.ExportState(); err == nil {
 		t.Error("ExportState with a pending observation succeeded")
+	}
+}
+
+// TestCheckpointErrClearedByRoll: after a journal error the next
+// snapshot starts a fresh segment, and that segment's creation clears
+// the error; the state it holds — the lost records' effects included —
+// resumes.
+func TestCheckpointErrClearedByRoll(t *testing.T) {
+	dir := t.TempDir()
+	disk := crashtest.Install(t)
+	algos, m := syntheticAlgos()
+	build := func() *Tuner {
+		return mustNew(t, algos, nominal.NewEpsilonGreedy(0.2), DefaultFactory, 1, WithCheckpoint(dir, 5))
+	}
+	tu := build()
+	tu.Run(3, m)
+	disk.CutAt(1)
+	tu.Run(1, m)
+	if tu.CheckpointErr() == nil {
+		t.Fatal("no checkpoint error after a failed journal write")
+	}
+	if err := disk.PowerLoss(); err != nil { // the disk is back; the journal's handle stays dead
+		t.Fatal(err)
+	}
+	creates := disk.Creates()
+	tu.Run(1, m) // iteration 5: a snapshot
+	if err := tu.CheckpointErr(); err != nil {
+		t.Fatalf("checkpoint error after the snapshot rolled a new segment: %v", err)
+	}
+	if disk.Creates() != creates+1 {
+		t.Fatalf("%d segments created by the snapshot after the error, want 1", disk.Creates()-creates)
+	}
+	tu.Run(4, m)
+	if re := build(); re.Iterations() != 9 {
+		t.Fatalf("resumed at %d iterations, want 9", re.Iterations())
 	}
 }
 

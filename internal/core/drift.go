@@ -419,7 +419,7 @@ func (t *Tuner) applySelectorReset(refork bool, keep float64) {
 // was restarted — plus the sequence number that makes re-application
 // idempotent.
 func (t *Tuner) journalDrift(arm int, refork bool, keep float64, restartP1 bool) {
-	if !t.openJournal() {
+	if t.journal == nil {
 		return
 	}
 	kind := checkpoint.DriftDecay

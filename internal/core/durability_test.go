@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -30,7 +29,14 @@ type durableEngine interface {
 // of them — and rebuilds over the directory. Every trial whose call had
 // returned must come back; of the batch in flight at the cut, any
 // prefix may.
+//
+// The segment cap is shrunk to a few snapshots' worth, so segments roll
+// every few operations and cuts also land on a roll: on the outgoing
+// segment's last write, or on the new segment's opening snapshot before
+// its directory entry is synced, which the power loss then removes.
 func TestCrashPointsLoseNoAcknowledgedTrial(t *testing.T) {
+	prev := checkpoint.SetSegmentBytes(4 << 10)
+	t.Cleanup(func() { checkpoint.SetSegmentBytes(prev) })
 	sel := func() nominal.Selector { return nominal.NewEpsilonGreedy(0.10) }
 	cases := []struct {
 		name  string
@@ -148,15 +154,27 @@ func runBatch(t *testing.T, e durableEngine, rng *rand.Rand) {
 	}
 }
 
-// TestJournalSyncsPerCall pins the durability cost: one journal sync per
-// engine operation that journals, however many records it wrote, and
-// none without WithCheckpoint.
+// diskCost is what one engine operation costs the journal's disk.
+type diskCost struct{ syncs, writes, creates, dirSyncs int }
+
+func costOf(d *crashtest.Disk) diskCost {
+	return diskCost{d.Syncs(), d.Writes(), d.Creates(), d.DirSyncs()}
+}
+
+// TestJournalSyncsPerCall pins the durability cost: one journal write
+// and one sync per engine operation that journals, however many records
+// it wrote — a snapshot line included — and no file created or directory
+// synced; none of either without WithCheckpoint. Only a segment roll
+// creates a file: the outgoing segment's records are synced, the new
+// segment's opening snapshot is written and synced, its directory is
+// synced, and the operation's remaining records take the usual write and
+// sync.
 func TestJournalSyncsPerCall(t *testing.T) {
-	withDir := func(dir string, opts ...Option) []Option {
+	withDir := func(dir string, every int, opts ...Option) []Option {
 		if dir == "" {
 			return opts
 		}
-		return append(opts, WithCheckpoint(dir, 0))
+		return append(opts, WithCheckpoint(dir, every))
 	}
 	lease := func(t *testing.T, n int, leaseN func(int) ([]Trial, error)) []Trial {
 		trs, err := leaseN(n)
@@ -172,58 +190,69 @@ func TestJournalSyncsPerCall(t *testing.T) {
 		}
 		return res
 	}
+	completeN := func(every int) func(t *testing.T, dir string) func() {
+		return func(t *testing.T, dir string) func() {
+			ct := newEngine(t, 3, withDir(dir, every)...)
+			trs := lease(t, 16, ct.LeaseN)
+			return func() { ct.CompleteN(results(trs)) }
+		}
+	}
+	one := diskCost{syncs: 1, writes: 1}
 	cases := []struct {
 		name string
 		// prepare builds the engine (durable when dir is set) and returns
-		// the one call whose syncs are counted.
+		// the one call whose disk operations are counted.
 		prepare func(t *testing.T, dir string) func()
-		want    int
+		want    diskCost
 	}{
-		{"CompleteN of 16", func(t *testing.T, dir string) func() {
-			ct := newEngine(t, 3, withDir(dir)...)
-			trs := lease(t, 16, ct.LeaseN)
-			return func() { ct.CompleteN(results(trs)) }
-		}, 1},
+		{"CompleteN of 16", completeN(0), one},
+		{"CompleteN of 16 across a snapshot boundary", completeN(10), one},
+		{"CompleteN of 16 across a segment roll", func(t *testing.T, dir string) func() {
+			call := completeN(10)(t, dir)
+			prev := checkpoint.SetSegmentBytes(1) // every snapshot rolls
+			t.Cleanup(func() { checkpoint.SetSegmentBytes(prev) })
+			return call
+		}, diskCost{syncs: 3, writes: 3, creates: 1, dirSyncs: 1}},
 		{"FailN of 16", func(t *testing.T, dir string) func() {
-			ct := newEngine(t, 3, withDir(dir)...)
+			ct := newEngine(t, 3, withDir(dir, 0)...)
 			trs := lease(t, 16, ct.LeaseN)
 			fails := make([]TrialFailure, len(trs))
 			for i, tr := range trs {
 				fails[i] = TrialFailure{ID: tr.ID, Failure: guard.Failure{Kind: guard.Invalid}}
 			}
 			return func() { ct.FailN(fails) }
-		}, 1},
+		}, one},
 		{"Complete", func(t *testing.T, dir string) func() {
-			ct := newEngine(t, 3, withDir(dir)...)
+			ct := newEngine(t, 3, withDir(dir, 0)...)
 			tr := lease(t, 1, ct.LeaseN)[0]
 			return func() { ct.Complete(tr.ID, 1) }
-		}, 1},
+		}, one},
 		{"Absorb of 16", func(t *testing.T, dir string) func() {
-			ct := newEngine(t, 3, withDir(dir)...)
+			ct := newEngine(t, 3, withDir(dir, 0)...)
 			obs := make([]nominal.Observation, 16)
 			for i := range obs {
 				obs[i] = nominal.Observation{Arm: i % 4, Value: float64(1 + i)}
 			}
 			return func() { ct.Absorb(obs) }
-		}, 1},
+		}, one},
 		{"2-shard fold of 16", func(t *testing.T, dir string) func() {
-			e, err := NewShardedEngine(engineAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 3, withDir(dir, WithShards(2))...)
+			e, err := NewShardedEngine(engineAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 3, withDir(dir, 0, WithShards(2))...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			trs := lease(t, 16, func(n int) ([]Trial, error) { return e.LeaseNOn(0, n) })
 			return func() { e.CompleteN(results(trs)); e.Flush() }
-		}, 1},
+		}, one},
 		{"LeaseN of 16", func(t *testing.T, dir string) func() {
-			ct := newEngine(t, 3, withDir(dir)...)
+			ct := newEngine(t, 3, withDir(dir, 0)...)
 			return func() { lease(t, 16, ct.LeaseN) }
-		}, 0},
+		}, diskCost{}},
 	}
 	for _, tc := range cases {
 		for _, durable := range []bool{true, false} {
 			name, want := tc.name, tc.want
 			if !durable {
-				name, want = name+" without checkpoint", 0
+				name, want = name+" without checkpoint", diskCost{}
 			}
 			t.Run(name, func(t *testing.T) {
 				disk := crashtest.Install(t)
@@ -232,10 +261,13 @@ func TestJournalSyncsPerCall(t *testing.T) {
 					dir = t.TempDir()
 				}
 				call := tc.prepare(t, dir)
-				before := disk.Syncs()
+				before := costOf(disk)
 				call()
-				if got := disk.Syncs() - before; got != want {
-					t.Fatalf("%d journal syncs, want %d", got, want)
+				after := costOf(disk)
+				got := diskCost{after.syncs - before.syncs, after.writes - before.writes,
+					after.creates - before.creates, after.dirSyncs - before.dirSyncs}
+				if got != want {
+					t.Fatalf("journal cost %+v, want %+v", got, want)
 				}
 			})
 		}
@@ -243,10 +275,10 @@ func TestJournalSyncsPerCall(t *testing.T) {
 }
 
 // TestAbsorbAcrossSnapshotSurvivesPowerLoss: an Absorb batch that
-// crosses a snapshot boundary journals its first records into the
-// outgoing generation, which the snapshot closes mid-batch. Closing must
-// sync them, or a power loss followed by a corrupt newest snapshot
-// leaves the fallback generation's journal short of the batch and the
+// crosses a snapshot boundary journals its first records, the snapshot
+// line and the rest of the batch in one write. The batch's one sync must
+// cover all of it, or a power loss followed by a corrupt newest snapshot
+// leaves the fallback snapshot's records short of the batch and the
 // resume cannot recover it.
 func TestAbsorbAcrossSnapshotSurvivesPowerLoss(t *testing.T) {
 	dir := t.TempDir()
@@ -264,19 +296,11 @@ func TestAbsorbAcrossSnapshotSurvivesPowerLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	gens := checkpoint.Generations(dir)
-	if len(gens) != 2 || gens[1] != 10 {
-		t.Fatalf("snapshot generations %v, want [0 10]", gens)
+	path, snaps := newestSnapshots(t, dir)
+	if len(snaps) != 2 || snaps[1].Iter != 10 {
+		t.Fatalf("snapshot lines %+v, want iterations [0 10]", snaps)
 	}
-	path := checkpoint.SnapPath(dir, gens[1])
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	corruptSnapshotLine(t, path, snaps[1])
 
 	re, err := NewConcurrentTuner(engineAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 9, WithCheckpoint(dir, 10))
 	if err != nil {

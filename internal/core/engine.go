@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/checkpoint"
 	"repro/internal/guard"
 	"repro/internal/nominal"
 	"repro/internal/param"
@@ -160,14 +159,6 @@ func NewConcurrentTuner(algos []Algorithm, selector nominal.Selector, factory se
 	if err != nil {
 		return nil, err
 	}
-	// Scan every journal generation before openCheckpoint's closing
-	// snapshot prunes the old ones: generations already folded into the
-	// restored snapshot may hold the highest IDs (a sharded incarnation
-	// snapshotted right before dying).
-	var maxTrial uint64
-	if t.ckptDir != "" {
-		maxTrial = checkpoint.MaxJournalTrial(t.ckptDir)
-	}
 	if err := t.openCheckpoint(t.replayCompletion); err != nil {
 		return nil, err
 	}
@@ -175,7 +166,12 @@ func NewConcurrentTuner(algos []Algorithm, selector nominal.Selector, factory se
 	if err != nil {
 		return nil, err
 	}
-	c.nextID = maxTrial
+	// Every snapshot carries the highest trial ID issued or journaled
+	// before it, so IDs folded into the restored snapshot — a sharded
+	// incarnation that snapshotted right before dying may hold the
+	// highest — and leases still out at that snapshot stay disjoint
+	// from fresh ones too.
+	c.nextID = t.maxTrial
 	return c, nil
 }
 
@@ -238,6 +234,7 @@ func (c *ConcurrentTuner) leaseOneLocked() (Trial, error) {
 	}
 	t := c.t
 	c.nextID++
+	t.maxTrial = max(t.maxTrial, c.nextID)
 	tr := Trial{ID: c.nextID}
 	var prop search.Proposal
 	if t.degraded && t.bestAlgo >= 0 {
@@ -538,21 +535,22 @@ func (c *ConcurrentTuner) DecaySelector(keep float64) {
 	c.dirty = true
 }
 
-// Checkpoint forces a snapshot of the current state, rotating the
-// journal generation — the final durability step of a graceful drain.
-// No-op without WithCheckpoint.
+// Checkpoint journals a snapshot of the current state, syncs it and
+// closes the segment file — the final durability step of a graceful
+// drain or of a tenant's spill, which therefore leaves no file open. A
+// later operation reopens the segment. No-op without WithCheckpoint.
 func (c *ConcurrentTuner) Checkpoint() error {
 	c.mu.Lock()
 	defer c.unlock()
 	if c.t.ckptDir == "" {
 		return nil
 	}
-	if err := c.t.snapshotNow(); err != nil {
-		c.t.ckptErr = err
-		return err
+	err := c.t.snapshotNow()
+	if err == nil {
+		err = c.t.journal.Close()
 	}
-	c.t.ckptErr = nil
-	return nil
+	c.t.ckptErr = err
+	return err
 }
 
 // LeaseTimeout returns the engine's lease deadline duration (zero when

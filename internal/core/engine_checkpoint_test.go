@@ -194,3 +194,80 @@ func TestResumeJournalFixture(t *testing.T) {
 		t.Fatalf("resumed state\n%s\nwant\n%s", got, want)
 	}
 }
+
+// TestResumeV2DirectoryMigrates: resuming a format-2 directory writes
+// its first segment and only then removes the snap-*/wal-* files, so the
+// directory holds segments alone, and it resumes again at the same
+// iteration with trial IDs above the format-2 journal's.
+func TestResumeV2DirectoryMigrates(t *testing.T) {
+	fixture := filepath.Join("..", "checkpoint", "testdata", "engine-v2")
+	dir := t.TempDir()
+	var maxTrial uint64
+	for _, path := range []string{checkpoint.SnapPath(fixture, 0), checkpoint.WalPath(fixture, 0)} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(path)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recs, err := checkpoint.ReadJournal(checkpoint.WalPath(fixture, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		maxTrial = max(maxTrial, r.Trial)
+	}
+	for round := 0; round < 2; round++ {
+		re, err := NewConcurrentTuner(engineAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 11, WithCheckpoint(dir, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if re.Iterations() != 44 {
+			t.Fatalf("round %d: resumed at %d iterations, want 44", round, re.Iterations())
+		}
+		trs, err := re.LeaseN(1)
+		if err != nil || trs[0].ID <= maxTrial {
+			t.Fatalf("round %d: fresh trial %+v (%v), want an ID above the journal's %d", round, trs, err, maxTrial)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if !strings.HasPrefix(e.Name(), "seg-") {
+				t.Fatalf("round %d: %s left beside the segments", round, e.Name())
+			}
+		}
+	}
+}
+
+// TestResumeIssuesIDsAboveOutstandingLeases: a snapshot carries the
+// highest trial ID issued before it, so a resumed engine never reissues
+// the ID of a lease that was still out — and may yet be completed by its
+// worker — when the snapshot was taken.
+func TestResumeIssuesIDsAboveOutstandingLeases(t *testing.T) {
+	dir := t.TempDir()
+	ct := newEngine(t, 5, WithCheckpoint(dir, 0))
+	trs, err := ct.LeaseN(20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range trs[:10] {
+		if err := ct.Complete(tr.ID, engineMeasure(tr.Algo, tr.Config)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ct.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	re := newEngine(t, 5, WithCheckpoint(dir, 0))
+	fresh, err := re.LeaseN(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh[0].ID <= trs[19].ID {
+		t.Fatalf("resumed engine issued trial %d, at or below outstanding lease %d", fresh[0].ID, trs[19].ID)
+	}
+}

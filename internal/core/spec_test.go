@@ -137,11 +137,11 @@ func driveSpecAlgos(t *testing.T, lease func(int) ([]Trial, error), complete fun
 // a history tail.
 func snapshotHasHistoryTail(t *testing.T, dir string) bool {
 	t.Helper()
-	payload, _, err := checkpoint.LoadLatest(dir)
+	st, err := checkpoint.Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return bytes.Contains(payload, []byte(`"history_tail"`))
+	return bytes.Contains(st.Payload, []byte(`"history_tail"`))
 }
 
 // TestSpecEngineResumesHistoryKeepingEngine: spec-built engines keep no

@@ -137,8 +137,9 @@ type Tuner struct {
 	// Crash-safe persistence (see WithCheckpoint).
 	ckptDir   string
 	ckptEvery int
-	ckptGen   int // iteration of the current snapshot generation
-	journal   *checkpoint.Journal
+	ckptSeq   int                 // sequence number of the newest segment
+	journal   *checkpoint.Journal // the newest segment; nil until one is rolled
+	maxTrial  uint64              // highest trial ID issued or journaled, carried by snapshots
 	ckptErr   error
 	replaying bool
 	stateBuf  []byte // ExportState's reused payload buffer

@@ -58,7 +58,7 @@ type ChaosSoak struct {
 	DegradedTrials int
 	Absorbed       uint64
 	// Journal audit of the chaos run: record count across all
-	// generations, engine iterations, and trial-ID uniqueness.
+	// segments, engine iterations, and trial-ID uniqueness.
 	JournalRecords int
 	Iterations     int
 	JournalUnique  bool
@@ -232,8 +232,8 @@ func RunChaosSoak(cfg Config, iters int) *ChaosSoak {
 	res.Iterations = chaosEng.Iterations()
 	seen := make(map[uint64]bool)
 	res.JournalUnique = true
-	for _, g := range checkpoint.JournalGenerations(dir) {
-		recs, err := checkpoint.ReadJournal(checkpoint.WalPath(dir, g))
+	for _, seg := range checkpoint.Segments(dir) {
+		recs, err := checkpoint.ReadJournal(checkpoint.SegPath(dir, seg))
 		if err != nil {
 			panic(err)
 		}

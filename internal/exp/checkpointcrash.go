@@ -24,8 +24,8 @@ import (
 // each time by building the tuner again over the same directory, and requires that the stitched-together run
 // reach the same winner as an uninterrupted run with the same seed, losing
 // at most the single in-flight iteration per crash. A final check corrupts
-// the newest snapshot on disk and resumes once more: recovery must fall
-// back to the previous snapshot generation and replay the chained journals
+// the newest snapshot line on disk and resumes once more: recovery must
+// fall back to the previous snapshot and replay the records after it
 // without error.
 //
 // As in A10, both runs replay pre-recorded per-matcher sample banks so the
@@ -157,8 +157,10 @@ func RunCheckpointCrash(cfg Config, iters, crashes, every int) (*CheckpointCrash
 		t.Next()
 		t = nil
 
-		gens := checkpoint.Generations(dir)
-		snap := gens[len(gens)-1]
+		st, err := checkpoint.Load(dir)
+		if err != nil {
+			return nil, fmt.Errorf("exp: read checkpoint after kill at iteration %d: %w", p, err)
+		}
 		t, err = build()
 		if err != nil {
 			return nil, fmt.Errorf("exp: resume after kill at iteration %d: %w", p, err)
@@ -166,7 +168,7 @@ func RunCheckpointCrash(cfg Config, iters, crashes, every int) (*CheckpointCrash
 		if loss := (p + 1) - t.Iterations(); loss > res.MaxLossPerCrash {
 			res.MaxLossPerCrash = loss
 		}
-		res.ReplayedIterations += t.Iterations() - snap
+		res.ReplayedIterations += t.Iterations() - st.Iter
 	}
 	m := replayMeasureFrom(bank, t.Counts())
 	for t.Iterations() < iters {
@@ -178,15 +180,20 @@ func RunCheckpointCrash(cfg Config, iters, crashes, every int) (*CheckpointCrash
 	res.WinnersAgree = best == refBest
 	t = nil
 
-	// Fallback: flip a byte in the newest snapshot; the resume must recover
-	// from the previous generation plus the chained journals.
-	gens := checkpoint.Generations(dir)
-	path := checkpoint.SnapPath(dir, gens[len(gens)-1])
+	// Fallback: flip a byte in the newest snapshot line; the resume must
+	// recover from the previous snapshot plus the records after it.
+	segs := checkpoint.Segments(dir)
+	path := checkpoint.SegPath(dir, segs[len(segs)-1])
+	info, err := checkpoint.InspectSegment(path)
+	if err != nil {
+		return nil, err
+	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	data[len(data)/2] ^= 0xff
+	newest := info.Snapshots[len(info.Snapshots)-1]
+	data[newest.Offset+int64(newest.Len/2)] ^= 0xff
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return nil, err
 	}

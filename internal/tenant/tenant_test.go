@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/checkpoint/crashtest"
 	"repro/internal/core"
 )
 
@@ -148,6 +149,38 @@ func TestLRUSpillAndWarmRestart(t *testing.T) {
 	}
 	if alpha == nil || alpha.Spills == 0 || alpha.Restarts == 0 {
 		t.Fatalf("alpha info %+v: want spills and restarts > 0", alpha)
+	}
+}
+
+// TestSpillLeavesNoSegmentOpen: a tenant spilled under the residency
+// cap holds no journal file open — its checkpoint syncs and closes the
+// segment — while the resident tenant still appends to its own.
+func TestSpillLeavesNoSegmentOpen(t *testing.T) {
+	disk := crashtest.Install(t)
+	root := t.TempDir()
+	r, err := NewRegistry(Config{Root: root, MaxResident: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []string{"alpha", "beta"} {
+		if err := r.Register(sleepSpec(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	alpha, beta := filepath.Join(root, "alpha", "ckpt"), filepath.Join(root, "beta", "ckpt")
+	drive(t, r, "alpha", 12)
+	if got := disk.Handles(alpha); got != 1 {
+		t.Fatalf("resident alpha holds %d segment handles, want 1", got)
+	}
+	drive(t, r, "beta", 3)
+	if got := r.Resident(); got != 1 {
+		t.Fatalf("resident=%d after spill, want 1", got)
+	}
+	if got := disk.Handles(alpha); got != 0 {
+		t.Fatalf("spilled alpha holds %d segment handles, want 0", got)
+	}
+	if got := disk.Handles(beta); got != 1 {
+		t.Fatalf("resident beta holds %d segment handles, want 1", got)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/tenant"
 	"repro/internal/wire"
@@ -184,7 +183,7 @@ func TestDrainCheckpointsEveryTenant(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 	for _, n := range names {
-		if gens := checkpoint.Generations(filepath.Join(root, n, "ckpt")); len(gens) == 0 {
+		if !core.HasCheckpoint(filepath.Join(root, n, "ckpt")) {
 			t.Errorf("tenant %s has no checkpoint after drain", n)
 		}
 	}
