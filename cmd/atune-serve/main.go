@@ -13,6 +13,13 @@
 //	            [-contextual] [-buckets N] [-split-min N]
 //	            [-tenants spec] [-max-resident N]
 //
+// The server always serves a tenant registry. Without -tenants it holds
+// one engine built from the flags below, as the "default" tenant that
+// every worker lands on; -tenants registers several. Either way one
+// serving path follows: the same signal handling, stats log and shutdown
+// summary. The startup line names the address actually bound, so
+// -addr 127.0.0.1:0 picks a free port.
+//
 // The workload flag selects the algorithm roster the service tunes
 // over; workers must be started with the same workload so their
 // config hash matches the server's (a mismatched worker is rejected at
@@ -21,19 +28,23 @@
 // tests and benchmarks.
 //
 // With -checkpoint the session is durable: state is snapshotted every
-// -every trials and journaled in between. Restarting atune-serve with
-// the same -checkpoint directory resumes the session where it left
-// off — workers reconnect on their own and keep going; reports for
-// leases issued by the previous incarnation are acknowledged and
-// dropped (see DESIGN.md, "distributed tuning").
+// -every trials and journaled in between, directly in the -checkpoint
+// directory. Restarting atune-serve with the same -checkpoint directory
+// resumes the session where it left off — workers reconnect on their
+// own and keep going; reports for leases issued by the previous
+// incarnation are acknowledged and dropped (see DESIGN.md, "distributed
+// tuning").
 //
 // The server stops leasing once -target trials have been decided
 // (0 = run forever). SIGTERM drains gracefully: leasing stops, workers
 // get a Draining busy response, in-flight trials are waited out up to
 // -drain, and a final checkpoint is written before the listener closes.
-// SIGINT closes abruptly (outstanding leases die with the epoch).
+// SIGINT closes abruptly (outstanding leases die with the epoch). Both
+// end with each resident tenant's verdict: a "drift summary:" line
+// (with -drift), then "best after N trials:" and the trials per
+// algorithm.
 // -session-cap and -global-cap bound lease hoarding per worker session
-// and server-wide; over-cap requests get an empty busy response whose
+// and per engine; over-cap requests get an empty busy response whose
 // RetryMS hint grows with load. -chaos routes every connection through
 // the fault-injection layer (see internal/chaos.ParseSpec) for soak
 // testing the service against its own failure semantics.
@@ -57,10 +68,10 @@
 // context's selector ride along, so a restart rediscovers all contexts.
 // -contextual is exclusive with -tenants and -shards > 1.
 //
-// -tenants switches the process into multi-tenant mode: one server,
-// many independent tuning problems, each with its own engine, epoch,
-// and (under -checkpoint) its own journal directory. The spec is either
-// a comma-separated flag list
+// -tenants registers many independent tuning problems behind the one
+// port, each with its own engine, epoch, and (under -checkpoint) its own
+// journal directory, -checkpoint/<name>/ckpt. The spec is either a
+// comma-separated flag list
 //
 //	name=workload[/selector[/shards]]
 //
@@ -92,8 +103,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ctxtune"
 	"repro/internal/nominal"
-	"repro/internal/param"
-	"repro/internal/strmatch"
 	"repro/internal/tenant"
 	"repro/internal/tuned"
 )
@@ -127,7 +136,13 @@ func main() {
 	)
 	flag.Parse()
 
-	algos := roster(*workload)
+	// atune-worker builds its measurement table from the roster names,
+	// delivered in the handshake, so the two sides only have to agree on
+	// the workload.
+	algos, err := tenant.BuiltinRoster(*workload)
+	if err != nil {
+		log.Fatal(err)
+	}
 	// Reject malformed flag values up front — a typo like -epsilon 1000
 	// or -shards 0 should die at startup, not skew a week-long session.
 	if *epsilon <= 0 || *epsilon > 100 {
@@ -182,28 +197,20 @@ func main() {
 		log.Fatal("-buckets and -split-min only apply with -contextual")
 	}
 
-	// The flat engine's recipe, shared by single-engine mode and every
-	// tenant built from the base flags.
+	// The flat engine's recipe, shared by the one engine served without
+	// -tenants and every tenant built from the base flags.
 	base := core.EngineSpec{
 		Seed: *seed, Shards: *shards, LeaseTimeoutMS: leaseTTL.Milliseconds(),
 		MaxInFlight: *maxInFl, Drift: *driftFlg, SnapshotEvery: *every,
 	}
-	if *tenFlg != "" {
-		runTenants(tenantMode{
-			addr: *addr, spec: *tenFlg, workload: *workload, ckptDir: *ckptDir,
-			chaosSpec: *chaosFlg, selector: fmt.Sprintf("egreedy:%g", *epsilon),
-			engine: base, target: *target, sessCap: *sessCap, globCap: *globCap,
-			refAlgo: *refAlgo, maxResident: *maxRes, statsIvl: *statsIvl,
-			drainTO: *drainTO,
-		})
-		return
-	}
-
-	var (
-		eng  tuned.Engine
-		ceng *ctxtune.Engine
-	)
-	if *ctxFlg {
+	// Without -tenants the one engine is built as before, its checkpoint
+	// directly in -checkpoint, and wrapped as the "default" tenant of a
+	// registry that has no root and writes nothing.
+	var reg *tenant.Registry
+	switch {
+	case *tenFlg != "":
+		reg = tenantRegistry(*tenFlg, *workload, *ckptDir, fmt.Sprintf("egreedy:%g", *epsilon), base, *maxRes)
+	case *ctxFlg:
 		copts := []core.Option{
 			core.WithLeaseTimeout(*leaseTTL),
 			core.WithMaxInFlight(*maxInFl),
@@ -211,8 +218,7 @@ func main() {
 		if *driftFlg {
 			copts = append(copts, core.WithDriftWatchdog(core.DefaultDriftConfig()))
 		}
-		var err error
-		ceng, err = ctxtune.New(ctxtune.Config{
+		ceng, err := ctxtune.New(ctxtune.Config{
 			Algos: algos,
 			// Windowed ε-greedy: a cold context is warm-started from the
 			// global fold, and when the context disagrees with it the
@@ -233,11 +239,11 @@ func main() {
 		if n := ceng.ContextCount(); n > 0 {
 			log.Printf("resumed %d context(s) from %s at trial %d", n, *ckptDir, ceng.Iterations())
 		}
-		eng = ceng
-	} else {
-		// A previous incarnation's session in -checkpoint is resumed by
-		// the build. The new process gets a fresh epoch, so stale reports
-		// from leases the old process issued are dropped, not misapplied.
+		reg = tenant.NewSingle(ceng)
+	default:
+		// A previous incarnation's session in -checkpoint is resumed by the
+		// build. The new process gets a fresh epoch, so stale reports from
+		// leases the old process issued are dropped, not misapplied.
 		resumed := core.HasCheckpoint(*ckptDir)
 		seng, err := base.Build(algos, nominal.NewEpsilonGreedy(*epsilon/100), nil, *ckptDir)
 		if err != nil {
@@ -246,14 +252,13 @@ func main() {
 		if resumed {
 			log.Printf("resumed session from %s at trial %d", *ckptDir, seng.Iterations())
 		}
-		eng = seng
+		reg = tenant.NewSingle(seng)
 	}
 
-	srv := tuned.NewServer(eng, tuned.WithTrialTarget(*target),
+	srv := tuned.NewTenantServer(reg, tuned.WithTrialTarget(*target),
 		tuned.WithSessionCap(*sessCap), tuned.WithGlobalCap(*globCap),
 		tuned.WithRefAlgo(*refAlgo))
-	log.Printf("workload %s (%d algorithms, hash %08x), listening on %s",
-		*workload, len(algos), srv.Hash(), *addr)
+	ln := listen(*addr, *chaosFlg)
 
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -261,7 +266,7 @@ func main() {
 		s := <-sig
 		if s == syscall.SIGTERM {
 			// Graceful: stop leasing, wait out in-flight trials, write a
-			// final checkpoint, then close.
+			// final checkpoint for every resident tenant, then close.
 			log.Printf("draining (deadline %v)", *drainTO)
 			if err := srv.Drain(*drainTO); err != nil {
 				log.Printf("drain: %v", err)
@@ -277,59 +282,29 @@ func main() {
 			t := time.NewTicker(*statsIvl)
 			defer t.Stop()
 			for range t.C {
-				eng.ReclaimExpired()
-				st := eng.Stats()
-				algo, _, val := eng.Best()
-				name := "(none)"
-				if algo >= 0 {
-					name = algos[algo].Name
-				}
-				log.Printf("trials=%d inflight=%d completed=%d failed=%d expired=%d best=%s (%.4g)",
-					eng.Iterations(), st.InFlight, st.Completed, st.Failed, st.Expired, name, val)
+				reg.ReclaimExpired()
+				logProgress(reg)
 				if n := srv.Rebalanced(); n > 0 {
 					log.Printf("rebalanced: %d lease grant(s) clamped to fair share", n)
-				}
-				if ceng != nil {
-					log.Printf("contexts: %d live replica(s)", ceng.ContextCount())
-				}
-				if ds := eng.DriftStats(); ds.Events > 0 || ds.PendingProbes > 0 {
-					log.Printf("drift: events=%d decays=%d reforks=%d probes=%d pending=%d stale=%d outliers=%d",
-						ds.Events, ds.Decays, ds.Reforks, ds.ProbesScheduled, ds.PendingProbes,
-						ds.StaleDropped, ds.Outliers)
 				}
 			}
 		}()
 	}
 
-	if err := srv.Serve(listen(*addr, *chaosFlg)); err != nil {
+	// Logged once signals are handled, so a supervisor that waits for
+	// this line may signal at once.
+	log.Printf("workload %s (%d algorithms, hash %08x), tenants %v, listening on %s",
+		*workload, len(algos), srv.Hash(), reg.Names(), ln.Addr())
+	if err := srv.Serve(ln); err != nil {
 		log.Fatalf("serve: %v", err)
 	}
 
-	// Closed (signal or caller): report the session's verdict.
-	if ds := eng.DriftStats(); *driftFlg || ds.Events > 0 {
-		log.Printf("drift summary: events=%d decays=%d reforks=%d probes=%d stale=%d outliers=%d reprobes=%d",
-			ds.Events, ds.Decays, ds.Reforks, ds.ProbesScheduled, ds.StaleDropped,
-			ds.Outliers, ds.QuarantineReprobes)
-	}
-	algo, cfg, val := eng.Best()
-	if algo < 0 {
-		log.Printf("no trials completed")
-		return
-	}
-	counts := eng.Counts()
-	type pick struct {
-		name string
-		n    int
-	}
-	picks := make([]pick, len(algos))
-	for i, a := range algos {
-		picks[i] = pick{a.Name, counts[i]}
-	}
-	sort.Slice(picks, func(i, j int) bool { return picks[i].n > picks[j].n })
-	log.Printf("best after %d trials: %s cfg=%v value=%.4g", eng.Iterations(), algos[algo].Name, cfg, val)
-	for _, p := range picks {
-		log.Printf("  %-20s %6d trials", p.name, p.n)
-	}
+	// Closed (signal or caller): report each resident tenant's verdict.
+	log.Printf("final state:")
+	logProgress(reg)
+	reg.EachResident(func(name string, eng tenant.Engine) {
+		logVerdict(name, eng, *driftFlg)
+	})
 }
 
 // listen opens the service listener, optionally behind the chaos
@@ -354,21 +329,12 @@ func listen(addr, chaosSpec string) net.Listener {
 	return ln
 }
 
-// tenantMode carries the resolved flag values into multi-tenant serving.
-type tenantMode struct {
-	addr, spec, workload, ckptDir, chaosSpec, selector string
-
-	engine                                         core.EngineSpec
-	target, sessCap, globCap, refAlgo, maxResident int
-	statsIvl, drainTO                              time.Duration
-}
-
-// runTenants is the -tenants serving path: a tenant registry instead of
-// one engine, every tenant persisted under its own subdirectory of
-// -checkpoint, and per-tenant lines in the stats log and the shutdown
-// summary.
-func runTenants(cfg tenantMode) {
-	specs := parseTenantSpecs(cfg.spec, cfg.selector, cfg.engine)
+// tenantRegistry builds the -tenants registry: every tenant persisted
+// under its own subdirectory of ckptDir, tenants a previous run left
+// there rediscovered, and a "default" tenant from the base flags unless
+// the spec names one.
+func tenantRegistry(arg, workload, ckptDir, selector string, base core.EngineSpec, maxResident int) *tenant.Registry {
+	specs := parseTenantSpecs(arg, selector, base)
 	hasDefault := false
 	for _, s := range specs {
 		if s.Name == tenant.DefaultName {
@@ -379,72 +345,34 @@ func runTenants(cfg tenantMode) {
 		// Workers that predate tenancy send no tenant name; they must
 		// always find a "default" tenant, built from the base flags.
 		specs = append(specs, tenant.Spec{
-			Name: tenant.DefaultName, Workload: cfg.workload, Selector: cfg.selector, Engine: cfg.engine,
+			Name: tenant.DefaultName, Workload: workload, Selector: selector, Engine: base,
 		})
 	}
 
-	reg, err := tenant.NewRegistry(tenant.Config{
-		Root: cfg.ckptDir, MaxResident: cfg.maxResident, Roster: tenant.BuiltinRoster,
-	})
+	reg, err := tenant.NewRegistry(tenant.Config{Root: ckptDir, MaxResident: maxResident})
 	if err != nil {
 		log.Fatalf("registry: %v", err)
 	}
 	if resumed := reg.Names(); len(resumed) > 0 {
-		log.Printf("rediscovered %d tenant(s) from %s: %v", len(resumed), cfg.ckptDir, resumed)
+		log.Printf("rediscovered %d tenant(s) from %s: %v", len(resumed), ckptDir, resumed)
 	}
 	for _, s := range specs {
 		// Re-registering a rediscovered tenant with an identical spec is
 		// a no-op; a changed spec is a configuration error and dies here.
 		if err := reg.Register(s); err != nil {
-			log.Fatalf("tenant %s: %v", s.Name, err)
+			log.Fatal(err)
 		}
 	}
-
-	srv := tuned.NewTenantServer(reg, tuned.WithTrialTarget(cfg.target),
-		tuned.WithSessionCap(cfg.sessCap), tuned.WithGlobalCap(cfg.globCap),
-		tuned.WithRefAlgo(cfg.refAlgo))
-	log.Printf("%d tenants %v, listening on %s", len(reg.Names()), reg.Names(), cfg.addr)
-
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		s := <-sig
-		if s == syscall.SIGTERM {
-			log.Printf("draining (deadline %v)", cfg.drainTO)
-			if err := srv.Drain(cfg.drainTO); err != nil {
-				log.Printf("drain: %v", err)
-			}
-			return
-		}
-		log.Printf("shutting down")
-		srv.Close()
-	}()
-
-	if cfg.statsIvl > 0 {
-		go func() {
-			t := time.NewTicker(cfg.statsIvl)
-			defer t.Stop()
-			for range t.C {
-				reg.ReclaimExpired()
-				logTenantRows(reg)
-			}
-		}()
-	}
-
-	if err := srv.Serve(listen(cfg.addr, cfg.chaosSpec)); err != nil {
-		log.Fatalf("serve: %v", err)
-	}
-
-	// Closed (signal or caller): the per-tenant verdicts.
-	log.Printf("final state:")
-	logTenantRows(reg)
+	return reg
 }
 
-// logTenantRows prints one line per tenant plus an aggregate line, the
-// multi-tenant analogue of the single-engine stats log.
-func logTenantRows(reg *tenant.Registry) {
+// logProgress prints one line per tenant, resident or spilled, and an
+// aggregate line, then each resident engine's failure, drift and context
+// counters where they have anything to say.
+func logProgress(reg *tenant.Registry) {
 	var sumIter, sumInFl, resident int
-	for _, in := range reg.Snapshot() {
+	infos := reg.Snapshot()
+	for _, in := range infos {
 		state := "spilled"
 		if in.Resident {
 			state = "resident"
@@ -454,13 +382,53 @@ func logTenantRows(reg *tenant.Registry) {
 		if in.BestAlgo >= 0 {
 			best = fmt.Sprintf("%s (%.4g)", in.BestName, in.BestValue)
 		}
-		log.Printf("tenant %-16s %s trials=%d inflight=%d best=%s spills=%d restarts=%d",
-			in.Name, state, in.Iterations, in.InFlight, best, in.Spills, in.Restarts)
+		log.Printf("tenant %-16s %s trials=%d inflight=%d completed=%d best=%s spills=%d restarts=%d",
+			in.Name, state, in.Iterations, in.InFlight, in.Completed, best, in.Spills, in.Restarts)
 		sumIter += in.Iterations
 		sumInFl += in.InFlight
 	}
 	log.Printf("aggregate: tenants=%d resident=%d trials=%d inflight=%d",
-		len(reg.Names()), resident, sumIter, sumInFl)
+		len(infos), resident, sumIter, sumInFl)
+	reg.EachResident(func(name string, eng tenant.Engine) {
+		if st := eng.Stats(); st.Failed > 0 || st.Expired > 0 {
+			log.Printf("tenant %s: failed=%d expired=%d", name, st.Failed, st.Expired)
+		}
+		if ce, ok := eng.(interface{ ContextCount() int }); ok {
+			log.Printf("tenant %s: contexts: %d live replica(s)", name, ce.ContextCount())
+		}
+		if ds := eng.DriftStats(); ds.Events > 0 || ds.PendingProbes > 0 {
+			log.Printf("tenant %s: drift: events=%d decays=%d reforks=%d probes=%d pending=%d stale=%d outliers=%d",
+				name, ds.Events, ds.Decays, ds.Reforks, ds.ProbesScheduled, ds.PendingProbes,
+				ds.StaleDropped, ds.Outliers)
+		}
+	})
+}
+
+// logVerdict prints a resident tenant's final verdict: its drift summary
+// (with -drift, or after any drift event), its best algorithm and how
+// many trials each algorithm got.
+func logVerdict(name string, eng tenant.Engine, drift bool) {
+	log.Printf("tenant %s:", name)
+	if ds := eng.DriftStats(); drift || ds.Events > 0 {
+		log.Printf("drift summary: events=%d decays=%d reforks=%d probes=%d stale=%d outliers=%d reprobes=%d",
+			ds.Events, ds.Decays, ds.Reforks, ds.ProbesScheduled, ds.StaleDropped,
+			ds.Outliers, ds.QuarantineReprobes)
+	}
+	algo, cfg, val := eng.Best()
+	if algo < 0 {
+		log.Printf("no trials completed")
+		return
+	}
+	counts := eng.Counts()
+	order := make([]int, len(counts))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool { return counts[order[i]] > counts[order[j]] })
+	log.Printf("best after %d trials: %s cfg=%v value=%.4g", eng.Iterations(), eng.AlgorithmName(algo), cfg, val)
+	for _, i := range order {
+		log.Printf("  %-20s %6d trials", eng.AlgorithmName(i), counts[i])
+	}
 }
 
 // parseTenantSpecs parses the -tenants value: @file.json holding a JSON
@@ -512,28 +480,4 @@ func parseTenantSpecs(arg, defaultSelector string, base core.EngineSpec) []tenan
 		specs = append(specs, s)
 	}
 	return specs
-}
-
-// roster builds the algorithm set for a named workload. atune-worker
-// builds its measurement table from the same names, delivered in the
-// handshake, so the two sides only have to agree on this flag.
-func roster(workload string) []core.Algorithm {
-	switch workload {
-	case "strmatch":
-		names := strmatch.Names()
-		algos := make([]core.Algorithm, len(names))
-		for i, n := range names {
-			algos[i] = core.Algorithm{Name: n}
-		}
-		return algos
-	case "sleep":
-		return []core.Algorithm{
-			{Name: "sleep-steady"},
-			{Name: "sleep-tuned", Space: param.NewSpace(param.NewRatio("alpha", 1, 10))},
-			{Name: "sleep-laggard"},
-		}
-	default:
-		log.Fatalf("unknown workload %q (want strmatch or sleep)", workload)
-		return nil
-	}
 }

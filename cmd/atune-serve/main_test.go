@@ -1,15 +1,21 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/tuned"
 )
 
 // runMainEnv marks a child process of this test binary that should run
@@ -24,6 +30,14 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// mainCmd returns a command that runs main() with args in a child
+// process of this test binary.
+func mainCmd(ctx context.Context, args ...string) *exec.Cmd {
+	cmd := exec.CommandContext(ctx, os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	return cmd
+}
+
 // runServe runs main() in a child process with args and returns its
 // exit code and stderr. A child still running after the deadline is
 // killed and fails the test: every row here must die at startup.
@@ -31,8 +45,7 @@ func runServe(t *testing.T, args ...string) (int, string) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	cmd := exec.CommandContext(ctx, os.Args[0], args...)
-	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	cmd := mainCmd(ctx, args...)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	err := cmd.Run()
@@ -91,7 +104,7 @@ func TestFlagValidation(t *testing.T) {
 		{"tenant entry with four parts", []string{"-tenants", "a=sleep/egreedy:5/2/9"}, `-tenants entry "a=sleep/egreedy:5/2/9": want name=workload[/selector[/shards]]`},
 		{"tenant shard count zero", []string{"-tenants", "a=sleep/egreedy:5/0"}, `-tenants entry "a=sleep/egreedy:5/0": bad shard count "0"`},
 		{"duplicate tenant", []string{"-tenants", "a=sleep,a=strmatch"}, `-tenants names "a" twice`},
-		{"tenant with unknown workload", []string{"-tenants", "a=bogus"}, `tenant a: tenant a: tenant: unknown workload "bogus" (want strmatch or sleep)`},
+		{"tenant with unknown workload", []string{"-tenants", "a=bogus"}, `tenant a: unknown workload "bogus" (want strmatch or sleep)`},
 		{"empty tenant spec file", []string{"-tenants", "@" + empty}, "-tenants @" + empty + ": empty spec list"},
 	}
 	for _, tc := range cases {
@@ -106,4 +119,141 @@ func TestFlagValidation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// server is atune-serve running in a child process, its log lines
+// collected as they arrive.
+type server struct {
+	t     *testing.T
+	cmd   *exec.Cmd
+	lines chan string // closed at the child's EOF; buffered past the few dozen lines a run logs, so the reader never waits on the test
+	log   []string    // every line read so far
+	addr  string      // the address the child bound
+}
+
+// startServe starts main() with args in a child process and waits for
+// its listening line. The child is killed at cleanup if still running.
+func startServe(t *testing.T, args ...string) *server {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	t.Cleanup(cancel)
+	cmd := mainCmd(ctx, append([]string{"-addr", "127.0.0.1:0", "-stats", "0"}, args...)...)
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	s := &server{t: t, cmd: cmd, lines: make(chan string, 256)}
+	go func() {
+		sc := bufio.NewScanner(stderr)
+		for sc.Scan() {
+			s.lines <- sc.Text()
+		}
+		close(s.lines)
+	}()
+	line := s.waitFor("listening on ")
+	s.addr = line[strings.LastIndex(line, " ")+1:]
+	return s
+}
+
+// waitFor returns the first line from here on that contains want,
+// failing the test if none arrives within 10 s or the child exits first.
+func (s *server) waitFor(want string) string {
+	s.t.Helper()
+	deadline := time.After(10 * time.Second)
+	for {
+		select {
+		case line, ok := <-s.lines:
+			if !ok {
+				s.t.Fatalf("atune-serve exited without logging %q; log:\n%s", want, strings.Join(s.log, "\n"))
+			}
+			s.log = append(s.log, line)
+			if strings.Contains(line, want) {
+				return line
+			}
+		case <-deadline:
+			s.t.Fatalf("no %q from atune-serve within 10s; log:\n%s", want, strings.Join(s.log, "\n"))
+		}
+	}
+}
+
+// stop sends SIGTERM and waits for the child to exit 0, returning its
+// whole log.
+func (s *server) stop() string {
+	s.t.Helper()
+	if err := s.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		s.t.Fatal(err)
+	}
+	for line := range s.lines {
+		s.log = append(s.log, line)
+	}
+	out := strings.Join(s.log, "\n")
+	if err := s.cmd.Wait(); err != nil {
+		s.t.Fatalf("atune-serve after SIGTERM: %v; log:\n%s", err, out)
+	}
+	return out
+}
+
+// TestServeDrainResume drives the one-engine serving path end to end:
+// trials over the wire, a SIGTERM drain that prints the drift summary and
+// the verdict, and a restart on the same -checkpoint directory that
+// resumes at the trial the drain checkpointed.
+func TestServeDrainResume(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-workload", "sleep", "-checkpoint", dir, "-drift"}
+	const n = 30
+	srv := startServe(t, args...)
+	c, err := tuned.Dial(srv.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		lb, err := c.LeaseN(1)
+		if err != nil || len(lb.Trials) != 1 {
+			t.Fatalf("lease %d: %d trials, %v", i, len(lb.Trials), err)
+		}
+		tr := lb.Trials[0]
+		applied, _, err := c.CompleteN(lb.Epoch, []core.TrialResult{{ID: tr.ID, Value: float64(1 + tr.Algo)}})
+		if err != nil || len(applied) != 1 {
+			t.Fatalf("complete %d: applied %v, %v", i, applied, err)
+		}
+	}
+	c.Close()
+	out := srv.stop()
+	for _, want := range []string{"drift summary:", fmt.Sprintf("best after %d trials", n)} {
+		if !strings.Contains(out, want) {
+			t.Errorf("shutdown log lacks %q:\n%s", want, out)
+		}
+	}
+
+	srv = startServe(t, args...)
+	if !strings.Contains(strings.Join(srv.log, "\n"), fmt.Sprintf("resumed session from %s at trial %d", dir, n)) {
+		t.Errorf("restart did not resume at trial %d:\n%s", n, strings.Join(srv.log, "\n"))
+	}
+	srv.stop()
+}
+
+// TestServeTenants: with -tenants the same serving path lists the named
+// tenants and the "default" tenant the base flags add.
+func TestServeTenants(t *testing.T) {
+	srv := startServe(t, "-workload", "sleep", "-tenants", "a=sleep")
+	c, err := tuned.Dial(srv.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := c.Tenants()
+	c.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, ts := range view.Tenants {
+		names = append(names, ts.Name)
+	}
+	if len(names) != 2 || names[0] != "a" || names[1] != "default" {
+		t.Errorf("tenants %v, want [a default]", names)
+	}
+	srv.stop()
 }

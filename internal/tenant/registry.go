@@ -64,9 +64,10 @@ type Tenant struct {
 	specHash uint32 // EngineSpec.Hash (persistence compatibility)
 	epoch    int64  // session epoch, unique per tenant per process
 
-	eng     *core.ShardedEngine // nil when spilled
+	eng     Engine // nil when spilled
 	lastUse uint64
-	inUse   int // active request refcount; an in-use engine never spills
+	inUse   int    // active request refcount; an in-use engine never spills
+	release func() // Acquire's release, built once so acquiring allocates nothing
 
 	spills, restarts uint64
 	// Summary cached at spill time (refreshed while resident).
@@ -111,17 +112,10 @@ type Info struct {
 // every tenant that left a spec.json behind — a restarted server comes
 // back knowing all its tenants, each resumable from its own journal.
 func NewRegistry(cfg Config) (*Registry, error) {
-	if cfg.Roster == nil {
-		cfg.Roster = BuiltinRoster
-	}
 	if cfg.MaxResident > 0 && cfg.Root == "" {
 		return nil, errors.New("tenant: MaxResident needs a persistence Root (spilling without checkpoints would lose state)")
 	}
-	r := &Registry{
-		cfg:       cfg,
-		epochBase: time.Now().UnixNano(),
-		ts:        make(map[string]*Tenant),
-	}
+	r := newRegistry(cfg)
 	if cfg.Root != "" {
 		entries, err := os.ReadDir(cfg.Root)
 		if err != nil && !errors.Is(err, os.ErrNotExist) {
@@ -153,6 +147,53 @@ func NewRegistry(cfg Config) (*Registry, error) {
 	return r, nil
 }
 
+// NewSingle returns a registry whose "default" tenant is eng, resident
+// from the start. The registry has no Root, so it writes nothing and
+// never spills: eng keeps whatever checkpoint directory it was built
+// over. More tenants may still be registered, memory-only.
+func NewSingle(eng Engine) *Registry {
+	r := newRegistry(Config{})
+	names := make([]string, eng.NumAlgorithms())
+	for i := range names {
+		names[i] = eng.AlgorithmName(i)
+	}
+	r.add(Spec{Name: DefaultName}, nil, names, 0).eng = eng
+	return r
+}
+
+func newRegistry(cfg Config) *Registry {
+	if cfg.Roster == nil {
+		cfg.Roster = BuiltinRoster
+	}
+	return &Registry{
+		cfg:       cfg,
+		epochBase: time.Now().UnixNano(),
+		ts:        make(map[string]*Tenant),
+	}
+}
+
+// add records a new tenant with a fresh epoch (r.mu held, or r not yet
+// shared).
+func (r *Registry) add(spec Spec, algos []core.Algorithm, names []string, specHash uint32) *Tenant {
+	t := &Tenant{
+		spec:        spec,
+		algos:       algos,
+		names:       names,
+		hash:        wire.ConfigHash(names),
+		specHash:    specHash,
+		sumBestAlgo: -1,
+	}
+	r.epochSeq++
+	t.epoch = r.epochBase + r.epochSeq
+	t.release = func() {
+		r.mu.Lock()
+		t.inUse--
+		r.mu.Unlock()
+	}
+	r.ts[spec.Name] = t
+	return t
+}
+
 // Register adds a tenant. Registering a name that exists (typically
 // rediscovered from disk) is a no-op when the spec is semantically
 // identical and an error when it differs — an old checkpoint must never
@@ -178,16 +219,6 @@ func (r *Registry) Register(spec Spec) error {
 		}
 		return nil
 	}
-	t := &Tenant{
-		spec:     spec,
-		algos:    algos,
-		names:    names,
-		hash:     wire.ConfigHash(names),
-		specHash: specHash,
-	}
-	r.epochSeq++
-	t.epoch = r.epochBase + r.epochSeq
-	t.sumBestAlgo = -1
 	if r.cfg.Root != "" {
 		dir := r.dir(spec.Name)
 		if err := os.MkdirAll(filepath.Join(dir, "ckpt"), 0o755); err != nil {
@@ -201,7 +232,7 @@ func (r *Registry) Register(spec Spec) error {
 			return fmt.Errorf("tenant %s: write spec: %w", spec.Name, err)
 		}
 	}
-	r.ts[spec.Name] = t
+	r.add(spec, algos, names, specHash)
 	return nil
 }
 
@@ -248,8 +279,9 @@ func (r *Registry) Tenant(name string) *Tenant {
 // from checkpoint if it was spilled (or building it fresh on first
 // use), and pins it resident until release is called. Every server
 // request brackets its engine calls in an Acquire/release pair, so the
-// LRU can never spill an engine out from under a request.
-func (r *Registry) Acquire(name string) (*core.ShardedEngine, *Tenant, func(), error) {
+// LRU can never spill an engine out from under a request. Neither the
+// call nor release allocates.
+func (r *Registry) Acquire(name string) (Engine, *Tenant, func(), error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	t := r.ts[name]
@@ -265,13 +297,7 @@ func (r *Registry) Acquire(name string) (*core.ShardedEngine, *Tenant, func(), e
 		r.evictOver(t)
 	}
 	t.inUse++
-	eng := t.eng
-	release := func() {
-		r.mu.Lock()
-		t.inUse--
-		r.mu.Unlock()
-	}
-	return eng, t, release, nil
+	return t.eng, t, t.release, nil
 }
 
 // materialize builds or resumes the tenant's engine (r.mu held).
@@ -282,10 +308,11 @@ func (r *Registry) materialize(t *Tenant) error {
 	}
 	dir := r.ckptDir(t.spec.Name)
 	restart := core.HasCheckpoint(dir)
-	t.eng, err = t.spec.Engine.Build(t.algos, sel, r.cfg.Factory, dir)
+	eng, err := t.spec.Engine.Build(t.algos, sel, r.cfg.Factory, dir)
 	if err != nil {
 		return fmt.Errorf("tenant %s: %w", t.spec.Name, err)
 	}
+	t.eng = eng
 	if restart {
 		t.restarts++
 	}
@@ -375,63 +402,63 @@ func (r *Registry) Snapshot() []Info {
 
 // Resident returns how many tenant engines are currently live.
 func (r *Registry) Resident() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	n := 0
+	r.EachResident(func(string, Engine) { n++ })
+	return n
+}
+
+// EachResident calls fn with every resident tenant's name and engine, in
+// name order — deterministic, so two drains of the same state touch disk
+// identically. Spilled tenants are skipped, never materialized. Each
+// engine is pinned as by Acquire until fn returns, so none spills
+// meanwhile; fn runs without the registry lock held.
+func (r *Registry) EachResident(fn func(name string, eng Engine)) {
+	type resident struct {
+		t   *Tenant
+		eng Engine
+	}
+	r.mu.Lock()
+	var rs []resident
 	for _, t := range r.ts {
 		if t.eng != nil {
-			n++
+			t.inUse++
+			rs = append(rs, resident{t, t.eng})
 		}
 	}
-	return n
+	r.mu.Unlock()
+	sort.Slice(rs, func(i, j int) bool { return rs[i].t.spec.Name < rs[j].t.spec.Name })
+	for _, x := range rs {
+		fn(x.t.spec.Name, x.eng)
+		x.t.release()
+	}
 }
 
 // ReclaimExpired sweeps every resident tenant's expired leases,
 // returning the total reclaimed.
 func (r *Registry) ReclaimExpired() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	n := 0
-	for _, t := range r.ts {
-		if t.eng != nil {
-			n += t.eng.ReclaimExpired()
-		}
-	}
+	r.EachResident(func(_ string, eng Engine) { n += eng.ReclaimExpired() })
 	return n
 }
 
 // InFlight sums in-flight leases across resident tenants.
 func (r *Registry) InFlight() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	n := 0
-	for _, t := range r.ts {
-		if t.eng != nil {
-			n += t.eng.Stats().InFlight
-		}
-	}
+	r.EachResident(func(_ string, eng Engine) { n += eng.Stats().InFlight })
 	return n
 }
 
-// CheckpointAll checkpoints every resident tenant in sorted name order
-// — the deterministic drain order — and returns the names in the order
-// they were checkpointed. All tenants are attempted even after a
-// failure; the first error is returned.
+// CheckpointAll checkpoints every resident tenant in name order and
+// returns the names in the order they were checkpointed. All tenants are
+// attempted even after a failure; the first error is returned.
 func (r *Registry) CheckpointAll() ([]string, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.ts))
-	for n, t := range r.ts {
-		if t.eng != nil {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
+	var names []string
 	var firstErr error
-	for _, n := range names {
-		if err := r.ts[n].eng.Checkpoint(); err != nil && firstErr == nil {
+	r.EachResident(func(n string, eng Engine) {
+		names = append(names, n)
+		if err := eng.Checkpoint(); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("tenant %s: %w", n, err)
 		}
-	}
+	})
 	return names, firstErr
 }

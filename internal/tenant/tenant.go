@@ -1,18 +1,21 @@
 // Package tenant turns "one process = one engine" into a registry of
-// named tuning problems. Each tenant is a serialized option set
-// (core.EngineSpec plus a workload roster and a selector name) with its
-// own checkpoint directory, session epoch, and drift/calibration state;
-// the registry owns the engine lifecycle — create, lazy warm-restart
-// from checkpoint, LRU spill when too many tenants are resident, and
-// checkpoint-all on drain. The server in internal/tuned routes each
-// connection to a tenant by the name in its Hello handshake and
-// otherwise works exactly as before: every request is one engine call,
-// now against the session's tenant.
+// named tuning problems, and is what every tuned.Server serves. Each
+// tenant is a serialized option set (core.EngineSpec plus a workload
+// roster and a selector name) with its own checkpoint directory, session
+// epoch, and drift/calibration state; the registry owns the engine
+// lifecycle — create, lazy warm-restart from checkpoint, LRU spill when
+// too many tenants are resident, and checkpoint-all on drain. NewSingle
+// wraps one pre-built engine as a registry whose only tenant is
+// "default", so a one-problem server is just a registry of one. The
+// server in internal/tuned routes each connection to a tenant by the
+// name in its Hello handshake; every request is one call on the
+// session's tenant engine.
 package tenant
 
 import (
 	"fmt"
 	"regexp"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/nominal"
@@ -77,6 +80,31 @@ func (s Spec) validate(roster RosterFunc) ([]core.Algorithm, error) {
 	return algos, nil
 }
 
+// Engine is the trial-engine surface a tenant is served through:
+// leasing, reporting, degraded-mode absorption, checkpointing and the
+// read-side summary calls. core.ConcurrentTuner, core.ShardedEngine and
+// ctxtune.Engine all satisfy it; tuned.Engine is this interface.
+type Engine interface {
+	LeaseN(n int) ([]core.Trial, error)
+	CompleteN(results []core.TrialResult) []error
+	FailN(fails []core.TrialFailure) []error
+	Heartbeat(ids []uint64) []bool
+	Alive(ids []uint64) []bool
+	Absorb(obs []nominal.Observation) int
+	ReclaimExpired() int
+	Checkpoint() error
+	Best() (algo int, cfg param.Config, value float64)
+	Iterations() int
+	Counts() []int
+	Stats() core.EngineStats
+	FailureStats() core.FailureStats
+	DriftStats() core.DriftStats
+	Degraded() bool
+	NumAlgorithms() int
+	AlgorithmName(i int) string
+	LeaseTimeout() time.Duration
+}
+
 // RosterFunc resolves a workload name to its algorithm roster. The
 // roster is code (measurement spaces, not data), which is why specs
 // carry the name and the registry carries the resolver.
@@ -102,6 +130,6 @@ func BuiltinRoster(workload string) ([]core.Algorithm, error) {
 			{Name: "sleep-laggard"},
 		}, nil
 	default:
-		return nil, fmt.Errorf("tenant: unknown workload %q (want strmatch or sleep)", workload)
+		return nil, fmt.Errorf("unknown workload %q (want strmatch or sleep)", workload)
 	}
 }

@@ -1,12 +1,15 @@
 package tenant
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/checkpoint/crashtest"
 	"repro/internal/core"
+	"repro/internal/nominal"
+	"repro/internal/wire"
 )
 
 // drive completes n trials against a tenant's engine through the
@@ -218,7 +221,8 @@ func TestAcquirePinsResidency(t *testing.T) {
 
 // TestRestartRediscovery is the kill/restart leg: a fresh registry over
 // the same root rediscovers every tenant from its spec.json and resumes
-// its state from its own checkpoint directory.
+// its state from its own checkpoint directory. A tenant directory holds
+// just spec.json and ckpt/.
 func TestRestartRediscovery(t *testing.T) {
 	root := t.TempDir()
 	r, err := NewRegistry(Config{Root: root})
@@ -242,6 +246,19 @@ func TestRestartRediscovery(t *testing.T) {
 	engA, _, rel, _ := r.Acquire("alpha")
 	wantIter := engA.Iterations()
 	rel()
+	for _, n := range []string{"alpha", "beta"} {
+		entries, err := os.ReadDir(filepath.Join(root, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, e := range entries {
+			got = append(got, e.Name())
+		}
+		if len(got) != 2 || got[0] != "ckpt" || got[1] != "spec.json" {
+			t.Fatalf("tenant %s directory holds %v, want [ckpt spec.json]", n, got)
+		}
+	}
 
 	// "Kill" the process: a brand-new registry over the same root.
 	r2, err := NewRegistry(Config{Root: root})
@@ -268,5 +285,46 @@ func TestRestartRediscovery(t *testing.T) {
 	}
 	if ten.Epoch() == r2.Tenant("beta").Epoch() {
 		t.Fatal("two tenants share an epoch")
+	}
+}
+
+// TestNewSingle: a pre-built engine becomes the resident "default"
+// tenant of a root-less registry, which hands that very engine out,
+// checkpoints it on CheckpointAll and never spills it.
+func TestNewSingle(t *testing.T) {
+	algos, err := BuiltinRoster("sleep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	eng, err := core.EngineSpec{Seed: 7}.Build(algos, nominal.NewEpsilonGreedy(0.1), nil, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewSingle(eng)
+	if names := r.Names(); len(names) != 1 || names[0] != DefaultName {
+		t.Fatalf("names %v, want [%s]", names, DefaultName)
+	}
+	drive(t, r, DefaultName, 5)
+	got, ten, release, err := r.Acquire(DefaultName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release()
+	if got != Engine(eng) {
+		t.Fatal("Acquire returned another engine than the wrapped one")
+	}
+	if ten.Hash() != wire.ConfigHash([]string{"sleep-steady", "sleep-tuned", "sleep-laggard"}) {
+		t.Fatalf("hash %08x does not cover the engine's roster", ten.Hash())
+	}
+	if order, err := r.CheckpointAll(); err != nil || len(order) != 1 {
+		t.Fatalf("CheckpointAll = %v, %v", order, err)
+	}
+	if infos := r.Snapshot(); len(infos) != 1 || !infos[0].Resident || infos[0].Iterations != 5 {
+		t.Fatalf("snapshot %+v, want one resident tenant at 5 iterations", infos)
+	}
+	// The engine checkpoints into its own directory.
+	if !core.HasCheckpoint(dir) {
+		t.Fatal("engine wrote no checkpoint")
 	}
 }

@@ -16,7 +16,7 @@ import (
 // relative to the fleet-fastest reference, re-calibration updates them,
 // and a new fastest worker lowers the baseline for everyone.
 func TestCalibrateProtocol(t *testing.T) {
-	_, addr := startServer(t, nil)
+	_, _, addr := startServer(t, nil)
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestCalibrateProtocol(t *testing.T) {
 // TestCalibrateRejectsGarbage: zero worker IDs and non-positive or
 // non-finite references are bad requests, not table entries.
 func TestCalibrateRejectsGarbage(t *testing.T) {
-	_, addr := startServer(t, nil)
+	_, _, addr := startServer(t, nil)
 	for _, tc := range []struct {
 		worker uint64
 		ref    float64
@@ -89,7 +89,7 @@ func TestCalibrateRejectsGarbage(t *testing.T) {
 // divided by the worker's factor before reaching the selector, so a
 // slow machine's costs land in fleet-normalized units.
 func TestCalibrateNormalizesReports(t *testing.T) {
-	srv, addr := startServer(t, nil)
+	_, eng, addr := startServer(t, nil)
 	c, err := Dial(addr, WithWorker(9))
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestCalibrateNormalizesReports(t *testing.T) {
 	if _, _, err := c.CompleteN(lb.Epoch, []core.TrialResult{{ID: lb.Trials[0].ID, Value: 8.0}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, v := srv.Engine().Best(); v != 2.0 {
+	if _, _, v := eng.Best(); v != 2.0 {
 		t.Fatalf("normalized best = %g, want 2.0", v)
 	}
 }

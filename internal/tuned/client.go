@@ -127,10 +127,10 @@ func WithClientName(name string) ClientOption {
 	return func(c *Client) { c.name = name }
 }
 
-// WithTenant routes this client's sessions to a named tenant on a
-// multi-tenant server. Empty (the default) is the "default" tenant —
-// the behavior of every client that predates tenancy, and the only
-// tenant a single-engine server runs.
+// WithTenant routes this client's sessions to a named tenant of the
+// server's registry. Empty (the default) is the "default" tenant — the
+// behavior of every client that predates tenancy, and the only tenant a
+// server over one engine (NewServer) has.
 func WithTenant(name string) ClientOption {
 	return func(c *Client) { c.tenant = name }
 }

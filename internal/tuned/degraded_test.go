@@ -18,7 +18,7 @@ import (
 // not-yet-measured trials dead and measureBatch skips them instead of
 // wasting the measurement.
 func TestHeartbeatDropsReclaimedLease(t *testing.T) {
-	_, addr := startServer(t, []core.Option{core.WithLeaseTimeout(40 * time.Millisecond)})
+	_, _, addr := startServer(t, []core.Option{core.WithLeaseTimeout(40 * time.Millisecond)})
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestHeartbeatDropsReclaimedLease(t *testing.T) {
 // endpoint: a retried sequence number is acknowledged as a duplicate
 // and never double-applied.
 func TestAbsorbDedup(t *testing.T) {
-	srv, addr := startServer(t, nil)
+	_, eng, addr := startServer(t, nil)
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestAbsorbDedup(t *testing.T) {
 	if applied, _, err = c.Absorb(78, 1, obs[:2]); err != nil || applied != 2 {
 		t.Fatalf("Absorb(worker=78) = (%d, %v), want 2 applied", applied, err)
 	}
-	if got := srv.Engine().Stats().Absorbed; got != 6 {
+	if got := eng.Stats().Absorbed; got != 6 {
 		t.Fatalf("engine absorbed %d observations, want 6", got)
 	}
 	st, err := c.Stats()
@@ -123,7 +123,7 @@ func TestAbsorbDedup(t *testing.T) {
 // TestSessionCap checks one connection cannot hoard leases past the
 // per-session cap and that the cap is returned as trials complete.
 func TestSessionCap(t *testing.T) {
-	_, addr := startServer(t, nil, WithSessionCap(2))
+	_, _, addr := startServer(t, nil, WithSessionCap(2))
 	c, err := Dial(addr, WithPoolSize(1))
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +160,7 @@ func TestSessionCap(t *testing.T) {
 
 // TestGlobalCap checks the server-wide in-flight bound across sessions.
 func TestGlobalCap(t *testing.T) {
-	_, addr := startServer(t, nil, WithGlobalCap(3))
+	_, _, addr := startServer(t, nil, WithGlobalCap(3))
 	c1, err := Dial(addr, WithPoolSize(1))
 	if err != nil {
 		t.Fatal(err)

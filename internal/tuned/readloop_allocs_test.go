@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/tenant"
 )
 
 // lockstepRoundTripAllocs bounds the heap allocations of one lockstep
@@ -46,30 +47,56 @@ func roundTripAllocs(t *testing.T, c *Client, n int) float64 {
 	return testing.AllocsPerRun(200, roundTrip)
 }
 
-func TestLockstepRoundTripAllocs(t *testing.T) {
-	_, addr := startServer(t, nil)
-	c, err := Dial(addr)
+// checkRoundTripAllocs dials addr and fails the test when one LeaseN(n)
+// + CompleteN round trip costs more than bound allocations.
+func checkRoundTripAllocs(t *testing.T, addr string, n, bound int, what string, opts ...ClientOption) {
+	t.Helper()
+	c, err := Dial(addr, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	allocs := roundTripAllocs(t, c, 1)
-	t.Logf("%.2f allocations per lockstep round trip", allocs)
-	if allocs > lockstepRoundTripAllocs {
-		t.Fatalf("%.2f allocations per lockstep round trip, want at most %d", allocs, lockstepRoundTripAllocs)
+	allocs := roundTripAllocs(t, c, n)
+	t.Logf("%.2f allocations per %s round trip", allocs, what)
+	if allocs > float64(bound) {
+		t.Fatalf("%.2f allocations per %s round trip, want at most %d", allocs, what, bound)
 	}
 }
 
-func TestPipelinedBatchRoundTripAllocs(t *testing.T) {
-	_, addr := startServer(t, []core.Option{core.WithMaxInFlight(64)})
-	c, err := Dial(addr, WithPipeline(0))
+// specTenantServer serves a memory-only registry whose "default" tenant
+// the registry builds from a spec, as atune-serve -tenants does, so the
+// tenant variants of the gates cover a spec-built engine behind Register
+// and Acquire.
+func specTenantServer(t *testing.T) string {
+	t.Helper()
+	reg, err := tenant.NewRegistry(tenant.Config{
+		Roster: func(string) ([]core.Algorithm, error) { return testAlgos(), nil },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	allocs := roundTripAllocs(t, c, 16)
-	t.Logf("%.2f allocations per pipelined batch-16 round trip", allocs)
-	if allocs > pipelinedBatchRoundTripAllocs {
-		t.Fatalf("%.2f allocations per pipelined batch-16 round trip, want at most %d", allocs, pipelinedBatchRoundTripAllocs)
+	spec := tenant.Spec{Name: tenant.DefaultName, Workload: "test", Engine: core.EngineSpec{Seed: 1, MaxInFlight: 64}}
+	if err := reg.Register(spec); err != nil {
+		t.Fatal(err)
 	}
+	_, addr := startTenantServer(t, reg)
+	return addr
+}
+
+func TestLockstepRoundTripAllocs(t *testing.T) {
+	_, _, addr := startServer(t, nil)
+	checkRoundTripAllocs(t, addr, 1, lockstepRoundTripAllocs, "lockstep")
+}
+
+func TestPipelinedBatchRoundTripAllocs(t *testing.T) {
+	_, _, addr := startServer(t, []core.Option{core.WithMaxInFlight(64)})
+	checkRoundTripAllocs(t, addr, 16, pipelinedBatchRoundTripAllocs, "pipelined batch-16", WithPipeline(0))
+}
+
+func TestTenantLockstepRoundTripAllocs(t *testing.T) {
+	checkRoundTripAllocs(t, specTenantServer(t), 1, lockstepRoundTripAllocs, "tenant lockstep")
+}
+
+func TestTenantPipelinedBatchRoundTripAllocs(t *testing.T) {
+	checkRoundTripAllocs(t, specTenantServer(t), 16, pipelinedBatchRoundTripAllocs, "tenant pipelined batch-16", WithPipeline(0))
 }

@@ -20,12 +20,13 @@
 //     leases issued by the dead process carry the old epoch and are
 //     dropped, never misapplied to a re-issued trial ID.
 //
-// A server carries either one engine (NewServer) or a whole tenant
-// registry (NewTenantServer): many named tuning problems behind one
-// port, each with its own engine, epoch, persistence directory and
-// calibration state. Sessions are routed by the tenant name in their
+// A server serves a tenant registry (NewTenantServer): named tuning
+// problems behind one port, each with its own engine, epoch, persistence
+// directory and calibration state. A server over one engine (NewServer)
+// serves the registry tenant.NewSingle builds around it, whose only
+// tenant is "default". Sessions are routed by the tenant name in their
 // Hello; a client that predates the field lands on the "default"
-// tenant, so single-tenant deployments and old workers never notice.
+// tenant, so one-engine deployments and old workers never notice.
 package tuned
 
 import (
@@ -41,34 +42,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/guard"
 	"repro/internal/nominal"
-	"repro/internal/param"
 	"repro/internal/tenant"
 	"repro/internal/wire"
 )
 
-// Engine is the trial-engine surface the server needs: leasing,
-// reporting, degraded-mode absorption, and the read-side summary calls.
-// Both core.ConcurrentTuner and core.ShardedEngine satisfy it.
-type Engine interface {
-	LeaseN(n int) ([]core.Trial, error)
-	CompleteN(results []core.TrialResult) []error
-	FailN(fails []core.TrialFailure) []error
-	Heartbeat(ids []uint64) []bool
-	Alive(ids []uint64) []bool
-	Absorb(obs []nominal.Observation) int
-	ReclaimExpired() int
-	Checkpoint() error
-	Best() (algo int, cfg param.Config, value float64)
-	Iterations() int
-	Counts() []int
-	Stats() core.EngineStats
-	FailureStats() core.FailureStats
-	DriftStats() core.DriftStats
-	Degraded() bool
-	NumAlgorithms() int
-	AlgorithmName(i int) string
-	LeaseTimeout() time.Duration
-}
+// Engine is the trial-engine surface the server needs, declared once as
+// tenant.Engine: leasing, reporting, degraded-mode absorption,
+// checkpointing and the read-side summary calls.
+type Engine = tenant.Engine
 
 // shardedEngine is the optional extension a sharded engine provides:
 // the server pins each worker session to one shard at the handshake, so
@@ -108,8 +89,8 @@ type ServerOption func(*Server)
 
 // WithTrialTarget makes LeaseN responses report Done once the session's
 // tenant engine has completed n trials, telling workers to exit. Zero
-// (the default) serves leases indefinitely. On a tenant server the
-// target applies per tenant.
+// (the default) serves leases indefinitely. The target applies to each
+// tenant separately.
 func WithTrialTarget(n int) ServerOption {
 	return func(s *Server) { s.target = n }
 }
@@ -123,14 +104,6 @@ func WithMaxBatch(n int) ServerOption {
 	}
 }
 
-// WithConfigHash overrides the hash derived from the algorithm names,
-// for deployments whose compatibility contract covers more than the
-// roster (corpus version, measurement units, …). Single-engine servers
-// only; a tenant server hashes each tenant's roster.
-func WithConfigHash(h uint32) ServerOption {
-	return func(s *Server) { s.hashOverride = h }
-}
-
 // WithSessionCap bounds the leases one connection may hold at once.
 // A LeaseN request from a session at its cap gets an empty busy
 // response with a load-derived RetryMS instead of trials. Zero (the
@@ -141,16 +114,16 @@ func WithSessionCap(n int) ServerOption {
 
 // WithGlobalCap bounds the total in-flight leases per engine,
 // independently of the engine's own MaxInFlight. Requests over the cap
-// get the same busy response. On a tenant server the cap applies to
-// each tenant's engine separately — it is an engine-protection limit,
-// not a fleet quota. Zero (the default) disables the cap.
+// get the same busy response. The cap applies to each tenant's engine
+// separately — it is an engine-protection limit, not a fleet quota.
+// Zero (the default) disables the cap.
 func WithGlobalCap(n int) ServerOption {
 	return func(s *Server) { s.globalCap = n }
 }
 
 // WithRefAlgo sets the algorithm index workers probe when calibrating
-// their speed factor (default 0, the first algorithm). Indices outside
-// a tenant's roster fall back to 0 for that tenant.
+// their speed factor (default 0, the first algorithm), in every tenant.
+// Indices outside a tenant's roster fall back to 0 for that tenant.
 func WithRefAlgo(i int) ServerOption {
 	return func(s *Server) {
 		if i >= 0 {
@@ -159,22 +132,19 @@ func WithRefAlgo(i int) ServerOption {
 	}
 }
 
-// Server serves trial engines over TCP. It owns no tuning state
-// itself: every request maps onto one engine call, so the engine's
-// locking, lease reclamation and checkpoint journal work unchanged
-// whether trials complete from a local goroutine or a remote worker.
-// In tenant mode the engine behind a request is the session's tenant's,
-// acquired per request so the registry's LRU can spill idle tenants in
-// between.
+// Server serves a tenant registry's engines over TCP. It owns no tuning
+// state itself: every request maps onto one call on the session's
+// tenant engine, so the engine's locking, lease reclamation and
+// checkpoint journal work unchanged whether trials complete from a local
+// goroutine or a remote worker. The engine is acquired per request, so
+// the registry's LRU can spill idle tenants in between.
 type Server struct {
-	eng          Engine           // single-engine mode (NewServer); nil in tenant mode
-	reg          *tenant.Registry // tenant mode (NewTenantServer); nil in single mode
-	hashOverride uint32
-	target       int
-	maxBatch     int
-	sessionCap   int // max leases one session may hold; 0 = unbounded
-	globalCap    int // max in-flight leases per engine; 0 = unbounded
-	refAlgo      int // calibration reference algorithm index
+	reg        *tenant.Registry
+	target     int
+	maxBatch   int
+	sessionCap int // max leases one session may hold; 0 = unbounded
+	globalCap  int // max in-flight leases per engine; 0 = unbounded
+	refAlgo    int // calibration reference algorithm index
 
 	draining atomic.Bool // set by Drain: answer leases with Draining
 
@@ -224,9 +194,6 @@ type tenantRT struct {
 	calMu    sync.Mutex
 	refs     map[uint64]float64
 	baseline float64
-
-	// acquire pins the tenant's engine resident for one request.
-	acquire func() (Engine, func(), error)
 }
 
 // session is the per-connection state: the protocol version its client
@@ -298,40 +265,22 @@ func loadRetryMS(inFlight, capacity int) int64 {
 	return min(ms, 250)
 }
 
-// NewServer wraps a single engine for serving, as the sole "default"
-// tenant. The session epoch — stamped into every lease and checked on
-// every report — is drawn from the wall clock at construction, so two
-// server processes over the same checkpoint directory never share an
-// epoch.
+// NewServer serves a single engine as the sole "default" tenant of a
+// tenant.NewSingle registry. The session epoch — stamped into every
+// lease and checked on every report — is drawn from the wall clock at
+// construction, so two server processes over the same checkpoint
+// directory never share an epoch.
 func NewServer(eng Engine, opts ...ServerOption) *Server {
-	s := newServer(opts)
-	s.eng = eng
-	names := make([]string, eng.NumAlgorithms())
-	for i := range names {
-		names[i] = eng.AlgorithmName(i)
-	}
-	hash := wire.ConfigHash(names)
-	if s.hashOverride != 0 {
-		hash = s.hashOverride
-	}
-	rt := s.newRT(tenant.DefaultName, time.Now().UnixNano(), hash)
-	rt.acquire = func() (Engine, func(), error) { return s.eng, func() {}, nil }
-	s.rts[tenant.DefaultName] = rt
-	return s
+	return NewTenantServer(tenant.NewSingle(eng), opts...)
 }
 
-// NewTenantServer serves a whole tenant registry: sessions are routed
-// to the tenant named in their Hello (empty = "default"), each backed
-// by its own engine, epoch and persistence directory. Unknown tenant
-// names are rejected at the handshake.
+// NewTenantServer serves a tenant registry: sessions are routed to the
+// tenant named in their Hello (empty = "default"), each backed by its
+// own engine, epoch and persistence directory. Unknown tenant names are
+// rejected at the handshake.
 func NewTenantServer(reg *tenant.Registry, opts ...ServerOption) *Server {
-	s := newServer(opts)
-	s.reg = reg
-	return s
-}
-
-func newServer(opts []ServerOption) *Server {
 	s := &Server{
+		reg:      reg,
 		maxBatch: DefaultMaxBatch,
 		conns:    make(map[net.Conn]struct{}),
 		rts:      make(map[string]*tenantRT),
@@ -342,66 +291,40 @@ func newServer(opts []ServerOption) *Server {
 	return s
 }
 
-func (s *Server) newRT(name string, epoch int64, hash uint32) *tenantRT {
-	return &tenantRT{
-		name:      name,
-		epoch:     epoch,
-		hash:      hash,
-		absorbSeq: make(map[uint64]uint64),
-		refs:      make(map[uint64]float64),
-	}
-}
-
 // rtFor returns the wire-side runtime for a registered tenant, creating
-// it on first contact (tenant mode only).
+// it on first contact.
 func (s *Server) rtFor(t *tenant.Tenant) *tenantRT {
 	s.rtMu.Lock()
 	defer s.rtMu.Unlock()
 	name := t.Spec().Name
 	rt := s.rts[name]
 	if rt == nil {
-		rt = s.newRT(name, t.Epoch(), t.Hash())
-		rt.acquire = func() (Engine, func(), error) {
-			eng, _, release, err := s.reg.Acquire(name)
-			return eng, release, err
+		rt = &tenantRT{
+			name:      name,
+			epoch:     t.Epoch(),
+			hash:      t.Hash(),
+			absorbSeq: make(map[uint64]uint64),
+			refs:      make(map[uint64]float64),
 		}
 		s.rts[name] = rt
 	}
 	return rt
 }
 
-// Engine returns the served engine in single-engine mode (for
-// inspection: Best, Stats, …); nil on a tenant server, whose engines
-// come and go with residency — use Registry instead.
-func (s *Server) Engine() Engine { return s.eng }
-
-// Registry returns the tenant registry (nil in single-engine mode).
-func (s *Server) Registry() *tenant.Registry { return s.reg }
-
-// Epoch returns the "default" tenant's session epoch (the only epoch in
-// single-engine mode). Tenant epochs are per-tenant; see the HelloAck.
+// Epoch returns the "default" tenant's session epoch (0 if the registry
+// has none). Every tenant has its own; see the HelloAck.
 func (s *Server) Epoch() int64 {
-	if rt := s.lookupRT(tenant.DefaultName); rt != nil {
-		return rt.epoch
-	}
-	if s.reg != nil {
-		if t := s.reg.Tenant(tenant.DefaultName); t != nil {
-			return t.Epoch()
-		}
+	if t := s.reg.Tenant(tenant.DefaultName); t != nil {
+		return t.Epoch()
 	}
 	return 0
 }
 
-// Hash returns the "default" tenant's config hash (the only hash in
-// single-engine mode).
+// Hash returns the "default" tenant's config hash (0 if the registry has
+// none).
 func (s *Server) Hash() uint32 {
-	if rt := s.lookupRT(tenant.DefaultName); rt != nil {
-		return rt.hash
-	}
-	if s.reg != nil {
-		if t := s.reg.Tenant(tenant.DefaultName); t != nil {
-			return t.Hash()
-		}
+	if t := s.reg.Tenant(tenant.DefaultName); t != nil {
+		return t.Hash()
 	}
 	return 0
 }
@@ -417,12 +340,6 @@ func (s *Server) Rebalanced() uint64 {
 		n += rt.rebalanced.Load()
 	}
 	return n
-}
-
-func (s *Server) lookupRT(name string) *tenantRT {
-	s.rtMu.Lock()
-	defer s.rtMu.Unlock()
-	return s.rts[name]
 }
 
 // Serve accepts connections on ln until Close, handling each on its own
@@ -521,35 +438,16 @@ func (s *Server) Drain(timeout time.Duration) error {
 	}
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		if s.reclaimAll(); s.inFlightAll() == 0 {
+		if s.reg.ReclaimExpired(); s.reg.InFlight() == 0 {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	var ckErr error
-	if s.reg != nil {
-		_, ckErr = s.reg.CheckpointAll()
-	} else {
-		ckErr = s.eng.Checkpoint()
-	}
+	_, ckErr := s.reg.CheckpointAll()
 	if err := s.Close(); err != nil {
 		return err
 	}
 	return ckErr
-}
-
-func (s *Server) reclaimAll() int {
-	if s.reg != nil {
-		return s.reg.ReclaimExpired()
-	}
-	return s.eng.ReclaimExpired()
-}
-
-func (s *Server) inFlightAll() int {
-	if s.reg != nil {
-		return s.reg.InFlight()
-	}
-	return s.eng.Stats().InFlight
 }
 
 // handle runs one connection: handshake, then the request loop, which
@@ -664,29 +562,20 @@ func (s *Server) handshake(br *bufio.Reader, bw *bufio.Writer) *session {
 		// Pre-tenant clients (and tenant-agnostic ones) land here.
 		name = tenant.DefaultName
 	}
-	if s.reg == nil {
-		if name != tenant.DefaultName {
-			sess.reply(wire.TError, 0, &wire.ErrorResp{
-				Code: wire.CodeUnknownTenant, Msg: fmt.Sprintf("unknown tenant %q (single-tenant server)", name)})
-			return nil
-		}
-		sess.rt = s.lookupRT(tenant.DefaultName)
-	} else {
-		t := s.reg.Tenant(name)
-		if t == nil {
-			sess.reply(wire.TError, 0, &wire.ErrorResp{
-				Code: wire.CodeUnknownTenant, Msg: fmt.Sprintf("unknown tenant %q", name)})
-			return nil
-		}
-		sess.rt = s.rtFor(t)
+	t := s.reg.Tenant(name)
+	if t == nil {
+		sess.reply(wire.TError, 0, &wire.ErrorResp{
+			Code: wire.CodeUnknownTenant, Msg: fmt.Sprintf("unknown tenant %q", name)})
+		return nil
 	}
+	sess.rt = s.rtFor(t)
 	if h.Hash != 0 && h.Hash != sess.rt.hash {
 		sess.reply(wire.TError, 0, &wire.ErrorResp{
 			Code: wire.CodeConfigMismatch,
 			Msg:  fmt.Sprintf("config hash %08x, tenant %s runs %08x", h.Hash, name, sess.rt.hash)})
 		return nil
 	}
-	eng, release, err := sess.rt.acquire()
+	eng, _, release, err := s.reg.Acquire(name)
 	if err != nil {
 		sess.reply(wire.TError, 0, &wire.ErrorResp{Code: wire.CodeInternal, Msg: err.Error()})
 		return nil
@@ -733,7 +622,7 @@ func (s *Server) serveReq(sess *session, typ wire.Type, corr uint16, req wire.Pa
 		// resident).
 		return s.serveTenants(sess, corr)
 	}
-	eng, release, err := sess.rt.acquire()
+	eng, _, release, err := s.reg.Acquire(sess.rt.name)
 	if err != nil {
 		sess.reply(wire.TError, corr, &wire.ErrorResp{Code: wire.CodeInternal, Msg: err.Error()})
 		return false
@@ -1090,51 +979,28 @@ func (s *Server) serveStats(sess *session, eng Engine, corr uint16) bool {
 
 // serveTenants answers the aggregate view: one row per registered
 // tenant (resident or spilled; listing never forces a warm restart)
-// plus fleet totals. A single-engine server reports its one tenant.
+// plus fleet totals.
 func (s *Server) serveTenants(sess *session, corr uint16) bool {
 	var resp wire.TenantsResp
-	if s.reg != nil {
-		for _, in := range s.reg.Snapshot() {
-			resp.Tenants = append(resp.Tenants, wire.TenantStat{
-				Name:       in.Name,
-				Resident:   in.Resident,
-				Epoch:      in.Epoch,
-				Iterations: in.Iterations,
-				InFlight:   in.InFlight,
-				Completed:  in.Completed,
-				BestAlgo:   in.BestAlgo,
-				BestName:   in.BestName,
-				BestValue:  in.BestValue,
-				Spills:     in.Spills,
-				Restarts:   in.Restarts,
-			})
-			if in.Resident {
-				resp.Resident++
-				resp.InFlight += in.InFlight
-			}
-			resp.Iterations += in.Iterations
+	for _, in := range s.reg.Snapshot() {
+		resp.Tenants = append(resp.Tenants, wire.TenantStat{
+			Name:       in.Name,
+			Resident:   in.Resident,
+			Epoch:      in.Epoch,
+			Iterations: in.Iterations,
+			InFlight:   in.InFlight,
+			Completed:  in.Completed,
+			BestAlgo:   in.BestAlgo,
+			BestName:   in.BestName,
+			BestValue:  in.BestValue,
+			Spills:     in.Spills,
+			Restarts:   in.Restarts,
+		})
+		if in.Resident {
+			resp.Resident++
+			resp.InFlight += in.InFlight
 		}
-	} else {
-		eng := s.eng
-		st := eng.Stats()
-		ts := wire.TenantStat{
-			Name:       tenant.DefaultName,
-			Resident:   true,
-			Epoch:      sess.rt.epoch,
-			Iterations: eng.Iterations(),
-			InFlight:   st.InFlight,
-			Completed:  st.Completed,
-			BestAlgo:   -1,
-		}
-		if algo, _, val := eng.Best(); algo >= 0 {
-			ts.BestAlgo = algo
-			ts.BestName = eng.AlgorithmName(algo)
-			ts.BestValue = val
-		}
-		resp.Tenants = []wire.TenantStat{ts}
-		resp.Resident = 1
-		resp.Iterations = ts.Iterations
-		resp.InFlight = ts.InFlight
+		resp.Iterations += in.Iterations
 	}
 	return sess.reply(wire.TTenantsAck, corr, &resp) == nil
 }

@@ -32,8 +32,8 @@ func testMeasure(algo int, cfg param.Config) float64 {
 }
 
 // startServer builds an engine + server on an ephemeral port and
-// returns them with the address and a cleanup.
-func startServer(t *testing.T, opts []core.Option, sopts ...ServerOption) (*Server, string) {
+// returns them with the address, closing the server at cleanup.
+func startServer(t *testing.T, opts []core.Option, sopts ...ServerOption) (*Server, *core.ConcurrentTuner, string) {
 	t.Helper()
 	eng, err := core.NewConcurrentTuner(testAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 1, opts...)
 	if err != nil {
@@ -46,11 +46,11 @@ func startServer(t *testing.T, opts []core.Option, sopts ...ServerOption) (*Serv
 	}
 	go srv.Serve(ln)
 	t.Cleanup(func() { srv.Close() })
-	return srv, ln.Addr().String()
+	return srv, eng, ln.Addr().String()
 }
 
 func TestHandshakeAndRoster(t *testing.T) {
-	srv, addr := startServer(t, nil)
+	srv, _, addr := startServer(t, nil)
 	c, err := Dial(addr, WithClientName("t"))
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestHandshakeAndRoster(t *testing.T) {
 }
 
 func TestHandshakeConfigMismatch(t *testing.T) {
-	_, addr := startServer(t, nil)
+	_, _, addr := startServer(t, nil)
 	_, err := Dial(addr, WithExpectedHash(0xdeadbeef), WithRetry(0, time.Millisecond, time.Millisecond))
 	var re *RemoteError
 	if !errors.As(err, &re) || re.Code != 409 {
@@ -78,7 +78,7 @@ func TestHandshakeConfigMismatch(t *testing.T) {
 }
 
 func TestLeaseCompleteRoundTrip(t *testing.T) {
-	srv, addr := startServer(t, nil)
+	srv, eng, addr := startServer(t, nil)
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestLeaseCompleteRoundTrip(t *testing.T) {
 	if len(applied) != 0 || len(dropped) != 4 {
 		t.Fatalf("duplicate CompleteN applied %d dropped %d, want 0/4", len(applied), len(dropped))
 	}
-	if it := srv.Engine().Iterations(); it != 4 {
+	if it := eng.Iterations(); it != 4 {
 		t.Fatalf("engine iterations = %d, want 4 (duplicates never double-count)", it)
 	}
 
@@ -138,7 +138,7 @@ func TestLeaseCompleteRoundTrip(t *testing.T) {
 // TestWrongEpochDropped: reports stamped with another server session's
 // epoch are acknowledged but never applied.
 func TestWrongEpochDropped(t *testing.T) {
-	srv, addr := startServer(t, nil)
+	_, eng, addr := startServer(t, nil)
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestWrongEpochDropped(t *testing.T) {
 	if fAppl, fDrop, err := c.FailN(stale, []core.TrialFailure{{ID: lb.Trials[1].ID}}); err != nil || len(fAppl) != 0 || len(fDrop) != 1 {
 		t.Fatalf("stale-epoch FailN = (%v, %v, %v), want all dropped", fAppl, fDrop, err)
 	}
-	if st := srv.Engine().Stats(); st.Completed != 0 || st.Failed != 0 || st.InFlight != 2 {
+	if st := eng.Stats(); st.Completed != 0 || st.Failed != 0 || st.InFlight != 2 {
 		t.Fatalf("engine touched by stale-epoch reports: %+v", st)
 	}
 	// The genuine epoch still works.
@@ -173,7 +173,7 @@ func TestWrongEpochDropped(t *testing.T) {
 // full wire loop and the engine accounts every trial.
 func TestWorkerRunsToTarget(t *testing.T) {
 	const target = 120
-	srv, addr := startServer(t, nil, WithTrialTarget(target))
+	_, eng, addr := startServer(t, nil, WithTrialTarget(target))
 	var wg sync.WaitGroup
 	total := 0
 	var mu sync.Mutex
@@ -199,7 +199,6 @@ func TestWorkerRunsToTarget(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	eng := srv.Engine()
 	if it := eng.Iterations(); it < target {
 		t.Fatalf("engine iterations = %d, want >= %d", it, target)
 	}
@@ -214,7 +213,7 @@ func TestWorkerRunsToTarget(t *testing.T) {
 // TestWorkerPanicBecomesFailN: a panicking measurement reaches the
 // server as a failed trial, not a dead connection.
 func TestWorkerPanicBecomesFailN(t *testing.T) {
-	srv, addr := startServer(t, nil, WithTrialTarget(20))
+	_, eng, addr := startServer(t, nil, WithTrialTarget(20))
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -234,11 +233,11 @@ func TestWorkerPanicBecomesFailN(t *testing.T) {
 	if _, err := w.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	st := srv.Engine().Stats()
+	st := eng.Stats()
 	if st.Failed == 0 {
 		t.Fatalf("no failures recorded: %+v", st)
 	}
-	fs := srv.Engine().FailureStats()
+	fs := eng.FailureStats()
 	if fs.Panics == 0 {
 		t.Fatalf("panics not classified: %+v", fs)
 	}
@@ -306,7 +305,7 @@ func TestClientReconnectAcrossRestart(t *testing.T) {
 // TestLeaseNClampedToMaxBatch: oversized requests are clamped, not
 // refused.
 func TestLeaseNClampedToMaxBatch(t *testing.T) {
-	_, addr := startServer(t, nil, WithMaxBatch(3))
+	_, _, addr := startServer(t, nil, WithMaxBatch(3))
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -324,7 +323,7 @@ func TestLeaseNClampedToMaxBatch(t *testing.T) {
 // TestRetryHintUnderMaxInFlight: when the engine's in-flight cap is
 // reached the server answers with a backoff hint instead of an error.
 func TestRetryHintUnderMaxInFlight(t *testing.T) {
-	_, addr := startServer(t, []core.Option{core.WithMaxInFlight(2)})
+	_, _, addr := startServer(t, []core.Option{core.WithMaxInFlight(2)})
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
