@@ -1,7 +1,7 @@
 # Tier-1 gate: `make check` must pass before any change lands.
 GO ?= go
 
-.PHONY: check lint vet build test race bench-check resume-smoke bench-smoke bench figures fuzz chaos
+.PHONY: check lint vet build test race allocs bench-check resume-smoke bench-smoke bench figures fuzz chaos
 
 check: lint build test race bench-check resume-smoke bench-smoke
 
@@ -24,6 +24,13 @@ test:
 # commands and the top-level benchmark package included.
 race:
 	$(GO) test -race ./...
+
+# The allocation gates alone, each logging its measured count, so a
+# regression names its layer: wire codec, journal, engine, tenant
+# registry, and the client-to-engine round trips. `test` runs them too;
+# they are excluded under -race, whose instrumentation allocates.
+allocs:
+	$(GO) test -run 'Allocs$$' -count=1 -v ./...
 
 # bench/ is its own Go module, so `go build ./...` above never compiles
 # it; vet and test it separately so an API change cannot silently break

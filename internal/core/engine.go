@@ -64,8 +64,10 @@ type TrialFailure struct {
 	Failure guard.Failure
 }
 
-// lease is the engine's record of an outstanding trial. trial.Config is
-// the engine's private copy (the caller got its own clone). epoch is the
+// lease is the engine's record of an outstanding trial, stored by value
+// in ConcurrentTuner.leases so issuing one costs no allocation of its
+// own. trial.Config is the engine's private copy (the caller got its own
+// clone). epoch is the
 // tuner's drift sequence number at lease time: a completion arriving
 // after a drift reset is evidence about the regime whose records the
 // reset just dropped, and is discarded instead of applied (see
@@ -105,11 +107,11 @@ type EngineStats struct {
 // Internally one mutex guards the decision state (selector, strategies,
 // counters, checkpoint journal), and it is released only after the
 // journal records a call wrote are synced; Best, Counts and Iterations are
-// lock-free reads of copy-on-write snapshots refreshed once per
-// operation that changed them. Phase one is served through a per-algorithm
-// search.Proposer, which hands the strategy's genuine proposal to the
-// first taker and incumbent-perturbed speculative configurations to
-// every concurrent one; phase two goes through
+// lock-free reads of snapshots refreshed once per operation that changed
+// them: the best is copy-on-write, the counts are per-arm atomics. Phase
+// one is served through a per-algorithm search.Proposer, which hands the
+// strategy's genuine proposal to the first taker and incumbent-perturbed
+// speculative configurations to every concurrent one; phase two goes through
 // nominal.InFlightAware.SelectInFlight when the selector supports it, so
 // concurrent leases spread across arms instead of piling onto one.
 //
@@ -121,7 +123,7 @@ type ConcurrentTuner struct {
 	mu        sync.Mutex
 	t         *Tuner
 	proposers []*search.Proposer
-	leases    map[uint64]*lease
+	leases    map[uint64]lease
 	inFlight  []int // per-algorithm outstanding leases
 	nextID    uint64
 	adapterID uint64 // outstanding single-lease-adapter trial, 0 = none
@@ -135,7 +137,7 @@ type ConcurrentTuner struct {
 
 	dirty  bool // decision state changed since the last publish
 	best   atomic.Pointer[bestSnap]
-	counts atomic.Pointer[[]int]
+	counts []atomic.Int64 // per-algorithm completion counts
 	iters  atomic.Uint64
 }
 
@@ -192,8 +194,9 @@ func wrapEngine(t *Tuner, opts []Option) (*ConcurrentTuner, error) {
 	c := &ConcurrentTuner{
 		t:         t,
 		proposers: make([]*search.Proposer, len(t.strategies)),
-		leases:    make(map[uint64]*lease),
+		leases:    make(map[uint64]lease),
 		inFlight:  make([]int, len(t.algos)),
+		counts:    make([]atomic.Int64, len(t.algos)),
 		leaseTTL:  DefaultLeaseTimeout,
 		now:       time.Now,
 	}
@@ -222,13 +225,24 @@ func (c *ConcurrentTuner) Lease() (Trial, error) {
 }
 
 func (c *ConcurrentTuner) leaseLocked() (Trial, error) {
-	c.reclaimLocked()
-	return c.leaseOneLocked()
+	now := c.leaseClock()
+	c.sweepLocked(now)
+	return c.leaseOneLocked(now)
+}
+
+// leaseClock reads the clock once for a lease operation: its deadlines
+// and its expiry sweep share the reading. Zero when leases never expire.
+func (c *ConcurrentTuner) leaseClock() time.Time {
+	if c.leaseTTL <= 0 {
+		return time.Time{}
+	}
+	return c.now()
 }
 
 // leaseOneLocked draws one trial without sweeping expired leases; batch
-// callers sweep once and then call this per slot.
-func (c *ConcurrentTuner) leaseOneLocked() (Trial, error) {
+// callers sweep once and then call this per slot with the batch's one
+// clock reading.
+func (c *ConcurrentTuner) leaseOneLocked(now time.Time) (Trial, error) {
 	if c.maxInFlight > 0 && len(c.leases) >= c.maxInFlight {
 		return Trial{}, ErrTooManyInFlight
 	}
@@ -254,14 +268,14 @@ func (c *ConcurrentTuner) leaseOneLocked() (Trial, error) {
 		tr.Speculative = !prop.Primary
 	}
 	if c.leaseTTL > 0 {
-		tr.Deadline = c.now().Add(c.leaseTTL)
+		tr.Deadline = now.Add(c.leaseTTL)
 		if c.sweepAt.IsZero() || tr.Deadline.Before(c.sweepAt) {
 			c.sweepAt = tr.Deadline
 		}
 	}
 	stored := tr
 	stored.Config = tr.Config.Clone() // callers may mutate their copy
-	c.leases[tr.ID] = &lease{trial: stored, prop: prop, epoch: t.driftSeq}
+	c.leases[tr.ID] = lease{trial: stored, prop: prop, epoch: t.driftSeq}
 	c.inFlight[tr.Algo]++
 	c.nLeased++
 	return tr, nil
@@ -300,10 +314,10 @@ func (c *ConcurrentTuner) completeLocked(id uint64, value float64) error {
 			Err:     fmt.Errorf("core: non-finite measurement %v", value),
 			Penalty: c.t.penalty(),
 		}
-		c.finishLocked(l, f.Penalty, f)
+		c.finishLocked(&l, f.Penalty, f)
 		return nil
 	}
-	c.finishLocked(l, value, nil)
+	c.finishLocked(&l, value, nil)
 	return nil
 }
 
@@ -327,7 +341,7 @@ func (c *ConcurrentTuner) failLocked(id uint64, f guard.Failure) error {
 	if f.Penalty <= 0 || math.IsNaN(f.Penalty) || math.IsInf(f.Penalty, 0) {
 		f.Penalty = c.t.penalty()
 	}
-	c.finishLocked(l, f.Penalty, &f)
+	c.finishLocked(&l, f.Penalty, &f)
 	return nil
 }
 
@@ -344,10 +358,11 @@ func (c *ConcurrentTuner) LeaseN(n int) ([]Trial, error) {
 	}
 	c.mu.Lock()
 	defer c.unlock()
-	c.reclaimLocked()
+	now := c.leaseClock()
+	c.sweepLocked(now)
 	out := make([]Trial, 0, n)
 	for i := 0; i < n; i++ {
-		tr, err := c.leaseOneLocked()
+		tr, err := c.leaseOneLocked(now)
 		if err != nil {
 			if len(out) > 0 && errors.Is(err, ErrTooManyInFlight) {
 				return out, nil
@@ -416,6 +431,7 @@ func (c *ConcurrentTuner) Heartbeat(ids []uint64) []bool {
 		alive[i] = true
 		if c.leaseTTL > 0 {
 			l.trial.Deadline = deadline
+			c.leases[id] = l
 		}
 	}
 	return alive
@@ -560,10 +576,10 @@ func (c *ConcurrentTuner) LeaseTimeout() time.Duration {
 }
 
 // takeLocked removes an outstanding lease, maintaining in-flight counts.
-func (c *ConcurrentTuner) takeLocked(id uint64) (*lease, bool) {
+func (c *ConcurrentTuner) takeLocked(id uint64) (lease, bool) {
 	l, ok := c.leases[id]
 	if !ok {
-		return nil, false
+		return lease{}, false
 	}
 	delete(c.leases, id)
 	c.inFlight[l.trial.Algo]--
@@ -576,10 +592,15 @@ func (c *ConcurrentTuner) takeLocked(id uint64) (*lease, bool) {
 // counters, so a crashed worker costs one penalized iteration instead of
 // a stuck engine. Called at the top of every engine entry point.
 func (c *ConcurrentTuner) reclaimLocked() {
+	c.sweepLocked(c.leaseClock())
+}
+
+// sweepLocked is reclaimLocked at a clock reading the caller already
+// took with leaseClock.
+func (c *ConcurrentTuner) sweepLocked(now time.Time) {
 	if c.leaseTTL <= 0 || len(c.leases) == 0 {
 		return
 	}
-	now := c.now()
 	if !c.sweepAt.IsZero() && now.Before(c.sweepAt) {
 		return // nothing can have expired yet; skip the map scan
 	}
@@ -594,7 +615,7 @@ func (c *ConcurrentTuner) reclaimLocked() {
 				Err:     fmt.Errorf("core: trial %d lease expired", id),
 				Penalty: c.t.penalty(),
 			}
-			c.finishLocked(l, f.Penalty, f)
+			c.finishLocked(&l, f.Penalty, f)
 		}
 	}
 	// Recompute the watermark from the survivors so the next scan waits
@@ -675,19 +696,23 @@ func (c *ConcurrentTuner) unlock() {
 	c.mu.Unlock()
 }
 
-// publishLocked refreshes the copy-on-write snapshots read lock-free by
-// Best, Counts and Iterations. Engine operations do not call it
-// directly: they set dirty, and unlock publishes once per operation.
+// publishLocked refreshes the snapshots read lock-free by Best, Counts
+// and Iterations. Engine operations do not call it directly: they set
+// dirty, and unlock publishes once per operation. Only a changed best
+// allocates. Each arm's count is stored before the total, so with no
+// operation running the published counts sum to Iterations.
 func (c *ConcurrentTuner) publishLocked() {
 	t := c.t
 	// Most operations leave the best where it was; keep its snapshot.
 	if b := c.best.Load(); t.bestAlgo >= 0 && (b == nil || b.algo != t.bestAlgo || b.val != t.bestVal || !b.cfg.Equal(t.bestCfg)) {
 		c.best.Store(&bestSnap{algo: t.bestAlgo, cfg: t.bestCfg.Clone(), val: t.bestVal})
 	}
-	counts := make([]int, len(t.counts))
-	copy(counts, t.counts)
-	c.counts.Store(&counts)
-	c.iters.Store(uint64(t.Iterations()))
+	total := 0
+	for i, n := range t.counts {
+		c.counts[i].Store(int64(n))
+		total += n
+	}
+	c.iters.Store(uint64(total))
 }
 
 // Best returns the globally best observation so far — (-1, nil, +Inf)
@@ -701,14 +726,14 @@ func (c *ConcurrentTuner) Best() (algo int, cfg param.Config, value float64) {
 }
 
 // Counts returns a copy of the per-algorithm completion counts without
-// taking the engine lock.
+// taking the engine lock. While an operation is publishing, the copy
+// may mix arms from before and after it; with none running, the counts
+// sum to Iterations.
 func (c *ConcurrentTuner) Counts() []int {
-	p := c.counts.Load()
-	if p == nil {
-		return nil
+	out := make([]int, len(c.counts))
+	for i := range c.counts {
+		out[i] = int(c.counts[i].Load())
 	}
-	out := make([]int, len(*p))
-	copy(out, *p)
 	return out
 }
 

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -105,6 +106,12 @@ type replica struct {
 	eng      *core.ConcurrentTuner
 	boost    int
 	boostArm int
+
+	// feats is the feature vector of the replica's latest lease, shared
+	// by the routes of every lease carrying an equal vector, so a
+	// client's sticky vector is copied once, not per lease. Never
+	// mutated; guarded by Engine.mu.
+	feats Features
 }
 
 // Engine is the contextual tuning engine: a global core.ConcurrentTuner
@@ -140,6 +147,29 @@ type Engine struct {
 	// (Counts is not on the hot path).
 	nFolds atomic.Int64
 	folds  []int // per algorithm
+
+	// scratch is CompleteN's working set, taken under mu for the length
+	// of one call and put back at its end; a concurrent call finding it
+	// taken builds its own.
+	scratch *completeScratch
+}
+
+// completeScratch is the reusable working set of one CompleteN call.
+type completeScratch struct {
+	globalIdx []int
+	globalRes []core.TrialResult
+	items     []ctxItem
+	obs       []nominal.Observation
+	batch     []core.TrialResult
+	group     []int
+}
+
+// ctxItem is one contextual result of a CompleteN batch: its index in
+// the batch, its route, and its replica (nil once completed).
+type ctxItem struct {
+	idx int
+	rt  route
+	rep *replica
 }
 
 // engineState is the contexts.json payload: the partitioner snapshot and
@@ -370,9 +400,13 @@ func (e *Engine) LeaseNFor(f Features, n int) ([]core.Trial, error) {
 	if err != nil {
 		return nil, err
 	}
-	feats := append(Features(nil), f...)
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	feats := r.feats
+	if !slices.Equal(feats, f) {
+		feats = append(Features(nil), f...)
+		r.feats = feats
+	}
 	for i := range trials {
 		e.nextExt++
 		ext := extIDBase + e.nextExt
@@ -409,15 +443,13 @@ func (e *Engine) replicaOf(ctx string) *replica {
 // traffic carries features.
 func (e *Engine) CompleteN(results []core.TrialResult) []error {
 	errs := make([]error, len(results))
-	var globalIdx []int
-	var globalRes []core.TrialResult
-	type item struct {
-		idx int
-		rt  route
-		rep *replica
-	}
-	items := make([]item, 0, len(results))
 	e.mu.Lock()
+	sc := e.scratch
+	e.scratch = nil
+	if sc == nil {
+		sc = new(completeScratch)
+	}
+	globalIdx, globalRes, items := sc.globalIdx[:0], sc.globalRes[:0], sc.items[:0]
 	for i, res := range results {
 		if res.ID < extIDBase {
 			globalIdx = append(globalIdx, i)
@@ -435,7 +467,7 @@ func (e *Engine) CompleteN(results []core.TrialResult) []error {
 			errs[i] = core.ErrUnknownTrial
 			continue
 		}
-		items = append(items, item{i, rt, r})
+		items = append(items, ctxItem{i, rt, r})
 	}
 	e.mu.Unlock()
 	// One replica CompleteN per context and one global Absorb per call:
@@ -444,9 +476,7 @@ func (e *Engine) CompleteN(results []core.TrialResult) []error {
 	// grouping scans instead of building a map — a worker's batch is
 	// nearly always single-context, and at wire batch sizes the scan is
 	// cheaper than map churn.
-	obs := make([]nominal.Observation, 0, len(items))
-	batch := make([]core.TrialResult, 0, len(items))
-	group := make([]int, 0, len(items))
+	obs, batch, group := sc.obs[:0], sc.batch, sc.group
 	for g := range items {
 		rep := items[g].rep
 		if rep == nil {
@@ -473,28 +503,31 @@ func (e *Engine) CompleteN(results []core.TrialResult) []error {
 			}
 		}
 	}
+	// Absorb only skips out-of-range arms and non-finite values; arms
+	// come from our own routes and values are filtered above, so the
+	// applied count equals len(obs) and per-arm fold counters stay exact.
+	folded := 0
 	if len(obs) > 0 {
-		// Absorb only skips out-of-range arms and non-finite values;
-		// arms come from our own routes and values are filtered above,
-		// so the applied count equals len(obs) and per-arm fold counters
-		// stay exact.
-		n := e.global.Absorb(obs)
-		e.nFolds.Add(int64(n))
-		if n == len(obs) {
-			e.mu.Lock()
-			for _, o := range obs {
-				if o.Arm < len(e.folds) {
-					e.folds[o.Arm]++
-				}
-			}
-			e.mu.Unlock()
-		}
+		folded = e.global.Absorb(obs)
+		e.nFolds.Add(int64(folded))
 	}
 	if len(globalRes) > 0 {
 		for j, err := range e.global.CompleteN(globalRes) {
 			errs[globalIdx[j]] = err
 		}
 	}
+	clear(items) // drop the routes' feature vectors and replica pointers
+	*sc = completeScratch{globalIdx, globalRes, items, obs, batch, group}
+	e.mu.Lock()
+	if folded > 0 && folded == len(obs) {
+		for _, o := range obs {
+			if o.Arm < len(e.folds) {
+				e.folds[o.Arm]++
+			}
+		}
+	}
+	e.scratch = sc
+	e.mu.Unlock()
 	return errs
 }
 

@@ -1,6 +1,8 @@
 package ctxtune
 
 import (
+	"errors"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -328,5 +330,56 @@ func TestEngineAggregatesAcrossContexts(t *testing.T) {
 	st := e.Stats()
 	if st.Completed != 102 || st.InFlight != 0 {
 		t.Errorf("Stats = %+v, want 102 completed, 0 in flight", st)
+	}
+}
+
+// TestConcurrentBatches drives the engine from several goroutines at
+// once, each leasing batches under its class's features and completing
+// them with a duplicate appended, so CompleteN's reused scratch and the
+// replicas' shared feature vectors are reached concurrently (run it
+// under -race). Every trial must be applied exactly once and every
+// duplicate dropped.
+func TestConcurrentBatches(t *testing.T) {
+	e, err := New(testConfig(t, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive(t, e, 200) // split first, so leases route to context replicas
+	if n := e.ContextCount(); n < 2 {
+		t.Fatalf("%d contexts after warm-up, want a split into 2", n)
+	}
+	before := e.Iterations()
+	const workers, rounds, batch = 4, 50, 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(f Features) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				trials, err := e.LeaseNFor(f, batch)
+				if err != nil || len(trials) == 0 {
+					t.Errorf("LeaseNFor: %d trials, %v", len(trials), err)
+					return
+				}
+				res := make([]core.TrialResult, 0, len(trials)+1)
+				for _, tr := range trials {
+					res = append(res, core.TrialResult{ID: tr.ID, Value: classCost(f, tr.Algo)})
+				}
+				res = append(res, res[0])
+				errs := e.CompleteN(res)
+				for j, err := range errs[:len(trials)] {
+					if err != nil {
+						t.Errorf("trial %d: %v", res[j].ID, err)
+					}
+				}
+				if last := errs[len(trials)]; !errors.Is(last, core.ErrUnknownTrial) {
+					t.Errorf("duplicate of trial %d: %v, want ErrUnknownTrial", res[0].ID, last)
+				}
+			}
+		}(append(Features(nil), []Features{cheapF, dearF}[w%2]...))
+	}
+	wg.Wait()
+	if got, want := e.Iterations()-before, workers*rounds*batch; got != want {
+		t.Fatalf("%d iterations from %d completed trials", got, want)
 	}
 }

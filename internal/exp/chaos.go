@@ -64,6 +64,8 @@ type ChaosSoak struct {
 	JournalUnique  bool
 	// Injected fault counts, for the table.
 	Faults chaos.Stats
+	// Replay is the seed and the recorded bank.
+	Replay Replay
 }
 
 // Pass reports the A14 acceptance criteria: winner agreement of both
@@ -170,7 +172,8 @@ func RunChaosSoak(cfg Config, iters int) *ChaosSoak {
 	}
 	const workers = 3
 	names, bank := recordBank(cfg)
-	res := &ChaosSoak{Iters: iters, Workers: workers, MaxSlowdown: 50}
+	res := &ChaosSoak{Iters: iters, Workers: workers, MaxSlowdown: 50,
+		Replay: Replay{Seed: cfg.Seed, Names: names, Banks: []NamedBank{{"bible", bank}}}}
 
 	// Reference: the paper's sequential tuner over the same bank.
 	seq, err := core.NewTuner(matcherAlgorithms(), nominal.NewEpsilonGreedy(0.10), nil, cfg.Seed)

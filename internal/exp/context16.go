@@ -55,6 +55,9 @@ type ContextualTuning struct {
 	GlobalRegret, GlobalTailRegret float64
 
 	Err string
+
+	// Replay is the seed and the two shaped class banks.
+	Replay Replay
 }
 
 // Pass reports the A16 acceptance criteria: the bucket split happened,
@@ -152,6 +155,7 @@ func RunContextualTuning(cfg Config, iters int) *ContextualTuning {
 		Iters:       iters,
 		BibleWinner: names[w1],
 		DNAWinner:   names[w2],
+		Replay:      Replay{Seed: cfg.Seed, Names: names, Banks: []NamedBank{{"bible", bible}, {"dna", dna}}},
 	}
 	fail := func(err error) *ContextualTuning {
 		res.Err = err.Error()

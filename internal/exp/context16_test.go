@@ -5,7 +5,9 @@ import "testing"
 // TestContextualTuning runs A16 at test scale: mixed bible+DNA traffic
 // where the two classes have different winners — the contextual engine
 // must split on the alphabet-size feature, elect each class's own
-// winner, and beat the global compromise on tail-window regret.
+// winner, and beat the global compromise on tail-window regret. A
+// failure prints the result, whose Replay holds the seed and both
+// recorded banks.
 func TestContextualTuning(t *testing.T) {
 	if testing.Short() {
 		t.Skip("contextual tuning ablation in -short mode")
@@ -18,6 +20,6 @@ func TestContextualTuning(t *testing.T) {
 		t.Fatalf("A16 failed: %+v", res)
 	}
 	if res.CtxBibleShare < 0.5 || res.CtxDNAShare < 0.5 {
-		t.Errorf("weak per-class convergence: bible %.2f dna %.2f", res.CtxBibleShare, res.CtxDNAShare)
+		t.Errorf("weak per-class convergence: bible %.2f dna %.2f; replay: %v", res.CtxBibleShare, res.CtxDNAShare, res.Replay)
 	}
 }

@@ -80,6 +80,9 @@ type DriftResilience struct {
 	Calibrations int
 	UncalEvents  uint64 // uncalibrated run's (possibly spurious) detections
 	FleetErr     string
+
+	// Replay is the seed and the two shaped banks.
+	Replay Replay
 }
 
 // Pass reports the A15 acceptance criteria. The uncalibrated
@@ -343,6 +346,7 @@ func RunDriftResilience(cfg Config, iters int) *DriftResilience {
 		Iters: iters, SwapAt: swapAt, Workers: 3,
 		Phase1Winner: names[bankWinner(pre, -1)],
 		Phase2Winner: names[w2],
+		Replay:       Replay{Seed: cfg.Seed, Names: names, Banks: []NamedBank{{"pre", pre}, {"post", post}}},
 	}
 
 	// Sequential leg: the same swap against the drift-aware tuner and

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"time"
 
@@ -114,6 +115,36 @@ const (
 	faultTimeout = 150 * time.Millisecond
 	faultSleep   = 400 * time.Millisecond
 )
+
+// Replay is what a bank-driven run consumed: the seed its corpora and
+// tuners were built from, and every bank it replayed, after any
+// shaping. A failing gate prints it, so the failing run can be
+// replayed exactly.
+type Replay struct {
+	Seed  int64
+	Names []string // arm names, aligned with each bank's rows
+	Banks []NamedBank
+}
+
+// NamedBank is one replayed bank: per arm, its recorded samples in ms.
+type NamedBank struct {
+	Name    string
+	Samples [][]float64
+}
+
+// String prints the seed and every sample, each in its shortest form
+// that parses back to the same float64.
+func (r Replay) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "seed %d", r.Seed)
+	for _, bk := range r.Banks {
+		fmt.Fprintf(&b, "; bank %s (ms):", bk.Name)
+		for i, samples := range bk.Samples {
+			fmt.Fprintf(&b, " %s=%v", r.Names[i], samples)
+		}
+	}
+	return b.String()
+}
 
 // recordBank measures every matcher faultBankSize times for real.
 func recordBank(cfg Config) ([]string, [][]float64) {

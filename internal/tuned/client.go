@@ -508,9 +508,11 @@ func (c *Client) poolDo(reqType wire.Type, req wire.Payload, respType wire.Type,
 }
 
 // attempt performs one request/response exchange on one connection.
+// It sets the attempt's deadline before any I/O and leaves it in place:
+// an idle pooled connection is never read, and the next attempt on it
+// sets a fresh deadline first.
 func (c *Client) attempt(cc *clientConn, reqType wire.Type, req wire.Payload, respType wire.Type, resp wire.Payload) error {
 	cc.conn.SetDeadline(time.Now().Add(c.timeout))
-	defer cc.conn.SetDeadline(time.Time{})
 	reqType = reqType.ForVersion(cc.proto)
 	if err := wire.WriteFrame(cc.conn, cc.proto, reqType, 0, wire.Codec(reqType, req)); err != nil {
 		return err
@@ -611,12 +613,18 @@ type pipe struct {
 	done chan struct{} // closed by fail
 }
 
-// pcall is one in-flight pipelined request.
+// pcall is one in-flight pipelined request. Calls are pooled: a call
+// goes back to pcallPool only after a successful reply, when its
+// channel is empty and no one else holds it. A call that timed out or
+// failed is dropped, so no late result can reach a later request.
 type pcall struct {
 	respType wire.Type
 	resp     wire.Payload
-	ch       chan error // buffered; receives exactly one result
+	ch       chan error  // buffered; receives exactly one result per request
+	timer    *time.Timer // the request timeout; nil until first use
 }
+
+var pcallPool = sync.Pool{New: func() any { return &pcall{ch: make(chan error, 1)} }}
 
 func newPipe(cc *clientConn, window int) *pipe {
 	p := &pipe{
@@ -648,13 +656,14 @@ func (p *pipe) do(timeout time.Duration, reqType wire.Type, req wire.Payload, re
 	}
 	defer func() { <-p.window }()
 
-	call := &pcall{respType: respType, resp: resp, ch: make(chan error, 1)}
 	p.mu.Lock()
 	if p.err != nil {
 		err := p.err
 		p.mu.Unlock()
 		return err
 	}
+	call := pcallPool.Get().(*pcall)
+	call.respType, call.resp = respType, resp
 	// Correlation IDs cycle through 1..65535; 0 stays reserved for
 	// unsolicited frames. The window is far smaller than the ID space,
 	// so a live ID can never be reissued before its response lands.
@@ -680,22 +689,47 @@ func (p *pipe) do(timeout time.Duration, reqType wire.Type, req wire.Payload, re
 	}
 	p.wmu.Unlock()
 	if err != nil {
-		p.fail(err)
+		p.abandon(call, err)
 		return err
 	}
 
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
+	if call.timer == nil {
+		call.timer = time.NewTimer(timeout)
+	} else {
+		call.timer.Reset(timeout)
+	}
 	select {
 	case err := <-call.ch:
+		if !call.timer.Stop() {
+			// The timer fired as the reply landed. Under go 1.22 timer
+			// semantics its tick may still be on its way to C, so no
+			// non-blocking drain proves the channel empty: the call's
+			// next request starts a new timer instead.
+			call.timer = nil
+		}
+		call.resp = nil
+		if err == nil {
+			pcallPool.Put(call)
+		}
 		return err
-	case <-timer.C:
+	case <-call.timer.C:
 		// Failing the whole pipe on one timeout is deliberate: responses
 		// arrive in server order, so a stuck request means everything
 		// behind it is stuck too.
-		p.fail(errPipeTimeout)
+		p.abandon(call, errPipeTimeout)
 		return errPipeTimeout
 	}
+}
+
+// abandon fails the pipe on behalf of a registered call that will not
+// wait for its reply, then takes the call's one result: the reader's,
+// if it had already claimed the reply and was decoding it, or fail's
+// error. Either arrives at once, and after it nothing writes to the
+// call's decode target, so the caller may reuse that target on its
+// next attempt. The call itself is dropped, not pooled.
+func (p *pipe) abandon(call *pcall, err error) {
+	p.fail(err)
+	<-call.ch
 }
 
 // readLoop decodes responses into their registered structs until the
@@ -744,7 +778,9 @@ func (p *pipe) fail(err error) {
 
 // LeaseBatch is the result of one LeaseN round trip. Epoch stamps the
 // server process that issued the trials and must be echoed when they
-// are completed or failed.
+// are completed or failed. The caller owns Trials and every Config in
+// it: later LeaseN calls never write to them. A batch's Configs share
+// one backing array, each capped at its own length.
 type LeaseBatch struct {
 	Trials   []core.Trial
 	Epoch    int64
@@ -771,42 +807,99 @@ func (c *Client) LeaseNFor(features []float64, n int) (LeaseBatch, error) {
 	return c.leaseN(features, n)
 }
 
+// trialBufs holds the request structs and decode targets of one trial
+// request. LeaseN and CompleteN take one from trialBufPool, encode from
+// it and decode into it, copy the answer out to memory the caller owns,
+// and put it back, so steady-state requests grow no decode buffers.
+type trialBufs struct {
+	lease    wire.PackedLeaseReq
+	trials   wire.PackedTrials
+	complete wire.PackedCompleteReq
+	ack      wire.PackedAck
+}
+
+var trialBufPool = sync.Pool{New: func() any { return new(trialBufs) }}
+
 // leaseN is the lease path shared by Client and Session.
 func (c *Client) leaseN(features []float64, n int) (LeaseBatch, error) {
-	var resp wire.PackedTrials
-	if err := c.roundTrip(wire.TLeaseP, &wire.PackedLeaseReq{N: n, Features: features}, wire.TTrialsP, &resp); err != nil {
+	b := trialBufPool.Get().(*trialBufs)
+	defer trialBufPool.Put(b)
+	b.lease = wire.PackedLeaseReq{N: n, Features: features}
+	err := c.roundTrip(wire.TLeaseP, &b.lease, wire.TTrialsP, &b.trials)
+	b.lease.Features = nil // the caller's slice: do not keep it pooled
+	if err != nil {
 		return LeaseBatch{}, err
 	}
-	lb := LeaseBatch{
+	resp := &b.trials
+	return LeaseBatch{
+		Trials:     ownTrials(resp.Trials),
 		Epoch:      resp.Epoch,
 		Done:       resp.Done,
 		Draining:   resp.Draining,
 		Retry:      time.Duration(resp.RetryMS) * time.Millisecond,
 		SuggestMax: resp.SuggestMax,
+	}, nil
+}
+
+// ownTrials copies a decoded batch out of its reused decode target: one
+// []core.Trial, and one arena behind every Config, each Config capped at
+// its length so appending to it cannot overwrite its neighbour's.
+func ownTrials(pts []wire.PackedTrial) []core.Trial {
+	if len(pts) == 0 {
+		return nil
 	}
-	if len(resp.Trials) > 0 {
-		lb.Trials = make([]core.Trial, 0, len(resp.Trials))
+	nc := 0
+	for i := range pts {
+		nc += len(pts[i].Config)
 	}
-	for _, wt := range resp.Trials {
-		tr := core.Trial{
-			ID:          wt.ID,
-			Algo:        wt.Algo,
-			Config:      param.Config(wt.Config),
-			Speculative: wt.Speculative,
-			Pinned:      wt.Pinned,
+	var arena []float64
+	if nc > 0 {
+		arena = make([]float64, 0, nc)
+	}
+	out := make([]core.Trial, len(pts))
+	for i := range pts {
+		pt := &pts[i]
+		tr := &out[i]
+		tr.ID, tr.Algo, tr.Speculative, tr.Pinned = pt.ID, pt.Algo, pt.Speculative, pt.Pinned
+		if len(pt.Config) > 0 {
+			start := len(arena)
+			arena = append(arena, pt.Config...)
+			tr.Config = param.Config(arena[start:len(arena):len(arena)])
 		}
-		if wt.DeadlineMS != 0 {
-			tr.Deadline = time.UnixMilli(wt.DeadlineMS)
+		if pt.DeadlineMS != 0 {
+			tr.Deadline = time.UnixMilli(pt.DeadlineMS)
 		}
-		lb.Trials = append(lb.Trials, tr)
 	}
-	return lb, nil
+	return out
+}
+
+// ownIDs copies an ack's ID lists out of its reused decode target in
+// one allocation: applied and dropped share its backing array, each
+// capped at its own length. An empty list is nil.
+func ownIDs(ack *wire.PackedAck) (applied, dropped []uint64) {
+	na, nd := len(ack.Applied), len(ack.Dropped)
+	if na+nd == 0 {
+		return nil, nil
+	}
+	ids := make([]uint64, na+nd)
+	copy(ids, ack.Applied)
+	copy(ids[na:], ack.Dropped)
+	if na > 0 {
+		applied = ids[:na:na]
+	}
+	if nd > 0 {
+		dropped = ids[na:]
+	}
+	return applied, dropped
 }
 
 // CompleteN reports a batch of measured values for trials leased under
 // epoch, returning the trial IDs applied and dropped. Dropped IDs are
 // not failures: the engine had already charged those trials (expired
-// lease, duplicate report, or older epoch).
+// lease, duplicate report, or older epoch). The caller owns both
+// slices; they may share one backing array, each capped at its own
+// length, so appending to one never overwrites the other. CompleteN
+// keeps no reference to results.
 func (c *Client) CompleteN(epoch int64, results []core.TrialResult) (applied, dropped []uint64, err error) {
 	return c.completeN(c.worker, epoch, results)
 }
@@ -815,15 +908,18 @@ func (c *Client) completeN(worker uint64, epoch int64, results []core.TrialResul
 	// No feature vector on results: a contextual server routes
 	// completions by trial ID through its route table, so echoing the
 	// sticky vector here would only fatten the hottest wire message.
-	req := wire.PackedCompleteReq{Epoch: epoch, Worker: worker, Results: make([]wire.PackedResult, len(results))}
-	for i, r := range results {
-		req.Results[i] = wire.PackedResult{ID: r.ID, Value: r.Value}
+	b := trialBufPool.Get().(*trialBufs)
+	defer trialBufPool.Put(b)
+	req := &b.complete
+	req.Epoch, req.Worker, req.Results = epoch, worker, req.Results[:0]
+	for _, r := range results {
+		req.Results = append(req.Results, wire.PackedResult{ID: r.ID, Value: r.Value})
 	}
-	var ack wire.PackedAck
-	if err := c.roundTrip(wire.TCompleteP, &req, wire.TAckP, &ack); err != nil {
+	if err := c.roundTrip(wire.TCompleteP, req, wire.TAckP, &b.ack); err != nil {
 		return nil, nil, err
 	}
-	return ack.Applied, ack.Dropped, nil
+	applied, dropped = ownIDs(&b.ack)
+	return applied, dropped, nil
 }
 
 // wireFailKind maps a guard failure kind to its packed wire code.

@@ -13,17 +13,20 @@ import (
 )
 
 // lockstepRoundTripAllocs bounds the heap allocations of one lockstep
-// LeaseN(1) + CompleteN round trip, client and server together. A
-// per-request goroutine on the server, or a decode target or reply
-// allocated per request instead of reused by the session, pushes the
-// count over it.
-const lockstepRoundTripAllocs = 15
+// LeaseN(1) + CompleteN round trip, client and server together. It
+// reads 4, all of them slices a caller owns: the client's Trials and its
+// applied/dropped array, the engine's []Trial and []error. A decode
+// target, request struct or reply allocated per request instead of
+// reused, or a lease allocated per trial in the engine, trips it.
+const lockstepRoundTripAllocs = 4
 
 // pipelinedBatchRoundTripAllocs bounds the heap allocations of one
 // pipelined LeaseN(16) + 16-result CompleteN round trip, client and
-// server together: about four per trial. One extra allocation per
-// trial anywhere on the path adds 16 and trips it.
-const pipelinedBatchRoundTripAllocs = 64
+// server together. It reads 9: the four caller-owned slices of the
+// lockstep trip, the client's config arena, and the engine's per-trial
+// config clones and search steps on the tunable arm. One extra
+// allocation per trial anywhere on the path adds 16 and trips it.
+const pipelinedBatchRoundTripAllocs = 10
 
 // roundTripAllocs returns the average heap allocations of one
 // LeaseN(n) + CompleteN round trip on c, measured after a first round
@@ -99,4 +102,37 @@ func TestTenantLockstepRoundTripAllocs(t *testing.T) {
 
 func TestTenantPipelinedBatchRoundTripAllocs(t *testing.T) {
 	checkRoundTripAllocs(t, specTenantServer(t), 16, pipelinedBatchRoundTripAllocs, "tenant pipelined batch-16", WithPipeline(0))
+}
+
+// contextualLockstepRoundTripAllocs bounds one feature-bearing lockstep
+// LeaseN(1) + CompleteN round trip through a ctxtune.Engine behind
+// NewServer, after its partitioner has split: the lease routes to a
+// context replica, and the completion reaches the replica, the
+// partitioner and the global fold. It reads 5: the client's two, the
+// replica's []Trial and []error, and the contextual engine's []error.
+const contextualLockstepRoundTripAllocs = 5
+
+func TestContextualLockstepRoundTripAllocs(t *testing.T) {
+	eng, addr := startContextualServer(t)
+	for _, f := range [][]float64{wireCheap, wireDear} {
+		c, err := Dial(addr, WithFeatures(f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 100; i++ {
+			lb, err := c.LeaseN(1)
+			if err != nil || len(lb.Trials) != 1 {
+				t.Fatalf("LeaseN: %d trials, %v", len(lb.Trials), err)
+			}
+			tr := lb.Trials[0]
+			if _, _, err := c.CompleteN(lb.Epoch, []core.TrialResult{{ID: tr.ID, Value: wireClassCost(f, tr.Algo)}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Close()
+	}
+	if n := eng.ContextCount(); n < 2 {
+		t.Fatalf("%d contexts after warm-up, want a split into 2", n)
+	}
+	checkRoundTripAllocs(t, addr, 1, contextualLockstepRoundTripAllocs, "contextual lockstep", WithFeatures(wireCheap))
 }

@@ -213,6 +213,7 @@ func TestPackedEncodeZeroAllocs(t *testing.T) {
 			}
 			buf = frame[:0]
 		})
+		t.Logf("%s encode: %v allocs/op", c.name, allocs)
 		if allocs != 0 {
 			t.Errorf("%s encode: %v allocs/op, want 0", c.name, allocs)
 		}
@@ -248,6 +249,7 @@ func TestPackedDecodeZeroAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+		t.Logf("%s decode: %v allocs/op", c.name, allocs)
 		if allocs != 0 {
 			t.Errorf("%s decode: %v allocs/op, want 0", c.name, allocs)
 		}
@@ -281,6 +283,7 @@ func TestFrameReadZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	t.Logf("read path: %v allocs/op", allocs)
 	if allocs != 0 {
 		t.Errorf("read path: %v allocs/op, want 0", allocs)
 	}
