@@ -5,27 +5,41 @@
 //
 //	atune-figures [-only id[,id...]] [-paper] [-seed S]
 //
-// Ids: t1 t2 f1 f2 f3 f4 f5 f6 f7 f8 a1 a2 a3 a4 a5 a6 a7 a8 a9 a10 a11 a12 a13 a14 a15 a16 x1 x2 x3 x4 x5. The default runs
-// everything at quick scale; -paper switches to the paper-scale
-// configuration.
+// Ids: t1 t2 f1 f2 f3 f4 f5 f6 f7 f8 a1 a2 a3 a4 a5 a6 a7 a8 a9 a10 a11
+// a12 a14 a15 a16 x1 x2 x3 x4 x5 (a13, sharded selection, is retired).
+// An unknown id is an error. The default runs everything at quick
+// scale; -paper switches to the paper-scale configuration.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/exp"
 )
 
-func main() {
+// ids lists every artefact id -only accepts.
+var ids = strings.Fields("t1 t2 f1 f2 f3 f4 f5 f6 f7 f8 a1 a2 a3 a4 a5 a6 a7 a8 a9 a10 a11 a12 a14 a15 a16 x1 x2 x3 x4 x5")
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command with its arguments and streams; it returns the exit
+// code.
+func run(args []string, out, errOut io.Writer) int {
+	fs := flag.NewFlagSet("atune-figures", flag.ContinueOnError)
+	fs.SetOutput(errOut)
 	var (
-		only  = flag.String("only", "", "comma-separated artefact ids (t1..a16, x1..x5); empty = all")
-		paper = flag.Bool("paper", false, "use the paper-scale configuration")
-		seed  = flag.Int64("seed", 1, "master seed")
+		only  = fs.String("only", "", "comma-separated artefact ids (t1, t2, f1..f8, a1..a12, a14..a16, x1..x5); empty = all")
+		paper = fs.Bool("paper", false, "use the paper-scale configuration")
+		seed  = fs.Int64("seed", 1, "master seed")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	cfg := exp.QuickConfig()
 	if *paper {
@@ -36,11 +50,15 @@ func main() {
 	want := map[string]bool{}
 	if *only != "" {
 		for _, id := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(strings.ToLower(id))] = true
+			id = strings.TrimSpace(strings.ToLower(id))
+			if !slices.Contains(ids, id) {
+				fmt.Fprintf(errOut, "atune-figures: unknown id %q; known ids: %s\n", id, strings.Join(ids, " "))
+				return 2
+			}
+			want[id] = true
 		}
 	}
 	sel := func(id string) bool { return len(want) == 0 || want[id] }
-	out := os.Stdout
 
 	if sel("t1") {
 		exp.TableI().Render(out)
@@ -155,18 +173,14 @@ func main() {
 	if sel("a11") {
 		res, err := exp.RunCheckpointCrash(cfg, 0, 0, 0)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "a11:", err)
-			os.Exit(1)
+			fmt.Fprintln(errOut, "a11:", err)
+			return 1
 		}
 		res.RenderFigureA11(out)
 		fmt.Fprintln(out)
 	}
 	if sel("a12") {
 		exp.RunConcurrentTuning(cfg, 0).RenderFigureA12(out)
-		fmt.Fprintln(out)
-	}
-	if sel("a13") {
-		exp.RunShardedTuning(cfg, 0, 0).RenderFigureA13(out)
 		fmt.Fprintln(out)
 	}
 	if sel("a14") {
@@ -181,4 +195,5 @@ func main() {
 		exp.RunContextualTuning(cfg, 0).RenderFigureA16(out)
 		fmt.Fprintln(out)
 	}
+	return 0
 }

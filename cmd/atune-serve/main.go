@@ -7,7 +7,7 @@
 //
 //	atune-serve [-addr host:port] [-workload strmatch|sleep] [-seed S]
 //	            [-epsilon PCT] [-target N] [-checkpoint dir] [-every N]
-//	            [-lease-timeout D] [-max-inflight N] [-shards N] [-stats D]
+//	            [-lease-timeout D] [-max-inflight N] [-stats D]
 //	            [-session-cap N] [-global-cap N] [-drain D] [-chaos spec]
 //	            [-drift] [-ref-algo N]
 //	            [-contextual] [-buckets N] [-split-min N]
@@ -66,16 +66,16 @@
 // workers — v1 binaries included — keep tuning the global context
 // unchanged. Under -checkpoint the partitioner's split journal and every
 // context's selector ride along, so a restart rediscovers all contexts.
-// -contextual is exclusive with -tenants and -shards > 1.
+// -contextual is exclusive with -tenants.
 //
 // -tenants registers many independent tuning problems behind the one
 // port, each with its own engine, epoch, and (under -checkpoint) its own
 // journal directory, -checkpoint/<name>/ckpt. The spec is either a
 // comma-separated flag list
 //
-//	name=workload[/selector[/shards]]
+//	name=workload[/selector]
 //
-// (e.g. -tenants 'teamA=strmatch,teamB=sleep/egreedy:5/4'), or
+// (e.g. -tenants 'teamA=strmatch,teamB=sleep/egreedy:5'), or
 // @file.json holding a JSON array of tenant specs. Workers pick their
 // tenant with atune-worker -tenant; workers that predate tenancy land
 // on the "default" tenant, which is always registered from the base
@@ -94,7 +94,6 @@ import (
 	"os"
 	"os/signal"
 	"sort"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -120,7 +119,6 @@ func main() {
 		every    = flag.Int("every", 100, "snapshot interval in trials (with -checkpoint)")
 		leaseTTL = flag.Duration("lease-timeout", 30*time.Second, "lease TTL; a worker silent this long forfeits its trials")
 		maxInFl  = flag.Int("max-inflight", 64, "maximum concurrently leased trials")
-		shards   = flag.Int("shards", 1, "selector shards; each worker session is pinned to one (1 = unsharded)")
 		statsIvl = flag.Duration("stats", 5*time.Second, "progress log interval (0 = quiet)")
 		sessCap  = flag.Int("session-cap", 0, "max leases one worker session may hold (0 = unbounded)")
 		globCap  = flag.Int("global-cap", 0, "max in-flight leases across all sessions (0 = unbounded)")
@@ -128,7 +126,7 @@ func main() {
 		chaosFlg = flag.String("chaos", "", "fault-injection spec, e.g. latency=2ms,reset=0.01,blackhole=10s/1s (empty = off)")
 		driftFlg = flag.Bool("drift", false, "arm the drift watchdog (change-point detection + adaptive selector reset)")
 		refAlgo  = flag.Int("ref-algo", 0, "roster slot workers measure as their calibration reference")
-		tenFlg   = flag.String("tenants", "", "multi-tenant mode: name=workload[/selector[/shards]],... or @specs.json (empty = single-tenant)")
+		tenFlg   = flag.String("tenants", "", "multi-tenant mode: name=workload[/selector],... or @specs.json (empty = single-tenant)")
 		maxRes   = flag.Int("max-resident", 0, "max live tenant engines, LRU spills the rest to checkpoint (0 = unbounded; needs -checkpoint)")
 		ctxFlg   = flag.Bool("contextual", false, "route feature-bearing leases to per-context selector replicas")
 		buckets  = flag.Int("buckets", ctxtune.DefaultBuckets, "initial feature-hash buckets (with -contextual)")
@@ -144,7 +142,7 @@ func main() {
 		log.Fatal(err)
 	}
 	// Reject malformed flag values up front — a typo like -epsilon 1000
-	// or -shards 0 should die at startup, not skew a week-long session.
+	// or -every 0 should die at startup, not skew a week-long session.
 	if *epsilon <= 0 || *epsilon > 100 {
 		log.Fatalf("-epsilon %g out of range (0, 100]", *epsilon)
 	}
@@ -159,9 +157,6 @@ func main() {
 	}
 	if *maxInFl <= 0 {
 		log.Fatalf("-max-inflight %d must be > 0", *maxInFl)
-	}
-	if *shards <= 0 {
-		log.Fatalf("-shards %d must be > 0", *shards)
 	}
 	if *sessCap < 0 || *globCap < 0 {
 		log.Fatalf("-session-cap %d and -global-cap %d must be >= 0", *sessCap, *globCap)
@@ -190,9 +185,6 @@ func main() {
 	if *ctxFlg && *tenFlg != "" {
 		log.Fatal("-contextual is exclusive with -tenants: contexts partition one tuning problem, tenants are separate problems")
 	}
-	if *ctxFlg && *shards > 1 {
-		log.Fatalf("-contextual is exclusive with -shards %d: each context already has its own selector replica", *shards)
-	}
 	if !*ctxFlg && (*buckets != ctxtune.DefaultBuckets || *splitMin != ctxtune.DefaultMinSamples) {
 		log.Fatal("-buckets and -split-min only apply with -contextual")
 	}
@@ -200,7 +192,7 @@ func main() {
 	// The flat engine's recipe, shared by the one engine served without
 	// -tenants and every tenant built from the base flags.
 	base := core.EngineSpec{
-		Seed: *seed, Shards: *shards, LeaseTimeoutMS: leaseTTL.Milliseconds(),
+		Seed: *seed, LeaseTimeoutMS: leaseTTL.Milliseconds(),
 		MaxInFlight: *maxInFl, Drift: *driftFlg, SnapshotEvery: *every,
 	}
 	// Without -tenants the one engine is built as before, its checkpoint
@@ -433,8 +425,8 @@ func logVerdict(name string, eng tenant.Engine, drift bool) {
 
 // parseTenantSpecs parses the -tenants value: @file.json holding a JSON
 // array of tenant specs (authoritative as written), or a comma-separated
-// name=workload[/selector[/shards]] list whose entries inherit the base
-// flags for everything they do not override.
+// name=workload[/selector] list whose entries inherit the base flags
+// for everything they do not override.
 func parseTenantSpecs(arg, defaultSelector string, base core.EngineSpec) []tenant.Spec {
 	if strings.HasPrefix(arg, "@") {
 		buf, err := os.ReadFile(strings.TrimPrefix(arg, "@"))
@@ -455,7 +447,7 @@ func parseTenantSpecs(arg, defaultSelector string, base core.EngineSpec) []tenan
 	for _, entry := range strings.Split(arg, ",") {
 		name, rest, ok := strings.Cut(strings.TrimSpace(entry), "=")
 		if !ok || name == "" || rest == "" {
-			log.Fatalf("-tenants entry %q: want name=workload[/selector[/shards]]", entry)
+			log.Fatalf("-tenants entry %q: want name=workload[/selector]", entry)
 		}
 		if seen[name] {
 			log.Fatalf("-tenants names %q twice", name)
@@ -463,19 +455,12 @@ func parseTenantSpecs(arg, defaultSelector string, base core.EngineSpec) []tenan
 		seen[name] = true
 		s := tenant.Spec{Name: name, Selector: defaultSelector, Engine: base}
 		parts := strings.Split(rest, "/")
-		if len(parts) > 3 {
-			log.Fatalf("-tenants entry %q: want name=workload[/selector[/shards]]", entry)
+		if len(parts) > 2 {
+			log.Fatalf("-tenants entry %q: want name=workload[/selector]", entry)
 		}
 		s.Workload = parts[0]
 		if len(parts) > 1 && parts[1] != "" {
 			s.Selector = parts[1]
-		}
-		if len(parts) > 2 {
-			n, err := strconv.Atoi(parts[2])
-			if err != nil || n <= 0 {
-				log.Fatalf("-tenants entry %q: bad shard count %q", entry, parts[2])
-			}
-			s.Engine.Shards = n
 		}
 		specs = append(specs, s)
 	}

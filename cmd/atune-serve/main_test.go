@@ -65,8 +65,8 @@ func runServe(t *testing.T, args ...string) (int, string) {
 }
 
 // TestFlagValidation pins atune-serve's rejection of invalid flag sets,
-// the exclusivity matrix between -contextual, -tenants, -shards and
-// -max-resident included: each row must exit 1 with its log.Fatal text
+// the exclusivity checks between -contextual, -tenants and -max-resident
+// included: each row must exit 1 with its log.Fatal text
 // before the server listens.
 func TestFlagValidation(t *testing.T) {
 	dir := t.TempDir()
@@ -85,7 +85,6 @@ func TestFlagValidation(t *testing.T) {
 		{"zero every", []string{"-every", "0"}, "-every 0 must be > 0"},
 		{"zero lease timeout", []string{"-lease-timeout", "0"}, "-lease-timeout 0s must be > 0"},
 		{"zero max-inflight", []string{"-max-inflight", "0"}, "-max-inflight 0 must be > 0"},
-		{"zero shards", []string{"-shards", "0"}, "-shards 0 must be > 0"},
 		{"negative session cap", []string{"-session-cap", "-1"}, "-session-cap -1 and -global-cap 0 must be >= 0"},
 		{"zero drain", []string{"-drain", "0"}, "-drain 0s must be > 0"},
 		{"ref-algo past strmatch roster", []string{"-ref-algo", "8"}, "-ref-algo 8 out of range [0, 8) for workload strmatch"},
@@ -96,13 +95,12 @@ func TestFlagValidation(t *testing.T) {
 		{"max-resident without checkpoint", []string{"-max-resident", "2", "-tenants", "a=sleep"}, "-max-resident needs -checkpoint"},
 		{"zero buckets", []string{"-contextual", "-buckets", "0"}, "-buckets 0 must be > 0"},
 		{"contextual with tenants", []string{"-contextual", "-tenants", "a=sleep"}, "-contextual is exclusive with -tenants"},
-		{"contextual with shards", []string{"-contextual", "-shards", "2"}, "-contextual is exclusive with -shards 2"},
 		{"buckets without contextual", []string{"-buckets", "16"}, "-buckets and -split-min only apply with -contextual"},
 		{"split-min without contextual", []string{"-split-min", "5"}, "-buckets and -split-min only apply with -contextual"},
-		{"tenant entry without workload", []string{"-tenants", "a"}, `-tenants entry "a": want name=workload[/selector[/shards]]`},
-		{"tenant entry without name", []string{"-tenants", "=sleep"}, `-tenants entry "=sleep": want name=workload[/selector[/shards]]`},
-		{"tenant entry with four parts", []string{"-tenants", "a=sleep/egreedy:5/2/9"}, `-tenants entry "a=sleep/egreedy:5/2/9": want name=workload[/selector[/shards]]`},
-		{"tenant shard count zero", []string{"-tenants", "a=sleep/egreedy:5/0"}, `-tenants entry "a=sleep/egreedy:5/0": bad shard count "0"`},
+		{"tenant entry without workload", []string{"-tenants", "a"}, `-tenants entry "a": want name=workload[/selector]`},
+		{"tenant entry without name", []string{"-tenants", "=sleep"}, `-tenants entry "=sleep": want name=workload[/selector]`},
+		{"tenant entry with three parts", []string{"-tenants", "a=sleep/egreedy:5/2"}, `-tenants entry "a=sleep/egreedy:5/2": want name=workload[/selector]`},
+		{"tenant entry with four parts", []string{"-tenants", "a=sleep/egreedy:5/2/9"}, `-tenants entry "a=sleep/egreedy:5/2/9": want name=workload[/selector]`},
 		{"duplicate tenant", []string{"-tenants", "a=sleep,a=strmatch"}, `-tenants names "a" twice`},
 		{"tenant with unknown workload", []string{"-tenants", "a=bogus"}, `tenant a: unknown workload "bogus" (want strmatch or sleep)`},
 		{"empty tenant spec file", []string{"-tenants", "@" + empty}, "-tenants @" + empty + ": empty spec list"},
@@ -118,6 +116,16 @@ func TestFlagValidation(t *testing.T) {
 				t.Errorf("stderr does not contain %q:\n%s", tc.want, stderr)
 			}
 		})
+	}
+}
+
+// TestShardsFlagRetired: selection has one shard, and -shards is no
+// longer a flag, so a command line that still asks for shards dies at
+// startup with the flag package's usage error.
+func TestShardsFlagRetired(t *testing.T) {
+	code, stderr := runServe(t, "-addr", "127.0.0.1:0", "-stats", "0", "-shards", "2")
+	if code != 2 || !strings.Contains(stderr, "flag provided but not defined: -shards") {
+		t.Fatalf("-shards 2: exit code %d, stderr:\n%s", code, stderr)
 	}
 }
 

@@ -198,10 +198,10 @@ func (j *Journal) Append(rec Record) error {
 
 // AppendBuffered adds one record to the journal's buffer without
 // writing it. Writers group the records of one operation — a CompleteN
-// batch, an Absorb, a sharded fold — and call Sync once, paying a single
-// write and a single fsync per operation instead of one write per
-// record. A crash before the Sync loses at most the unsynced records,
-// and any prefix of them may survive; the line CRC keeps a torn final
+// batch, an Absorb — and call Sync once, paying a single write and a
+// single fsync per operation instead of one write per record. A crash
+// before the Sync loses at most the unsynced records, and any prefix of
+// them may survive; the line CRC keeps a torn final
 // record detectable either way. The error is that of an early write
 // once maxPending bytes are waiting.
 func (j *Journal) AppendBuffered(rec Record) error {

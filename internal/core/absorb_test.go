@@ -135,40 +135,8 @@ func TestAbsorbJournaled(t *testing.T) {
 	}
 }
 
-// TestAbsorbSharded checks the sharded path: absorbed observations
-// reach the authoritative selector immediately and every shard replica
-// at its next fold.
-func TestAbsorbSharded(t *testing.T) {
-	eng, err := NewShardedEngine(engineAlgos(), nominal.NewEpsilonGreedy(0.05), nil, 9,
-		WithShards(4), WithMergeEvery(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	obs := make([]nominal.Observation, 0, 60)
-	for i := 0; i < 60; i++ {
-		obs = append(obs, nominal.Observation{Arm: 3, Value: 0.125})
-	}
-	if got := eng.Absorb(obs); got != 60 {
-		t.Fatalf("Absorb applied %d, want 60", got)
-	}
-	if st := eng.Stats(); st.Absorbed != 60 {
-		t.Fatalf("Stats.Absorbed = %d, want 60", st.Absorbed)
-	}
-	algo, _, val := eng.Best()
-	if algo != 3 || val != 0.125 {
-		t.Fatalf("Best = (%d, %g), want (3, 0.125)", algo, val)
-	}
-	// Drive every shard through folds; the replicas must have replayed
-	// the absorbed stream, steering selection toward arm 3.
-	eng.RunPool(8, 400, engineMeasure)
-	counts := eng.Counts()
-	if counts[3] < 250 {
-		t.Fatalf("replicas did not absorb the stream: counts = %v", counts)
-	}
-}
-
 // TestAliveDoesNotExtend checks Alive reports liveness without
-// extending lease deadlines, on both engine variants.
+// extending lease deadlines.
 func TestAliveDoesNotExtend(t *testing.T) {
 	now := time.Now()
 	clock := func() time.Time { return now }
@@ -192,18 +160,6 @@ func TestAliveDoesNotExtend(t *testing.T) {
 		t.Fatal("reclaimed lease still reported alive")
 	}
 
-	// Sharded: liveness routes to the owning shard.
-	eng, err := NewShardedEngine(engineAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 4, WithShards(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	str, err := eng.Lease()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if alive := eng.Alive([]uint64{str.ID, 1}); !alive[0] || alive[1] {
-		t.Fatalf("sharded Alive = %v, want [true false]", alive)
-	}
 }
 
 // TestEngineCheckpoint checks the forced snapshot path used by drain.

@@ -273,8 +273,8 @@ func TestResumeEmptyDir(t *testing.T) {
 			_, err := NewConcurrentTuner(algos, sel(), DefaultFactory, seed, WithCheckpoint(dir, every))
 			return err
 		},
-		"NewShardedEngine": func() error {
-			_, err := NewShardedEngine(algos, sel(), DefaultFactory, seed, WithShards(2), WithCheckpoint(dir, every))
+		"EngineSpec.Build": func() error {
+			_, err := EngineSpec{Seed: seed, SnapshotEvery: every}.Build(algos, sel(), DefaultFactory, dir)
 			return err
 		},
 	}
@@ -309,9 +309,6 @@ func TestRebuildOverCheckpointResumes(t *testing.T) {
 		}},
 		{"NewConcurrentTuner", func(dir string) (engine, error) {
 			return NewConcurrentTuner(engineAlgos(), sel(), nil, 3, WithCheckpoint(dir, 10))
-		}},
-		{"NewShardedEngine", func(dir string) (engine, error) {
-			return NewShardedEngine(engineAlgos(), sel(), nil, 3, WithShards(2), WithCheckpoint(dir, 10))
 		}},
 		{"EngineSpec.Build", func(dir string) (engine, error) {
 			return EngineSpec{Seed: 3, SnapshotEvery: 10}.Build(engineAlgos(), sel(), nil, dir)

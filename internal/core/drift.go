@@ -41,8 +41,7 @@ import (
 //
 // Resets are journaled as sentinel records alongside the observations
 // (see checkpoint.Record.Drift), so a checkpointed run resumes with the
-// same post-reset selector state, and sharded replicas re-fork at their
-// next fold.
+// same post-reset selector state.
 
 // DriftPolicy selects how the watchdog resets the selector on a
 // detected change-point.
@@ -204,7 +203,7 @@ type DriftStats struct {
 	// re-poison the freshly decayed selector.
 	StaleDropped uint64
 	// Seq is the monotonic reset sequence number (journaled with each
-	// sentinel so resume and replicas apply every reset exactly once).
+	// sentinel so resume applies every reset exactly once).
 	Seq uint64
 	// QuarantineReprobes is guard.Quarantine's cumulative forced
 	// re-probe count when the selector is quarantined (0 otherwise) —
@@ -272,20 +271,6 @@ func (d *driftWatchdog) schedule(n, per int) {
 		}
 	}
 	d.probesScheduled += uint64(per * n)
-}
-
-// takeProbes removes and returns up to k queued probes (the sharded
-// engine distributes them across shards at fold time).
-func (d *driftWatchdog) takeProbes(k int) []int {
-	if k <= 0 || len(d.probeQ) == 0 {
-		return nil
-	}
-	if k > len(d.probeQ) {
-		k = len(d.probeQ)
-	}
-	out := append([]int(nil), d.probeQ[:k]...)
-	d.probeQ = d.probeQ[:copy(d.probeQ, d.probeQ[k:])]
-	return out
 }
 
 // driftObserve feeds one completed observation to the watchdog and
@@ -358,9 +343,9 @@ func (t *Tuner) driftObserve(c completion) {
 // strategies (sequential tuners only — under a trial engine the
 // proposers hold outstanding proposals the strategies must not be
 // restarted beneath), schedule the re-probe round, and journal the
-// sentinel so resume and sharded replicas replay the reset exactly
-// once. keep is the (already change-point-adapted) evidence fraction
-// for the decay policy; refork ignores it.
+// sentinel so resume replays the reset exactly once. keep is the
+// (already change-point-adapted) evidence fraction for the decay policy;
+// refork ignores it.
 func (t *Tuner) driftReset(arm int, keep float64) {
 	d := t.drift
 	d.events++
@@ -507,19 +492,4 @@ func (c *ConcurrentTuner) DriftStats() DriftStats {
 	c.mu.Lock()
 	defer c.unlock()
 	return c.t.DriftStats()
-}
-
-// DriftStats folds every shard delta and returns the drift-watchdog
-// counters, including probes still queued on shards.
-func (e *ShardedEngine) DriftStats() DriftStats {
-	e.Flush()
-	ds := e.inner.DriftStats()
-	if e.n > 1 {
-		for _, s := range e.shards {
-			s.mu.Lock()
-			ds.PendingProbes += len(s.probeQ)
-			s.mu.Unlock()
-		}
-	}
-	return ds
 }

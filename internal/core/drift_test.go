@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -137,7 +138,7 @@ func TestDriftProbeScheduling(t *testing.T) {
 }
 
 // TestDriftEngineProbeOverride: under a trial engine the reset's forced
-// re-probes override shard selection on the next leases.
+// re-probes override the selector on the next leases.
 func TestDriftEngineProbeOverride(t *testing.T) {
 	eng, err := NewConcurrentTuner(driftAlgos(), nominal.NewEpsilonGreedy(0.1), nil, 9,
 		WithDriftWatchdog(DefaultDriftConfig()))
@@ -181,6 +182,67 @@ func TestDriftEngineProbeOverride(t *testing.T) {
 	}
 	if ds := eng.DriftStats(); ds.PendingProbes != 0 {
 		t.Errorf("PendingProbes = %d after the probe round, want 0", ds.PendingProbes)
+	}
+}
+
+// TestDriftStaleBarrier: a trial leased before a drift reset and
+// completed after it measured the regime the reset dropped. The engine
+// discards it — no iteration, no selector report, no incumbent — and
+// counts it in StaleDropped, while a trial leased after the reset
+// applies as usual.
+func TestDriftStaleBarrier(t *testing.T) {
+	eng, err := NewConcurrentTuner(driftAlgos(), nominal.NewEpsilonGreedy(0.1), nil, 9,
+		WithDriftWatchdog(DefaultDriftConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		tr, err := eng.Lease()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Complete(tr.ID, 1.0+float64(tr.Algo)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stale, err := eng.Lease()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.mu.Lock()
+	eng.t.driftReset(0, 0.25)
+	eng.mu.Unlock()
+
+	iters, counts := eng.Iterations(), eng.Counts()
+	// 0.25 would be the best value ever seen, were it applied.
+	if err := eng.Complete(stale.ID, 0.25); err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.Iterations(); got != iters {
+		t.Fatalf("stale completion applied: %d iterations, want %d", got, iters)
+	}
+	if got := eng.Counts(); !slices.Equal(got, counts) {
+		t.Fatalf("stale completion counted: %v, want %v", got, counts)
+	}
+	if _, _, v := eng.Best(); v == 0.25 {
+		t.Fatal("stale completion became the incumbent")
+	}
+	if ds := eng.DriftStats(); ds.StaleDropped != 1 {
+		t.Fatalf("StaleDropped = %d, want 1", ds.StaleDropped)
+	}
+
+	fresh, err := eng.Lease()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Complete(fresh.ID, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.Iterations(); got != iters+1 {
+		t.Fatalf("post-reset completion: %d iterations, want %d", got, iters+1)
+	}
+	if _, _, v := eng.Best(); v != 0.5 {
+		t.Fatalf("post-reset best %v, want 0.5", v)
 	}
 }
 
@@ -245,11 +307,11 @@ func TestDriftCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestDriftShardedResume: drift detection, probe distribution and
-// sentinel replay across the sharded engine — a mid-run flip is
-// detected, the checkpoint resumes with the reset intact, and the
-// resumed engine keeps favouring the post-flip winner.
-func TestDriftShardedResume(t *testing.T) {
+// TestDriftEngineResume: drift detection and sentinel replay under the
+// trial engine with concurrent workers — a mid-run flip is detected, the
+// checkpoint resumes with the reset intact, and the resumed engine keeps
+// favouring the post-flip winner.
+func TestDriftEngineResume(t *testing.T) {
 	const seed, every = 13, 50
 	dir := t.TempDir()
 	algos := driftAlgos()
@@ -265,25 +327,23 @@ func TestDriftShardedResume(t *testing.T) {
 		return 2.0
 	}
 
-	eng, err := NewShardedEngine(algos, nominal.NewEpsilonGreedy(0.1), nil, seed,
-		WithShards(2), WithMergeEvery(8),
+	eng, err := NewConcurrentTuner(algos, nominal.NewEpsilonGreedy(0.1), nil, seed,
 		WithDriftWatchdog(DefaultDriftConfig()), WithCheckpoint(dir, every))
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng.RunPool(4, 500, m)
-	eng.Flush()
 	if err := eng.CheckpointErr(); err != nil {
 		t.Fatal(err)
 	}
 	ds := eng.DriftStats()
 	if ds.Events < 1 {
-		t.Fatalf("sharded run detected no drift: %+v", ds)
+		t.Fatalf("engine run detected no drift: %+v", ds)
 	}
 	iters := eng.Iterations()
 
-	rs, err := NewShardedEngine(algos, nominal.NewEpsilonGreedy(0.1), nil, seed,
-		WithShards(2), WithMergeEvery(8), WithDriftWatchdog(DefaultDriftConfig()), WithCheckpoint(dir, every))
+	rs, err := NewConcurrentTuner(algos, nominal.NewEpsilonGreedy(0.1), nil, seed,
+		WithDriftWatchdog(DefaultDriftConfig()), WithCheckpoint(dir, every))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +360,6 @@ func TestDriftShardedResume(t *testing.T) {
 	// 1.0 record cannot regain the throne.
 	before := rs.Counts()
 	rs.RunPool(4, 200, m)
-	rs.Flush()
 	after := rs.Counts()
 	d0, d1 := after[0]-before[0], after[1]-before[1]
 	if d1 <= d0 {

@@ -12,8 +12,7 @@ import (
 	"repro/internal/nominal"
 )
 
-// durableEngine is the surface the crash-point test drives, common to
-// ConcurrentTuner and ShardedEngine.
+// durableEngine is the surface the crash-point test drives.
 type durableEngine interface {
 	LeaseN(n int) ([]Trial, error)
 	CompleteN(results []TrialResult) []error
@@ -44,9 +43,6 @@ func TestCrashPointsLoseNoAcknowledgedTrial(t *testing.T) {
 	}{
 		{"NewConcurrentTuner", func(dir string) (durableEngine, error) {
 			return NewConcurrentTuner(engineAlgos(), sel(), nil, 5, WithCheckpoint(dir, 10))
-		}},
-		{"NewShardedEngine", func(dir string) (durableEngine, error) {
-			return NewShardedEngine(engineAlgos(), sel(), nil, 5, WithShards(2), WithCheckpoint(dir, 10))
 		}},
 		{"EngineSpec.Build", func(dir string) (durableEngine, error) {
 			return EngineSpec{Seed: 5, SnapshotEvery: 10}.Build(engineAlgos(), sel(), nil, dir)
@@ -234,14 +230,6 @@ func TestJournalSyncsPerCall(t *testing.T) {
 				obs[i] = nominal.Observation{Arm: i % 4, Value: float64(1 + i)}
 			}
 			return func() { ct.Absorb(obs) }
-		}, one},
-		{"2-shard fold of 16", func(t *testing.T, dir string) func() {
-			e, err := NewShardedEngine(engineAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 3, withDir(dir, 0, WithShards(2))...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			trs := lease(t, 16, func(n int) ([]Trial, error) { return e.LeaseNOn(0, n) })
-			return func() { e.CompleteN(results(trs)); e.Flush() }
 		}, one},
 		{"LeaseN of 16", func(t *testing.T, dir string) func() {
 			ct := newEngine(t, 3, withDir(dir, 0)...)

@@ -144,8 +144,7 @@ type ConcurrentTuner struct {
 // NewConcurrentTuner builds a two-phase tuner over the given algorithms
 // and wraps it in the trial engine, in one step. It accepts both
 // tuner-scope options (WithGuard, WithCheckpoint, ...) and engine-scope
-// options (WithLeaseTimeout, WithMaxInFlight); sharded-scope options are
-// rejected with ErrOptionScope.
+// options (WithLeaseTimeout, WithMaxInFlight).
 //
 // With WithCheckpoint on a directory that holds a checkpoint, the engine
 // resumes from it: journaled completions are applied directly to the
@@ -169,10 +168,8 @@ func NewConcurrentTuner(algos []Algorithm, selector nominal.Selector, factory se
 		return nil, err
 	}
 	// Every snapshot carries the highest trial ID issued or journaled
-	// before it, so IDs folded into the restored snapshot — a sharded
-	// incarnation that snapshotted right before dying may hold the
-	// highest — and leases still out at that snapshot stay disjoint
-	// from fresh ones too.
+	// before it, so IDs folded into the restored snapshot and leases
+	// still out at that snapshot stay disjoint from fresh ones too.
 	c.nextID = t.maxTrial
 	return c, nil
 }
@@ -453,14 +450,13 @@ func (c *ConcurrentTuner) Alive(ids []uint64) []bool {
 }
 
 // Absorb folds externally-measured observations into phase two and the
-// global best, journaling each under a fresh trial ID. This is the
-// merge half of the nominal.Mergeable algebra applied across a process
-// boundary: a partitioned worker keeps measuring against a local
-// selector and, on reconnect, ships its (arm, value) stream here, where
-// replaying it through Report is indistinguishable from having observed
-// it live (see nominal.Mergeable). Phase one is deliberately untouched
-// — the configurations were proposed by the worker's local tuner, not
-// by this engine's strategies, exactly like speculative completions.
+// global best, journaling each under a fresh trial ID. A partitioned
+// worker keeps measuring against a local selector and, on reconnect,
+// ships its (arm, value) stream here, where replaying it through Report
+// is indistinguishable from having observed it live. Phase one is
+// deliberately untouched — the configurations were proposed by the
+// worker's local tuner, not by this engine's strategies, exactly like
+// speculative completions.
 //
 // Observations with an out-of-range arm or a non-finite value are
 // skipped; failed observations carry the worker's penalty as Value and
@@ -471,12 +467,6 @@ func (c *ConcurrentTuner) Absorb(obs []nominal.Observation) int {
 	}
 	c.mu.Lock()
 	defer c.unlock()
-	return c.absorbLocked(obs)
-}
-
-// absorbLocked applies Absorb under the decision mutex (shared with the
-// sharded engine, which adds replica propagation around it).
-func (c *ConcurrentTuner) absorbLocked(obs []nominal.Observation) int {
 	t := c.t
 	applied := 0
 	for _, o := range obs {
@@ -685,8 +675,8 @@ func (c *ConcurrentTuner) finishLocked(l *lease, value float64, fail *guard.Fail
 // one fsync and one publish per engine operation, both before anything
 // the operation acknowledges can reach its caller. Every path that
 // journals or marks the snapshots dirty — completions, failures, Absorb,
-// sharded folds, and the expiry sweeps Lease, Heartbeat and Alive run —
-// releases the mutex here.
+// and the expiry sweeps Lease, Heartbeat and Alive run — releases the
+// mutex here.
 func (c *ConcurrentTuner) unlock() {
 	c.t.journalSync()
 	if c.dirty {

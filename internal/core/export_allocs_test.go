@@ -35,7 +35,7 @@ func TestExportStateAllocs(t *testing.T) {
 		}
 		eng.CompleteN([]TrialResult{{ID: leases[0].ID, Value: v}})
 	}
-	tu := eng.Engine().t
+	tu := eng.t
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := tu.ExportState(); err != nil {
 			t.Fatal(err)

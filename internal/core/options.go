@@ -9,19 +9,18 @@ import (
 
 // ErrOptionScope is returned (wrapped) by a constructor handed an Option
 // that does not apply to what it builds — for example WithMaxInFlight on
-// the sequential NewTuner, or WithShards on NewConcurrentTuner, so a
-// misplaced option is loud instead of silently no-oping.
+// the sequential NewTuner, so a misplaced option is loud instead of
+// silently no-oping.
 var ErrOptionScope = errors.New("option does not apply to this constructor")
 
 // An Option configures any of the core constructors. One option type
-// serves NewTuner, NewConcurrentTuner, NewShardedEngine and
-// EngineSpec.Build; each option documents its scope, and a constructor outside
-// that scope rejects it with an error wrapping ErrOptionScope.
+// serves NewTuner, NewConcurrentTuner and EngineSpec.Build; each option
+// documents its scope, and a constructor outside that scope rejects it
+// with an error wrapping ErrOptionScope.
 type Option struct {
-	name    string
-	tuner   func(*Tuner)
-	engine  func(*ConcurrentTuner)
-	sharded func(*shardConfig)
+	name   string
+	tuner  func(*Tuner)
+	engine func(*ConcurrentTuner)
 }
 
 func tunerOption(name string, f func(*Tuner)) Option {
@@ -32,13 +31,8 @@ func engineOption(name string, f func(*ConcurrentTuner)) Option {
 	return Option{name: name, engine: f}
 }
 
-func shardedOption(name string, f func(*shardConfig)) Option {
-	return Option{name: name, sharded: f}
-}
-
 // splitEngineOptions partitions options for a constructor that builds a
-// Tuner wrapped in a ConcurrentTuner; sharded-only options are out of
-// scope there.
+// Tuner wrapped in a ConcurrentTuner.
 func splitEngineOptions(opts []Option) (tunerOpts, engineOpts []Option, err error) {
 	for _, o := range opts {
 		switch {
@@ -51,19 +45,6 @@ func splitEngineOptions(opts []Option) (tunerOpts, engineOpts []Option, err erro
 		}
 	}
 	return tunerOpts, engineOpts, nil
-}
-
-// splitShardedOptions peels off the sharded-scope options into cfg and
-// returns the rest (tuner + engine scope) for the inner constructors.
-func splitShardedOptions(opts []Option, cfg *shardConfig) (rest []Option) {
-	for _, o := range opts {
-		if o.sharded != nil {
-			o.sharded(cfg)
-			continue
-		}
-		rest = append(rest, o)
-	}
-	return rest
 }
 
 func scopeErr(o Option) error {
@@ -127,39 +108,14 @@ func WithWatchdog(window int, threshold float64) Option {
 // WithLeaseTimeout sets the lease deadline (default DefaultLeaseTimeout).
 // A d ≤ 0 disables expiry entirely: a lost worker then wedges its trial
 // forever, so only disable it when completions are guaranteed. Scope:
-// concurrent and sharded constructors.
+// NewConcurrentTuner and EngineSpec.Build.
 func WithLeaseTimeout(d time.Duration) Option {
 	return engineOption("WithLeaseTimeout", func(c *ConcurrentTuner) { c.leaseTTL = d })
 }
 
 // WithMaxInFlight bounds the number of simultaneously outstanding
 // leases; Lease returns ErrTooManyInFlight beyond it. Zero (the default)
-// means unlimited. Scope: concurrent and sharded constructors (a sharded
-// engine divides the cap evenly across shards).
+// means unlimited. Scope: NewConcurrentTuner and EngineSpec.Build.
 func WithMaxInFlight(n int) Option {
 	return engineOption("WithMaxInFlight", func(c *ConcurrentTuner) { c.maxInFlight = n })
-}
-
-// WithShards sets the number of selector shards of a ShardedEngine.
-// One shard (the default) disables sharding: the engine delegates
-// directly to the wrapped ConcurrentTuner. Scope: NewShardedEngine only.
-func WithShards(n int) Option {
-	return shardedOption("WithShards", func(sc *shardConfig) {
-		if n > 0 {
-			sc.shards = n
-		}
-	})
-}
-
-// WithMergeEvery sets K, the per-shard observation count that triggers a
-// merge of the shard's delta into the authoritative selector (the
-// staleness bound: a replica lags the global state by at most K·shards
-// observations between folds). Best() reads always force a merge first.
-// Scope: NewShardedEngine only.
-func WithMergeEvery(k int) Option {
-	return shardedOption("WithMergeEvery", func(sc *shardConfig) {
-		if k > 0 {
-			sc.mergeEvery = k
-		}
-	})
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // EngineSpec is the serialized form of an engine's option set: everything
-// NewShardedEngine takes through []Option that a service must be able to
+// NewConcurrentTuner takes through []Option that a service must be able to
 // store, compare and reconstruct per tuning problem. A multi-tenant
 // server keeps one EngineSpec per tenant on disk next to the tenant's
 // checkpoints; Build turns it back into a live engine, resuming the
@@ -19,8 +19,8 @@ import (
 // so a resumed tenant cannot silently come back with different tuning
 // semantics.
 //
-// The spec covers the engine-scope and sharded-scope knobs. What it
-// deliberately does not serialize: the algorithm roster (a []Algorithm
+// The spec covers the engine-scope knobs. What it deliberately does not
+// serialize: the algorithm roster (a []Algorithm
 // with live measurement spaces — callers pass it to Build, and Hash
 // folds the names in), the selector (an interface value — callers
 // construct it, typically via nominal.NewByName), and the search
@@ -28,12 +28,6 @@ import (
 type EngineSpec struct {
 	// Seed seeds the tuner's RNG.
 	Seed int64 `json:"seed"`
-	// Shards is the selector shard count (see WithShards); 0 and 1 both
-	// mean unsharded.
-	Shards int `json:"shards,omitempty"`
-	// MergeEvery is the per-shard fold cadence (see WithMergeEvery);
-	// 0 means DefaultMergeEvery.
-	MergeEvery int `json:"merge_every,omitempty"`
 	// LeaseTimeoutMS is the lease TTL in milliseconds; 0 means
 	// DefaultLeaseTimeout. Negative disables expiry (WithLeaseTimeout
 	// of a non-positive duration).
@@ -52,12 +46,6 @@ type EngineSpec struct {
 // effective values, so Hash treats an explicit default and an omitted
 // field identically.
 func (s EngineSpec) withDefaults() EngineSpec {
-	if s.Shards <= 0 {
-		s.Shards = 1
-	}
-	if s.MergeEvery <= 0 {
-		s.MergeEvery = DefaultMergeEvery
-	}
 	if s.LeaseTimeoutMS == 0 {
 		s.LeaseTimeoutMS = DefaultLeaseTimeout.Milliseconds()
 	}
@@ -88,8 +76,6 @@ func (s EngineSpec) Options(ckptDir string) []Option {
 	opts := []Option{
 		WithoutHistory(),
 		WithLeaseTimeout(ttl),
-		WithShards(s.Shards),
-		WithMergeEvery(s.MergeEvery),
 	}
 	if s.MaxInFlight > 0 {
 		opts = append(opts, WithMaxInFlight(s.MaxInFlight))
@@ -109,8 +95,18 @@ func (s EngineSpec) Options(ckptDir string) []Option {
 // persistence-side sibling of the wire handshake's roster hash — a
 // tenant directory whose stored hash differs was written by a different
 // configuration and must not be resumed into this one.
+//
+// The canonical form still carries the retired multi-shard fields at the
+// values every engine now has, one shard and a fold cadence of 16, so
+// the hashes of existing tenant directories do not move. (Their outer
+// "seed" hides the embedded one, and they encode in this order.)
 func (s EngineSpec) Hash(algos []string, selector string) uint32 {
-	canon, _ := json.Marshal(s.withDefaults()) // struct of scalars: cannot fail
+	canon, _ := json.Marshal(struct { // struct of scalars: cannot fail
+		Seed      int64 `json:"seed"`
+		Shards    int   `json:"shards"`
+		FoldEvery int   `json:"merge_every"`
+		EngineSpec
+	}{s.Seed, 1, 16, s.withDefaults()})
 	h := crc32.NewIEEE()
 	h.Write(canon)
 	h.Write([]byte{0})
@@ -122,12 +118,12 @@ func (s EngineSpec) Hash(algos []string, selector string) uint32 {
 	return h.Sum32()
 }
 
-// Build constructs a sharded engine from the spec. A non-empty ckptDir
+// Build constructs a trial engine from the spec. A non-empty ckptDir
 // makes the engine durable there at the spec's snapshot cadence, and
 // resumes it when ckptDir already holds a checkpoint (see
 // WithCheckpoint).
-func (s EngineSpec) Build(algos []Algorithm, selector nominal.Selector, factory search.Factory, ckptDir string) (*ShardedEngine, error) {
-	eng, err := NewShardedEngine(algos, selector, factory, s.Seed, s.Options(ckptDir)...)
+func (s EngineSpec) Build(algos []Algorithm, selector nominal.Selector, factory search.Factory, ckptDir string) (*ConcurrentTuner, error) {
+	eng, err := NewConcurrentTuner(algos, selector, factory, s.Seed, s.Options(ckptDir)...)
 	if err != nil {
 		return nil, fmt.Errorf("core: build from spec: %w", err)
 	}

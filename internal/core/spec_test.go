@@ -20,7 +20,7 @@ func specAlgos() []Algorithm {
 }
 
 func TestEngineSpecRoundTrip(t *testing.T) {
-	in := EngineSpec{Seed: 7, Shards: 4, MergeEvery: 8, LeaseTimeoutMS: 250, MaxInFlight: 32, Drift: true, SnapshotEvery: 10}
+	in := EngineSpec{Seed: 7, LeaseTimeoutMS: 250, MaxInFlight: 32, Drift: true, SnapshotEvery: 10}
 	data, err := json.Marshal(in)
 	if err != nil {
 		t.Fatal(err)
@@ -45,17 +45,22 @@ func TestEngineSpecHash(t *testing.T) {
 	if h != golden {
 		t.Fatalf("EngineSpec{Seed: 1} hashes to %08x, golden %08x: existing tenant directories would stop resuming", h, golden)
 	}
+	// Every field set, so each one's place in the canonical form is
+	// pinned too; the value was taken before the retired multi-shard
+	// fields left the struct.
+	full := EngineSpec{Seed: 7, LeaseTimeoutMS: 250, MaxInFlight: 32, Drift: true, SnapshotEvery: 10}
+	if got, want := full.Hash(algos, "egreedy:10"), uint32(0x1e489b87); got != want {
+		t.Fatalf("%+v hashes to %08x, golden %08x", full, got, want)
+	}
 
 	// Defaults and explicit defaults hash identically.
-	explicit := EngineSpec{Seed: 1, Shards: 1, MergeEvery: DefaultMergeEvery,
-		LeaseTimeoutMS: DefaultLeaseTimeout.Milliseconds(), SnapshotEvery: 100}
+	explicit := EngineSpec{Seed: 1, LeaseTimeoutMS: DefaultLeaseTimeout.Milliseconds(), SnapshotEvery: 100}
 	if got := explicit.Hash(algos, "egreedy:10"); got != h {
 		t.Fatalf("explicit defaults hash %08x != zero-value hash %08x", got, h)
 	}
 
 	// Any semantic change moves the hash.
 	for name, other := range map[string]uint32{
-		"shards":   EngineSpec{Seed: 1, Shards: 4}.Hash(algos, "egreedy:10"),
 		"seed":     EngineSpec{Seed: 2}.Hash(algos, "egreedy:10"),
 		"drift":    EngineSpec{Seed: 1, Drift: true}.Hash(algos, "egreedy:10"),
 		"selector": base.Hash(algos, "ucb1"),
@@ -71,7 +76,7 @@ func TestEngineSpecHash(t *testing.T) {
 
 func TestEngineSpecBuildAndResume(t *testing.T) {
 	dir := t.TempDir()
-	spec := EngineSpec{Seed: 11, Shards: 2, MergeEvery: 2, SnapshotEvery: 3}
+	spec := EngineSpec{Seed: 11, SnapshotEvery: 3}
 
 	eng, err := spec.Build(specAlgos(), nominal.NewEpsilonGreedy(0.1), nil, dir)
 	if err != nil {

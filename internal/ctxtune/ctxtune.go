@@ -18,12 +18,13 @@
 //     threshold (min-samples and min-lift gated), the bucket splits into
 //     two child contexts. Splits are journaled and replayed on resume,
 //     so a restarted server rediscovers every context it had learned.
-//   - An Engine maintains one selector replica per context over the
-//     nominal.Mergeable fork/merge machinery: each context gets its own
-//     lease-based trial engine whose selector is warm-started from the
-//     global fold and from per-context wisdom entries, so a newly
-//     discovered context does not relearn from scratch, and every
-//     contextual completion folds back into the global selector.
+//   - An Engine maintains one selector replica per context: each
+//     context gets its own lease-based trial engine whose selector is
+//     warm-started from the global selector's state
+//     (ExportSelectorState/RestoreSelectorState) and from per-context
+//     wisdom entries, so a newly discovered context does not relearn
+//     from scratch, and every contextual completion folds back into the
+//     global selector through Absorb.
 //
 // The tuned server routes feature-bearing LeaseN requests through this
 // engine; requests without features land on the global context, which

@@ -23,10 +23,9 @@ import (
 
 // extIDBase is where contextual trial IDs start: IDs at or above it were
 // leased from a per-context replica (and carry a route entry back to
-// it); IDs below it pass through to the global engine untouched. 2^32 is
-// the stripe core.ShardedEngine uses for the same trick, and it keeps
-// the IDs at ten JSON digits — every trial's ID crosses the wire three
-// times (lease, completion, ack), so digit count is throughput. The
+// it); IDs below it pass through to the global engine untouched. 2^32
+// keeps the IDs at ten JSON digits — every trial's ID crosses the wire
+// three times (lease, completion, ack), so digit count is throughput. The
 // global counter would need 4.3 billion completions to reach the stripe,
 // and even then a colliding completion degrades to ErrUnknownTrial — the
 // route table, not the ID range, is what actually resolves a trial.

@@ -92,7 +92,7 @@ func TestServiceEnginesKeepNoPerTrialLog(t *testing.T) {
 				}
 			}
 		}, func() map[string]*core.ConcurrentTuner {
-			return map[string]*core.ConcurrentTuner{"spec": eng.Engine()}
+			return map[string]*core.ConcurrentTuner{"spec": eng}
 		})
 		if got := eng.Iterations(); got != trials {
 			t.Fatalf("engine completed %d trials, want %d", got, trials)

@@ -63,6 +63,8 @@ type CheckpointCrash struct {
 	// winner.
 	FallbackOK     bool
 	FallbackWinner string
+	// Replay is the seed and the recorded bank.
+	Replay Replay
 }
 
 // replayMeasureFrom is replayMeasure with pre-seeded bank cursors: a
@@ -136,6 +138,7 @@ func RunCheckpointCrash(cfg Config, iters, crashes, every int) (*CheckpointCrash
 		KillPoints:      points,
 		ReferenceWinner: names[refBest],
 		ReferenceBest:   refVal,
+		Replay:          Replay{Seed: cfg.Seed, Names: names, Banks: []NamedBank{{"bible", bank}}},
 	}
 
 	// Starting and restarting are the same call: over a directory that

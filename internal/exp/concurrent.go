@@ -52,6 +52,8 @@ type ConcurrentTuning struct {
 	// SleepPerTrial and ThroughputIters scale the throughput runs.
 	SleepPerTrial   time.Duration
 	ThroughputIters int
+	// Replay is the seed and the recorded bank the fidelity runs replay.
+	Replay Replay
 }
 
 // Pass reports the acceptance criterion: every worker count agrees with
@@ -94,6 +96,7 @@ func RunConcurrentTuning(cfg Config, iters int) *ConcurrentTuning {
 		Workers:         concurrentWorkerCounts,
 		SleepPerTrial:   2 * time.Millisecond,
 		ThroughputIters: 96,
+		Replay:          Replay{Seed: cfg.Seed, Names: names, Banks: []NamedBank{{"bible", bank}}},
 	}
 
 	seq, err := core.NewTuner(matcherAlgorithms(), nominal.NewEpsilonGreedy(0.10), nil, cfg.Seed)

@@ -68,6 +68,8 @@ type FaultInjection struct {
 	Failures         core.FailureStats
 	Trips            int
 	FaultySelections int
+	// Replay is the seed and the recorded bank.
+	Replay Replay
 }
 
 // InjectFaults wraps a measurement so the given arm fails with the given
@@ -235,6 +237,7 @@ func RunFaultInjection(cfg Config, rates FaultRates, iters int) *FaultInjection 
 		Iters:       iters,
 		FaultyArm:   faulty,
 		CleanWinner: names[cleanBest],
+		Replay:      Replay{Seed: cfg.Seed, Names: names, Banks: []NamedBank{{"bible", bank}}},
 	}
 	injected := InjectFaults(replayMeasure(bank), faulty, rates, faultSleep, cfg.Seed+101)
 	guarded, q := run(injected)

@@ -15,35 +15,37 @@ import (
 // the string matching case study, the guarded tuner completes 2000
 // iterations without crashing, quarantines the faulty arm, and converges
 // to the same winner as the clean (0% fault) run under the same seed.
+// Every failure prints the result's Replay: the seed and the recorded
+// bank both runs replayed.
 func TestFaultInjectionGuardedSurvivesAndConverges(t *testing.T) {
 	cfg := TestConfig()
 	res := RunFaultInjection(cfg, DefaultFaultRates(), 2000)
 
 	if !res.WinnersAgree {
-		t.Errorf("guarded winner %q differs from clean winner %q",
-			res.GuardedWinner, res.CleanWinner)
+		t.Errorf("guarded winner %q differs from clean winner %q; replay: %v",
+			res.GuardedWinner, res.CleanWinner, res.Replay)
 	}
 	if res.Failures.Total < 3 {
-		t.Fatalf("only %d failures recorded — injection not effective", res.Failures.Total)
+		t.Fatalf("only %d failures recorded — injection not effective; replay: %v", res.Failures.Total, res.Replay)
 	}
 	if got := res.Failures.Panics + res.Failures.Timeouts + res.Failures.Invalids; got != res.Failures.Total {
-		t.Errorf("failure kinds %+v do not sum to total %d", res.Failures, res.Failures.Total)
+		t.Errorf("failure kinds %+v do not sum to total %d; replay: %v", res.Failures, res.Failures.Total, res.Replay)
 	}
 	if res.Trips == 0 {
-		t.Error("faulty arm never quarantined")
+		t.Errorf("faulty arm never quarantined; replay: %v", res.Replay)
 	}
 	if res.FaultySelections == 0 {
-		t.Error("faulty arm permanently excluded")
+		t.Errorf("faulty arm permanently excluded; replay: %v", res.Replay)
 	}
 	if res.FaultySelections > 2000/4 {
-		t.Errorf("faulty arm still selected %d/2000 times — quarantine ineffective", res.FaultySelections)
+		t.Errorf("faulty arm still selected %d/2000 times — quarantine ineffective; replay: %v", res.FaultySelections, res.Replay)
 	}
 	// The rendered table must mention the essentials.
 	var sb strings.Builder
 	res.RenderFigureA10(&sb)
 	for _, want := range []string{"fault injection", res.CleanWinner, "quarantine"} {
 		if !strings.Contains(sb.String(), want) {
-			t.Errorf("A10 table missing %q", want)
+			t.Errorf("A10 table missing %q; replay: %v", want, res.Replay)
 		}
 	}
 }

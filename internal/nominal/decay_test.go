@@ -158,7 +158,8 @@ func TestDecayPreservesCheckpointInvariant(t *testing.T) {
 	// After any decay, Export → Restore must succeed: stored samples per
 	// arm never exceed the visit count.
 	for _, keep := range []float64{0, 0.1, 0.25, 0.5, 0.9} {
-		for _, s := range decayableSet() {
+		fresh := decayableSet()
+		for i, s := range decayableSet() {
 			s.Init(4)
 			r := rand.New(rand.NewSource(7))
 			for i := 0; i < 200; i++ {
@@ -170,8 +171,8 @@ func TestDecayPreservesCheckpointInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s keep=%g: Export: %v", s.Name(), keep, err)
 			}
-			fresh := s.(Mergeable).Fork()
-			if err := fresh.(Stateful).Restore(st); err != nil {
+			fresh[i].Init(4)
+			if err := fresh[i].(Stateful).Restore(st); err != nil {
 				t.Fatalf("%s keep=%g: Restore after decay: %v", s.Name(), keep, err)
 			}
 		}

@@ -19,7 +19,7 @@
 //     in the paper). The sequential tuner strictly alternates
 //     Select/Report; selectors must NOT rely on that alternation —
 //     concurrent drivers issue several Selects before the matching
-//     Reports arrive, and merge layers replay Report batches with no
+//     Reports arrive, and Absorb replays Report batches with no
 //     Select at all.
 //   - Failed iterations reach Report as penalty values (the tuner
 //     substitutes its penalty for the failed measurement), so a selector
@@ -31,7 +31,7 @@
 //
 // # Optional capability interfaces
 //
-// Three optional interfaces extend the contract; the tuner layers detect
+// Two optional interfaces extend the contract; the tuner layers detect
 // them by type assertion:
 //
 //   - Stateful (state.go) — Export/Restore of the selection state, for
@@ -43,14 +43,9 @@
 //     consume the same random draws as Select when nothing is in flight,
 //     which is what makes a single-flight concurrent engine reproduce
 //     the sequential decision sequence exactly.
-//   - Mergeable (merge.go) — Fork/Merge of selector state for sharded
-//     selection: each shard works on a forked replica and the engine
-//     periodically folds shard observation deltas back into the
-//     authoritative selector. Merge receives failures as penalties,
-//     mirroring Report.
 //
-// All nine selectors in this package implement all of Stateful and
-// Mergeable; the four paper strategies also implement InFlightAware.
+// All nine selectors in this package implement Stateful; the four paper
+// strategies also implement InFlightAware.
 // The compile-time checks below pin that matrix.
 package nominal
 
@@ -77,16 +72,6 @@ var (
 	_ Stateful = (*Softmax)(nil)
 	_ Stateful = (*UCB1)(nil)
 	_ Stateful = (*GreedyGradient)(nil)
-
-	_ Mergeable = (*EpsilonGreedy)(nil)
-	_ Mergeable = (*GradientWeighted)(nil)
-	_ Mergeable = (*OptimumWeighted)(nil)
-	_ Mergeable = (*SlidingWindowAUC)(nil)
-	_ Mergeable = (*UniformRandom)(nil)
-	_ Mergeable = (*RoundRobin)(nil)
-	_ Mergeable = (*Softmax)(nil)
-	_ Mergeable = (*UCB1)(nil)
-	_ Mergeable = (*GreedyGradient)(nil)
 
 	_ InFlightAware = (*EpsilonGreedy)(nil)
 	_ InFlightAware = (*GradientWeighted)(nil)

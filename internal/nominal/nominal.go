@@ -28,6 +28,17 @@ type Selector interface {
 	Report(arm int, value float64)
 }
 
+// Observation is one completed measurement reported outside the live
+// Select/Report loop: a degraded-mode worker records them against its
+// local selector and the engine replays them through Report
+// (core.ConcurrentTuner.Absorb). Failed observations carry the tuner's
+// penalty as Value, mirroring how failures reach Report in the live path.
+type Observation struct {
+	Arm    int
+	Value  float64
+	Failed bool
+}
+
 // sample is one observation of one arm.
 type sample struct {
 	iter  int // global iteration number at which it was taken

@@ -129,10 +129,6 @@ func (p *Proposer) Report(pr Proposal, value float64) {
 // Outstanding returns the number of unreported proposals.
 func (p *Proposer) Outstanding() int { return p.outstanding }
 
-// PrimaryOutstanding reports whether the strategy's genuine proposal is
-// currently leased out.
-func (p *Proposer) PrimaryOutstanding() bool { return p.primaryOut }
-
 // Strategy exposes the wrapped strategy (for inspection).
 func (p *Proposer) Strategy() Strategy { return p.strat }
 
@@ -189,53 +185,4 @@ func perturb(rng *rand.Rand, space *param.Space, base param.Config) param.Config
 		}
 	}
 	return space.Clamp(out)
-}
-
-// A Speculator generates speculative configurations detached from any
-// strategy: the sharded trial engine gives each shard one per algorithm,
-// so shards propose configurations without touching the authoritative
-// phase-one state between merges. The base it perturbs is the best
-// configuration it has been told about — SetBase rebroadcasts the
-// authoritative incumbent at each merge, Observe adopts better local
-// completions in between — falling back to the space center before any.
-type Speculator struct {
-	space   *param.Space
-	rng     *rand.Rand
-	base    param.Config
-	baseVal float64
-}
-
-// NewSpeculator creates a speculator over the space (nil means empty).
-func NewSpeculator(space *param.Space, seed int64) *Speculator {
-	if space == nil {
-		space = param.NewSpace()
-	}
-	return &Speculator{space: space, rng: newRand(seed), baseVal: math.Inf(1)}
-}
-
-// SetBase overwrites the incumbent with the authoritative one.
-func (s *Speculator) SetBase(cfg param.Config, val float64) {
-	if cfg == nil {
-		return
-	}
-	s.base = cfg.Clone()
-	s.baseVal = val
-}
-
-// Observe offers a locally completed configuration; it becomes the base
-// when it beats the current one.
-func (s *Speculator) Observe(cfg param.Config, val float64) {
-	if val < s.baseVal {
-		s.base = cfg.Clone()
-		s.baseVal = val
-	}
-}
-
-// Next fabricates the next speculative configuration.
-func (s *Speculator) Next() param.Config {
-	base := s.base
-	if base == nil {
-		base = s.space.Center()
-	}
-	return perturb(s.rng, s.space, base)
 }

@@ -38,8 +38,8 @@ func TestProposerSinglePrimaryOutstanding(t *testing.T) {
 	if primaries != 1 || !props[0].Primary {
 		t.Fatalf("want exactly the first proposal primary, got %d primaries", primaries)
 	}
-	if p.Outstanding() != 4 || !p.PrimaryOutstanding() {
-		t.Fatalf("outstanding = %d, primaryOut = %v", p.Outstanding(), p.PrimaryOutstanding())
+	if p.Outstanding() != 4 {
+		t.Fatalf("outstanding = %d, want 4", p.Outstanding())
 	}
 
 	// Speculative reports must not advance the strategy.
@@ -54,8 +54,8 @@ func TestProposerSinglePrimaryOutstanding(t *testing.T) {
 	if nm.Evaluations() != 1 {
 		t.Fatalf("primary report lost: %d evaluations", nm.Evaluations())
 	}
-	if p.Outstanding() != 0 || p.PrimaryOutstanding() {
-		t.Fatalf("after all reports: outstanding = %d, primaryOut = %v", p.Outstanding(), p.PrimaryOutstanding())
+	if p.Outstanding() != 0 {
+		t.Fatalf("after all reports: outstanding = %d", p.Outstanding())
 	}
 
 	// The next propose hands out a genuine proposal again.

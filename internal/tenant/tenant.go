@@ -82,8 +82,8 @@ func (s Spec) validate(roster RosterFunc) ([]core.Algorithm, error) {
 
 // Engine is the trial-engine surface a tenant is served through:
 // leasing, reporting, degraded-mode absorption, checkpointing and the
-// read-side summary calls. core.ConcurrentTuner, core.ShardedEngine and
-// ctxtune.Engine all satisfy it; tuned.Engine is this interface.
+// read-side summary calls. core.ConcurrentTuner and ctxtune.Engine both
+// satisfy it; tuned.Engine is this interface.
 type Engine interface {
 	LeaseN(n int) ([]core.Trial, error)
 	CompleteN(results []core.TrialResult) []error

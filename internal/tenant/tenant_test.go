@@ -66,7 +66,7 @@ func TestRegisterValidation(t *testing.T) {
 		t.Fatalf("identical re-register: %v", err)
 	}
 	changed := sleepSpec("team-a")
-	changed.Engine.Shards = 4
+	changed.Engine.Drift = true
 	if err := r.Register(changed); err == nil {
 		t.Fatal("changed spec accepted for existing tenant")
 	}

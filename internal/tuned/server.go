@@ -1,7 +1,7 @@
 // Package tuned is the distributed tuning service: a TCP front-end over
-// the lease-based trial engine (core.ConcurrentTuner, or its sharded
-// variant core.ShardedEngine), so trials can be evaluated by worker
-// processes on other machines while one server owns the decision state.
+// the lease-based trial engine (core.ConcurrentTuner), so trials can be
+// evaluated by worker processes on other machines while one server owns
+// the decision state.
 //
 // The division of labour mirrors the in-process engine exactly. The
 // server runs both tuning phases and the crash-safe journal; workers
@@ -50,15 +50,6 @@ import (
 // tenant.Engine: leasing, reporting, degraded-mode absorption,
 // checkpointing and the read-side summary calls.
 type Engine = tenant.Engine
-
-// shardedEngine is the optional extension a sharded engine provides:
-// the server pins each worker session to one shard at the handshake, so
-// a session's leases stay on one selector replica and one lease table.
-type shardedEngine interface {
-	Engine
-	Shards() int
-	LeaseNOn(shard, n int) ([]core.Trial, error)
-}
 
 // contextualEngine is the optional extension a contextual engine
 // provides (ctxtune.Engine): feature-bearing LeaseN requests route to a
@@ -170,8 +161,6 @@ type tenantRT struct {
 	epoch int64
 	hash  uint32
 
-	nextShard atomic.Uint64 // round-robin session → shard assignment
-
 	// Rebalancing state. sessions counts live connections on this
 	// tenant; starved accumulates lease requests the caps answered with
 	// an empty batch while peers held capacity, and drains as hoarding
@@ -198,8 +187,8 @@ type tenantRT struct {
 
 // session is the per-connection state: the protocol version its client
 // spoke (every reply frame is stamped with it, so a v1 decoder never
-// sees a frame it refuses), the tenant it was routed to, the shard its
-// leases are pinned to, and the lease ledger backing the session cap.
+// sees a frame it refuses), the tenant it was routed to, and the lease
+// ledger backing the session cap.
 // The connection's read loop is the only goroutine that touches a
 // session, so nothing in it is locked, and the decode targets and reply
 // scratch below serve every request in turn: the packed decoders reset
@@ -208,7 +197,6 @@ type tenantRT struct {
 type session struct {
 	proto  byte
 	rt     *tenantRT
-	shard  int
 	bw     *bufio.Writer       // reply buffer over the connection
 	leased map[uint64]struct{} // lease IDs issued to this connection
 
@@ -463,10 +451,6 @@ func (s *Server) Drain(timeout time.Duration) error {
 // block: while the read buffer still holds a whole request frame it
 // serves that first, so a pipelined burst costs one write syscall, and a
 // half-arrived frame never holds back the replies already computed.
-//
-// On a sharded engine the session is pinned to one shard, assigned
-// round-robin across the tenant's connections, so all its leases come
-// from one selector replica.
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, 64<<10)
@@ -581,9 +565,6 @@ func (s *Server) handshake(br *bufio.Reader, bw *bufio.Writer) *session {
 		return nil
 	}
 	defer release()
-	if se, ok := eng.(shardedEngine); ok && se.Shards() > 1 {
-		sess.shard = int((sess.rt.nextShard.Add(1) - 1) % uint64(se.Shards()))
-	}
 	names := make([]string, eng.NumAlgorithms())
 	for i := range names {
 		names[i] = eng.AlgorithmName(i)
@@ -729,8 +710,6 @@ func (s *Server) lease(sess *session, eng Engine, n int, features []float64, res
 	var err error
 	if ce, ok := eng.(contextualEngine); ok && len(features) > 0 {
 		trials, err = ce.LeaseNFor(features, n)
-	} else if se, ok := eng.(shardedEngine); ok && se.Shards() > 1 {
-		trials, err = se.LeaseNOn(sess.shard%se.Shards(), n)
 	} else {
 		trials, err = eng.LeaseN(n)
 	}

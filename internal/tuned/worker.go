@@ -96,8 +96,8 @@ type Worker struct {
 // core.Tuner over the handshake roster with empty parameter spaces, so
 // every algorithm runs at its initial configuration. Parameter search
 // needs the server's phase-two state and does not continue locally; the
-// selector's observation stream does, and is exactly what Merge (via
-// the server's Absorb) can fold back in.
+// selector's observation stream does, and is exactly what the server's
+// Absorb can fold back in.
 type Fallback struct {
 	// Selector builds the local nominal selector. Required.
 	Selector func() nominal.Selector
