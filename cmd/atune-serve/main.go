@@ -57,16 +57,18 @@
 // (workers opt in with -calibrate); reported costs are divided by each
 // worker's speed factor relative to the fleet's fastest member.
 //
-// -contextual serves a contextual engine instead of the flat one:
-// leases carrying a feature vector (atune-worker -features) are routed
-// to a per-context selector replica, contexts are discovered online by
+// -contextual makes the engines the flags describe contextual: leases
+// carrying a feature vector (atune-worker -features) are routed to a
+// per-context selector replica, contexts are discovered online by
 // hashing quantized features into -buckets and splitting a bucket when
 // its cost distribution turns bimodal across a feature threshold after
 // -split-min samples (see DESIGN.md, "contextual routing"). Feature-less
 // workers — v1 binaries included — keep tuning the global context
 // unchanged. Under -checkpoint the partitioner's split journal and every
 // context's selector ride along, so a restart rediscovers all contexts.
-// -contextual is exclusive with -tenants.
+// With -tenants it applies to every tenant of the flag list and to the
+// implicit "default"; it is the spec's "contexts" block, which a
+// @file.json spec sets or leaves out per tenant.
 //
 // -tenants registers many independent tuning problems behind the one
 // port, each with its own engine, epoch, and (under -checkpoint) its own
@@ -93,6 +95,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"slices"
 	"sort"
 	"strings"
 	"syscall"
@@ -101,7 +104,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/ctxtune"
-	"repro/internal/nominal"
 	"repro/internal/tenant"
 	"repro/internal/tuned"
 )
@@ -182,69 +184,39 @@ func main() {
 	if *splitMin <= 0 {
 		log.Fatalf("-split-min %d must be > 0", *splitMin)
 	}
-	if *ctxFlg && *tenFlg != "" {
-		log.Fatal("-contextual is exclusive with -tenants: contexts partition one tuning problem, tenants are separate problems")
-	}
 	if !*ctxFlg && (*buckets != ctxtune.DefaultBuckets || *splitMin != ctxtune.DefaultMinSamples) {
 		log.Fatal("-buckets and -split-min only apply with -contextual")
 	}
 
-	// The flat engine's recipe, shared by the one engine served without
-	// -tenants and every tenant built from the base flags.
-	base := core.EngineSpec{
-		Seed: *seed, LeaseTimeoutMS: leaseTTL.Milliseconds(),
-		MaxInFlight: *maxInFl, Drift: *driftFlg, SnapshotEvery: *every,
+	// The base spec: the one engine served without -tenants, and every
+	// tenant the flags name, the implicit "default" included.
+	base := tenant.Spec{
+		Name: tenant.DefaultName, Workload: *workload, Selector: fmt.Sprintf("egreedy:%g", *epsilon),
+		Engine: core.EngineSpec{
+			Seed: *seed, LeaseTimeoutMS: leaseTTL.Milliseconds(),
+			MaxInFlight: *maxInFl, Drift: *driftFlg, SnapshotEvery: *every,
+		},
 	}
-	// Without -tenants the one engine is built as before, its checkpoint
-	// directly in -checkpoint, and wrapped as the "default" tenant of a
-	// registry that has no root and writes nothing.
+	if *ctxFlg {
+		base.Contexts = &tenant.Contexts{Buckets: *buckets, SplitMin: *splitMin}
+	}
 	var reg *tenant.Registry
-	switch {
-	case *tenFlg != "":
-		reg = tenantRegistry(*tenFlg, *workload, *ckptDir, fmt.Sprintf("egreedy:%g", *epsilon), base, *maxRes)
-	case *ctxFlg:
-		copts := []core.Option{
-			core.WithLeaseTimeout(*leaseTTL),
-			core.WithMaxInFlight(*maxInFl),
-		}
-		if *driftFlg {
-			copts = append(copts, core.WithDriftWatchdog(core.DefaultDriftConfig()))
-		}
-		ceng, err := ctxtune.New(ctxtune.Config{
-			Algos: algos,
-			// Windowed ε-greedy: a cold context is warm-started from the
-			// global fold, and when the context disagrees with it the
-			// imported evidence must be able to age out of the window.
-			Selector: func() nominal.Selector {
-				return &nominal.EpsilonGreedy{Eps: *epsilon / 100, RecencyWindow: 25}
-			},
-			Seed:        *seed,
-			Partitioner: ctxtune.NewTree(*buckets, *splitMin, 0),
-			Dir:         *ckptDir,
-			Every:       *every,
-			Opts:        copts,
-		})
-		if err != nil {
-			log.Fatalf("contextual engine: %v", err)
-		}
-		defer ceng.Close()
-		if n := ceng.ContextCount(); n > 0 {
-			log.Printf("resumed %d context(s) from %s at trial %d", n, *ckptDir, ceng.Iterations())
-		}
-		reg = tenant.NewSingle(ceng)
-	default:
-		// A previous incarnation's session in -checkpoint is resumed by the
-		// build. The new process gets a fresh epoch, so stale reports from
-		// leases the old process issued are dropped, not misapplied.
-		resumed := core.HasCheckpoint(*ckptDir)
-		seng, err := base.Build(algos, nominal.NewEpsilonGreedy(*epsilon/100), nil, *ckptDir)
+	if *tenFlg != "" {
+		reg = tenantRegistry(*tenFlg, *ckptDir, base, *maxRes)
+	} else {
+		// The one engine keeps its checkpoint directly in -checkpoint,
+		// where the build resumes a previous incarnation's session. The
+		// new process gets a fresh epoch, so stale reports from leases
+		// the old process issued are dropped, not misapplied. The
+		// registry wrapping it has no root and writes nothing.
+		eng, resumed, err := base.Build(algos, nil, *ckptDir)
 		if err != nil {
 			log.Fatalf("engine: %v", err)
 		}
 		if resumed {
-			log.Printf("resumed session from %s at trial %d", *ckptDir, seng.Iterations())
+			log.Printf("resumed session from %s at trial %d", *ckptDir, eng.Iterations())
 		}
-		reg = tenant.NewSingle(seng)
+		reg = tenant.NewSingle(eng)
 	}
 
 	srv := tuned.NewTenantServer(reg, tuned.WithTrialTarget(*target),
@@ -323,22 +295,14 @@ func listen(addr, chaosSpec string) net.Listener {
 
 // tenantRegistry builds the -tenants registry: every tenant persisted
 // under its own subdirectory of ckptDir, tenants a previous run left
-// there rediscovered, and a "default" tenant from the base flags unless
-// the spec names one.
-func tenantRegistry(arg, workload, ckptDir, selector string, base core.EngineSpec, maxResident int) *tenant.Registry {
-	specs := parseTenantSpecs(arg, selector, base)
-	hasDefault := false
-	for _, s := range specs {
-		if s.Name == tenant.DefaultName {
-			hasDefault = true
-		}
-	}
-	if !hasDefault {
+// there rediscovered, and the base spec as the "default" tenant unless
+// the -tenants value names one.
+func tenantRegistry(arg, ckptDir string, base tenant.Spec, maxResident int) *tenant.Registry {
+	specs := parseTenantSpecs(arg, base)
+	if !slices.ContainsFunc(specs, func(s tenant.Spec) bool { return s.Name == tenant.DefaultName }) {
 		// Workers that predate tenancy send no tenant name; they must
 		// always find a "default" tenant, built from the base flags.
-		specs = append(specs, tenant.Spec{
-			Name: tenant.DefaultName, Workload: workload, Selector: selector, Engine: base,
-		})
+		specs = append(specs, base)
 	}
 
 	reg, err := tenant.NewRegistry(tenant.Config{Root: ckptDir, MaxResident: maxResident})
@@ -425,9 +389,9 @@ func logVerdict(name string, eng tenant.Engine, drift bool) {
 
 // parseTenantSpecs parses the -tenants value: @file.json holding a JSON
 // array of tenant specs (authoritative as written), or a comma-separated
-// name=workload[/selector] list whose entries inherit the base flags
-// for everything they do not override.
-func parseTenantSpecs(arg, defaultSelector string, base core.EngineSpec) []tenant.Spec {
+// name=workload[/selector] list whose entries inherit the base spec,
+// -contextual included, for everything they do not override.
+func parseTenantSpecs(arg string, base tenant.Spec) []tenant.Spec {
 	if strings.HasPrefix(arg, "@") {
 		buf, err := os.ReadFile(strings.TrimPrefix(arg, "@"))
 		if err != nil {
@@ -453,7 +417,8 @@ func parseTenantSpecs(arg, defaultSelector string, base core.EngineSpec) []tenan
 			log.Fatalf("-tenants names %q twice", name)
 		}
 		seen[name] = true
-		s := tenant.Spec{Name: name, Selector: defaultSelector, Engine: base}
+		s := base
+		s.Name = name
 		parts := strings.Split(rest, "/")
 		if len(parts) > 2 {
 			log.Fatalf("-tenants entry %q: want name=workload[/selector]", entry)

@@ -65,9 +65,9 @@ func runServe(t *testing.T, args ...string) (int, string) {
 }
 
 // TestFlagValidation pins atune-serve's rejection of invalid flag sets,
-// the exclusivity checks between -contextual, -tenants and -max-resident
-// included: each row must exit 1 with its log.Fatal text
-// before the server listens.
+// the checks that -max-resident, -buckets and -split-min need their
+// companion flags included: each row must exit 1 with its log.Fatal
+// text before the server listens.
 func TestFlagValidation(t *testing.T) {
 	dir := t.TempDir()
 	empty := filepath.Join(dir, "empty.json")
@@ -94,7 +94,6 @@ func TestFlagValidation(t *testing.T) {
 		{"max-resident without tenants", []string{"-max-resident", "2", "-checkpoint", dir}, "-max-resident only applies with -tenants"},
 		{"max-resident without checkpoint", []string{"-max-resident", "2", "-tenants", "a=sleep"}, "-max-resident needs -checkpoint"},
 		{"zero buckets", []string{"-contextual", "-buckets", "0"}, "-buckets 0 must be > 0"},
-		{"contextual with tenants", []string{"-contextual", "-tenants", "a=sleep"}, "-contextual is exclusive with -tenants"},
 		{"buckets without contextual", []string{"-buckets", "16"}, "-buckets and -split-min only apply with -contextual"},
 		{"split-min without contextual", []string{"-split-min", "5"}, "-buckets and -split-min only apply with -contextual"},
 		{"tenant entry without workload", []string{"-tenants", "a"}, `-tenants entry "a": want name=workload[/selector]`},
@@ -264,4 +263,69 @@ func TestServeTenants(t *testing.T) {
 		t.Errorf("tenants %v, want [a default]", names)
 	}
 	srv.stop()
+}
+
+// TestServeContextualTenants: -contextual applies to the tenants of a
+// -tenants flag list. A client on tenant a leasing under a feature
+// vector sees its contexts in the stats; after a SIGTERM drain and a
+// restart over the same directory, tenant a is rediscovered as
+// contextual and comes back with its contexts and trials, counted as a
+// restart.
+func TestServeContextualTenants(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-workload", "sleep", "-contextual", "-tenants", "a=sleep", "-checkpoint", dir}
+	const n = 20
+	srv := startServe(t, args...)
+	c, err := tuned.Dial(srv.addr, tuned.WithTenant("a"), tuned.WithFeatures([]float64{4}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		lb, err := c.LeaseN(1)
+		if err != nil || len(lb.Trials) != 1 {
+			t.Fatalf("lease %d: %d trials, %v", i, len(lb.Trials), err)
+		}
+		tr := lb.Trials[0]
+		applied, _, err := c.CompleteN(lb.Epoch, []core.TrialResult{{ID: tr.ID, Value: float64(1 + tr.Algo)}})
+		if err != nil || len(applied) != 1 {
+			t.Fatalf("complete %d: applied %v, %v", i, applied, err)
+		}
+	}
+	st, err := c.Stats()
+	c.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Contexts == 0 || st.Iterations != n {
+		t.Fatalf("tenant a: %d contexts, %d iterations; want > 0 and %d", st.Contexts, st.Iterations, n)
+	}
+	srv.stop()
+
+	srv = startServe(t, args...)
+	defer srv.stop()
+	if log := strings.Join(srv.log, "\n"); !strings.Contains(log, "rediscovered 2 tenant(s)") {
+		t.Errorf("restart did not rediscover both tenants:\n%s", log)
+	}
+	c, err = tuned.Dial(srv.addr, tuned.WithTenant("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	again, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Contexts != st.Contexts || again.Iterations != n {
+		t.Errorf("restarted tenant a: %d contexts, %d iterations; want %d and %d",
+			again.Contexts, again.Iterations, st.Contexts, n)
+	}
+	view, err := c.Tenants()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ts := range view.Tenants {
+		if ts.Name == "a" && ts.Restarts != 1 {
+			t.Errorf("tenant a restarts %d, want 1", ts.Restarts)
+		}
+	}
 }

@@ -34,10 +34,11 @@
 //
 // -features attaches a feature vector describing this worker's workload
 // to every lease and report — e.g. the corpus alphabet size, 27 for
-// English text and 4 for DNA. Against a contextual server (atune-serve
-// -contextual) the vector routes this worker's trials to the selector
-// replica of its workload class; plain servers ignore it. Empty (the
-// default) tunes the global context.
+// English text and 4 for DNA. On a contextual tenant (atune-serve
+// -contextual, which applies to the -tenants flag list too, or a tenant
+// spec with a "contexts" block) the vector routes this worker's trials
+// to the selector replica of its workload class; flat tenants ignore
+// it. Empty (the default) tunes the global context.
 //
 // -calibrate N makes the worker measure the server's reference
 // algorithm before its first lease and again every N reported trials,

@@ -20,11 +20,11 @@
 //     so a restarted server rediscovers every context it had learned.
 //   - An Engine maintains one selector replica per context: each
 //     context gets its own lease-based trial engine whose selector is
-//     warm-started from the global selector's state
-//     (ExportSelectorState/RestoreSelectorState) and from per-context
-//     wisdom entries, so a newly discovered context does not relearn
-//     from scratch, and every contextual completion folds back into the
-//     global selector through Absorb.
+//     warm-started from its own snapshot after a restart, else from the
+//     global selector's state (ExportSelectorState/RestoreSelectorState),
+//     so a newly discovered context does not relearn from scratch, and
+//     every contextual completion folds back into the global selector
+//     through Absorb.
 //
 // The tuned server routes feature-bearing LeaseN requests through this
 // engine; requests without features land on the global context, which

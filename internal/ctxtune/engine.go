@@ -18,7 +18,6 @@ import (
 	"repro/internal/nominal"
 	"repro/internal/param"
 	"repro/internal/search"
-	"repro/internal/wisdom"
 )
 
 // extIDBase is where contextual trial IDs start: IDs at or above it were
@@ -30,12 +29,6 @@ import (
 // and even then a colliding completion degrades to ErrUnknownTrial — the
 // route table, not the ID range, is what actually resolves a trial.
 const extIDBase uint64 = 1 << 32
-
-// warmStartBoost is how many synthetic observations of a wisdom entry's
-// winning algorithm a cold replica absorbs: enough to bias the selector
-// toward the recorded winner, few enough that live evidence overturns a
-// stale entry quickly.
-const warmStartBoost = 3
 
 // warmStartKeep is the Decay fraction applied to a selector state
 // imported from the global fold. Cross-context costs can live on
@@ -73,12 +66,6 @@ type Config struct {
 	Dir string
 	// Every is the global engine's snapshot interval (with Dir).
 	Every int
-	// Wisdom, when set, warm-starts cold replicas from recorded
-	// per-context winners and records each context's best at Checkpoint.
-	Wisdom *wisdom.Store
-	// Scope prefixes wisdom keys (defaults to "ctxtune"); use the
-	// workload name so different rosters never share entries.
-	Scope string
 	// Opts are engine/tuner options applied to the global engine and to
 	// every replica (lease timeout, max in-flight, drift watchdog, ...).
 	// New adds core.WithoutHistory to them. Do not pass
@@ -97,14 +84,10 @@ type route struct {
 	expiry time.Time
 }
 
-// replica is one per-context engine. boost counts the synthetic wisdom
-// warm-start observations absorbed at creation, so aggregate statistics
-// can report real measurements only.
+// replica is one per-context engine.
 type replica struct {
-	id       string
-	eng      *core.ConcurrentTuner
-	boost    int
-	boostArm int
+	id  string
+	eng *core.ConcurrentTuner
 
 	// feats is the feature vector of the replica's latest lease, shared
 	// by the routes of every lease carrying an equal vector, so a
@@ -126,10 +109,9 @@ type Engine struct {
 
 	mu       sync.Mutex
 	replicas map[string]*replica
-	saved    map[string][]byte // snapshotted selector states awaiting their replica
 	routes   map[uint64]route
 	nextExt  uint64
-	journal  *splitJournal
+	journal  *splitJournal // nil without Dir
 	now      func() time.Time
 
 	// reps mirrors the replicas map as an immutable slice (replicas are
@@ -180,6 +162,12 @@ type engineState struct {
 
 const contextsFileName = "contexts.json"
 
+// HasCheckpoint reports whether dir holds a contextual engine's state
+// for New to resume: its global engine's checkpoint in dir/global.
+func HasCheckpoint(dir string) bool {
+	return dir != "" && core.HasCheckpoint(filepath.Join(dir, "global"))
+}
+
 // New builds a contextual engine. When cfg.Dir holds state from a
 // previous incarnation (a global checkpoint, a contexts snapshot, a
 // split journal), the engine resumes from it: the global engine replays
@@ -194,9 +182,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Selector == nil {
 		return nil, errors.New("ctxtune: nil selector factory")
 	}
-	if cfg.Scope == "" {
-		cfg.Scope = "ctxtune"
-	}
 	if cfg.Every <= 0 {
 		cfg.Every = 100
 	}
@@ -207,7 +192,6 @@ func New(cfg Config) (*Engine, error) {
 		cfg:      cfg,
 		part:     cfg.Partitioner,
 		replicas: make(map[string]*replica),
-		saved:    make(map[string][]byte),
 		routes:   make(map[uint64]route),
 		now:      time.Now,
 		folds:    make([]int, len(cfg.Algos)),
@@ -226,7 +210,6 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	if cfg.Dir == "" {
-		e.hookJournal()
 		return e, nil
 	}
 	if err := e.restoreContexts(); err != nil {
@@ -238,27 +221,13 @@ func New(cfg Config) (*Engine, error) {
 	if r, ok := e.part.(interface{ Replay([]Split) }); ok {
 		r.Replay(readSplits(cfg.Dir))
 	}
-	e.journal, err = openSplitJournal(cfg.Dir)
-	if err != nil {
-		return nil, fmt.Errorf("ctxtune: split journal: %w", err)
+	e.journal = &splitJournal{dir: cfg.Dir}
+	// The Tree journals a new split under its own lock, before the split
+	// becomes visible to Context, so a journaled split is never skipped.
+	if t, ok := e.part.(*Tree); ok {
+		t.onSplit = func(s Split) { e.journal.append(s) }
 	}
-	e.hookJournal()
 	return e, nil
-}
-
-// hookJournal routes new partitioner splits into the journal (when
-// persistent) — the Tree invokes it under its own lock, before the split
-// becomes visible to Context, so a journaled split is never skipped.
-func (e *Engine) hookJournal() {
-	t, ok := e.part.(*Tree)
-	if !ok {
-		return
-	}
-	t.onSplit = func(s Split) {
-		if e.journal != nil {
-			e.journal.append(s)
-		}
-	}
 }
 
 // restoreContexts loads Dir/contexts.json, restoring the partitioner and
@@ -284,24 +253,20 @@ func (e *Engine) restoreContexts() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for id, sel := range st.Contexts {
-		e.saved[id] = sel
-		if _, err := e.replicaForLocked(id); err != nil {
+		if _, err := e.replicaForLocked(id, sel); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Close releases the split journal (the engines need no closing).
+// Close releases the split journal (the engines need no closing). A
+// split after Close reopens it.
 func (e *Engine) Close() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.journal == nil {
 		return nil
 	}
-	err := e.journal.close()
-	e.journal = nil
-	return err
+	return e.journal.close()
 }
 
 // seedFor derives a replica's seed from the engine seed and its context
@@ -312,17 +277,12 @@ func (e *Engine) seedFor(id string) int64 {
 	return e.cfg.Seed ^ int64(h.Sum64())
 }
 
-func (e *Engine) wisdomKey(id string) string {
-	return wisdom.Key(e.cfg.Scope, "ctx", id)
-}
-
 // replicaForLocked returns (creating and warm-starting on demand) the
-// replica for a context. A cold replica's selector starts from the
-// snapshotted state of a previous incarnation when there is one, else
-// from the global selector's current fold — a new context begins with
-// everything global traffic has learned — and a wisdom entry for the
-// context boosts its recorded winner on top.
-func (e *Engine) replicaForLocked(id string) (*replica, error) {
+// replica for a context. A cold replica's selector starts from saved,
+// the snapshotted state of a previous incarnation, when there is one,
+// else from the global selector's current fold — a new context begins
+// with everything global traffic has learned.
+func (e *Engine) replicaForLocked(id string, saved []byte) (*replica, error) {
 	if r, ok := e.replicas[id]; ok {
 		return r, nil
 	}
@@ -330,12 +290,11 @@ func (e *Engine) replicaForLocked(id string) (*replica, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ctxtune: context %s: %w", id, err)
 	}
-	if saved, ok := e.saved[id]; ok {
+	if saved != nil {
 		// A snapshot of this very context: honest values, restore as-is.
 		if err := eng.RestoreSelectorState(saved); err != nil {
 			return nil, fmt.Errorf("ctxtune: context %s selector: %w", id, err)
 		}
-		delete(e.saved, id)
 	} else if state, err := e.global.ExportSelectorState(); err == nil {
 		// The global fold's values may live on another cost scale:
 		// import them softened to a weak prior (see warmStartKeep).
@@ -345,19 +304,7 @@ func (e *Engine) replicaForLocked(id string) (*replica, error) {
 			eng.DecaySelector(warmStartKeep)
 		}
 	}
-	boost, boostArm := 0, 0
-	if w := e.cfg.Wisdom; w != nil {
-		if entry, ok := w.Lookup(e.wisdomKey(id)); ok {
-			if arm := e.armByName(entry.Algorithm); arm >= 0 {
-				obs := make([]nominal.Observation, warmStartBoost)
-				for i := range obs {
-					obs[i] = nominal.Observation{Arm: arm, Value: entry.Value}
-				}
-				boost, boostArm = eng.Absorb(obs), arm
-			}
-		}
-	}
-	r := &replica{id: id, eng: eng, boost: boost, boostArm: boostArm}
+	r := &replica{id: id, eng: eng}
 	e.replicas[id] = r
 	reps := make([]*replica, 0, len(e.replicas))
 	for _, rr := range e.replicas {
@@ -365,15 +312,6 @@ func (e *Engine) replicaForLocked(id string) (*replica, error) {
 	}
 	e.reps.Store(&reps)
 	return r, nil
-}
-
-func (e *Engine) armByName(name string) int {
-	for i, a := range e.cfg.Algos {
-		if a.Name == name {
-			return i
-		}
-	}
-	return -1
 }
 
 // LeaseNFor leases up to n trials for a feature vector: feature-less
@@ -390,7 +328,7 @@ func (e *Engine) LeaseNFor(f Features, n int) ([]core.Trial, error) {
 		return e.global.LeaseN(n)
 	}
 	e.mu.Lock()
-	r, err := e.replicaForLocked(id)
+	r, err := e.replicaForLocked(id, nil)
 	e.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -629,13 +567,7 @@ func (e *Engine) Absorb(obs []nominal.Observation) int { return e.global.Absorb(
 // that no late completion can still be applied.
 func (e *Engine) ReclaimExpired() int {
 	n := e.global.ReclaimExpired()
-	e.mu.Lock()
-	reps := make([]*replica, 0, len(e.replicas))
-	for _, r := range e.replicas {
-		reps = append(reps, r)
-	}
-	e.mu.Unlock()
-	for _, r := range reps {
+	for _, r := range e.snapshotReplicas() {
 		n += r.eng.ReclaimExpired()
 	}
 	grace := e.global.LeaseTimeout()
@@ -651,40 +583,20 @@ func (e *Engine) ReclaimExpired() int {
 }
 
 // Checkpoint snapshots the global engine, the partitioner, and every
-// replica's selector state, and records each context's best result into
-// the wisdom store. With no Dir only the wisdom recording happens.
+// replica's selector state, then closes the split journal as the global
+// engine closes its segment: an engine left idle after a checkpoint, a
+// spilled tenant's above all, holds no file open. The next split
+// reopens the journal. With no Dir only the global engine checkpoints.
 func (e *Engine) Checkpoint() error {
-	if err := e.global.Checkpoint(); err != nil {
+	if err := e.global.Checkpoint(); err != nil || e.cfg.Dir == "" {
 		return err
 	}
-	e.mu.Lock()
-	reps := make([]*replica, 0, len(e.replicas))
-	for _, r := range e.replicas {
-		reps = append(reps, r)
-	}
-	saved := make(map[string][]byte, len(e.saved))
-	for id, sel := range e.saved {
-		saved[id] = sel
-	}
-	e.mu.Unlock()
-
-	if w := e.cfg.Wisdom; w != nil {
-		for _, r := range reps {
-			if algo, cfg, val := r.eng.Best(); algo >= 0 {
-				w.Record(e.wisdomKey(r.id), e.cfg.Algos[algo].Name, cfg, val)
-			}
-		}
-	}
-	if e.cfg.Dir == "" {
-		return nil
-	}
-	st := engineState{Contexts: saved}
 	part, err := e.part.Export()
 	if err != nil {
 		return err
 	}
-	st.Partitioner = part
-	for _, r := range reps {
+	st := engineState{Partitioner: part, Contexts: make(map[string][]byte)}
+	for _, r := range e.snapshotReplicas() {
 		sel, err := r.eng.ExportSelectorState()
 		if err != nil {
 			continue
@@ -695,7 +607,10 @@ func (e *Engine) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	return checkpoint.WriteFileAtomic(filepath.Join(e.cfg.Dir, contextsFileName), buf, 0o644)
+	if err := checkpoint.WriteFileAtomic(filepath.Join(e.cfg.Dir, contextsFileName), buf, 0o644); err != nil {
+		return err
+	}
+	return e.journal.close()
 }
 
 // snapshotReplicas returns a stable view of the replica set without
@@ -721,17 +636,17 @@ func (e *Engine) Best() (int, param.Config, float64) {
 
 // Iterations returns completed trials summed across all engines, each
 // real measurement counted once: the fold-back copies in the global
-// engine and the synthetic wisdom boosts are subtracted back out.
+// engine are subtracted back out.
 func (e *Engine) Iterations() int {
 	n := e.global.Iterations() - int(e.nFolds.Load())
 	for _, r := range e.snapshotReplicas() {
-		n += r.eng.Iterations() - r.boost
+		n += r.eng.Iterations()
 	}
 	return n
 }
 
 // Counts returns per-algorithm completion counts summed across all
-// engines, net of fold-back copies and wisdom boosts (see Iterations).
+// engines, net of fold-back copies (see Iterations).
 func (e *Engine) Counts() []int {
 	counts := e.global.Counts()
 	if counts == nil {
@@ -749,9 +664,6 @@ func (e *Engine) Counts() []int {
 			if i < len(counts) {
 				counts[i] += n
 			}
-		}
-		if r.boost > 0 && r.boostArm < len(counts) {
-			counts[r.boostArm] -= r.boost
 		}
 	}
 	return counts

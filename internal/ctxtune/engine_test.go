@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/nominal"
-	"repro/internal/wisdom"
 )
 
 // Two-regime model for engine tests: features [1] are the "cheap" class
@@ -232,6 +231,65 @@ func TestEngineCheckpointRestartRediscoversContexts(t *testing.T) {
 	}
 }
 
+// TestSplitAfterCheckpointIsJournaled: Checkpoint closes the split
+// journal, and the next split reopens it, so a split learned after a
+// checkpoint still survives a kill. Checkpoints run concurrently with
+// the first phase's traffic (run it under -race); the second phase
+// splits the dear context again, after the last checkpoint.
+func TestSplitAfterCheckpointIsJournaled(t *testing.T) {
+	dir := t.TempDir()
+	e, err := New(testConfig(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 20; i++ {
+			if err := e.Checkpoint(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	drive(t, e, 600)
+	<-done
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// A third class, far above the dear one and a hundred times its
+	// cost, shares the dear context until that context splits.
+	hugeF := Features{10000}
+	for i := 0; i < 200; i++ {
+		f, scale := dearF, 1.0
+		if i%2 == 1 {
+			f, scale = hugeF, 100
+		}
+		trials, err := e.LeaseNFor(f, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.CompleteN([]core.TrialResult{{ID: trials[0].ID, Value: scale * classCost(dearF, trials[0].Algo)}})
+	}
+	dear, huge := e.part.Context(dearF), e.part.Context(hugeF)
+	if dear == huge {
+		t.Fatal("setup failed: the dear context did not split")
+	}
+	// No Checkpoint, no Close: simulate a hard kill.
+
+	r, err := New(testConfig(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got := r.part.Context(dearF); got != dear {
+		t.Errorf("dear class routes to %q after kill, want %q", got, dear)
+	}
+	if got := r.part.Context(hugeF); got != huge {
+		t.Errorf("huge class routes to %q after kill, want %q", got, huge)
+	}
+}
+
 func TestEngineSplitJournalSurvivesKill(t *testing.T) {
 	// Kill case: the process dies after a split but before any
 	// Checkpoint — contexts.json was never written, only splits.jsonl.
@@ -257,44 +315,6 @@ func TestEngineSplitJournalSurvivesKill(t *testing.T) {
 	}
 	if got := r.part.Context(dearF); got != dear {
 		t.Errorf("dear class routes to %q after kill, want %q", got, dear)
-	}
-}
-
-func TestEngineWisdomWarmStart(t *testing.T) {
-	w := wisdom.NewStore()
-	cfg := testConfig(t, "")
-	cfg.Wisdom = w
-	cfg.Scope = "test"
-
-	// Learn, checkpoint (records wisdom), throw the engine away.
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	drive(t, e, 600)
-	if err := e.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Len() == 0 {
-		t.Fatal("checkpoint recorded no wisdom")
-	}
-
-	// A brand-new engine (no Dir, no snapshot) with the same wisdom
-	// store must bias each rediscovered context toward its recorded
-	// winner. Replay the stream far shorter than learning would need.
-	cfg2 := testConfig(t, "")
-	cfg2.Wisdom = w
-	cfg2.Scope = "test"
-	f, err := New(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	drive(t, f, 200) // enough to re-split; wisdom then primes the children
-	if a, _, _ := f.BestFor(cheapF); a != 0 {
-		t.Errorf("warm-started cheap winner %d, want 0", a)
-	}
-	if a, _, _ := f.BestFor(dearF); a != 1 {
-		t.Errorf("warm-started dear winner %d, want 1", a)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"sync"
 )
 
 // The split journal is an append-only JSON-lines file of Split records.
@@ -16,19 +17,13 @@ import (
 
 const splitJournalName = "splits.jsonl"
 
-// splitJournal appends Split records durably to dir/splits.jsonl.
+// splitJournal appends Split records durably to dir/splits.jsonl. The
+// file is opened by the first append after a close, so an engine that
+// has checkpointed and gone idle holds no handle on it.
 type splitJournal struct {
-	f *os.File
-}
-
-// openSplitJournal opens (creating if needed) the split journal for
-// appending.
-func openSplitJournal(dir string) (*splitJournal, error) {
-	f, err := os.OpenFile(filepath.Join(dir, splitJournalName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return &splitJournal{f: f}, nil
+	dir string
+	mu  sync.Mutex
+	f   *os.File // nil while closed
 }
 
 // append writes one split record and fsyncs.
@@ -37,13 +32,32 @@ func (j *splitJournal) append(s Split) error {
 	if err != nil {
 		return err
 	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.f == nil {
+		f, err := os.OpenFile(filepath.Join(j.dir, splitJournalName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return err
+		}
+		j.f = f
+	}
 	if _, err := j.f.Write(append(buf, '\n')); err != nil {
 		return err
 	}
 	return j.f.Sync()
 }
 
-func (j *splitJournal) close() error { return j.f.Close() }
+// close closes the journal file if it is open.
+func (j *splitJournal) close() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.f == nil {
+		return nil
+	}
+	err := j.f.Close()
+	j.f = nil
+	return err
+}
 
 // readSplits loads the journaled splits from dir, in append order. A
 // missing file yields nil; a torn or corrupt trailing line (the crash

@@ -159,6 +159,12 @@ func (n *NelderMead) Report(c param.Config, f float64) {
 			n.phase = nmReflect
 		}
 	case nmReflect:
+		// Recomputed here, not only in Propose: a resumed engine replays
+		// journaled reports without the proposals that preceded them,
+		// and the next phase's proposal needs the centroid and xr. Both
+		// reuse their buffers, so the live path allocates no more.
+		n.computeCentroid()
+		n.xr = append(n.xr[:0], c...)
 		n.fr = f
 		best, secondWorst := n.simplex[0].f, n.simplex[len(n.simplex)-2].f
 		switch {
@@ -262,7 +268,11 @@ func (n *NelderMead) replaceWorst(x param.Config, f float64) {
 
 func (n *NelderMead) computeCentroid() {
 	d := n.space.Dim()
-	cen := make(param.Config, d)
+	if len(n.centroid) != d {
+		n.centroid = make(param.Config, d)
+	}
+	cen := n.centroid
+	clear(cen)
 	for _, v := range n.simplex[:len(n.simplex)-1] {
 		for i := 0; i < d; i++ {
 			cen[i] += v.x[i]
@@ -271,7 +281,6 @@ func (n *NelderMead) computeCentroid() {
 	for i := 0; i < d; i++ {
 		cen[i] /= float64(len(n.simplex) - 1)
 	}
-	n.centroid = cen
 }
 
 // combine returns clamp(centroid + coeff·(centroid − away)).

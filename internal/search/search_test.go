@@ -296,6 +296,39 @@ func TestNelderMeadSimplexAccessor(t *testing.T) {
 	}
 }
 
+// TestNelderMeadReportOnlyReplay: a strategy fed the reports of a live
+// run, without the proposals that preceded them — as a resumed engine
+// replays its journal — proposes what the live run proposes next. The
+// reflection's report leads to an expansion, whose proposal needs the
+// centroid and reflection point that only Propose used to compute.
+func TestNelderMeadReportOnlyReplay(t *testing.T) {
+	space := param.NewSpace(param.NewRatio("a", 1, 10), param.NewRatio("b", 1, 10))
+	f := func(c param.Config) float64 { return c[0] + 2*c[1] }
+	live, replay := NewNelderMead(), NewNelderMead()
+	for _, nm := range []*NelderMead{live, replay} {
+		if err := nm.Start(space, param.Config{5, 5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Three initial vertices, then one reflection point.
+	for i := 0; i < 4; i++ {
+		c := live.Propose()
+		live.Report(c, f(c))
+		replay.Report(c, f(c))
+	}
+	if live.phase != nmExpand {
+		t.Fatalf("live run in phase %d after the reflection, want expansion", live.phase)
+	}
+	for i := 0; i < 20; i++ {
+		want, got := live.Propose(), replay.Propose()
+		if !got.Equal(want) {
+			t.Fatalf("proposal %d after replay: %v, live %v", i, got, want)
+		}
+		live.Report(want, f(want))
+		replay.Report(got, f(got))
+	}
+}
+
 func TestHillClimbConvergesAtLocalMin(t *testing.T) {
 	space := discreteSpace()
 	h := NewHillClimb()

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/nominal"
 	"repro/internal/search"
 	"repro/internal/wire"
 )
@@ -61,7 +60,7 @@ type Tenant struct {
 	algos    []core.Algorithm
 	names    []string
 	hash     uint32 // wire roster hash (handshake compatibility)
-	specHash uint32 // EngineSpec.Hash (persistence compatibility)
+	specHash uint32 // Spec.hash (persistence compatibility)
 	epoch    int64  // session epoch, unique per tenant per process
 
 	eng     Engine // nil when spilled
@@ -111,6 +110,11 @@ type Info struct {
 // NewRegistry builds a registry and, when cfg.Root exists, rediscovers
 // every tenant that left a spec.json behind — a restarted server comes
 // back knowing all its tenants, each resumable from its own journal.
+// Register writes spec.json without an fsync, so a power cut soon after
+// a registration can leave it empty: such a directory is skipped as a
+// registration that never finished, and registering the tenant again
+// rewrites the spec and resumes its ckpt/. A non-empty spec that does
+// not decode still fails the whole registry.
 func NewRegistry(cfg Config) (*Registry, error) {
 	if cfg.MaxResident > 0 && cfg.Root == "" {
 		return nil, errors.New("tenant: MaxResident needs a persistence Root (spilling without checkpoints would lose state)")
@@ -126,8 +130,8 @@ func NewRegistry(cfg Config) (*Registry, error) {
 				continue
 			}
 			data, err := os.ReadFile(filepath.Join(cfg.Root, e.Name(), "spec.json"))
-			if errors.Is(err, os.ErrNotExist) {
-				continue // not a tenant directory
+			if errors.Is(err, os.ErrNotExist) || (err == nil && len(data) == 0) {
+				continue // not a tenant directory, or an unfinished registration
 			}
 			if err != nil {
 				return nil, fmt.Errorf("tenant: read spec for %s: %w", e.Name(), err)
@@ -208,7 +212,7 @@ func (r *Registry) Register(spec Spec) error {
 	for i, a := range algos {
 		names[i] = a.Name
 	}
-	specHash := spec.Engine.Hash(names, spec.selector())
+	specHash := spec.hash(names)
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -302,18 +306,12 @@ func (r *Registry) Acquire(name string) (Engine, *Tenant, func(), error) {
 
 // materialize builds or resumes the tenant's engine (r.mu held).
 func (r *Registry) materialize(t *Tenant) error {
-	sel, err := nominal.NewByName(t.spec.selector())
-	if err != nil {
-		return err // validated at Register; cannot happen
-	}
-	dir := r.ckptDir(t.spec.Name)
-	restart := core.HasCheckpoint(dir)
-	eng, err := t.spec.Engine.Build(t.algos, sel, r.cfg.Factory, dir)
+	eng, resumed, err := t.spec.Build(t.algos, r.cfg.Factory, r.ckptDir(t.spec.Name))
 	if err != nil {
 		return fmt.Errorf("tenant %s: %w", t.spec.Name, err)
 	}
 	t.eng = eng
-	if restart {
+	if resumed {
 		t.restarts++
 	}
 	return nil

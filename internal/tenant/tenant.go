@@ -1,8 +1,11 @@
 // Package tenant turns "one process = one engine" into a registry of
 // named tuning problems, and is what every tuned.Server serves. Each
-// tenant is a serialized option set (core.EngineSpec plus a workload
-// roster and a selector name) with its own checkpoint directory, session
-// epoch, and drift/calibration state; the registry owns the engine
+// tenant is a serialized Spec (core.EngineSpec plus a workload roster, a
+// selector name and, for a contextual tenant, a Contexts block) with its
+// own checkpoint directory, session epoch, and drift/calibration state.
+// Spec.Build is the one way a served engine is made: a flat
+// core.ConcurrentTuner, or a ctxtune.Engine that tunes each input class
+// on its own when Contexts is set. The registry owns the engine
 // lifecycle — create, lazy warm-restart from checkpoint, LRU spill when
 // too many tenants are resident, and checkpoint-all on drain. NewSingle
 // wraps one pre-built engine as a registry whose only tenant is
@@ -13,13 +16,17 @@
 package tenant
 
 import (
+	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"regexp"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/ctxtune"
 	"repro/internal/nominal"
 	"repro/internal/param"
+	"repro/internal/search"
 	"repro/internal/strmatch"
 )
 
@@ -42,22 +49,101 @@ func ValidName(name string) bool { return nameRE.MatchString(name) }
 // Spec is one tenant's full serialized configuration: everything needed
 // to rebuild its engine in a fresh process. Workload names the
 // algorithm roster (resolved through the registry's RosterFunc),
-// Selector is a nominal.NewByName spec, and Engine carries the
-// engine-level option set. The registry persists the Spec as spec.json
-// in the tenant's directory, next to its checkpoints, so a restarted
-// server rediscovers its tenants from disk alone.
+// Selector is a nominal.NewByName spec, Engine carries the engine-level
+// option set, and Contexts, when present, makes the tenant contextual.
+// The registry persists the Spec as spec.json in the tenant's
+// directory, next to its checkpoints, so a restarted server rediscovers
+// its tenants from disk alone.
 type Spec struct {
 	Name     string          `json:"name"`
 	Workload string          `json:"workload"`
 	Selector string          `json:"selector,omitempty"` // "" = DefaultSelector
 	Engine   core.EngineSpec `json:"engine"`
+	Contexts *Contexts       `json:"contexts,omitempty"` // nil = one context
 }
+
+// Contexts is the serialized partitioner of a contextual tenant: leases
+// carrying a feature vector are hashed into Buckets contexts, and a
+// context splits once SplitMin samples show its cost distribution
+// bimodal across a feature threshold (ctxtune.NewTree; zero takes the
+// package default).
+type Contexts struct {
+	Buckets  int `json:"buckets"`
+	SplitMin int `json:"split_min"`
+}
+
+// recencyWindow is the ε-greedy window of a contextual engine's
+// selectors: a cold context is warm-started from the global fold, and
+// when the context disagrees with it the imported evidence must be able
+// to age out of the window.
+const recencyWindow = 25
 
 func (s Spec) selector() string {
 	if s.Selector == "" {
 		return DefaultSelector
 	}
 	return s.Selector
+}
+
+// hash pins the spec's tuning semantics over a roster: EngineSpec.Hash
+// for a flat spec, extended by the Contexts block with its defaults
+// resolved for a contextual one.
+func (s Spec) hash(names []string) uint32 {
+	h := s.Engine.Hash(names, s.selector())
+	if c := s.Contexts; c != nil {
+		canon := *c
+		if canon.Buckets <= 0 {
+			canon.Buckets = ctxtune.DefaultBuckets
+		}
+		if canon.SplitMin <= 0 {
+			canon.SplitMin = ctxtune.DefaultMinSamples
+		}
+		buf, _ := json.Marshal(canon) // struct of ints: cannot fail
+		h = crc32.Update(h, crc32.IEEETable, buf)
+	}
+	return h
+}
+
+// Build constructs the spec's engine over algos: a core.ConcurrentTuner,
+// or with Contexts a ctxtune.Engine whose global engine and per-context
+// replicas all take the spec's seed, selector and engine options. A
+// non-empty dir makes the engine durable there, and resumed reports
+// whether the build resumed a previous engine's state from it.
+func (s Spec) Build(algos []core.Algorithm, factory search.Factory, dir string) (eng Engine, resumed bool, err error) {
+	name := s.selector()
+	sel, err := nominal.NewByName(name)
+	if err != nil {
+		return nil, false, err
+	}
+	if s.Contexts == nil {
+		resumed = core.HasCheckpoint(dir)
+		flat, err := s.Engine.Build(algos, sel, factory, dir)
+		if err != nil {
+			return nil, false, err
+		}
+		return flat, resumed, nil
+	}
+	resumed = ctxtune.HasCheckpoint(dir)
+	ceng, err := ctxtune.New(ctxtune.Config{
+		Algos: algos,
+		Selector: func() nominal.Selector {
+			sel, _ := nominal.NewByName(name) // parsed above
+			if eg, ok := sel.(*nominal.EpsilonGreedy); ok {
+				eg.RecencyWindow = recencyWindow
+			}
+			return sel
+		},
+		Factory:     factory,
+		Seed:        s.Engine.Seed,
+		Partitioner: ctxtune.NewTree(s.Contexts.Buckets, s.Contexts.SplitMin, 0),
+		Dir:         dir,
+		Every:       s.Engine.SnapshotEvery,
+		Opts:        s.Engine.Options(""),
+	})
+	if err != nil {
+		return nil, false, err
+	}
+	return ceng, resumed, nil
 }
 
 // validate resolves the spec against a roster function, returning the

@@ -3,18 +3,25 @@ package tenant
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/checkpoint/crashtest"
 	"repro/internal/core"
+	"repro/internal/ctxtune"
 	"repro/internal/nominal"
 	"repro/internal/wire"
 )
 
+// classes are the feature vectors a contextual tenant's trials
+// alternate between: a cheap input class and one a hundred times
+// dearer, far enough apart in cost for the partitioner to split them.
+var classes = []ctxtune.Features{{1}, {100}}
+
 // drive completes n trials against a tenant's engine through the
 // registry, leaving the acquire released between trials so the LRU may
-// act.
+// act. A contextual engine leases under the alternating classes.
 func drive(t *testing.T, r *Registry, name string, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
@@ -22,12 +29,20 @@ func drive(t *testing.T, r *Registry, name string, n int) {
 		if err != nil {
 			t.Fatalf("acquire %s: %v", name, err)
 		}
-		leases, err := eng.LeaseN(1)
+		scale := 1.0
+		var leases []core.Trial
+		if ce, ok := eng.(*ctxtune.Engine); ok {
+			f := classes[i%2]
+			scale = f[0]
+			leases, err = ce.LeaseNFor(f, 1)
+		} else {
+			leases, err = eng.LeaseN(1)
+		}
 		if err != nil || len(leases) != 1 {
 			t.Fatalf("lease on %s: %v (%d)", name, err, len(leases))
 		}
 		// Arm index sets the cost so tenants develop distinct winners.
-		for _, cerr := range eng.CompleteN([]core.TrialResult{{ID: leases[0].ID, Value: float64(1 + leases[0].Algo)}}) {
+		for _, cerr := range eng.CompleteN([]core.TrialResult{{ID: leases[0].ID, Value: scale * float64(1+leases[0].Algo)}}) {
 			if cerr != nil {
 				t.Fatalf("complete on %s: %v", name, cerr)
 			}
@@ -38,6 +53,51 @@ func drive(t *testing.T, r *Registry, name string, n int) {
 
 func sleepSpec(name string) Spec {
 	return Spec{Name: name, Workload: "sleep", Engine: core.EngineSpec{Seed: 7, SnapshotEvery: 5}}
+}
+
+// ctxSpec is sleepSpec made contextual, with one bucket that splits
+// after 8 samples, so a dozen trials of drive already split it.
+func ctxSpec(name string) Spec {
+	s := sleepSpec(name)
+	s.Contexts = &Contexts{Buckets: 1, SplitMin: 8}
+	return s
+}
+
+// specRows are the flat and the contextual form of the same tenant.
+var specRows = []struct {
+	name string
+	spec func(name string) Spec
+}{{"flat", sleepSpec}, {"contextual", ctxSpec}}
+
+// contextCount is a contextual engine's live context count (0 for a
+// flat engine).
+func contextCount(eng Engine) int {
+	if ce, ok := eng.(*ctxtune.Engine); ok {
+		return ce.ContextCount()
+	}
+	return 0
+}
+
+// openFiles counts this process's descriptors open on files under dir,
+// read from /proc/self/fd; it skips the test where that does not exist.
+func openFiles(t *testing.T, dir string) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot list open files: %v", err)
+	}
+	dir, err = filepath.EvalSymlinks(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, fd := range fds {
+		target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name()))
+		if err == nil && strings.HasPrefix(target, dir+string(filepath.Separator)) {
+			n++
+		}
+	}
+	return n
 }
 
 func TestRegisterValidation(t *testing.T) {
@@ -88,102 +148,130 @@ func TestMaxResidentNeedsRoot(t *testing.T) {
 // TestLRUSpillAndWarmRestart is the registry's core contract: under a
 // residency cap the least-recently-used idle tenant is checkpointed and
 // released, and its next acquire warm-restarts it with identical
-// Best/Counts.
+// Best/Counts — and, for a contextual tenant, every context it had.
 func TestLRUSpillAndWarmRestart(t *testing.T) {
-	root := t.TempDir()
-	r, err := NewRegistry(Config{Root: root, MaxResident: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []string{"alpha", "beta"} {
-		if err := r.Register(sleepSpec(n)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	for _, row := range specRows {
+		t.Run(row.name, func(t *testing.T) {
+			root := t.TempDir()
+			r, err := NewRegistry(Config{Root: root, MaxResident: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range []string{"alpha", "beta"} {
+				if err := r.Register(row.spec(n)); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	drive(t, r, "alpha", 20)
-	eng, _, release, err := r.Acquire("alpha")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantIter := eng.Iterations()
-	wantCounts := eng.Counts()
-	wantAlgo, _, wantVal := eng.Best()
-	release()
+			drive(t, r, "alpha", 20)
+			eng, _, release, err := r.Acquire("alpha")
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantIter := eng.Iterations()
+			wantCounts := eng.Counts()
+			wantAlgo, _, wantVal := eng.Best()
+			wantContexts := contextCount(eng)
+			release()
+			if row.name == "contextual" && wantContexts < 2 {
+				t.Fatalf("%d contexts after 20 trials, want a split into 2", wantContexts)
+			}
 
-	// Materializing beta must spill alpha (cap 1) with a checkpoint.
-	drive(t, r, "beta", 3)
-	if got := r.Resident(); got != 1 {
-		t.Fatalf("resident=%d after spill, want 1", got)
-	}
-	if !core.HasCheckpoint(filepath.Join(root, "alpha", "ckpt")) {
-		t.Fatal("spill wrote no checkpoint for alpha")
-	}
+			// Materializing beta must spill alpha (cap 1) with a checkpoint.
+			drive(t, r, "beta", 3)
+			if got := r.Resident(); got != 1 {
+				t.Fatalf("resident=%d after spill, want 1", got)
+			}
+			alphaDir := filepath.Join(root, "alpha", "ckpt")
+			if !core.HasCheckpoint(alphaDir) && !ctxtune.HasCheckpoint(alphaDir) {
+				t.Fatal("spill wrote no checkpoint for alpha")
+			}
 
-	// Next acquire warm-restarts alpha from its checkpoint.
-	eng, ten, release, err := r.Acquire("alpha")
-	if err != nil {
-		t.Fatalf("warm restart: %v", err)
-	}
-	defer release()
-	if ten.Epoch() == 0 {
-		t.Fatal("tenant has no epoch")
-	}
-	if got := eng.Iterations(); got != wantIter {
-		t.Fatalf("restarted iterations %d, want %d", got, wantIter)
-	}
-	gotCounts := eng.Counts()
-	for i := range wantCounts {
-		if gotCounts[i] != wantCounts[i] {
-			t.Fatalf("restarted counts %v, want %v", gotCounts, wantCounts)
-		}
-	}
-	gotAlgo, _, gotVal := eng.Best()
-	if gotAlgo != wantAlgo || gotVal != wantVal {
-		t.Fatalf("restarted best (%d, %g), want (%d, %g)", gotAlgo, gotVal, wantAlgo, wantVal)
-	}
+			// Next acquire warm-restarts alpha from its checkpoint.
+			eng, ten, release, err := r.Acquire("alpha")
+			if err != nil {
+				t.Fatalf("warm restart: %v", err)
+			}
+			defer release()
+			if ten.Epoch() == 0 {
+				t.Fatal("tenant has no epoch")
+			}
+			if got := eng.Iterations(); got != wantIter {
+				t.Fatalf("restarted iterations %d, want %d", got, wantIter)
+			}
+			if gotCounts := eng.Counts(); !slices.Equal(gotCounts, wantCounts) {
+				t.Fatalf("restarted counts %v, want %v", gotCounts, wantCounts)
+			}
+			gotAlgo, _, gotVal := eng.Best()
+			if gotAlgo != wantAlgo || gotVal != wantVal {
+				t.Fatalf("restarted best (%d, %g), want (%d, %g)", gotAlgo, gotVal, wantAlgo, wantVal)
+			}
+			if got := contextCount(eng); got != wantContexts {
+				t.Fatalf("restarted with %d contexts, want %d", got, wantContexts)
+			}
 
-	infos := r.Snapshot()
-	var alpha *Info
-	for i := range infos {
-		if infos[i].Name == "alpha" {
-			alpha = &infos[i]
-		}
-	}
-	if alpha == nil || alpha.Spills == 0 || alpha.Restarts == 0 {
-		t.Fatalf("alpha info %+v: want spills and restarts > 0", alpha)
+			infos := r.Snapshot()
+			var alpha *Info
+			for i := range infos {
+				if infos[i].Name == "alpha" {
+					alpha = &infos[i]
+				}
+			}
+			if alpha == nil || alpha.Spills == 0 || alpha.Restarts == 0 {
+				t.Fatalf("alpha info %+v: want spills and restarts > 0", alpha)
+			}
+		})
 	}
 }
 
 // TestSpillLeavesNoSegmentOpen: a tenant spilled under the residency
-// cap holds no journal file open — its checkpoint syncs and closes the
-// segment — while the resident tenant still appends to its own.
+// cap holds no file open — its checkpoint syncs and closes the journal
+// segment, and a contextual tenant's also closes its split journal —
+// while the resident tenant still appends to its own segment.
 func TestSpillLeavesNoSegmentOpen(t *testing.T) {
-	disk := crashtest.Install(t)
-	root := t.TempDir()
-	r, err := NewRegistry(Config{Root: root, MaxResident: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []string{"alpha", "beta"} {
-		if err := r.Register(sleepSpec(n)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	alpha, beta := filepath.Join(root, "alpha", "ckpt"), filepath.Join(root, "beta", "ckpt")
-	drive(t, r, "alpha", 12)
-	if got := disk.Handles(alpha); got != 1 {
-		t.Fatalf("resident alpha holds %d segment handles, want 1", got)
-	}
-	drive(t, r, "beta", 3)
-	if got := r.Resident(); got != 1 {
-		t.Fatalf("resident=%d after spill, want 1", got)
-	}
-	if got := disk.Handles(alpha); got != 0 {
-		t.Fatalf("spilled alpha holds %d segment handles, want 0", got)
-	}
-	if got := disk.Handles(beta); got != 1 {
-		t.Fatalf("resident beta holds %d segment handles, want 1", got)
+	for _, row := range []struct {
+		name   string
+		spec   func(name string) Spec
+		segDir string // segment directory under the tenant's ckpt/
+		open   int    // files a resident tenant holds: segment (+ split journal)
+	}{
+		{"flat", sleepSpec, "", 1},
+		{"contextual", ctxSpec, "global", 2},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			disk := crashtest.Install(t)
+			root := t.TempDir()
+			r, err := NewRegistry(Config{Root: root, MaxResident: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range []string{"alpha", "beta"} {
+				if err := r.Register(row.spec(n)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			alpha, beta := filepath.Join(root, "alpha", "ckpt"), filepath.Join(root, "beta", "ckpt")
+			drive(t, r, "alpha", 12)
+			if got := disk.Handles(filepath.Join(alpha, row.segDir)); got != 1 {
+				t.Fatalf("resident alpha holds %d segment handles, want 1", got)
+			}
+			if got := openFiles(t, alpha); got != row.open {
+				t.Fatalf("resident alpha holds %d files open, want %d", got, row.open)
+			}
+			drive(t, r, "beta", 3)
+			if got := r.Resident(); got != 1 {
+				t.Fatalf("resident=%d after spill, want 1", got)
+			}
+			if got := disk.Handles(filepath.Join(alpha, row.segDir)); got != 0 {
+				t.Fatalf("spilled alpha holds %d segment handles, want 0", got)
+			}
+			if got := openFiles(t, alpha); got != 0 {
+				t.Fatalf("spilled alpha holds %d files open, want 0", got)
+			}
+			if got := disk.Handles(filepath.Join(beta, row.segDir)); got != 1 {
+				t.Fatalf("resident beta holds %d segment handles, want 1", got)
+			}
+		})
 	}
 }
 
