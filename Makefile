@@ -85,17 +85,16 @@ chaos:
 		./internal/tuned ./internal/exp
 
 # Fuzz the frame decoders — arbitrary bytes must never panic them or
-# slip a payload past the checksum, neither from a format-2 snapshot
-# file, nor from a journal segment's lines, nor from the network — the
-# hand-written journal record encoder and decoder, which must write
-# exactly what json.Marshal writes and read exactly what json.Unmarshal
-# reads, the hand-written encoder of the tuner's snapshot state, the
+# slip a payload past the checksum, neither from a journal segment's
+# lines nor from the network — the hand-written journal record encoder
+# and decoder, which must write exactly what json.Marshal writes and
+# read exactly what json.Unmarshal reads, the hand-written encoder of
+# the tuner's snapshot state, the
 # drift detectors, which must stay finite and panic-free on any cost
 # stream, and the context partitioner, whose routing must stay stable
 # and replayable under arbitrary feature streams and hostile restore
 # blobs.
 fuzz:
-	$(GO) test -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/checkpoint
 	$(GO) test -fuzz=FuzzSegmentRead -fuzztime=10s ./internal/checkpoint
 	$(GO) test -fuzz=FuzzJournalRecord -fuzztime=10s ./internal/checkpoint
 	$(GO) test -fuzz=FuzzExportState -fuzztime=10s ./internal/core

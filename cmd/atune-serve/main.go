@@ -63,8 +63,7 @@
 // hashing quantized features into -buckets and splitting a bucket when
 // its cost distribution turns bimodal across a feature threshold after
 // -split-min samples (see DESIGN.md, "contextual routing"). Feature-less
-// workers — v1 binaries included — keep tuning the global context
-// unchanged. Under -checkpoint the partitioner's split journal and every
+// workers keep tuning the global context unchanged. Under -checkpoint the partitioner's split journal and every
 // context's selector ride along, so a restart rediscovers all contexts.
 // With -tenants it applies to every tenant of the flag list and to the
 // implicit "default"; it is the spec's "contexts" block, which a

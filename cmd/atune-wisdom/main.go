@@ -6,18 +6,19 @@
 //
 //	atune-wisdom show <file>
 //	atune-wisdom merge <out> <in>...
-//	atune-wisdom inspect <checkpoint-dir | seg-*.log | snap-*.ckpt | wal-*.log>
+//	atune-wisdom inspect <checkpoint-dir | seg-*.log>
 //
 // inspect validates a checkpoint directory — each journal segment's
-// snapshot lines, record count and first damaged line, or a format-2
-// directory's snapshot files and journals — and pretty-prints the
-// snapshot a resume would restore. Given one file it lists a segment's
-// lines, or validates a format-2 snapshot or journal file.
+// snapshot lines, record count and first damaged line — and
+// pretty-prints the snapshot a resume would restore. Given one segment
+// it lists the segment's lines. A format-2 directory or file
+// (snap-*.ckpt, wal-*.log) is refused, as a resume refuses it.
 package main
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"os"
@@ -82,21 +83,22 @@ func inspect(path string) {
 	switch {
 	case strings.HasPrefix(base, "seg-"):
 		inspectSegment(path)
-	case strings.HasPrefix(base, "snap-"):
-		inspectSnapshot(path)
-	case strings.HasPrefix(base, "wal-"):
-		inspectJournal(path)
+	case strings.HasPrefix(base, "snap-"), strings.HasPrefix(base, "wal-"):
+		log.Fatalf("inspect: %s: %v", path, checkpoint.ErrFormat2)
 	default:
-		log.Fatalf("inspect: %s is neither a checkpoint directory, a seg-*.log, a snap-*.ckpt, nor a wal-*.log", path)
+		log.Fatalf("inspect: %s is neither a checkpoint directory nor a seg-*.log", path)
 	}
 }
 
-// inspectDir validates every segment, and any format-2 snapshot and
-// journal file, in a checkpoint directory, summarizes them, and prints
-// the snapshot a resume would restore.
+// inspectDir validates every segment in a checkpoint directory,
+// summarizes them, and prints the snapshot a resume would restore.
 func inspectDir(dir string) {
 	if !checkpoint.Exists(dir) {
 		log.Fatalf("inspect: %s contains no checkpoint state", dir)
+	}
+	st, err := checkpoint.Load(dir)
+	if errors.Is(err, checkpoint.ErrFormat2) {
+		log.Fatalf("inspect: %s: %v", dir, err)
 	}
 	t := report.NewTable(fmt.Sprintf("checkpoint: %s", dir),
 		"file", "kind", "snapshots at", "records", "first damaged line")
@@ -109,53 +111,14 @@ func inspectDir(dir string) {
 		}
 		t.Addf(filepath.Base(p), "segment", snapshotIters(info.Snapshots), info.Records, damagedLine(info.Damaged))
 	}
-	for _, name := range legacyFiles(dir) {
-		p := filepath.Join(dir, name)
-		if strings.HasPrefix(name, "snap-") {
-			status := "none"
-			data, err := os.ReadFile(p)
-			if err == nil {
-				_, err = checkpoint.DecodeSnapshot(data)
-			}
-			if err != nil {
-				status = err.Error()
-			}
-			t.Addf(name, "v2 snapshot", "-", "-", status)
-			continue
-		}
-		info, err := checkpoint.InspectSegment(p)
-		if err != nil {
-			t.Addf(name, "v2 journal", "-", "-", err.Error())
-			continue
-		}
-		t.Addf(name, "v2 journal", "-", info.Records, damagedLine(info.Damaged))
-	}
 	t.Render(os.Stdout)
 
-	st, err := checkpoint.Load(dir)
 	if err != nil {
 		log.Fatalf("inspect: no loadable snapshot: %v", err)
 	}
 	fmt.Printf("\nresume point: snapshot at iteration %d, %d records after it, highest trial %d\n",
 		st.Iter, len(st.Records), st.Trial)
 	printJSON(st.Payload)
-}
-
-// legacyFiles lists the format-2 snap-*.ckpt and wal-*.log files in dir.
-func legacyFiles(dir string) []string {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var out []string
-	for _, e := range entries {
-		name := e.Name()
-		if (strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".ckpt")) ||
-			(strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log")) {
-			out = append(out, name)
-		}
-	}
-	return out
 }
 
 // snapshotIters lists the iterations of a segment's snapshot lines.
@@ -191,31 +154,6 @@ func inspectSegment(path string) {
 	recs, err := checkpoint.ReadJournal(path)
 	if err != nil {
 		log.Fatal(err)
-	}
-	printRecords(recs)
-}
-
-// inspectSnapshot validates one snapshot file and pretty-prints its
-// payload.
-func inspectSnapshot(path string) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	payload, err := checkpoint.DecodeSnapshot(data)
-	if err != nil {
-		log.Fatalf("inspect: %s: %v", path, err)
-	}
-	fmt.Printf("%s: valid (format 2, %d payload bytes)\n", path, len(payload))
-	printJSON(payload)
-}
-
-// inspectJournal prints every valid record of one format-2 journal file.
-func inspectJournal(path string) {
-	recs, rerr := checkpoint.ReadJournal(path)
-	fmt.Printf("%s: %d valid records\n", path, len(recs))
-	if rerr != nil {
-		fmt.Printf("  (read stopped early: %v)\n", rerr)
 	}
 	printRecords(recs)
 }

@@ -106,24 +106,23 @@ func TestInspectSegments(t *testing.T) {
 	wantAll(t, out, "5 snapshot lines, 34 valid records, first damaged line 3")
 }
 
-// TestInspectV2Fixture: inspect still reads a format-2 directory and its
-// snapshot file.
+// TestInspectV2Fixture: inspect refuses the format-2 fixture directory
+// and each of its files with the format-2 error, as a resume does.
 func TestInspectV2Fixture(t *testing.T) {
 	fixture := filepath.Join("..", "..", "internal", "checkpoint", "testdata", "engine-v2")
-	code, out := runWisdom(t, "inspect", fixture)
-	if code != 0 {
-		t.Fatalf("inspect %s: exit %d\n%s", fixture, code, out)
+	for _, path := range []string{
+		fixture,
+		filepath.Join(fixture, "snap-000000000000.ckpt"),
+		filepath.Join(fixture, "wal-000000000000.log"),
+	} {
+		code, out := runWisdom(t, "inspect", path)
+		if code != 1 || !strings.Contains(out, checkpoint.ErrFormat2.Error()) {
+			t.Errorf("inspect %s: exit %d, want 1 with the format-2 error\n%s", path, code, out)
+		}
 	}
-	wantAll(t, out, "snap-000000000000.ckpt", "v2 snapshot", "wal-000000000000.log", "v2 journal",
-		"resume point: snapshot at iteration 0, 44 records after it")
 
-	code, out = runWisdom(t, "inspect", filepath.Join(fixture, "snap-000000000000.ckpt"))
-	if code != 0 {
-		t.Fatalf("inspect snapshot: exit %d\n%s", code, out)
-	}
-	wantAll(t, out, "valid (format 2")
-
-	code, out = runWisdom(t, "inspect", filepath.Join(fixture, "state.json"))
+	state := filepath.Join("..", "..", "internal", "checkpoint", "testdata", "engine-v3", "state.json")
+	code, out := runWisdom(t, "inspect", state)
 	if code != 1 || !strings.Contains(out, "is neither a checkpoint directory") {
 		t.Fatalf("inspect of a non-checkpoint file: exit %d\n%s", code, out)
 	}

@@ -115,7 +115,7 @@ func TestFragmentedWritesReassemble(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	frame, err := wire.Encode(wire.TTrials, &wire.LeaseNResp{Epoch: 9, Trials: []wire.Trial{{ID: 1, Algo: 2}}})
+	frame, err := wire.Encode(wire.TTrialsP, &wire.PackedTrials{Epoch: 9, Trials: []wire.PackedTrial{{ID: 1, Algo: 2}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,8 +126,8 @@ func TestFragmentedWritesReassemble(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fragmented frame failed to reassemble: %v", err)
 	}
-	var resp wire.LeaseNResp
-	if err := resp.DecodeFrom(payload); err != nil || typ != wire.TTrials || resp.Epoch != 9 {
+	var resp wire.PackedTrials
+	if err := resp.DecodeFrom(payload); err != nil || typ != wire.TTrialsP || resp.Epoch != 9 {
 		t.Fatalf("decoded %s %+v (err %v), want the original message", typ, resp, err)
 	}
 	if nw.Stats().Fragments == 0 {

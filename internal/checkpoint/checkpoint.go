@@ -28,10 +28,9 @@
 // over its body, and the loader falls back — to the previous snapshot
 // when the newest fails its checksum, and to a truncated replay when a
 // record is damaged — instead of failing the resume (see Load).
-// Directories written in format 2 (a snap-N.ckpt file per snapshot,
-// framed with its own CRC and written by temp file and rename, beside a
-// wal-N.log journal) still load; the first segment their resume writes
-// replaces them.
+// Directories written in format 2 (a snap-N.ckpt file per snapshot
+// beside a wal-N.log journal) are refused with ErrFormat2, never read
+// or written over.
 package checkpoint
 
 import (

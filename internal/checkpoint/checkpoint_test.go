@@ -76,107 +76,78 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 }
 
-// encodeSnapshot frames payload in a format-2 snapshot envelope, the
-// way format-2 snapshot files were written, for the v2 reader's tests.
-func encodeSnapshot(payload []byte) ([]byte, error) {
-	if !json.Valid(payload) {
-		return nil, errors.New("snapshot payload is not valid JSON")
-	}
-	payload = bytes.TrimSpace(payload)
-	b := fmt.Appendf(nil, `{"version":2,"crc32":%d,"payload":`, crc32.ChecksumIEEE(payload))
-	b = append(b, payload...)
-	return append(b, '}'), nil
+// decodeSnapshotLine classifies one framed snapshot line, as the
+// segment reader does.
+func decodeSnapshotLine(framed []byte) line {
+	return classify(1, 0, bytes.TrimSuffix(framed, []byte("\n")))
 }
 
+// TestSnapshotEncodeDecode: a snapshot line carries its iteration,
+// highest trial ID and payload through the segment reader unchanged.
 func TestSnapshotEncodeDecode(t *testing.T) {
 	payload := []byte(`{"hello":"world","n":3}`)
-	data, err := encodeSnapshot(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeSnapshot(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(payload) {
-		t.Errorf("payload round-tripped to %s", got)
-	}
-	if _, err := encodeSnapshot([]byte(`{"un终`)); err == nil {
-		t.Error("encoding invalid JSON succeeded")
+	l := decodeSnapshotLine(appendSnapshotLine(nil, 7, 42, payload))
+	if l.kind != lineSnapshot || l.iter != 7 || l.trial != 42 || string(l.state) != string(payload) {
+		t.Fatalf("decoded kind %d, iter %d, trial %d, payload %s", l.kind, l.iter, l.trial, l.state)
 	}
 }
 
-// TestSnapshotRoundTripsAnyJSON: whatever valid JSON goes in comes back
-// out of DecodeSnapshot, checksum intact — whitespace and characters
-// json.Marshal would HTML-escape included — less only the whitespace
-// around it.
+// TestSnapshotRoundTripsAnyJSON: whatever one-line JSON payload goes
+// into a snapshot line comes back out byte for byte — whitespace and
+// characters json.Marshal would HTML-escape included.
 func TestSnapshotRoundTripsAnyJSON(t *testing.T) {
-	for _, c := range []struct{ in, want string }{
-		{`{"a": 1}`, `{"a": 1}`},
-		{`{"s":"<b>&amp;</b>"}`, `{"s":"<b>&amp;</b>"}`},
-		{"\n [1,\t2] \r\n", `[1,	2]`},
-		{`"\u2028"`, `"\u2028"`},
-	} {
-		data, err := encodeSnapshot([]byte(c.in))
-		if err != nil {
-			t.Fatalf("encode %q: %v", c.in, err)
-		}
-		got, err := DecodeSnapshot(data)
-		if err != nil {
-			t.Fatalf("decode the frame of %q: %v", c.in, err)
-		}
-		if string(got) != c.want {
-			t.Errorf("%q round-tripped to %q, want %q", c.in, got, c.want)
+	for _, payload := range []string{`{"a": 1}`, `{"s":"<b>&amp;</b>"}`, "[1,\t2]", `"\u2028"`} {
+		l := decodeSnapshotLine(appendSnapshotLine(nil, 0, 0, []byte(payload)))
+		if l.kind != lineSnapshot || string(l.state) != payload {
+			t.Errorf("%q round-tripped to kind %d, %q", payload, l.kind, l.state)
 		}
 	}
 }
 
-// TestSnapshotFrameMatchesJSON: for a json.Marshal payload the frame is
-// byte-identical to json.Marshal of the envelope, the form format-2
-// snapshot files were written in.
+// TestSnapshotFrameMatchesJSON: for a json.Marshal payload a snapshot
+// line's body is byte-identical to json.Marshal of its fields, so any
+// JSON reader can parse the segment's snapshot lines.
 func TestSnapshotFrameMatchesJSON(t *testing.T) {
 	payload, err := json.Marshal(map[string]any{"best": F(math.Inf(1)), "name": "<a&b>", "v": []F{0.5, 1e-9}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := encodeSnapshot(payload)
+	want, err := json.Marshal(struct {
+		Version int             `json:"version"`
+		Iter    int             `json:"iter"`
+		Trial   uint64          `json:"trial"`
+		State   json.RawMessage `json:"state"`
+	}{Version, 12, 99, payload})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := json.Marshal(envelope{Version: 2, CRC32: crc32.ChecksumIEEE(payload), Payload: payload})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("frame\n%s\nwant\n%s", got, want)
+	if got := decodeSnapshotLine(appendSnapshotLine(nil, 12, 99, payload)).body; !bytes.Equal(got, want) {
+		t.Fatalf("snapshot line body\n%s\nwant\n%s", got, want)
 	}
 }
 
+// TestSnapshotDecodeRejectsDamage: a snapshot line cut short anywhere,
+// or with any byte flipped, never reads as a snapshot of other contents,
+// and a checksummed line of a future version is not a snapshot at all.
 func TestSnapshotDecodeRejectsDamage(t *testing.T) {
 	payload := []byte(`{"counts":[1,2,3],"value":0.5}`)
-	data, err := encodeSnapshot(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Truncation at any point must fail, never panic.
-	for cut := 0; cut < len(data); cut++ {
-		if _, err := DecodeSnapshot(data[:cut]); err == nil {
-			t.Fatalf("decoding a snapshot truncated to %d bytes succeeded", cut)
+	framed := bytes.TrimSuffix(appendSnapshotLine(nil, 5, 9, payload), []byte("\n"))
+	for cut := 0; cut < len(framed); cut++ {
+		if l := classify(1, 0, framed[:cut]); l.kind == lineSnapshot {
+			t.Fatalf("a snapshot line cut to %d bytes reads as a snapshot", cut)
 		}
 	}
-	// A flipped byte anywhere must fail: either the frame breaks or the
-	// checksum catches it.
-	for i := range data {
-		mut := append([]byte(nil), data...)
+	for i := range framed {
+		mut := bytes.Clone(framed)
 		mut[i] ^= 0x01
-		if got, err := DecodeSnapshot(mut); err == nil && string(got) != string(payload) {
-			t.Fatalf("flip at byte %d yielded a different payload without error: %s", i, got)
+		if l := classify(1, 0, mut); l.kind == lineSnapshot && (l.iter != 5 || l.trial != 9 || string(l.state) != string(payload)) {
+			t.Fatalf("flip at byte %d yields snapshot iter %d, trial %d, payload %s", i, l.iter, l.trial, l.state)
 		}
 	}
-	// A future version must be refused.
-	future := []byte(fmt.Sprintf(`{"version":%d,"crc32":0,"payload":{}}`, Version+1))
-	if _, err := DecodeSnapshot(future); err == nil {
-		t.Error("decoding a future-version snapshot succeeded")
+	body := fmt.Appendf(nil, `{"version":%d,"iter":5,"trial":9,"state":{}}`, Version+1)
+	future := fmt.Appendf(nil, "%08x %s", crc32.ChecksumIEEE(body), body)
+	if l := classify(1, 0, future); l.kind == lineSnapshot {
+		t.Error("a future-version snapshot line reads as a snapshot")
 	}
 }
 
@@ -279,32 +250,31 @@ func TestReadJournalMissingFile(t *testing.T) {
 	}
 }
 
-// writeGen writes a format-2 generation: a snapshot file and a journal
-// covering [iter, iter+n).
-func writeGen(t *testing.T, dir string, iter, n int) {
+// copyFormat2 copies the format-2 fixture's snapshot and journal files
+// (testdata/engine-v2) into dir and returns their names.
+func copyFormat2(t *testing.T, dir string) []string {
 	t.Helper()
-	snap, err := encodeSnapshot([]byte(fmt.Sprintf(`{"iter":%d}`, iter)))
-	if err != nil {
-		t.Fatal(err)
+	var names []string
+	for _, name := range []string{"snap-000000000000.ckpt", "wal-000000000000.log"} {
+		data, err := os.ReadFile(filepath.Join("testdata", "engine-v2", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, name)
 	}
-	if err := os.WriteFile(SnapPath(dir, iter), snap, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var lines []byte
-	for i := iter; i < iter+n; i++ {
-		lines = appendLine(lines, &Record{Iter: i, Algo: "a", Value: F(i)})
-	}
-	if err := os.WriteFile(WalPath(dir, iter), lines, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	return names
 }
 
 // TestPruneKeepsTwoGenerations: a roll keeps the new segment and the
-// one before it, and deletes older segments and every format-2 file —
-// but only once the new segment is written.
+// one before it, and deletes older segments — but only once the new
+// segment is written. Files it does not write, format-2 files among
+// them, stay.
 func TestPruneKeepsTwoGenerations(t *testing.T) {
 	dir := t.TempDir()
-	writeGen(t, dir, 0, 10)
+	legacy := copyFormat2(t, dir)
 	for seq := 1; seq <= 4; seq++ {
 		j, err := Roll(dir, seq, 10*seq, 0, []byte(`{"s":1}`))
 		if err != nil {
@@ -315,8 +285,10 @@ func TestPruneKeepsTwoGenerations(t *testing.T) {
 	if got := Segments(dir); !reflect.DeepEqual(got, []int{3, 4}) {
 		t.Errorf("segments after four rolls: %v, want [3 4]", got)
 	}
-	if segs, snaps, wals := list(dir); len(snaps)+len(wals) != 0 {
-		t.Errorf("format-2 files survive a roll: snapshots %v, journals %v (segments %v)", snaps, wals, segs)
+	for _, name := range legacy {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("a roll removed %s: %v", name, err)
+		}
 	}
 	// A failed roll — here, onto an existing segment — leaves the
 	// directory as it was.
@@ -328,98 +300,54 @@ func TestPruneKeepsTwoGenerations(t *testing.T) {
 	}
 }
 
-func TestLoadLatestFallsBack(t *testing.T) {
-	dir := t.TempDir()
-	writeGen(t, dir, 0, 5)
-	writeGen(t, dir, 5, 5)
+// TestLoadRefusesFormat2: a directory whose only state is format 2 —
+// alone, or beside an empty segment whose creation a crash cut short —
+// holds state (Exists), and Load refuses it with ErrFormat2 and leaves
+// every file in place.
+func TestLoadRefusesFormat2(t *testing.T) {
+	for _, emptySeg := range []bool{false, true} {
+		dir := t.TempDir()
+		legacy := copyFormat2(t, dir)
+		if emptySeg {
+			if err := os.WriteFile(SegPath(dir, 1), nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !Exists(dir) {
+			t.Fatalf("empty segment %v: Exists false over format-2 files", emptySeg)
+		}
+		if st, err := Load(dir); !errors.Is(err, ErrFormat2) || !strings.Contains(err.Error(), "format-2") {
+			t.Fatalf("empty segment %v: Load = %+v, %v; want ErrFormat2", emptySeg, st, err)
+		}
+		for _, name := range legacy {
+			if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+				t.Errorf("empty segment %v: Load removed %s: %v", emptySeg, name, err)
+			}
+		}
+	}
+}
 
-	// Healthy: newest wins.
+// TestLoadSegmentBesideFormat2: a directory holding a valid segment and
+// stray format-2 files — a migration to segments cut short — resumes
+// from its segment.
+func TestLoadSegmentBesideFormat2(t *testing.T) {
+	dir := t.TempDir()
+	copyFormat2(t, dir)
+	j, err := Roll(dir, 1, 7, 3, []byte(`{"s":7}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(Record{Iter: 7, Algo: "a", Value: 1, Trial: 4}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
 	st, err := Load(dir)
-	if err != nil || st.Iter != 5 {
-		t.Fatalf("Load: %+v, err %v", st, err)
-	}
-
-	// Corrupt the newest: previous generation must load, and the chained
-	// journals must still cover everything from it onward.
-	data, err := os.ReadFile(SnapPath(dir, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(SnapPath(dir, 5), data, 0o644); err != nil {
-		t.Fatal(err)
+	if st.Iter != 7 || string(st.Payload) != `{"s":7}` || len(st.Records) != 1 || st.Trial != 4 {
+		t.Fatalf("Load = iter %d, payload %s, %d records, trial %d; want the segment's state", st.Iter, st.Payload, len(st.Records), st.Trial)
 	}
-	st, err = Load(dir)
-	if err != nil || st.Iter != 0 {
-		t.Fatalf("Load after corruption: %+v, err %v", st, err)
-	}
-	if len(st.Records) != 10 {
-		t.Fatalf("chained journals replay %d records, want 10", len(st.Records))
-	}
-	for i, r := range st.Records {
-		if r.Iter != i {
-			t.Errorf("replay record %d has iteration %d", i, r.Iter)
-		}
-	}
-
-	// Corrupt both: ErrNoSnapshot.
-	data, err = os.ReadFile(SnapPath(dir, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(SnapPath(dir, 0), data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(dir); !errors.Is(err, ErrNoSnapshot) {
-		t.Errorf("Load with every snapshot damaged: %v, want ErrNoSnapshot", err)
-	}
-}
-
-func TestReadJournalsSinceSkipsOlderRecords(t *testing.T) {
-	dir := t.TempDir()
-	writeGen(t, dir, 0, 10)
-	writeGen(t, dir, 10, 4)
-	_, _, wals := list(dir)
-	recs, _ := readJournalsSince(dir, wals, 10)
-	if len(recs) != 4 {
-		t.Fatalf("replay from 10 yields %d records, want 4", len(recs))
-	}
-	if recs[0].Iter != 10 || recs[3].Iter != 13 {
-		t.Errorf("replay range %d..%d, want 10..13", recs[0].Iter, recs[3].Iter)
-	}
-}
-
-// FuzzSnapshotDecode asserts the decoder never panics and never returns a
-// payload that fails validation, no matter the input bytes.
-func FuzzSnapshotDecode(f *testing.F) {
-	valid, err := encodeSnapshot([]byte(`{"counts":[1,2,3],"value":0.5}`))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	f.Add([]byte{})
-	f.Add([]byte(`{"version":1,"crc32":0,"payload":{}}`))
-	f.Add([]byte(`{"version":99,"crc32":0,"payload":null}`))
-	f.Add(valid[:len(valid)/2])
-	f.Fuzz(func(t *testing.T, data []byte) {
-		payload, err := DecodeSnapshot(data)
-		if err != nil {
-			return
-		}
-		// Whatever decodes must be self-consistent: re-encoding and
-		// re-decoding yields the same payload.
-		again, err := encodeSnapshot(payload)
-		if err != nil {
-			t.Fatalf("decoded payload does not re-encode: %v", err)
-		}
-		back, err := DecodeSnapshot(again)
-		if err != nil {
-			t.Fatalf("re-encoded snapshot does not decode: %v", err)
-		}
-		if string(back) != string(payload) {
-			t.Fatalf("payload changed across re-encode: %s vs %s", payload, back)
-		}
-	})
 }
 
 // recordCases covers every branch of appendRecord: non-finite floats,
@@ -552,71 +480,70 @@ func checkRecordEncoding(t *testing.T, name string, r Record) {
 	}
 }
 
-// TestJournalFixtureReencodes: a journal and snapshot written before the
-// hand-written encoders (testdata/engine-v2: a trial engine's run of
-// completions, failures, speculative records and an Absorb) come out of
-// today's encoders byte for byte.
+// TestJournalFixtureReencodes: journal lines written before the
+// hand-written encoders (testdata/engine-v3, the records of a trial
+// engine's run of completions, failures, speculative records and an
+// Absorb, as json.Marshal encoded them) come out of today's encoders
+// byte for byte, and so does the segment's opening snapshot line.
 func TestJournalFixtureReencodes(t *testing.T) {
-	dir := filepath.Join("testdata", "engine-v2")
-	orig, err := os.ReadFile(WalPath(dir, 0))
+	path := filepath.Join("testdata", "engine-v3", "seg-000000000001.log")
+	orig, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadJournal(WalPath(dir, 0))
+	first := bytes.IndexByte(orig, '\n') + 1
+	snap := classify(1, 0, orig[:first-1])
+	if snap.kind != lineSnapshot {
+		t.Fatal("the fixture does not open with a snapshot line")
+	}
+	if got := appendSnapshotLine(nil, snap.iter, snap.trial, snap.state); !bytes.Equal(got, orig[:first]) {
+		t.Fatalf("re-encoded snapshot line differs from the fixture:\n%s", got)
+	}
+	recs, err := ReadJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := bytes.Count(orig, []byte("\n")); len(recs) != n {
-		t.Fatalf("read %d records from a %d-line journal", len(recs), n)
+	if n := bytes.Count(orig[first:], []byte("\n")); len(recs) != n {
+		t.Fatalf("read %d records from a journal of %d record lines", len(recs), n)
 	}
 	var lines []byte
 	for i := range recs {
 		lines = appendLine(lines, &recs[i])
 	}
-	if !bytes.Equal(lines, orig) {
+	if !bytes.Equal(lines, orig[first:]) {
 		t.Fatalf("re-encoded journal differs from the fixture:\n%s", lines)
-	}
-
-	snap, err := os.ReadFile(SnapPath(dir, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, err := DecodeSnapshot(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := encodeSnapshot(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again, snap) {
-		t.Fatalf("re-encoded snapshot differs from the fixture:\n%s", again)
 	}
 }
 
-// TestGenerationNames: only the fixed-width names SegPath, SnapPath and
-// WalPath write count as segments and generations; temp files and near
-// misses do not.
+// TestGenerationNames: only the fixed-width names SegPath writes count
+// as segments, and only fixed-width snap-*.ckpt and wal-*.log names as
+// format-2 files; temp files and near misses do not.
 func TestGenerationNames(t *testing.T) {
 	dir := t.TempDir()
-	for _, name := range []string{
-		"snap-000000000020.ckpt", "snap-000000000003.ckpt", "wal-000000000003.log", "wal-999999999999.log",
-		"snap-5.ckpt", "snap-0000000000005.ckpt", "snap-00000000000x.ckpt", "snap-+00000000001.ckpt",
-		".snap-000000000007.ckpt.tmp-1", "snap-000000000007.ckpt.tmp", "wal-000000000003.ckpt", "README",
-		"seg-000000000002.log", "seg-000000000011.log", "seg-2.log", "seg-000000000002.ckpt", "seg-00000000001a.log",
-	} {
-		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
-			t.Fatal(err)
+	write := func(names ...string) {
+		for _, name := range names {
+			if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	segs, snaps, wals := list(dir)
+	write("snap-5.ckpt", "snap-0000000000005.ckpt", "snap-00000000000x.ckpt", "snap-+00000000001.ckpt",
+		".snap-000000000007.ckpt.tmp-1", "snap-000000000007.ckpt.tmp", "wal-000000000003.ckpt", "wal-3.log", "README",
+		"seg-000000000002.log", "seg-000000000011.log", "seg-2.log", "seg-000000000002.ckpt", "seg-00000000001a.log")
+	segs, format2 := list(dir)
 	if !reflect.DeepEqual(segs, []int{2, 11}) {
 		t.Errorf("segments %v, want [2 11]", segs)
 	}
-	if !reflect.DeepEqual(snaps, []int{3, 20}) {
-		t.Errorf("snapshot generations %v, want [3 20]", snaps)
+	if format2 {
+		t.Error("near-miss names count as format-2 files")
 	}
-	if !reflect.DeepEqual(wals, []int{3, 999999999999}) {
-		t.Errorf("journal generations %v, want [3 999999999999]", wals)
+	for _, name := range []string{"snap-000000000020.ckpt", "wal-999999999999.log"} {
+		write(name)
+		if _, format2 := list(dir); !format2 {
+			t.Errorf("%s does not count as a format-2 file", name)
+		}
+		if err := os.Remove(filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

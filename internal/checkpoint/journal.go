@@ -110,7 +110,7 @@ type Opener interface {
 	Create(path string) (File, error)
 	// SyncDir makes the entries of the files created in dir durable.
 	SyncDir(dir string) error
-	// Remove deletes a segment or a format-2 file.
+	// Remove deletes a segment.
 	Remove(path string) error
 }
 
@@ -452,8 +452,7 @@ func AppendString(b []byte, s string) []byte {
 }
 
 // ReadJournal returns the valid records of one journal file in order:
-// a segment's records, its snapshot lines left out, or a format-2
-// wal-*.log. A damaged line — a bad checksum, a body that does not
+// a segment's records, its snapshot lines left out. A damaged line — a bad checksum, a body that does not
 // decode, a missing CRC prefix — ends the read unless the next valid
 // line carries the iteration the damaged one would have (see
 // readState), because everything after a torn write is untrustworthy.

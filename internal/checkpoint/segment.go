@@ -34,8 +34,7 @@ func SetSegmentBytes(n int64) int64 {
 	return segmentCap.Swap(n)
 }
 
-// Segments are named by a sequence number, zero-padded to genDigits so
-// lexical order is numeric order.
+// Segments are named by a sequence number (see genDigits).
 const segPrefix, segSuffix = "seg-", ".log"
 
 // SegPath returns the filename of segment seq.
@@ -46,17 +45,18 @@ func SegPath(dir string, seq int) string {
 // Segments returns the segment sequence numbers present in dir,
 // ascending.
 func Segments(dir string) []int {
-	segs, _, _ := list(dir)
+	segs, _ := list(dir)
 	return segs
 }
 
 // Exists reports whether dir holds checkpoint state: a segment with
-// bytes in it, or a format-2 snapshot. An empty segment holds nothing —
-// its creation was cut before the first fsync — and neither does a
-// missing directory.
+// bytes in it, or a format-2 file, which Load refuses — so no tuner
+// starts fresh over it. An empty segment holds nothing — its creation
+// was cut before the first fsync — and neither does a missing
+// directory.
 func Exists(dir string) bool {
-	segs, snaps, _ := list(dir)
-	if len(snaps) > 0 {
+	segs, format2 := list(dir)
+	if format2 {
 		return true
 	}
 	for _, s := range segs {
@@ -72,9 +72,9 @@ func Exists(dir string) bool {
 // far — and returns the journal appending to it. The segment is created,
 // written and fsynced, and its directory is fsynced, before anything is
 // deleted: only then do the segments older than the previous one go,
-// together with any format-2 files, so a damaged opening snapshot can
-// still fall back to the previous segment. On failure the new segment is
-// removed and the directory is left as it was.
+// so a damaged opening snapshot can still fall back to the previous
+// segment. On failure the new segment is removed and the directory is
+// left as it was.
 func Roll(dir string, seq, iter int, trial uint64, payload []byte) (*Journal, error) {
 	op := currentOpener()
 	path := SegPath(dir, seq)
@@ -104,9 +104,9 @@ func Roll(dir string, seq, iter int, trial uint64, payload []byte) (*Journal, er
 
 // prune deletes the segments below seq except the newest one that opens
 // with a valid snapshot line — the previous segment, unless a crash cut
-// a roll short — and every format-2 snapshot and journal file.
+// a roll short.
 func prune(op Opener, dir string, seq int) {
-	segs, snaps, wals := list(dir)
+	segs, _ := list(dir)
 	keep := -1
 	for i := len(segs) - 1; i >= 0 && keep < 0; i-- {
 		if s := segs[i]; s < seq && opensWithSnapshot(SegPath(dir, s)) {
@@ -117,12 +117,6 @@ func prune(op Opener, dir string, seq int) {
 		if s < seq && s != keep {
 			op.Remove(SegPath(dir, s))
 		}
-	}
-	for _, g := range snaps {
-		op.Remove(SnapPath(dir, g))
-	}
-	for _, g := range wals {
-		op.Remove(WalPath(dir, g))
 	}
 }
 
@@ -157,16 +151,15 @@ type State struct {
 // line and the records after it, and decodes only those. A damaged
 // newest snapshot therefore falls back to the one before it, even in
 // the previous segment, with the records in between (see readState).
-// A directory whose segments hold no valid snapshot but that holds
-// format-2 snapshots — one whose first segment was cut short — is read
-// as format 2: the newest valid snap-*.ckpt and the wal-*.log records
-// after it.
+// Format-2 files beside a valid snapshot line — a migration to segments
+// cut short — are ignored.
 //
 // A directory with no state — missing, empty, or holding only empty
-// segments — yields a State with a nil Payload. One whose state holds
-// no valid snapshot yields ErrNoSnapshot.
+// segments — yields a State with a nil Payload. One whose segments hold
+// no valid snapshot yields ErrFormat2 when it holds format-2 files, and
+// ErrNoSnapshot otherwise.
 func Load(dir string) (*State, error) {
-	segs, snaps, _ := list(dir)
+	segs, format2 := list(dir)
 	st := &State{}
 	var r resumeReader
 	if len(segs) > 0 {
@@ -188,8 +181,8 @@ func Load(dir string) (*State, error) {
 	case r.found:
 		r.fill(st)
 		return st, nil
-	case len(snaps) > 0:
-		return loadV2(dir, st)
+	case format2:
+		return nil, ErrFormat2
 	case r.lines == 0:
 		return st, nil
 	}

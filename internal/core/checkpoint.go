@@ -455,10 +455,11 @@ func (t *Tuner) journalSync() {
 	}
 }
 
-// HasCheckpoint reports whether dir holds checkpoint state to resume: a
-// journal segment with bytes in it, or a format-2 snapshot. The
-// constructors resume such a directory instead of starting fresh in it.
-// The empty dir ("checkpointing off") holds none.
+// HasCheckpoint reports whether dir holds checkpoint state: a journal
+// segment with bytes in it, or format-2 files. The constructors resume
+// such a directory instead of starting fresh in it, and refuse one whose
+// only state is format 2 (checkpoint.ErrFormat2). The empty dir
+// ("checkpointing off") holds none.
 func HasCheckpoint(dir string) bool {
 	return dir != "" && checkpoint.Exists(dir)
 }

@@ -149,22 +149,22 @@ func TestConcurrentResumeOfSequentialJournal(t *testing.T) {
 
 // TestResumeJournalFixture resumes a checkpoint a trial engine wrote
 // before the journal's hand-written encoder (checkpoint's
-// testdata/engine-v2: 36 completions and failures leased in batches of
-// three and completed in reverse, then an Absorb of 8) and checks the
+// testdata/engine-v3: 36 completions and failures leased in batches of
+// three and completed in reverse, then an Absorb of 8, as json.Marshal
+// encoded them, behind the segment's opening snapshot) and checks the
 // resumed engine reaches the state that engine exported at the end of
 // its run, state.json. The one field left out is rng_drawn: direct
 // replay applies journaled trials without re-drawing their proposals.
 func TestResumeJournalFixture(t *testing.T) {
-	fixture := filepath.Join("..", "checkpoint", "testdata", "engine-v2")
+	fixture := filepath.Join("..", "checkpoint", "testdata", "engine-v3")
 	dir := t.TempDir()
-	for _, path := range []string{checkpoint.SnapPath(fixture, 0), checkpoint.WalPath(fixture, 0)} {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, filepath.Base(path)), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	seg := checkpoint.SegPath(fixture, 1)
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, filepath.Base(seg)), data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 	re, err := NewConcurrentTuner(engineAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 11, WithCheckpoint(dir, 0))
 	if err != nil {
@@ -193,52 +193,56 @@ func TestResumeJournalFixture(t *testing.T) {
 	if !reflect.DeepEqual(g, w) {
 		t.Fatalf("resumed state\n%s\nwant\n%s", got, want)
 	}
+	if trs, err := re.LeaseN(1); err != nil || trs[0].ID <= 44 {
+		t.Fatalf("fresh trial %+v (%v), want an ID above the journal's 44", trs, err)
+	}
 }
 
-// TestResumeV2DirectoryMigrates: resuming a format-2 directory writes
-// its first segment and only then removes the snap-*/wal-* files, so the
-// directory holds segments alone, and it resumes again at the same
-// iteration with trial IDs above the format-2 journal's.
-func TestResumeV2DirectoryMigrates(t *testing.T) {
+// TestResumeV2DirectoryRefused: a directory holding a format-2
+// checkpoint (checkpoint's testdata/engine-v2) holds state, so neither
+// constructor starts fresh over it; both fail with an error naming the
+// format, and the snap-*/wal-* files are still there.
+func TestResumeV2DirectoryRefused(t *testing.T) {
 	fixture := filepath.Join("..", "checkpoint", "testdata", "engine-v2")
 	dir := t.TempDir()
-	var maxTrial uint64
-	for _, path := range []string{checkpoint.SnapPath(fixture, 0), checkpoint.WalPath(fixture, 0)} {
-		data, err := os.ReadFile(path)
+	names := []string{"snap-000000000000.ckpt", "wal-000000000000.log"}
+	for _, name := range names {
+		data, err := os.ReadFile(filepath.Join(fixture, name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, filepath.Base(path)), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	recs, err := checkpoint.ReadJournal(checkpoint.WalPath(fixture, 0))
+	if !HasCheckpoint(dir) {
+		t.Fatal("HasCheckpoint false over a format-2 directory")
+	}
+	for name, build := range map[string]func() error{
+		"NewConcurrentTuner": func() error {
+			_, err := NewConcurrentTuner(engineAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 11, WithCheckpoint(dir, 0))
+			return err
+		},
+		"NewTuner": func() error {
+			_, err := NewTuner(engineAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 11, WithCheckpoint(dir, 0))
+			return err
+		},
+	} {
+		err := build()
+		if !errors.Is(err, checkpoint.ErrFormat2) || !strings.Contains(err.Error(), "format-2") {
+			t.Errorf("%s over a format-2 directory: %v, want the format-2 error", name, err)
+		}
+	}
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range recs {
-		maxTrial = max(maxTrial, r.Trial)
+	if len(entries) != len(names) {
+		t.Fatalf("directory holds %d entries after the refused builds, want the %d format-2 files untouched", len(entries), len(names))
 	}
-	for round := 0; round < 2; round++ {
-		re, err := NewConcurrentTuner(engineAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 11, WithCheckpoint(dir, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if re.Iterations() != 44 {
-			t.Fatalf("round %d: resumed at %d iterations, want 44", round, re.Iterations())
-		}
-		trs, err := re.LeaseN(1)
-		if err != nil || trs[0].ID <= maxTrial {
-			t.Fatalf("round %d: fresh trial %+v (%v), want an ID above the journal's %d", round, trs, err, maxTrial)
-		}
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries {
-			if !strings.HasPrefix(e.Name(), "seg-") {
-				t.Fatalf("round %d: %s left beside the segments", round, e.Name())
-			}
+	for i, e := range entries {
+		if e.Name() != names[i] {
+			t.Fatalf("directory holds %s, want %s", e.Name(), names[i])
 		}
 	}
 }

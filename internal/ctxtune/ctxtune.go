@@ -27,8 +27,8 @@
 //     through Absorb.
 //
 // The tuned server routes feature-bearing LeaseN requests through this
-// engine; requests without features land on the global context, which
-// keeps v1 clients working unchanged.
+// engine; requests without features land on the global context, so a
+// client that sends none tunes as against a plain engine.
 package ctxtune
 
 // Features is a per-request feature vector. Nil or empty means "no

@@ -623,11 +623,13 @@ func (e *Engine) snapshotReplicas() []*replica {
 }
 
 // Best returns the best observation across the global engine and every
-// replica.
+// replica. A replica wins a tie with the global engine: the global
+// engine holds each contextual completion as an Absorb copy, which
+// carries the value but not the configuration the replica measured.
 func (e *Engine) Best() (int, param.Config, float64) {
 	algo, cfg, val := e.global.Best()
 	for _, r := range e.snapshotReplicas() {
-		if a, c, v := r.eng.Best(); a >= 0 && v < val {
+		if a, c, v := r.eng.Best(); a >= 0 && v <= val {
 			algo, cfg, val = a, c, v
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/nominal"
+	"repro/internal/param"
 )
 
 // Two-regime model for engine tests: features [1] are the "cheap" class
@@ -401,5 +402,44 @@ func TestConcurrentBatches(t *testing.T) {
 	wg.Wait()
 	if got, want := e.Iterations()-before, workers*rounds*batch; got != want {
 		t.Fatalf("%d iterations from %d completed trials", got, want)
+	}
+}
+
+// TestBestReportsReplicaConfig: on a live engine whose traffic all
+// carries features, Best reports the tuned arm with the configuration
+// its context's replica measured, not the global engine's config-less
+// Absorb copy of the same value.
+func TestBestReportsReplicaConfig(t *testing.T) {
+	cfg := testConfig(t, "")
+	cfg.Algos = []core.Algorithm{{Name: "fixed"}, {Name: "tuned", Space: param.NewSpace(param.NewRatio("alpha", 1, 10))}}
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := Features{4}
+	for i := 0; i < 200; i++ {
+		trials, err := e.LeaseNFor(f, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tr := range trials {
+			v := 5.0
+			if tr.Algo == 1 {
+				v = 1 + 0.01*tr.Config[0]
+			}
+			if errs := e.CompleteN([]core.TrialResult{{ID: tr.ID, Value: v}}); errs[0] != nil {
+				t.Fatal(errs[0])
+			}
+		}
+	}
+	if e.ContextCount() == 0 {
+		t.Fatal("feature-bearing traffic created no context")
+	}
+	algo, best, val := e.Best()
+	if algo != 1 || len(best) != 1 {
+		t.Fatalf("Best = arm %d, config %v, value %v; want the tuned arm with its alpha", algo, best, val)
+	}
+	if want := 1 + 0.01*best[0]; val != want {
+		t.Fatalf("Best value %v does not belong to config %v (cost %v)", val, best, want)
 	}
 }

@@ -1,12 +1,14 @@
 package tenant
 
 import (
+	"errors"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 )
 
@@ -76,5 +78,47 @@ func TestShardedDirectoryResumes(t *testing.T) {
 	}
 	if algo, _, val := eng.Best(); algo != 1 || val != 1.1 {
 		t.Fatalf("resumed best arm %d at %v, want 1 at 1.1", algo, val)
+	}
+}
+
+// TestFormat2TenantRefused: a rediscovered tenant whose checkpoint
+// directory holds a format-2 checkpoint (checkpoint's testdata/engine-v2)
+// fails its resume with the error naming the format, for a flat and a
+// contextual spec alike, and the format-2 files are still there after.
+func TestFormat2TenantRefused(t *testing.T) {
+	for _, tc := range []struct {
+		spec Spec
+		sub  string // where the engine keeps its journal under ckpt/
+	}{
+		{Spec{Name: "flat", Workload: "sleep", Engine: core.EngineSpec{Seed: 7}}, ""},
+		{Spec{Name: "ctx", Workload: "sleep", Engine: core.EngineSpec{Seed: 7},
+			Contexts: &Contexts{Buckets: 1, SplitMin: 32}}, "global"},
+	} {
+		root := t.TempDir()
+		first, err := NewRegistry(Config{Root: root})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := first.Register(tc.spec); err != nil {
+			t.Fatal(err)
+		}
+		ckpt := filepath.Join(root, tc.spec.Name, "ckpt", tc.sub)
+		copyTree(t, filepath.Join("..", "checkpoint", "testdata", "engine-v2"), ckpt)
+
+		r, err := NewRegistry(Config{Root: root})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := r.Acquire(tc.spec.Name); !errors.Is(err, checkpoint.ErrFormat2) {
+			t.Fatalf("%s: resume over a format-2 directory: %v, want the format-2 error", tc.spec.Name, err)
+		}
+		for _, name := range []string{"snap-000000000000.ckpt", "wal-000000000000.log"} {
+			if _, err := os.Stat(filepath.Join(ckpt, name)); err != nil {
+				t.Errorf("%s: %s gone after the refused resume: %v", tc.spec.Name, name, err)
+			}
+		}
+		if segs := checkpoint.Segments(ckpt); len(segs) != 0 {
+			t.Errorf("%s: refused resume wrote segments %v", tc.spec.Name, segs)
+		}
 	}
 }

@@ -30,8 +30,7 @@ import (
 	"repro/internal/strmatch"
 )
 
-// DefaultName is the tenant a session with no Hello.Tenant lands on —
-// in particular every protocol-1 client, which predates the field.
+// DefaultName is the tenant a session with no Hello.Tenant lands on.
 const DefaultName = "default"
 
 // DefaultSelector is the selector spec a tenant with none gets.

@@ -72,9 +72,7 @@ func WithPoolSize(n int) ClientOption {
 // WithPipeline multiplexes all requests over a single connection with
 // up to window of them in flight at once, matched to their responses by
 // correlation ID, so a request no longer waits for its predecessor's
-// round trip. window ≤ 0 means DefaultPipelineWindow. Requires a v3
-// server; against an older handshake the client silently falls back to
-// pooled lockstep connections.
+// round trip. window ≤ 0 means DefaultPipelineWindow.
 func WithPipeline(window int) ClientOption {
 	return func(c *Client) {
 		if window <= 0 {
@@ -187,9 +185,8 @@ type Client struct {
 	dialFn      func(network, addr string, timeout time.Duration) (net.Conn, error)
 
 	pool    chan *clientConn
-	pmu     sync.Mutex  // guards pconn
-	pconn   *clientConn // the shared pipelined connection
-	proto   atomic.Uint32
+	pmu     sync.Mutex    // guards pconn
+	pconn   *clientConn   // the shared pipelined connection
 	hash    atomic.Uint32 // expected/pinned config hash (0 = unpinned)
 	epoch   atomic.Int64  // most recent epoch seen in a handshake
 	algos   atomic.Pointer[[]string]
@@ -207,7 +204,6 @@ type clientConn struct {
 	br    *bufio.Reader
 	rbuf  []byte // frame read buffer, reused across lockstep requests
 	epoch int64
-	proto byte
 	pipe  *pipe // non-nil on the shared pipelined connection
 }
 
@@ -277,6 +273,14 @@ func (c *Client) dial() (*clientConn, error) {
 		conn.Close()
 		return nil, err
 	}
+	// A server that accepted the Hello but speaks another version is
+	// refused as permanently as a config mismatch: its frames would be
+	// misread.
+	if ack.Proto != wire.Version {
+		conn.Close()
+		return nil, &RemoteError{Code: wire.CodeBadRequest,
+			Msg: fmt.Sprintf("server speaks protocol %d, client speaks %d", ack.Proto, wire.Version)}
+	}
 	// Pin the hash on first contact; a later server presenting another
 	// hash is a different run and must be refused, not silently joined.
 	if !c.hash.CompareAndSwap(0, ack.Hash) && c.hash.Load() != ack.Hash {
@@ -284,25 +288,17 @@ func (c *Client) dial() (*clientConn, error) {
 		return nil, &RemoteError{Code: wire.CodeConfigMismatch,
 			Msg: fmt.Sprintf("server now runs config %08x, client pinned %08x", ack.Hash, c.hash.Load())}
 	}
-	proto := byte(min(ack.Proto, wire.Version))
-	if proto < 1 {
-		proto = 1
-	}
 	algos := append([]string(nil), ack.Algos...)
 	c.algos.Store(&algos)
 	c.epoch.Store(ack.Epoch)
 	c.ttlMS.Store(ack.LeaseTTLMS)
 	c.refAlgo.Store(int64(ack.RefAlgo))
-	c.proto.Store(uint32(proto))
-	return &clientConn{conn: conn, br: br, epoch: ack.Epoch, proto: proto}, nil
+	return &clientConn{conn: conn, br: br, epoch: ack.Epoch}, nil
 }
 
 // pipelined reports whether requests go through the shared pipelined
-// connection. It requires both the option and a v3 handshake; against
-// an older server the client falls back to pooled lockstep.
-func (c *Client) pipelined() bool {
-	return c.pwindow > 0 && c.proto.Load() >= 3
-}
+// connection (WithPipeline).
+func (c *Client) pipelined() bool { return c.pwindow > 0 }
 
 // get returns a pooled connection or dials a new one.
 func (c *Client) get() (*clientConn, error) {
@@ -513,8 +509,7 @@ func (c *Client) poolDo(reqType wire.Type, req wire.Payload, respType wire.Type,
 // sets a fresh deadline first.
 func (c *Client) attempt(cc *clientConn, reqType wire.Type, req wire.Payload, respType wire.Type, resp wire.Payload) error {
 	cc.conn.SetDeadline(time.Now().Add(c.timeout))
-	reqType = reqType.ForVersion(cc.proto)
-	if err := wire.WriteFrame(cc.conn, cc.proto, reqType, 0, wire.Codec(reqType, req)); err != nil {
+	if err := wire.WriteFrame(cc.conn, wire.Version, reqType, 0, req); err != nil {
 		return err
 	}
 	typ, _, payload, rbuf, err := wire.ReadFrameBuf(cc.br, cc.rbuf)
@@ -526,8 +521,7 @@ func (c *Client) attempt(cc *clientConn, reqType wire.Type, req wire.Payload, re
 }
 
 // decodeResp interprets one response frame against the expected type,
-// turning TError answers into *RemoteError. A trial response decodes
-// into its packed form whatever the frame's encoding.
+// turning TError answers into *RemoteError.
 func decodeResp(typ wire.Type, payload []byte, respType wire.Type, resp wire.Payload) error {
 	if typ == wire.TError {
 		var e wire.ErrorResp
@@ -536,13 +530,13 @@ func decodeResp(typ wire.Type, payload []byte, respType wire.Type, resp wire.Pay
 		}
 		return &RemoteError{Code: e.Code, Msg: e.Msg}
 	}
-	if typ.Canonical() != respType {
+	if typ != respType {
 		return fmt.Errorf("tuned: answered with %s, want %s", typ, respType)
 	}
 	if resp == nil {
 		return nil
 	}
-	return wire.Codec(typ, resp).DecodeFrom(payload)
+	return resp.DecodeFrom(payload)
 }
 
 // pipeDo runs one exchange over the shared pipelined connection,
@@ -681,7 +675,7 @@ func (p *pipe) do(timeout time.Duration, reqType wire.Type, req wire.Payload, re
 	p.wpend.Add(1)
 	p.wmu.Lock()
 	p.cc.conn.SetWriteDeadline(time.Now().Add(timeout))
-	err := wire.WriteFrame(p.bw, p.cc.proto, reqType, corr, req)
+	err := wire.WriteFrame(p.bw, wire.Version, reqType, corr, req)
 	if p.wpend.Add(-1) <= 0 {
 		if ferr := p.bw.Flush(); err == nil {
 			err = ferr

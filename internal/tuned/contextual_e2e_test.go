@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ctxtune"
 	"repro/internal/nominal"
-	"repro/internal/wire"
 )
 
 // The server's structural extension interface must match what
@@ -142,39 +141,31 @@ func TestContextualWireRouting(t *testing.T) {
 	cheap.CompleteN(lb.Epoch, []core.TrialResult{{ID: lb.Trials[0].ID, Value: 9}})
 }
 
-// TestV1RawFrameClientOnContextualServer is the compatibility leg: a
-// protocol-1 client — v1-stamped frames, no Features field anywhere —
-// must tune against a contextual server's global context, with every
-// reply stamped v1.
-func TestV1RawFrameClientOnContextualServer(t *testing.T) {
+// TestRawFrameClientOnContextualServer: a client in raw v3 packed
+// frames that sends no features anywhere must tune against a contextual
+// server's global context.
+func TestRawFrameClientOnContextualServer(t *testing.T) {
 	eng, addr := startContextualServer(t)
 
-	c := dialV1(t, addr)
-	defer c.close()
-	ack := c.hello(wire.Hello{Proto: 1, Name: "v1-worker"})
-	if ack.Proto != 1 {
-		t.Fatalf("ack.Proto = %d for a v1 session", ack.Proto)
+	r := dialRaw(t, addr, false)
+	trials := r.lease(4)
+	if len(trials) == 0 {
+		t.Fatal("raw client leased no trials from contextual server")
 	}
-
-	lresp := c.leaseN(4)
-	if len(lresp.Trials) == 0 {
-		t.Fatal("v1 client leased no trials from contextual server")
+	ids := make([]uint64, len(trials))
+	for i, tr := range trials {
+		ids[i] = tr.ID
 	}
-	creq := wire.CompleteNReq{Epoch: lresp.Epoch}
-	for _, tr := range lresp.Trials {
-		creq.Results = append(creq.Results, wire.Result{ID: tr.ID, Value: 2.0})
-	}
-	cack := c.completeN(creq)
-	if len(cack.Applied) != len(creq.Results) {
-		t.Fatalf("v1 completions applied=%v dropped=%v", cack.Applied, cack.Dropped)
+	if ack := r.complete(r.epoch, ids); len(ack.Applied) != len(ids) {
+		t.Fatalf("completions applied=%v dropped=%v", ack.Applied, ack.Dropped)
 	}
 
 	// Feature-less traffic lands on the global tuner, creating no
 	// contexts.
 	if n := eng.ContextCount(); n != 0 {
-		t.Errorf("v1 traffic materialized %d contexts, want 0", n)
+		t.Errorf("feature-less traffic materialized %d contexts, want 0", n)
 	}
-	if it := eng.Iterations(); it != len(creq.Results) {
-		t.Errorf("Iterations = %d, want %d", it, len(creq.Results))
+	if it := eng.Iterations(); it != len(ids) {
+		t.Errorf("Iterations = %d, want %d", it, len(ids))
 	}
 }

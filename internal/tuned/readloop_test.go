@@ -90,7 +90,7 @@ func readReply(t *testing.T, r *rawSession, corr uint16) {
 // the server in two segments).
 func TestPipelinedBurstRepliesInOrder(t *testing.T) {
 	addr, writes := startCountingServer(t)
-	r := dialRaw(t, addr, 3)
+	r := dialRaw(t, addr, false)
 	writes.Store(0) // the HelloAck has arrived, so its write is counted
 
 	var burst []byte
@@ -117,7 +117,7 @@ func TestPipelinedBurstRepliesInOrder(t *testing.T) {
 func TestPartialFrameDoesNotHoldReply(t *testing.T) {
 	for _, cut := range []int{wire.HeaderSize / 2, wire.HeaderSize + 4} {
 		addr, _ := startCountingServer(t)
-		r := dialRaw(t, addr, 3)
+		r := dialRaw(t, addr, false)
 		first, second := leaseFrame(t, 1), leaseFrame(t, 2)
 		if _, err := r.conn.Write(append(first, second[:cut]...)); err != nil {
 			t.Fatal(err)

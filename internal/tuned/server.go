@@ -25,8 +25,11 @@
 // directory and calibration state. A server over one engine (NewServer)
 // serves the registry tenant.NewSingle builds around it, whose only
 // tenant is "default". Sessions are routed by the tenant name in their
-// Hello; a client that predates the field lands on the "default"
-// tenant, so one-engine deployments and old workers never notice.
+// Hello; a Hello that names none lands on the "default" tenant, so
+// one-engine deployments never notice.
+//
+// Sessions speak wire.Version only: trial operations travel as packed
+// frames, and a Hello of any other version is refused.
 package tuned
 
 import (
@@ -185,17 +188,14 @@ type tenantRT struct {
 	baseline float64
 }
 
-// session is the per-connection state: the protocol version its client
-// spoke (every reply frame is stamped with it, so a v1 decoder never
-// sees a frame it refuses), the tenant it was routed to, and the lease
-// ledger backing the session cap.
+// session is the per-connection state: the tenant it was routed to and
+// the lease ledger backing the session cap.
 // The connection's read loop is the only goroutine that touches a
 // session, so nothing in it is locked, and the decode targets and reply
 // scratch below serve every request in turn: the packed decoders reset
 // every field and reuse their slices, and no engine keeps a request or
 // reply slice past the call.
 type session struct {
-	proto  byte
 	rt     *tenantRT
 	bw     *bufio.Writer       // reply buffer over the connection
 	leased map[uint64]struct{} // lease IDs issued to this connection
@@ -208,12 +208,10 @@ type session struct {
 	results     []core.TrialResult
 }
 
-// reply buffers one reply frame at the session's protocol version —
-// a packed trial message travels as its JSON twin below v3 — echoing
-// the request's correlation ID. The read loop flushes the buffer.
+// reply buffers one reply frame echoing the request's correlation ID.
+// The read loop flushes the buffer.
 func (sess *session) reply(typ wire.Type, corr uint16, p wire.Payload) error {
-	typ = typ.ForVersion(sess.proto)
-	return wire.WriteFrame(sess.bw, sess.proto, typ, corr, wire.Codec(typ, p))
+	return wire.WriteFrame(sess.bw, wire.Version, typ, corr, p)
 }
 
 // resetAck empties the session's reusable ack.
@@ -439,11 +437,10 @@ func (s *Server) Drain(timeout time.Duration) error {
 }
 
 // handle runs one connection: handshake, then the request loop, which
-// serves every request inline, whatever the protocol version, so replies
-// leave in request order (echoing each request's correlation ID, 0
-// before v3). All of a session's requests meet on one engine's decision
-// mutex anyway; serving them concurrently would buy goroutine and
-// stack-growth cost, not throughput. A slow request (a tenant warm
+// serves every request inline, so replies leave in request order
+// (echoing each request's correlation ID). All of a session's requests
+// meet on one engine's decision mutex anyway; serving them concurrently
+// would buy goroutine and stack-growth cost, not throughput. A slow request (a tenant warm
 // restart, a journal fsync) delays only the requests queued behind it on
 // this connection.
 //
@@ -484,13 +481,13 @@ func (s *Server) handle(conn net.Conn) {
 }
 
 // decode parses a request frame's payload into its typed message; trial
-// requests decode into the session's packed targets whatever the frame's
-// encoding. The payload aliases the read loop's reused frame buffer, and
-// the targets are overwritten by the next request. Bodyless requests and
-// unknown types return (nil, nil); serveReq rejects the latter.
+// requests decode into the session's packed targets. The payload aliases
+// the read loop's reused frame buffer, and the targets are overwritten
+// by the next request. Bodyless requests and unknown types return
+// (nil, nil); serveReq rejects the latter.
 func (sess *session) decode(typ wire.Type, payload []byte) (wire.Payload, error) {
 	var req wire.Payload
-	switch typ.Canonical() {
+	switch typ {
 	case wire.TLeaseP:
 		req = &sess.leaseReq
 	case wire.TCompleteP:
@@ -506,7 +503,7 @@ func (sess *session) decode(typ wire.Type, payload []byte) (wire.Payload, error)
 	default:
 		return nil, nil
 	}
-	if err := wire.Codec(typ, req).DecodeFrom(payload); err != nil {
+	if err := req.DecodeFrom(payload); err != nil {
 		return nil, err
 	}
 	return req, nil
@@ -515,8 +512,9 @@ func (sess *session) decode(typ wire.Type, payload []byte) (wire.Payload, error)
 // handshake validates the client Hello, routes the session to its
 // tenant, and answers with the tenant's capabilities. It returns the
 // established session, or nil when the connection must not proceed.
-// Error frames before the client's version is known are stamped v1 —
-// the one version every decoder accepts.
+// Error frames before the client's version is accepted are stamped v1 —
+// the one version every decoder accepts — so a v1 or v2 client reads
+// why it was refused.
 func (s *Server) handshake(br *bufio.Reader, bw *bufio.Writer) *session {
 	typ, payload, err := wire.ReadFrame(br)
 	if err != nil {
@@ -531,19 +529,17 @@ func (s *Server) handshake(br *bufio.Reader, bw *bufio.Writer) *session {
 		wire.WriteMsgV(bw, 1, wire.TError, &wire.ErrorResp{Code: wire.CodeBadRequest, Msg: err.Error()})
 		return nil
 	}
-	if h.Proto < 1 || h.Proto > wire.Version {
+	if h.Proto != wire.Version {
 		wire.WriteMsgV(bw, 1, wire.TError, &wire.ErrorResp{
-			Code: wire.CodeBadRequest, Msg: fmt.Sprintf("protocol version %d, server speaks 1..%d", h.Proto, wire.Version)})
+			Code: wire.CodeBadRequest, Msg: fmt.Sprintf("protocol version %d, server speaks %d..%d", h.Proto, wire.Version, wire.Version)})
 		return nil
 	}
 	sess := &session{
-		proto:  byte(h.Proto),
 		bw:     bw,
 		leased: make(map[uint64]struct{}),
 	}
 	name := h.Tenant
 	if name == "" {
-		// Pre-tenant clients (and tenant-agnostic ones) land here.
 		name = tenant.DefaultName
 	}
 	t := s.reg.Tenant(name)
@@ -570,7 +566,7 @@ func (s *Server) handshake(br *bufio.Reader, bw *bufio.Writer) *session {
 		names[i] = eng.AlgorithmName(i)
 	}
 	ack := wire.HelloAck{
-		Proto:      h.Proto,
+		Proto:      wire.Version,
 		Hash:       sess.rt.hash,
 		Epoch:      sess.rt.epoch,
 		Algos:      names,
@@ -609,7 +605,7 @@ func (s *Server) serveReq(sess *session, typ wire.Type, corr uint16, req wire.Pa
 		return false
 	}
 	defer release()
-	switch typ.Canonical() {
+	switch typ {
 	case wire.TLeaseP:
 		return s.serveLease(sess, eng, corr, req.(*wire.PackedLeaseReq))
 	case wire.TCompleteP:

@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/nominal"
 	"repro/internal/tenant"
-	"repro/internal/wire"
 )
 
 // The multi-tenant end-to-end scenario: four tenants share one server
@@ -216,28 +215,6 @@ func TestTenantLoopbackE2E(t *testing.T) {
 		t.Fatal("server was never restarted")
 	}
 	defer srv2.Close()
-
-	// The v-prev leg, against the restarted server: a protocol-1 client
-	// with no tenant field lands on "default" and still tunes.
-	v1 := dialV1(t, addr)
-	defer v1.close()
-	ack := v1.hello(wire.Hello{Proto: 1, Name: "v1-e2e"})
-	if ack.Epoch != reg2.Tenant("default").Epoch() {
-		t.Error("v1 session not routed to the restarted default tenant")
-	}
-	lresp := v1.leaseN(2)
-	if len(lresp.Trials) > 0 {
-		creq := wire.CompleteNReq{Epoch: lresp.Epoch}
-		for _, tr := range lresp.Trials {
-			// Report the bank's own value for the arm so the v1 trials
-			// are indistinguishable from the v2 fleet's.
-			creq.Results = append(creq.Results, wire.Result{ID: tr.ID, Value: banks[0][tr.Algo][0]})
-		}
-		cack := v1.completeN(creq)
-		if len(cack.Applied) != len(creq.Results) {
-			t.Errorf("v1 completions on restarted server: applied=%v dropped=%v", cack.Applied, cack.Dropped)
-		}
-	}
 
 	wg.Wait()
 	close(errs)

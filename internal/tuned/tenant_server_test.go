@@ -1,7 +1,6 @@
 package tuned
 
 import (
-	"io"
 	"net"
 	"path/filepath"
 	"testing"
@@ -197,137 +196,5 @@ func TestDrainCheckpointsEveryTenant(t *testing.T) {
 		if order[i-1] >= order[i] {
 			t.Fatalf("checkpoint order %v not sorted", order)
 		}
-	}
-}
-
-// v1Client is a hand-rolled protocol-1 client: it writes v1-stamped
-// frames and refuses reply frames not stamped v1, exactly as an old
-// binary's decoder would. It exists to prove the backward-compatibility
-// contract without depending on the current Client.
-type v1Client struct {
-	t    *testing.T
-	conn net.Conn
-}
-
-func dialV1(t *testing.T, addr string) *v1Client {
-	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &v1Client{t: t, conn: conn}
-}
-
-func (c *v1Client) close() { c.conn.Close() }
-
-func (c *v1Client) write(typ wire.Type, v wire.Payload) {
-	c.t.Helper()
-	frame, err := wire.EncodeV(1, typ, v)
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	if _, err := c.conn.Write(frame); err != nil {
-		c.t.Fatal(err)
-	}
-}
-
-// read returns the next frame, asserting the v1 version stamp a v1
-// decoder would enforce (the current ReadFrame tolerates both, so the
-// raw header byte is checked instead).
-func (c *v1Client) read() (wire.Type, []byte) {
-	c.t.Helper()
-	hdr := make([]byte, wire.HeaderSize)
-	if _, err := io.ReadFull(c.conn, hdr); err != nil {
-		c.t.Fatal(err)
-	}
-	if hdr[4] != 1 {
-		c.t.Fatalf("reply frame stamped v%d, a v1 client would refuse it", hdr[4])
-	}
-	n := int(hdr[8])<<24 | int(hdr[9])<<16 | int(hdr[10])<<8 | int(hdr[11])
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(c.conn, payload); err != nil {
-		c.t.Fatal(err)
-	}
-	return wire.Type(hdr[5]), payload
-}
-
-func (c *v1Client) roundTrip(reqType wire.Type, req wire.Payload, respType wire.Type, resp wire.Payload) {
-	c.t.Helper()
-	c.write(reqType, req)
-	typ, payload := c.read()
-	if typ != respType {
-		c.t.Fatalf("%s answered with %s, want %s", reqType, typ, respType)
-	}
-	if err := resp.DecodeFrom(payload); err != nil {
-		c.t.Fatal(err)
-	}
-}
-
-func (c *v1Client) hello(h wire.Hello) wire.HelloAck {
-	c.t.Helper()
-	var ack wire.HelloAck
-	c.roundTrip(wire.THello, &h, wire.THelloAck, &ack)
-	return ack
-}
-
-func (c *v1Client) leaseN(n int) wire.LeaseNResp {
-	c.t.Helper()
-	var resp wire.LeaseNResp
-	c.roundTrip(wire.TLeaseN, &wire.LeaseNReq{N: n}, wire.TTrials, &resp)
-	return resp
-}
-
-func (c *v1Client) completeN(req wire.CompleteNReq) wire.AckResp {
-	c.t.Helper()
-	var ack wire.AckResp
-	c.roundTrip(wire.TCompleteN, &req, wire.TAck, &ack)
-	return ack
-}
-
-// TestVPrevClientOnDefaultTenant is the backward-compatibility leg: a
-// protocol-1 client — v1-stamped frames, no tenant field in its Hello —
-// must tune against the "default" tenant of a v2 multi-tenant server,
-// and every reply frame must be stamped v1 so the old decoder accepts
-// it.
-func TestVPrevClientOnDefaultTenant(t *testing.T) {
-	reg := testRegistry(t, t.TempDir(), "default", "team-a")
-	_, addr := startTenantServer(t, reg)
-
-	c := dialV1(t, addr)
-	defer c.close()
-
-	// The v1 Hello: proto 1, no tenant field (it predates the field).
-	ack := c.hello(wire.Hello{Proto: 1, Name: "v1-worker"})
-	if ack.Proto != 1 {
-		t.Fatalf("ack.Proto = %d for a v1 session", ack.Proto)
-	}
-	if ack.Epoch != reg.Tenant("default").Epoch() {
-		t.Fatal("v1 session not routed to the default tenant")
-	}
-
-	// Lease and complete one batch through v1 frames: the old client
-	// still tunes.
-	lresp := c.leaseN(2)
-	if len(lresp.Trials) == 0 {
-		t.Fatal("v1 client leased no trials")
-	}
-	creq := wire.CompleteNReq{Epoch: lresp.Epoch}
-	for _, tr := range lresp.Trials {
-		creq.Results = append(creq.Results, wire.Result{ID: tr.ID, Value: 1.5})
-	}
-	cack := c.completeN(creq)
-	if len(cack.Applied) != len(creq.Results) {
-		t.Fatalf("v1 completions applied=%v dropped=%v", cack.Applied, cack.Dropped)
-	}
-
-	// And the work landed on the default tenant, nowhere else.
-	eng, _, release, err := reg.Acquire("default")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := eng.Iterations()
-	release()
-	if got != len(creq.Results) {
-		t.Fatalf("default tenant at %d iterations, want %d", got, len(creq.Results))
 	}
 }

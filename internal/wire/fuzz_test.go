@@ -29,15 +29,15 @@ func FuzzWireDecode(f *testing.F) {
 			{Name: "default", Resident: true, Epoch: 7, Iterations: 12, InFlight: 3, BestAlgo: 1, BestName: "b", BestValue: 0.5},
 			{Name: "team-a", Resident: false, Iterations: 40, BestAlgo: -1, Spills: 2, Restarts: 1},
 		}}},
-		{TLeaseN, &LeaseNReq{N: 8}},
-		{TLeaseN, &LeaseNReq{N: 8, Features: []float64{1, 100.5, -3}}},
+		{TLeaseN, rawJSON(`{"n":8}`)},
+		{TLeaseN, rawJSON(`{"n":8,"features":[1,100.5,-3]}`)},
 		{TTrials, &LeaseNResp{Epoch: 42, Trials: []Trial{{ID: 7, Algo: 2, Config: []float64{1, 2.5}, DeadlineMS: 1700000000000}}}},
 		{TTrials, &LeaseNResp{Epoch: 42, RetryMS: 25, Draining: true}},
 		{TTrials, &LeaseNResp{Epoch: 42, SuggestMax: 4, Trials: []Trial{{ID: 7, Algo: 2}}}},
 		{TCompleteN, &CompleteNReq{Epoch: 42, Results: []Result{{ID: 7, Value: 3.25}}}},
 		{TCompleteN, &CompleteNReq{Epoch: 42, Results: []Result{{ID: 1 << 48, Value: 3.25, Features: []float64{100}}}}},
-		{TFailN, &FailNReq{Fails: []Fail{{ID: 9, Kind: "timeout", Penalty: 100}}}},
-		{TAck, &AckResp{Applied: []uint64{1}, Dropped: []uint64{2}}},
+		{TFailN, rawJSON(`{"epoch":0,"fails":[{"id":9,"kind":"timeout","penalty":100}]}`)},
+		{TAck, rawJSON(`{"applied":[1],"dropped":[2]}`)},
 		{THeartbeat, &HeartbeatReq{Epoch: 42, IDs: []uint64{1, 2, 3}}},
 		{THeartbeatAck, &HeartbeatResp{Alive: []uint64{1, 3}}},
 		{TBest, nil},
@@ -93,22 +93,21 @@ func FuzzWireDecode(f *testing.F) {
 			f.Add(bytes.Clone(wrongType))
 		}
 	}
-	// Backward decode: a v-prev (version 1) client's frames — a Hello
-	// with no tenant field among them — must stay accepted by the
-	// current decoder, since v1 workers keep connecting to v2 servers.
+	// Old frames: a version-1 client's frames — a Hello with no tenant
+	// field among them — must stay readable by the frame decoder, which
+	// is how a server reads an old Hello to refuse it.
 	for _, m := range []struct {
 		typ Type
 		v   Payload
 	}{
 		{THello, &Hello{Proto: 1, Hash: 0xdeadbeef, Name: "v1-worker"}},
-		{TLeaseN, &LeaseNReq{N: 4}},
+		{TLeaseN, rawJSON(`{"n":4}`)},
 		{TStats, nil},
-		// JSON trial frames, which the fuzz body also decodes through
-		// the packed conversion (Codec).
+		// The retired JSON trial frames.
 		{TTrials, &LeaseNResp{Epoch: 42, Trials: []Trial{{ID: 7, Algo: 2, Config: []float64{1, 2.5}, Speculative: true}}}},
 		{TCompleteN, &CompleteNReq{Epoch: 42, Worker: 7, Results: []Result{{ID: 9, Value: 1.5, Features: []float64{100}}}}},
-		{TFailN, &FailNReq{Epoch: 42, Fails: []Fail{{ID: 9, Kind: "panic", Msg: "boom"}, {ID: 10, Kind: "meteor"}}}},
-		{TAck, &AckResp{Dropped: []uint64{3, 4}}},
+		{TFailN, rawJSON(`{"epoch":42,"fails":[{"id":9,"kind":"panic","msg":"boom"},{"id":10,"kind":"meteor"}]}`)},
+		{TAck, rawJSON(`{"dropped":[3,4]}`)},
 	} {
 		frame, err := EncodeV(1, m.typ, m.v)
 		if err != nil {
@@ -187,7 +186,7 @@ func FuzzWireDecode(f *testing.F) {
 		}
 		// The payload decoder for the frame's declared type must decode
 		// or error, never panic; TBest, TStats and TTenants carry no
-		// body. Decode twice into the same receiver: packed DecodeFrom
+		// body, and TLeaseN, TFailN and TAck have no decoder. Decode twice into the same receiver: packed DecodeFrom
 		// reuses internal slices, and the second pass must agree with the
 		// first regardless of leftover state.
 		if msg := payloadFor(typ); msg != nil {
@@ -197,35 +196,27 @@ func FuzzWireDecode(f *testing.F) {
 				}
 			}
 		}
-		// A JSON trial payload also decodes into its packed form, which
-		// must then encode in both families without panicking.
-		if c := typ.Canonical(); c != typ {
-			msg := payloadFor(c)
-			if err := Codec(typ, msg).DecodeFrom(payload); err == nil {
-				msg.AppendEncode(nil)
-				Codec(typ, msg).AppendEncode(nil)
-			}
-		}
 	})
 }
 
-// payloadFor returns a fresh payload struct for each bodied type.
+// rawJSON is a payload given as its encoded bytes: the seeds of the
+// JSON trial types that have no payload struct any more.
+type rawJSON string
+
+func (r rawJSON) AppendEncode(buf []byte) []byte { return append(buf, r...) }
+func (r rawJSON) DecodeFrom([]byte) error        { return nil }
+
+// payloadFor returns a fresh payload struct for each type that has one.
 func payloadFor(typ Type) Payload {
 	switch typ {
 	case THello:
 		return &Hello{}
 	case THelloAck:
 		return &HelloAck{}
-	case TLeaseN:
-		return &LeaseNReq{}
 	case TTrials:
 		return &LeaseNResp{}
 	case TCompleteN:
 		return &CompleteNReq{}
-	case TFailN:
-		return &FailNReq{}
-	case TAck:
-		return &AckResp{}
 	case THeartbeat:
 		return &HeartbeatReq{}
 	case THeartbeatAck:

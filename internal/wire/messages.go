@@ -3,13 +3,12 @@ package wire
 import "hash/crc32"
 
 // Message payloads. Each struct here is the JSON body of exactly one
-// frame Type. LeaseNReq, LeaseNResp, CompleteNReq, FailNReq and AckResp
-// are the v1/v2 twins of the packed trial messages in packed.go, which
-// twins.go converts them to and from. Fields are
-// additive-only within a protocol version: decoders ignore unknown
-// fields, so new optional fields need no version bump. Every payload
-// implements the Payload codec interface; for this family the two
-// methods are the shared JSON helpers.
+// frame Type: the handshake, control and introspection messages. The
+// trial messages are packed (packed.go). Fields are additive-only within
+// a protocol version: decoders ignore unknown fields, so new optional
+// fields need no version bump. Every payload implements the Payload
+// codec interface; for this family the two methods are the shared JSON
+// helpers.
 
 // ConfigHash summarizes an algorithm roster for the handshake: workers
 // refuse to feed measurements into a run whose algorithm indices mean
@@ -26,18 +25,17 @@ func ConfigHash(algos []string) uint32 {
 }
 
 // Hello opens every connection (frame THello). The client states its
-// protocol version and, when it already knows it, the config hash of
-// the tuning run it expects to join; a zero hash accepts whatever the
-// server runs (the hash is then learned from the ack and pinned for
-// subsequent reconnects).
+// protocol version, which must be Version, and, when it already knows
+// it, the config hash of the tuning run it expects to join; a zero hash
+// accepts whatever the server runs (the hash is then learned from the
+// ack and pinned for subsequent reconnects).
 type Hello struct {
 	Proto int    `json:"proto"`
 	Hash  uint32 `json:"hash,omitempty"`
 	Name  string `json:"name,omitempty"`
 	// Tenant names the tuning problem this session joins on a
-	// multi-tenant server (proto ≥ 2). Empty — including every proto-1
-	// client, which predates the field — means the "default" tenant, so
-	// old workers keep tuning against a multi-tenant server unchanged.
+	// multi-tenant server. Empty means the "default" tenant, the only
+	// one a server over one engine has.
 	Tenant string `json:"tenant,omitempty"`
 }
 
@@ -65,100 +63,46 @@ type HelloAck struct {
 	Tenant string `json:"tenant,omitempty"`
 }
 
-// LeaseNReq (frame TLeaseN) asks for up to N trials in one round trip.
-type LeaseNReq struct {
-	N int `json:"n"`
-	// Features, when present, describes the input the worker is about
-	// to measure (input size, corpus class, ...). A contextual server
-	// routes the lease to the matching per-context engine; servers
-	// without contextual routing — and all v1 servers — ignore the
-	// field (additive, no version bump). Absent features mean the
-	// global context.
-	Features []float64 `json:"features,omitempty"`
-}
+// LeaseNResp (frame TTrials), Trial, CompleteNReq (frame TCompleteN)
+// and Result are the JSON trial messages of protocol versions 1 and 2,
+// which this server no longer speaks: a JSON trial frame on a session
+// is answered "unexpected frame". They stay only because the benchmark
+// module's wire.json.* rung measures JSON trial payloads against the
+// packed ones (bench/rungs.go); they go when that rung does.
 
-// Trial is one leased trial on the wire.
-type Trial struct {
-	ID     uint64    `json:"id"`
-	Algo   int       `json:"algo"`
-	Config []float64 `json:"config,omitempty"`
-	// DeadlineMS is the lease deadline as Unix milliseconds (0 = no
-	// expiry). It is advisory for pacing heartbeats; the server's clock
-	// is authoritative.
-	DeadlineMS  int64 `json:"deadline_ms,omitempty"`
-	Speculative bool  `json:"spec,omitempty"`
-	Pinned      bool  `json:"pinned,omitempty"`
-}
-
-// LeaseNResp (frame TTrials) carries the leased batch. Epoch stamps the
-// server process that issued these leases: completions must echo it, so
-// a lease that survived a server restart can never complete a
-// same-numbered trial of the resumed process. Done tells workers the
-// server's trial target is reached and they should exit; RetryMS is a
-// backoff hint when the batch is empty because the engine's in-flight
-// cap is reached.
+// LeaseNResp is the JSON form of PackedTrials.
 type LeaseNResp struct {
-	Epoch   int64   `json:"epoch"`
-	Trials  []Trial `json:"trials,omitempty"`
-	Done    bool    `json:"done,omitempty"`
-	RetryMS int64   `json:"retry_ms,omitempty"`
-	// Draining marks an empty batch sent because the server is shutting
-	// down gracefully: no new leases, but reports are still accepted.
-	Draining bool `json:"draining,omitempty"`
-	// SuggestMax is the server's rebalancing push: when nonzero, this
-	// session is at or above its fair share of the engine's in-flight
-	// capacity while other sessions starve, and the client should cap
-	// its next lease asks at this size until the hint changes. Purely
-	// advisory — the server enforces the shrink on its side regardless.
-	SuggestMax int `json:"suggest_max,omitempty"`
+	Epoch      int64   `json:"epoch"`
+	Trials     []Trial `json:"trials,omitempty"`
+	Done       bool    `json:"done,omitempty"`
+	RetryMS    int64   `json:"retry_ms,omitempty"`
+	Draining   bool    `json:"draining,omitempty"`
+	SuggestMax int     `json:"suggest_max,omitempty"`
 }
 
-// Result is one measured trial in a CompleteN batch.
-type Result struct {
-	ID    uint64  `json:"id"`
-	Value float64 `json:"value"`
-	// Features optionally names the feature vector the trial was
-	// measured under. A contextual server does not need it — it routes
-	// completions by trial ID through its route table, which remembers
-	// the lease's vector — so the reference client leaves it empty to
-	// keep the hottest message lean; the field exists for third-party
-	// clients that want the report to be self-describing. Additive:
-	// plain servers ignore it.
-	Features []float64 `json:"features,omitempty"`
+// Trial is the JSON form of PackedTrial.
+type Trial struct {
+	ID          uint64    `json:"id"`
+	Algo        int       `json:"algo"`
+	Config      []float64 `json:"config,omitempty"`
+	DeadlineMS  int64     `json:"deadline_ms,omitempty"`
+	Speculative bool      `json:"spec,omitempty"`
+	Pinned      bool      `json:"pinned,omitempty"`
 }
 
-// CompleteNReq (frame TCompleteN) reports a batch of measured values.
-// Worker, when nonzero, identifies the reporting worker so the server
-// can divide the values by that worker's calibrated speed factor (see
-// CalibrateReq); zero reports raw costs.
+// CompleteNReq is the JSON form of PackedCompleteReq.
 type CompleteNReq struct {
 	Epoch   int64    `json:"epoch"`
 	Worker  uint64   `json:"worker,omitempty"`
 	Results []Result `json:"results"`
 }
 
-// Fail is one failed trial in a FailN batch.
-type Fail struct {
-	ID      uint64  `json:"id"`
-	Kind    string  `json:"kind"` // guard.Kind string: "panic", "timeout", "invalid"
-	Penalty float64 `json:"penalty,omitempty"`
-	Msg     string  `json:"msg,omitempty"`
-}
-
-// FailNReq (frame TFailN) reports a batch of measurement failures.
-type FailNReq struct {
-	Epoch int64  `json:"epoch"`
-	Fails []Fail `json:"fails"`
-}
-
-// AckResp (frame TAck) answers CompleteN and FailN: Applied lists trial
-// IDs whose report reached the tuner, Dropped lists IDs acknowledged
-// but discarded — already completed, reclaimed after lease expiry, or
-// from a different epoch. Both outcomes are success for the worker;
-// Dropped only means the engine had already charged the trial.
-type AckResp struct {
-	Applied []uint64 `json:"applied,omitempty"`
-	Dropped []uint64 `json:"dropped,omitempty"`
+// Result is the JSON form of PackedResult; Features was an optional echo
+// of the lease's feature vector.
+type Result struct {
+	ID       uint64    `json:"id"`
+	Value    float64   `json:"value"`
+	Features []float64 `json:"features,omitempty"`
 }
 
 // HeartbeatReq (frame THeartbeat) extends the leases of the listed
@@ -198,7 +142,7 @@ type AbsorbReq struct {
 
 // AbsorbAck (frame TAbsorbAck) answers AbsorbReq. Duplicate means the
 // sequence number was already applied and the batch was dropped — a
-// success for the worker, exactly like AckResp.Dropped.
+// success for the worker, exactly like PackedAck.Dropped.
 type AbsorbAck struct {
 	Applied   int  `json:"applied"`
 	Duplicate bool `json:"duplicate,omitempty"`
@@ -296,7 +240,7 @@ type StatsResp struct {
 
 	// Rebalanced counts lease grants the server shrank because the
 	// session sat at its fair share of in-flight capacity while peer
-	// sessions starved (see LeaseNResp.SuggestMax).
+	// sessions starved (see PackedTrials.SuggestMax).
 	Rebalanced uint64 `json:"rebalanced,omitempty"`
 
 	// Contexts counts live per-context engines on a contextual server
@@ -329,16 +273,10 @@ func (m *Hello) DecodeFrom(buf []byte) error       { return decodeJSON(buf, m) }
 func (m *HelloAck) AppendEncode(buf []byte) []byte { return appendJSON(buf, m) }
 func (m *HelloAck) DecodeFrom(buf []byte) error    { return decodeJSON(buf, m) }
 
-func (m *LeaseNReq) AppendEncode(buf []byte) []byte    { return appendJSON(buf, m) }
-func (m *LeaseNReq) DecodeFrom(buf []byte) error       { return decodeJSON(buf, m) }
 func (m *LeaseNResp) AppendEncode(buf []byte) []byte   { return appendJSON(buf, m) }
 func (m *LeaseNResp) DecodeFrom(buf []byte) error      { return decodeJSON(buf, m) }
 func (m *CompleteNReq) AppendEncode(buf []byte) []byte { return appendJSON(buf, m) }
 func (m *CompleteNReq) DecodeFrom(buf []byte) error    { return decodeJSON(buf, m) }
-func (m *FailNReq) AppendEncode(buf []byte) []byte     { return appendJSON(buf, m) }
-func (m *FailNReq) DecodeFrom(buf []byte) error        { return decodeJSON(buf, m) }
-func (m *AckResp) AppendEncode(buf []byte) []byte      { return appendJSON(buf, m) }
-func (m *AckResp) DecodeFrom(buf []byte) error         { return decodeJSON(buf, m) }
 
 func (m *HeartbeatReq) AppendEncode(buf []byte) []byte  { return appendJSON(buf, m) }
 func (m *HeartbeatReq) DecodeFrom(buf []byte) error     { return decodeJSON(buf, m) }

@@ -6,9 +6,8 @@ import (
 	"math"
 )
 
-// Packed trial payloads (protocol v3), the one in-memory form of each
-// trial message; pre-v3 sessions carry them as JSON twins (twins.go).
-// The trial lifecycle — LeaseN/CompleteN/FailN and their responses —
+// Packed trial payloads (protocol v3), the one form of each trial
+// message on the wire. The trial lifecycle — LeaseN/CompleteN/FailN and their responses —
 // dominates wire traffic by orders of magnitude, so it gets a binary
 // encoding instead of JSON:
 // fixed-width 8-byte fields for values and epochs, unsigned varints for
@@ -38,8 +37,8 @@ import (
 // slice grows, so a hostile count cannot balloon memory (every element
 // consumes at least one byte).
 
-// Failure kinds on the packed wire, mirroring guard.Kind's string form
-// in the JSON encoding.
+// Failure kinds on the packed wire, mirroring guard.Kind; a server
+// charges FailOther and unknown kind bytes as invalid.
 const (
 	FailOther   uint8 = 0
 	FailPanic   uint8 = 1
@@ -105,9 +104,11 @@ func checkCount(n uint64, rest []byte, minBytes int) error {
 	return nil
 }
 
-// PackedLeaseReq (frame TLeaseP) is the packed LeaseNReq: batch size
-// plus the optional feature vector routing the lease on a contextual
-// server.
+// PackedLeaseReq (frame TLeaseP) asks for up to N trials in one round
+// trip. Features, when present, describes the input the worker is about
+// to measure (input size, corpus class, ...): a contextual server routes
+// the lease to the matching per-context engine, and other servers ignore
+// it. Absent features mean the global context.
 type PackedLeaseReq struct {
 	N        int
 	Features []float64
@@ -147,7 +148,9 @@ func (m *PackedLeaseReq) DecodeFrom(buf []byte) error {
 	return nil
 }
 
-// PackedTrial is one leased trial in a PackedTrials batch. Config
+// PackedTrial is one leased trial in a PackedTrials batch. DeadlineMS
+// is the lease deadline as Unix milliseconds (0 = no expiry), advisory
+// for pacing heartbeats: the server's clock is authoritative. Config
 // aliases the batch's shared arena: valid until the PackedTrials is
 // decoded into again.
 type PackedTrial struct {
@@ -159,7 +162,18 @@ type PackedTrial struct {
 	Config      []float64
 }
 
-// PackedTrials (frame TTrialsP) is the packed LeaseNResp.
+// PackedTrials (frame TTrialsP) carries a leased batch. Epoch stamps the
+// server process that issued these leases: completions must echo it, so
+// a lease that survived a server restart can never complete a
+// same-numbered trial of the resumed process. Done tells workers the
+// server's trial target is reached and they should exit; RetryMS is a
+// backoff hint when the batch is empty because a cap is reached;
+// Draining marks an empty batch sent because the server is shutting
+// down gracefully (reports are still accepted). SuggestMax, when
+// nonzero, is the server's rebalancing push: this session sits at or
+// above its fair share of the engine's in-flight capacity while other
+// sessions starve, and the client should cap its next lease asks at
+// this size. It is advisory; the server enforces the shrink itself.
 type PackedTrials struct {
 	Epoch      int64
 	Done       bool
@@ -313,8 +327,12 @@ type PackedResult struct {
 	Value float64
 }
 
-// PackedCompleteReq (frame TCompleteP) is the packed CompleteNReq —
-// the single hottest message on the wire.
+// PackedCompleteReq (frame TCompleteP) reports a batch of measured
+// values — the single hottest message on the wire. Worker, when nonzero,
+// identifies the reporting worker so the server can divide the values by
+// that worker's calibrated speed factor (see CalibrateReq); zero reports
+// raw costs. A contextual server routes completions by trial ID, so a
+// result carries no feature vector.
 type PackedCompleteReq struct {
 	Epoch   int64
 	Worker  uint64
@@ -374,7 +392,7 @@ type PackedFail struct {
 	Msg     string
 }
 
-// PackedFailReq (frame TFailP) is the packed FailNReq.
+// PackedFailReq (frame TFailP) reports a batch of measurement failures.
 type PackedFailReq struct {
 	Epoch int64
 	Fails []PackedFail
@@ -437,7 +455,12 @@ func (m *PackedFailReq) DecodeFrom(buf []byte) error {
 	return nil
 }
 
-// PackedAck (frame TAckP) is the packed AckResp.
+// PackedAck (frame TAckP) answers PackedCompleteReq and PackedFailReq:
+// Applied lists trial IDs whose report reached the tuner, Dropped lists
+// IDs acknowledged but discarded — already completed, reclaimed after
+// lease expiry, or from a different epoch. Both outcomes are success for
+// the worker; Dropped only means the engine had already charged the
+// trial.
 type PackedAck struct {
 	Applied []uint64
 	Dropped []uint64

@@ -7,7 +7,7 @@
 //
 //	offset  size  field
 //	0       4     magic   0x41545731 ("ATW1"), big-endian
-//	4       1     version (currently 3; 1 and 2 still decoded)
+//	4       1     version (currently 3; 1 and 2 still framed, see Version)
 //	5       1     type    (Type)
 //	6       2     flags   — correlation ID on v3 frames (see below);
 //	              reserved-zero on v1/v2 frames
@@ -25,11 +25,8 @@
 // fields are ignored on decode, so additive evolution needs no version
 // bump. The trial messages are packed binary structs: fixed-width value
 // fields, varint indices and counts, no per-trial allocation on either
-// side (see packed.go). They are the only in-memory form of a trial
-// operation; v3 sessions carry them as is, and v1/v2 sessions carry
-// their JSON twins, converted in twins.go. Both families implement the
-// one Payload interface, so the frame layer never cares which it is
-// carrying.
+// side (see packed.go). Both families implement the one Payload
+// interface, so the frame layer never cares which it is carrying.
 //
 // v3 frames repurpose the previously reserved-zero flags field as a
 // correlation ID: a pipelined peer stamps each request with a nonzero
@@ -56,23 +53,24 @@ import (
 const (
 	// Magic leads every frame; anything else is not this protocol.
 	Magic = 0x41545731 // "ATW1"
-	// Version is the current protocol version. A decoder refuses frames
-	// from a future version rather than misinterpreting them, and accepts
-	// every version back to 1 — old payloads only ever grew by optional
-	// JSON fields, so they decode fine under a new version.
+	// Version is the protocol version, the only one a server or client
+	// speaks. The frame decoder refuses frames from a future version
+	// rather than misinterpreting them, and still reads v1 and v2
+	// headers, so that a server can read an old client's Hello and
+	// answer it with a refusal stamped v1, which every decoder accepts.
 	//
 	// Version history:
 	//
-	//	1  initial protocol (PR 4); Absorb/Calibrate added additively
+	//	1  initial protocol; Absorb/Calibrate added additively
 	//	2  multi-tenancy: Hello.Tenant routes the session to a named
-	//	   tenant, TTenants/TTenantsAck list all tenants. A v1 client
-	//	   omits Tenant and lands on the "default" tenant; servers
-	//	   answer a v1 session with v1-stamped frames.
+	//	   tenant, TTenants/TTenantsAck list all tenants.
 	//	3  hot path: packed binary trial payloads (TLeaseP/TTrialsP/
 	//	   TCompleteP/TFailP/TAckP), and the frame flags field becomes a
 	//	   correlation ID so requests pipeline per connection and
-	//	   responses return out of order. v1/v2 sessions keep JSON
-	//	   payloads, zero flags and lockstep, stamped at their version.
+	//	   responses return out of order. v1/v2 sessions and their
+	//	   JSON trial payloads (TLeaseN/TTrials/TCompleteN/TFailN/TAck)
+	//	   are retired: a v1 or v2 Hello is refused ("server speaks
+	//	   3..3"), and a JSON trial frame is an unexpected frame.
 	Version = 3
 	// HeaderSize is the fixed frame header length in bytes.
 	HeaderSize = 16
@@ -132,7 +130,9 @@ func decodeJSON(buf []byte, v any) error {
 type Type uint8
 
 // Message types. Requests and responses are distinct types so a decoder
-// never needs context to interpret a frame.
+// never needs context to interpret a frame. Every type keeps its number:
+// TLeaseN through TAck are the retired JSON trial types, which no server
+// or client sends.
 const (
 	TInvalid Type = iota
 	THello
@@ -321,10 +321,9 @@ func Encode(typ Type, p Payload) ([]byte, error) {
 
 // EncodeV is Encode with an explicit frame version stamp, for answering
 // an old client in frames its decoder accepts (a v1 ReadFrame refuses
-// anything newer than v1) and for building backward-compat test
-// corpora. The version must be in [1, Version]; the JSON payload
-// encoding is identical across versions — only optional fields were
-// ever added — while packed payloads exist from v3 on.
+// anything newer than v1) and for building test corpora. The version
+// must be in [1, Version]; the JSON payload encoding is identical
+// across versions, while packed payloads exist from v3 on.
 func EncodeV(version byte, typ Type, p Payload) ([]byte, error) {
 	return AppendFrame(nil, version, typ, 0, p)
 }
@@ -335,9 +334,9 @@ func WriteMsg(w io.Writer, typ Type, p Payload) error {
 }
 
 // WriteMsgV is WriteMsg with an explicit frame version stamp (see
-// EncodeV): a server holds each session at the version its client's
-// Hello arrived under, so old decoders never see frames they refuse.
-// The frame buffer is pooled — one Write, no steady-state allocation.
+// EncodeV): a server answers a Hello it refuses with a v1-stamped
+// frame, so an old decoder can read why. The frame buffer is pooled —
+// one Write, no steady-state allocation.
 func WriteMsgV(w io.Writer, version byte, typ Type, p Payload) error {
 	return WriteFrame(w, version, typ, 0, p)
 }

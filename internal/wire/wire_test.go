@@ -13,8 +13,8 @@ import (
 )
 
 func TestRoundTrip(t *testing.T) {
-	req := &LeaseNReq{N: 16, Features: []float64{27, 0.5}}
-	frame, err := Encode(TLeaseN, req)
+	req := &AbsorbReq{Worker: 7, Seq: 2, Obs: []Obs{{Arm: 1, Value: 2.5}, {Arm: 0, Value: 9, Failed: true}}}
+	frame, err := Encode(TAbsorb, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,10 +22,10 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != TLeaseN {
-		t.Fatalf("type = %v, want %v", typ, TLeaseN)
+	if typ != TAbsorb {
+		t.Fatalf("type = %v, want %v", typ, TAbsorb)
 	}
-	var got LeaseNReq
+	var got AbsorbReq
 	if err := got.DecodeFrom(payload); err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestStreamedFrames(t *testing.T) {
 		v   Payload
 	}{
 		{THello, &Hello{Proto: Version, Name: "w1"}},
-		{TCompleteN, &CompleteNReq{Epoch: 7, Results: []Result{{ID: 1, Value: 2.5}}}},
+		{TCompleteP, &PackedCompleteReq{Epoch: 7, Results: []PackedResult{{ID: 1, Value: 2.5}}}},
 		{TStats, nil},
 	}
 	for _, m := range msgs {
@@ -128,7 +128,7 @@ func TestPackedNeedsV3(t *testing.T) {
 func TestReadFrameBufReuse(t *testing.T) {
 	var stream bytes.Buffer
 	for i := 0; i < 3; i++ {
-		if err := WriteMsg(&stream, TAck, &AckResp{Applied: []uint64{uint64(i)}}); err != nil {
+		if err := WriteMsg(&stream, TAckP, &PackedAck{Applied: []uint64{uint64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -139,10 +139,10 @@ func TestReadFrameBufReuse(t *testing.T) {
 		var payload []byte
 		var err error
 		typ, _, payload, buf, err = ReadFrameBuf(&stream, buf)
-		if err != nil || typ != TAck {
+		if err != nil || typ != TAckP {
 			t.Fatalf("read %d: (%v, %v)", i, typ, err)
 		}
-		var ack AckResp
+		var ack PackedAck
 		if err := ack.DecodeFrom(payload); err != nil || ack.Applied[0] != uint64(i) {
 			t.Fatalf("read %d: %+v, %v", i, ack, err)
 		}
@@ -153,31 +153,28 @@ func TestReadFrameBufReuse(t *testing.T) {
 	}
 }
 
-// TestJSONByteCompat pins the v1/v2 byte contract: the JSON payload
-// family still encodes as plain JSON a pre-redesign decoder would
-// parse, and the frame bytes around it are identical across version
-// stamps except for the version byte itself.
+// TestJSONByteCompat pins what a v1 or v2 client needs to read the
+// refusal a server now answers its Hello with: the error payload
+// encodes as plain JSON an old decoder parses, and the frame bytes
+// around it are identical across version stamps except for the version
+// byte itself.
 func TestJSONByteCompat(t *testing.T) {
-	req := &CompleteNReq{Epoch: 42, Worker: 7, Results: []Result{{ID: 9, Value: 1.5}}}
-	frame, err := EncodeV(2, TCompleteN, req)
+	req := &ErrorResp{Code: CodeBadRequest, Msg: "protocol version 2, server speaks 3..3"}
+	frame, err := EncodeV(2, TError, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var legacy struct {
-		Epoch   int64  `json:"epoch"`
-		Worker  uint64 `json:"worker"`
-		Results []struct {
-			ID    uint64  `json:"id"`
-			Value float64 `json:"value"`
-		} `json:"results"`
+		Code int    `json:"code"`
+		Msg  string `json:"msg"`
 	}
 	if err := json.Unmarshal(frame[HeaderSize:], &legacy); err != nil {
 		t.Fatalf("payload is not plain JSON: %v", err)
 	}
-	if legacy.Epoch != 42 || legacy.Worker != 7 || len(legacy.Results) != 1 || legacy.Results[0].ID != 9 {
+	if legacy.Code != CodeBadRequest || legacy.Msg != req.Msg {
 		t.Fatalf("legacy decode = %+v", legacy)
 	}
-	v1, err := EncodeV(1, TCompleteN, req)
+	v1, err := EncodeV(1, TError, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +223,7 @@ func TestRejects(t *testing.T) {
 }
 
 func TestTruncated(t *testing.T) {
-	frame, err := Encode(TTrials, &LeaseNResp{Epoch: 1, Trials: []Trial{{ID: 9, Algo: 1, Config: []float64{0.5}}}})
+	frame, err := Encode(TTrialsP, &PackedTrials{Epoch: 1, Trials: []PackedTrial{{ID: 9, Algo: 1, Config: []float64{0.5}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +253,7 @@ func TestEncodeRejectsBadType(t *testing.T) {
 // only once the header and every payload byte it announces are buffered
 // may the reader call the frame complete.
 func TestFrameBuffered(t *testing.T) {
-	frame, err := Encode(TLeaseN, &LeaseNReq{N: 4, Features: []float64{1, 2}})
+	frame, err := Encode(TLeaseP, &PackedLeaseReq{N: 4, Features: []float64{1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
