@@ -63,8 +63,11 @@
 // hashing quantized features into -buckets and splitting a bucket when
 // its cost distribution turns bimodal across a feature threshold after
 // -split-min samples (see DESIGN.md, "contextual routing"). Feature-less
-// workers keep tuning the global context unchanged. Under -checkpoint the partitioner's split journal and every
-// context's selector ride along, so a restart rediscovers all contexts.
+// workers keep tuning the global context unchanged. Under -checkpoint
+// every context's trials, its birth and every split are records of the
+// engine's one journal, and its snapshots carry the partitioner and
+// every context's state, so a restart rediscovers all contexts with
+// what each had learned.
 // With -tenants it applies to every tenant of the flag list and to the
 // implicit "default"; it is the spec's "contexts" block, which a
 // @file.json spec sets or leaves out per tenant.

@@ -9,10 +9,14 @@
 //	atune-wisdom inspect <checkpoint-dir | seg-*.log>
 //
 // inspect validates a checkpoint directory — each journal segment's
-// snapshot lines, record count and first damaged line — and
-// pretty-prints the snapshot a resume would restore. Given one segment
-// it lists the segment's lines. A format-2 directory or file
-// (snap-*.ckpt, wal-*.log) is refused, as a resume refuses it.
+// snapshot lines, record count and first damaged line — lists the
+// records a resume would replay and pretty-prints the snapshot it would
+// restore. Given one segment it lists the segment's lines. A contextual
+// engine's directory reads like a flat one: its records are listed with
+// their context tag, its replicas' births and its splits each on a line
+// of their own. A format-2 directory or file (snap-*.ckpt, wal-*.log),
+// and a directory in the earlier contextual layout, are refused, as a
+// resume refuses them.
 package main
 
 import (
@@ -97,7 +101,7 @@ func inspectDir(dir string) {
 		log.Fatalf("inspect: %s contains no checkpoint state", dir)
 	}
 	st, err := checkpoint.Load(dir)
-	if errors.Is(err, checkpoint.ErrFormat2) {
+	if errors.Is(err, checkpoint.ErrFormat2) || errors.Is(err, checkpoint.ErrContextLayout) {
 		log.Fatalf("inspect: %s: %v", dir, err)
 	}
 	t := report.NewTable(fmt.Sprintf("checkpoint: %s", dir),
@@ -118,6 +122,7 @@ func inspectDir(dir string) {
 	}
 	fmt.Printf("\nresume point: snapshot at iteration %d, %d records after it, highest trial %d\n",
 		st.Iter, len(st.Records), st.Trial)
+	printRecords(st.Records)
 	printJSON(st.Payload)
 }
 
@@ -158,13 +163,25 @@ func inspectSegment(path string) {
 	printRecords(recs)
 }
 
+// printRecords lists records one a line: a flat engine's as their JSON,
+// a contextual record behind its context tag, and a context's birth or
+// split in words.
 func printRecords(recs []checkpoint.Record) {
 	for _, r := range recs {
 		line, err := json.Marshal(r)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  %s\n", line)
+		switch {
+		case r.Ctx == "":
+			fmt.Printf("  %s\n", line)
+		case r.Algo == "" && len(r.Split) == 2:
+			fmt.Printf("  split %s at feature %g, bin %g (iteration %d)\n", r.Ctx, r.Split[0], r.Split[1], r.Iter)
+		case r.Algo == "" && r.Drift == "":
+			fmt.Printf("  context %s born (iteration %d)\n", r.Ctx, r.Iter)
+		default:
+			fmt.Printf("  context %s: %s\n", r.Ctx, line)
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/ctxtune"
 	"repro/internal/nominal"
 	"repro/internal/param"
 )
@@ -125,5 +126,71 @@ func TestInspectV2Fixture(t *testing.T) {
 	code, out := runWisdom(t, "inspect", state)
 	if code != 1 || !strings.Contains(out, "is neither a checkpoint directory") {
 		t.Fatalf("inspect of a non-checkpoint file: exit %d\n%s", code, out)
+	}
+}
+
+// TestInspectContextualDirectory: a contextual engine's directory reads
+// like a flat one — its segment and resume point — and lists each record
+// after the resume point behind its context tag, each replica's birth
+// and each split.
+func TestInspectContextualDirectory(t *testing.T) {
+	dir := t.TempDir()
+	eng, err := ctxtune.New(ctxtune.Config{
+		Algos:       []core.Algorithm{{Name: "fast"}, {Name: "slow"}},
+		Selector:    func() nominal.Selector { return nominal.NewEpsilonGreedy(0.10) },
+		Seed:        1,
+		Partitioner: ctxtune.NewTree(1, 8, 1.5),
+		Dir:         dir,
+		Every:       1000, // every record stays after the opening snapshot
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		f, scale := ctxtune.Features{1}, 1.0
+		if i%2 == 1 {
+			f, scale = ctxtune.Features{100}, 100
+		}
+		trials, err := eng.LeaseNFor(f, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if errs := eng.CompleteN([]core.TrialResult{{ID: trials[0].ID, Value: scale * float64(1+trials[0].Algo)}}); errs[0] != nil {
+			t.Fatal(errs[0])
+		}
+	}
+	if len(eng.Contexts()) < 3 {
+		t.Fatalf("contexts %v: the stream never split", eng.Contexts())
+	}
+	code, out := runWisdom(t, "inspect", dir)
+	if code != 0 {
+		t.Fatalf("inspect %s: exit %d\n%s", dir, code, out)
+	}
+	wantAll(t, out, "seg-000000000001.log", "resume point: snapshot at iteration 0,",
+		"context b0 born (iteration 0)", `context b0: {"iter":1,"algo":`, `"ctx":"b0"}`,
+		"split b0 at feature 0, bin ", "context b0.lo born", "context b0.hi: {")
+
+	code, out = runWisdom(t, "inspect", checkpoint.SegPath(dir, 1))
+	if code != 0 {
+		t.Fatalf("inspect segment: exit %d\n%s", code, out)
+	}
+	wantAll(t, out, "1 snapshot lines", "context b0 born (iteration 0)", "split b0 at feature 0")
+}
+
+// TestInspectRefusesEarlierContextLayout: inspect refuses a directory in
+// the earlier contextual layout with the error a resume gives, exit 1,
+// and leaves it as it was.
+func TestInspectRefusesEarlierContextLayout(t *testing.T) {
+	dir := t.TempDir()
+	global := filepath.Join(dir, "global")
+	if err := os.Mkdir(global, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	code, out := runWisdom(t, "inspect", dir)
+	if code != 1 || !strings.Contains(out, checkpoint.ErrContextLayout.Error()) || !strings.Contains(out, global) {
+		t.Fatalf("inspect %s: exit %d, want 1 with the earlier-layout error naming %s\n%s", dir, code, global, out)
+	}
+	if _, err := os.Stat(global); err != nil {
+		t.Fatalf("global/ gone after the refusal: %v", err)
 	}
 }

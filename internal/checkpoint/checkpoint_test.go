@@ -407,18 +407,26 @@ func TestAppendRecordMatchesJSON(t *testing.T) {
 // it back. On any body — arbitrary bytes, and the encoded record with
 // them spliced in — the decoder agrees with json.Unmarshal.
 func FuzzJournalRecord(f *testing.F) {
-	f.Add(0, "", []byte(nil), true, 0.0, "", uint64(0), false, false, "", uint64(0), 0, 0.0, 0, false,
+	f.Add(0, "", []byte(nil), true, 0.0, "", uint64(0), false, false, "", uint64(0), 0, 0.0, 0, false, "", []byte(nil),
 		[]byte(`{"iter":1,"algo":"a","config":null,"value":1}`))
 	f.Add(5, "tuned", []byte{0, 0, 0, 0, 0, 0, 0xf8, 0x7f}, false, 1e-7, "panic", uint64(9), true, true,
-		DriftRefork, uint64(3), 2, 0.5, 4, true, []byte(`,"spec":true`))
+		DriftRefork, uint64(3), 2, 0.5, 4, true, "", []byte(nil), []byte(`,"spec":true`))
 	f.Add(-1, "<\xff\u2028>", []byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, false, 2.5e21, "\n", uint64(1), false, true,
-		DriftDecay, uint64(1), -3, math.Inf(-1), -2, false, []byte(`"\u004eaN"`))
+		DriftDecay, uint64(1), -3, math.Inf(-1), -2, false, "", []byte(nil), []byte(`"\u004eaN"`))
+	// A contextual completion, a contextual failure and a split record.
+	f.Add(7, "tuned", []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x3f}, false, 1.25, "", uint64(3), true, false,
+		"", uint64(0), 0, 0.0, 0, false, "b0.lo", []byte(nil), []byte(`,"ctx":"b0.lo"}`))
+	f.Add(8, "plain", []byte(nil), true, 40.0, "timeout", uint64(4), false, false,
+		"", uint64(0), 0, 0.0, 0, false, "b1", []byte(nil), []byte(`,"fail":"timeout","trial":4,"ctx":"b1"`))
+	f.Add(9, "", []byte(nil), true, 0.0, "", uint64(0), false, false,
+		"", uint64(0), 0, 0.0, 0, false, "b0", []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x08, 0x40},
+		[]byte(`{"iter":9,"algo":"","config":null,"value":0,"ctx":"b0","split":[0,3]}`))
 	f.Fuzz(func(t *testing.T, iter int, algo string, cfgBits []byte, cfgNil bool, value float64, fail string,
 		trial uint64, spec, pinned bool, drift string, dseq uint64, darm int, dkeep float64, dprobes int, dp1 bool,
-		body []byte) {
+		ctx string, splitBits []byte, body []byte) {
 		// Long inputs add no encoder branch, only time per run, and the
 		// fuzzer's minimizer pays that time once per byte of them.
-		algo, fail, drift = clip(algo), clip(fail), clip(drift)
+		algo, fail, drift, ctx = clip(algo), clip(fail), clip(drift), clip(ctx)
 		if len(cfgBits) > 8*32 {
 			cfgBits = cfgBits[:8*32]
 		}
@@ -429,13 +437,17 @@ func FuzzJournalRecord(f *testing.F) {
 		for ; len(cfgBits) >= 8; cfgBits = cfgBits[8:] {
 			cfg = append(cfg, F(math.Float64frombits(binary.LittleEndian.Uint64(cfgBits))))
 		}
+		var split []F // omitempty: no split reads back as nil
+		for ; len(splitBits) >= 8 && len(split) < 4; splitBits = splitBits[8:] {
+			split = append(split, F(math.Float64frombits(binary.LittleEndian.Uint64(splitBits))))
+		}
 		if len(body) > 512 {
 			body = body[:512]
 		}
 		rec := Record{
 			Iter: iter, Algo: algo, Config: cfg, Value: F(value), FailKind: fail, Trial: trial,
 			Spec: spec, Pinned: pinned, Drift: drift, DriftSeq: dseq, DriftArm: darm,
-			DriftKeep: F(dkeep), DriftProbes: dprobes, DriftP1: dp1,
+			DriftKeep: F(dkeep), DriftProbes: dprobes, DriftP1: dp1, Ctx: ctx, Split: split,
 		}
 		checkRecordEncoding(t, "fuzz", rec)
 		checkRecordDecoding(t, "fuzz", rec)
@@ -457,7 +469,7 @@ func checkRecordEncoding(t *testing.T, name string, r Record) {
 	t.Helper()
 	// json.Marshal(r) goes through F.MarshalJSON, that is AppendF, so
 	// hold AppendF to encoding/json's own float64 encoding separately.
-	for _, f := range append([]F{r.Value, r.DriftKeep}, r.Config...) {
+	for _, f := range append(append([]F{r.Value, r.DriftKeep}, r.Config...), r.Split...) {
 		if v := float64(f); !math.IsNaN(v) && !math.IsInf(v, 0) {
 			want, err := json.Marshal(v)
 			if err != nil {

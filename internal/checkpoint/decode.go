@@ -82,6 +82,17 @@ func parseRecord(body []byte, rec *Record) bool {
 		}
 	}
 	rec.DriftP1 = p.lit(`,"dp1":true`)
+	if p.lit(`,"ctx":`) {
+		if rec.Ctx, ok = p.str(); !ok {
+			return false
+		}
+	}
+	if p.lit(`,"split":`) {
+		// omitempty never writes an empty or null split.
+		if rec.Split, ok = p.floats(); !ok || len(rec.Split) == 0 {
+			return false
+		}
+	}
 	return p.lit("}") && p.i == len(p.b)
 }
 

@@ -36,6 +36,19 @@ import (
 // fields were added inside format version 2 and are omitted when empty,
 // so journals written before them read as "no drift".
 //
+// Contextual records: a contextual engine journals its context replicas
+// into its global engine's log, and tags each such record with Ctx, the
+// context ID. A tagged completion or failure carries the replica's
+// algorithm, configuration, value, local trial, flags and fail kind, and
+// a tagged drift sentinel is the replica's reset. A tagged record with
+// an empty Algo is a context event: the birth of the context's replica,
+// or, when Split is set, the split of that context into two children at
+// feature dimension Split[0] and quantized bin Split[1]. In a contextual
+// log Iter is the record's position: every record but a drift sentinel
+// advances it, whichever engine wrote it. Both fields are omitted when
+// empty, so a flat engine's records and segments are byte-identical to
+// those written before the fields existed.
+//
 // appendRecord encodes a Record by hand, so a field added here must be
 // added there too; TestAppendRecordMatchesJSON sets every field through
 // reflection and fails until it is.
@@ -55,6 +68,9 @@ type Record struct {
 	DriftKeep   F      `json:"dkeep,omitempty"`
 	DriftProbes int    `json:"dprobes,omitempty"`
 	DriftP1     bool   `json:"dp1,omitempty"`
+
+	Ctx   string `json:"ctx,omitempty"`
+	Split []F    `json:"split,omitempty"`
 }
 
 // Drift sentinel kinds (Record.Drift).
@@ -393,6 +409,14 @@ func appendRecord(b []byte, rec *Record) []byte {
 	}
 	if rec.DriftP1 {
 		b = append(b, `,"dp1":true`...)
+	}
+	if rec.Ctx != "" {
+		b = append(b, `,"ctx":`...)
+		b = AppendString(b, rec.Ctx)
+	}
+	if len(rec.Split) > 0 {
+		b = append(b, `,"split":`...)
+		b = AppendFloats(b, rec.Split)
 	}
 	return append(b, '}')
 }

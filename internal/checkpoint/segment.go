@@ -50,13 +50,13 @@ func Segments(dir string) []int {
 }
 
 // Exists reports whether dir holds checkpoint state: a segment with
-// bytes in it, or a format-2 file, which Load refuses — so no tuner
-// starts fresh over it. An empty segment holds nothing — its creation
-// was cut before the first fsync — and neither does a missing
-// directory.
+// bytes in it, or a format-2 file or an entry of the earlier contextual
+// layout, which Load refuses — so no tuner starts fresh over them. An
+// empty segment holds nothing — its creation was cut before the first
+// fsync — and neither does a missing directory.
 func Exists(dir string) bool {
 	segs, format2 := list(dir)
-	if format2 {
+	if format2 || contextLayout(dir) != "" {
 		return true
 	}
 	for _, s := range segs {
@@ -157,8 +157,12 @@ type State struct {
 // A directory with no state — missing, empty, or holding only empty
 // segments — yields a State with a nil Payload. One whose segments hold
 // no valid snapshot yields ErrFormat2 when it holds format-2 files, and
-// ErrNoSnapshot otherwise.
+// ErrNoSnapshot otherwise. One holding an entry of the earlier
+// contextual layout yields ErrContextLayout, naming the entry.
 func Load(dir string) (*State, error) {
+	if name := contextLayout(dir); name != "" {
+		return nil, fmt.Errorf("%w: %s", ErrContextLayout, filepath.Join(dir, name))
+	}
 	segs, format2 := list(dir)
 	st := &State{}
 	var r resumeReader

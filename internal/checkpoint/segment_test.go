@@ -267,6 +267,7 @@ func sameF(a, b F) bool {
 // Config apart.
 func sameRecord(a, b Record) bool {
 	if (a.Config == nil) != (b.Config == nil) || len(a.Config) != len(b.Config) ||
+		(a.Split == nil) != (b.Split == nil) || len(a.Split) != len(b.Split) ||
 		!sameF(a.Value, b.Value) || !sameF(a.DriftKeep, b.DriftKeep) {
 		return false
 	}
@@ -275,7 +276,12 @@ func sameRecord(a, b Record) bool {
 			return false
 		}
 	}
-	a.Config, b.Config, a.Value, b.Value, a.DriftKeep, b.DriftKeep = nil, nil, 0, 0, 0, 0
+	for i := range a.Split {
+		if !sameF(a.Split[i], b.Split[i]) {
+			return false
+		}
+	}
+	a.Config, b.Config, a.Split, b.Split, a.Value, b.Value, a.DriftKeep, b.DriftKeep = nil, nil, nil, nil, 0, 0, 0, 0
 	return reflect.DeepEqual(a, b)
 }
 
@@ -306,7 +312,7 @@ func checkRecordDecoding(t *testing.T, name string, r Record) {
 		t.Fatalf("%s: parseRecord refuses appendRecord's %s", name, body)
 	}
 	want := r
-	want.Algo, want.FailKind, want.Drift = string([]rune(r.Algo)), string([]rune(r.FailKind)), string([]rune(r.Drift))
+	want.Algo, want.FailKind, want.Drift, want.Ctx = string([]rune(r.Algo)), string([]rune(r.FailKind)), string([]rune(r.Drift)), string([]rune(r.Ctx))
 	if want.DriftKeep == 0 {
 		want.DriftKeep = 0
 	}
@@ -352,6 +358,14 @@ func FuzzSegmentRead(f *testing.F) {
 	f.Add(cat(snapLine(0, 0), recLines(0, 3), damage(snapLine(3, 3)), recLines(3, 5), recLine(5)[:30]))
 	f.Add(cat(damage(recLine(0)), recLines(1, 3), []byte("\n\n"), snapLine(3, 7)))
 	f.Add([]byte("00000000 {}\nzzzzzzzz {\"version\":3}\n"))
+	// A contextual engine's segment: a birth, a tagged completion, a
+	// tagged failure and a split, then a damaged tagged record.
+	ctxRec := func(r Record) []byte { return appendLine(nil, &r) }
+	f.Add(cat(snapLine(0, 0), ctxRec(Record{Iter: 0, Ctx: "b0"}),
+		ctxRec(Record{Iter: 1, Algo: "a", Config: []F{}, Value: 2, Trial: 1, Ctx: "b0"}),
+		ctxRec(Record{Iter: 2, Algo: "a", Config: []F{}, Value: 9, FailKind: "panic", Trial: 2, Ctx: "b0"}),
+		ctxRec(Record{Iter: 3, Ctx: "b0", Split: []F{0, 3}}),
+		damage(ctxRec(Record{Iter: 4, Ctx: "b0.lo"}))))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The checksummed bodies, found independently of scanLines.
 		var bodies [][]byte

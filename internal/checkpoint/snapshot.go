@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"errors"
 	"os"
+	"path/filepath"
 	"strings"
 )
 
@@ -17,6 +18,9 @@ import (
 //   - Version 3 moved snapshots into the journal: a snapshot is one
 //     line of a journal segment (seg-*.log). Records are unchanged.
 //     Format-2 directories are refused (ErrFormat2), never read.
+//     Records later gained the contextual Ctx and Split fields, omitted
+//     when empty; the earlier contextual layout is refused
+//     (ErrContextLayout).
 const Version = 3
 
 // ErrNoSnapshot is returned by Load when the directory holds checkpoint
@@ -29,6 +33,26 @@ var ErrNoSnapshot = errors.New("checkpoint: no valid snapshot")
 // this package that still reads format 2 resumes such a directory and
 // rewrites it as segments.
 var ErrFormat2 = errors.New("checkpoint: format-2 checkpoint files (snap-*.ckpt, wal-*.log) are no longer read")
+
+// ErrContextLayout is returned by Load when the directory holds the
+// files a contextual engine kept beside its log before its replicas
+// joined it: a global/ subdirectory with the global engine's segments, a
+// splits.jsonl split journal or a contexts.json snapshot of the replicas'
+// selectors. This version keeps all of it in the directory's one log and
+// does not read those files; like format-2 files, they are refused and
+// left as they are, never written over.
+var ErrContextLayout = errors.New("checkpoint: contextual checkpoint of an earlier layout (global/, splits.jsonl, contexts.json) is no longer read")
+
+// contextLayout returns the first entry of the earlier contextual layout
+// that dir holds, or "" when it holds none.
+func contextLayout(dir string) string {
+	for _, name := range []string{"global", "splits.jsonl", "contexts.json"} {
+		if _, err := os.Lstat(filepath.Join(dir, name)); err == nil {
+			return name
+		}
+	}
+	return ""
+}
 
 // Segments, and the snapshot and journal files of format 2, are named
 // by a number zero-padded to genDigits, so lexical order is numeric

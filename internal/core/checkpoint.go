@@ -92,6 +92,16 @@ type tunerState struct {
 	HistoryTail []recState `json:"history_tail,omitempty"`
 
 	Drift *driftState `json:"drift,omitempty"`
+
+	Contexts *contextsState `json:"contexts,omitempty"`
+}
+
+// contextsState is a contextual engine's part of its global tuner's
+// snapshot: the partitioner, and every replica's own snapshot payload by
+// context.
+type contextsState struct {
+	Partitioner json.RawMessage            `json:"partitioner"`
+	Replicas    map[string]json.RawMessage `json:"replicas"`
 }
 
 // driftState is the drift watchdog's snapshot payload: the reset
@@ -266,6 +276,11 @@ func (t *Tuner) ExportState() ([]byte, error) {
 		b = append(b, `,"drift":`...)
 		b = append(b, raw...)
 	}
+	if t.ctxs != nil {
+		if b, err = t.ctxs.appendState(b); err != nil {
+			return nil, err
+		}
+	}
 	b = append(b, '}')
 	t.stateBuf = b
 	return b, nil
@@ -360,6 +375,14 @@ func (t *Tuner) RestoreState(payload []byte) error {
 			d.staleDrops = ds.Stale
 		}
 	}
+	if st.Contexts != nil {
+		if t.ctxs == nil {
+			return errors.New("core: snapshot holds context replicas; resume it as a contextual engine")
+		}
+		if err := t.ctxs.restore(t, st.Contexts); err != nil {
+			return err
+		}
+	}
 	if t.keepHistory {
 		t.history = t.history[:0]
 		for _, r := range st.HistoryTail {
@@ -383,7 +406,7 @@ func (t *Tuner) snapshotNow() error {
 	if err != nil {
 		return err
 	}
-	iter := t.Iterations()
+	iter := t.logIter
 	if t.journal == nil || t.ckptErr != nil || t.journal.Full() {
 		return t.rollSegment(iter, payload)
 	}
@@ -412,28 +435,42 @@ func (t *Tuner) rollSegment(iter int, payload []byte) error {
 // checkpointObserve is called from applyCompletion for every completed
 // iteration: it journals the record unsynced — the operation that
 // completed it syncs once, through journalSync, before it returns — and
-// takes the periodic snapshot. Failures are absorbed into ckptErr —
-// persistence must never take the tuning loop down with it.
-func (t *Tuner) checkpointObserve(iter int, c completion) {
-	t.maxTrial = max(t.maxTrial, c.trial)
-	if t.journal != nil {
+// takes the periodic snapshot. A replica journals into its global
+// tuner's log, tagged with its context, and counts toward that log's
+// snapshot cadence. Failures are absorbed into ckptErr — persistence
+// must never take the tuning loop down with it.
+func (t *Tuner) checkpointObserve(c completion) {
+	lt := t.journalOwner()
+	lt.maxTrial = max(lt.maxTrial, c.trial)
+	if lt.journal != nil {
 		rec := checkpoint.Record{
-			Iter:   iter,
+			Iter:   lt.logIter,
 			Algo:   t.algos[c.algo].Name,
 			Config: checkpoint.Floats(c.cfg),
 			Value:  checkpoint.F(c.value),
 			Trial:  c.trial,
 			Spec:   c.spec,
 			Pinned: c.pinned,
+			Ctx:    t.ctx,
 		}
 		if c.fail != nil {
 			rec.FailKind = c.fail.Kind.String()
 		}
-		if err := t.journal.AppendBuffered(rec); err != nil {
-			t.ckptErr = err
+		if err := lt.journal.AppendBuffered(rec); err != nil {
+			lt.ckptErr = err
 		}
 	}
-	if t.ckptEvery > 0 && (iter+1)%t.ckptEvery == 0 {
+	// A snapshot taken now must encode t again: this operation changed
+	// it, and the operation's unlock has not yet said so.
+	t.exported = false
+	lt.advanceLog()
+}
+
+// advanceLog counts one record into the log and takes the periodic
+// snapshot when it is due.
+func (t *Tuner) advanceLog() {
+	t.logIter++
+	if t.ckptEvery > 0 && t.logIter%t.ckptEvery == 0 {
 		if err := t.snapshotNow(); err != nil {
 			t.ckptErr = err
 			return
@@ -444,14 +481,24 @@ func (t *Tuner) checkpointObserve(iter int, c completion) {
 	}
 }
 
+// journalOwner returns the tuner whose journal holds t's records: its
+// global tuner for a context replica, t itself otherwise.
+func (t *Tuner) journalOwner() *Tuner {
+	if t.owner != nil {
+		return t.owner
+	}
+	return t
+}
+
 // journalSync makes every line journaled since the last sync durable.
 // It is the one durability point: every operation that journals reaches
 // it before it returns (Tuner.observe, and ConcurrentTuner.unlock for
 // the trial engines), so no acknowledged trial rests on unsynced bytes.
 // No-op when nothing is buffered.
 func (t *Tuner) journalSync() {
-	if err := t.journal.Sync(); err != nil {
-		t.ckptErr = err
+	lt := t.journalOwner()
+	if err := lt.journal.Sync(); err != nil {
+		lt.ckptErr = err
 	}
 }
 
@@ -470,7 +517,8 @@ func HasCheckpoint(dir string) bool {
 // directory with state is resumed: the newest valid snapshot is
 // restored — falling back to the one before it when the newest is
 // truncated or corrupt — the records after it are replayed, one
-// completion at a time, through replay, and a new segment opens with a
+// completion at a time, through replay (a contextual record through its
+// replica, see replayContextRecord), and a new segment opens with a
 // fresh snapshot, so a corrupted newest snapshot is healed by the resume
 // itself and a torn tail is never followed by new records. At most the
 // single in-flight iteration of the crashed process is lost.
@@ -497,6 +545,7 @@ func (t *Tuner) openCheckpoint(replay func(checkpoint.Record) error) error {
 	if err := t.RestoreState(st.Payload); err != nil {
 		return fmt.Errorf("core: resume from %s: %w", dir, err)
 	}
+	t.logIter = st.Iter
 	t.replaying = true
 	defer func() { t.replaying = false }()
 	for _, rec := range st.Records {
@@ -507,18 +556,29 @@ func (t *Tuner) openCheckpoint(replay func(checkpoint.Record) error) error {
 			// the sentinel is the authoritative record of the reset,
 			// and the sequence guard skips any reset already inside
 			// the snapshot.
-			t.applyDriftRecord(rec)
+			rt, err := t.recordTuner(rec)
+			if err != nil {
+				return fmt.Errorf("core: resume from %s: %w", dir, err)
+			}
+			rt.applyDriftRecord(rec)
 			continue
 		}
-		if rec.Iter < t.Iterations() {
+		if rec.Iter < t.logIter {
 			continue // already inside the snapshot
 		}
-		if rec.Iter > t.Iterations() {
-			return fmt.Errorf("core: resume from %s: journal gap at iteration %d (tuner at %d)", dir, rec.Iter, t.Iterations())
+		if rec.Iter > t.logIter {
+			return fmt.Errorf("core: resume from %s: journal gap at iteration %d (log at %d)", dir, rec.Iter, t.logIter)
 		}
-		if err := replay(rec); err != nil {
+		var err error
+		if rec.Ctx == "" {
+			err = replay(rec)
+		} else {
+			err = t.replayContextRecord(rec)
+		}
+		if err != nil {
 			return fmt.Errorf("core: resume from %s: %w", dir, err)
 		}
+		t.logIter++
 	}
 	t.maxTrial = st.Trial
 	return t.snapshotNow()

@@ -375,7 +375,7 @@ func (t *Tuner) driftReset(arm int, keep float64) {
 	d.schedule(len(t.algos), d.cfg.ProbesPerArm)
 	d.resetDetectors()
 
-	if t.ckptDir != "" && !t.replaying {
+	if t.journalOwner().ckptDir != "" && !t.replaying {
 		t.journalDrift(arm, refork, keep, restartP1)
 	}
 }
@@ -404,7 +404,8 @@ func (t *Tuner) applySelectorReset(refork bool, keep float64) {
 // was restarted — plus the sequence number that makes re-application
 // idempotent.
 func (t *Tuner) journalDrift(arm int, refork bool, keep float64, restartP1 bool) {
-	if t.journal == nil {
+	lt := t.journalOwner()
+	if lt.journal == nil {
 		return
 	}
 	kind := checkpoint.DriftDecay
@@ -412,16 +413,17 @@ func (t *Tuner) journalDrift(arm int, refork bool, keep float64, restartP1 bool)
 		kind = checkpoint.DriftRefork
 	}
 	rec := checkpoint.Record{
-		Iter:        t.Iterations(),
+		Iter:        lt.logIter,
 		Drift:       kind,
 		DriftSeq:    t.driftSeq,
 		DriftArm:    arm,
 		DriftKeep:   checkpoint.F(keep),
 		DriftProbes: t.drift.cfg.ProbesPerArm,
 		DriftP1:     restartP1,
+		Ctx:         t.ctx,
 	}
-	if err := t.journal.AppendBuffered(rec); err != nil {
-		t.ckptErr = err
+	if err := lt.journal.AppendBuffered(rec); err != nil {
+		lt.ckptErr = err
 	}
 }
 

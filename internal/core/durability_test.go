@@ -80,10 +80,11 @@ func crashAndRebuild(t *testing.T, build func(dir string) (durableEngine, error)
 	rng := rand.New(rand.NewSource(seed))
 	disk.CutAt(1 + rng.Intn(200))
 	acked := e.Counts() // per-arm counts every returned call reached
+	ackedCtx := contextsOf(e)
 	for !disk.Down() {
 		runBatch(t, e, rng)
 		if !disk.Down() {
-			acked = e.Counts()
+			acked, ackedCtx = e.Counts(), contextsOf(e)
 		}
 	}
 	upper := e.Counts() // the in-flight batch included
@@ -107,6 +108,25 @@ func crashAndRebuild(t *testing.T, build func(dir string) (durableEngine, error)
 	if re.Iterations() != sum {
 		t.Fatalf("rebuilt Iterations() = %d, counts sum to %d", re.Iterations(), sum)
 	}
+	// A contextual engine's contexts come from its splits: every one a
+	// returned call saw must come back.
+	rebuilt, ctxs := contextsOf(re), map[string]bool{}
+	for _, c := range rebuilt {
+		ctxs[c] = true
+	}
+	for _, c := range ackedCtx {
+		if !ctxs[c] {
+			t.Fatalf("context %s lost in the power cut: rebuilt %v, acknowledged %v", c, rebuilt, ackedCtx)
+		}
+	}
+}
+
+// contextsOf returns a contextual engine's contexts, nil for others.
+func contextsOf(e durableEngine) []string {
+	if c, ok := e.(interface{ Contexts() []string }); ok {
+		return c.Contexts()
+	}
+	return nil
 }
 
 // runBatch drives one seeded batch of 1–16 trials through e: a CompleteN

@@ -105,7 +105,9 @@ type EngineStats struct {
 // a worker that dies never wedges the tuner.
 //
 // Internally one mutex guards the decision state (selector, strategies,
-// counters, checkpoint journal), and it is released only after the
+// counters, checkpoint journal) — the replicas of a contextual engine
+// share their global engine's (see NewContextualTuner) — and it is
+// released only after the
 // journal records a call wrote are synced; Best, Counts and Iterations are
 // lock-free reads of snapshots refreshed once per operation that changed
 // them: the best is copy-on-write, the counts are per-arm atomics. Phase
@@ -120,12 +122,11 @@ type EngineStats struct {
 // engine itself offers the classic Next/Observe/Step/Run surface as a
 // thin single-lease adapter.
 type ConcurrentTuner struct {
-	mu        sync.Mutex
+	mu        *engineMu
 	t         *Tuner
 	proposers []*search.Proposer
 	leases    map[uint64]lease
-	inFlight  []int // per-algorithm outstanding leases
-	nextID    uint64
+	inFlight  []int  // per-algorithm outstanding leases
 	adapterID uint64 // outstanding single-lease-adapter trial, 0 = none
 
 	leaseTTL    time.Duration
@@ -141,6 +142,15 @@ type ConcurrentTuner struct {
 	iters  atomic.Uint64
 }
 
+// engineMu is a trial engine's mutex and the trial-ID counter it
+// guards. The replicas of a contextual engine share their global
+// engine's (see NewContextualTuner), so trial IDs are unique across the
+// whole engine and a resume issues fresh ones above every journaled one.
+type engineMu struct {
+	sync.Mutex
+	lastID uint64 // highest trial ID issued
+}
+
 // NewConcurrentTuner builds a two-phase tuner over the given algorithms
 // and wraps it in the trial engine, in one step. It accepts both
 // tuner-scope options (WithGuard, WithCheckpoint, ...) and engine-scope
@@ -152,6 +162,13 @@ type ConcurrentTuner struct {
 // tuner's journal, and fresh trial IDs are issued above every journaled
 // one.
 func NewConcurrentTuner(algos []Algorithm, selector nominal.Selector, factory search.Factory, seed int64, opts ...Option) (*ConcurrentTuner, error) {
+	return buildEngine(algos, selector, factory, seed, nil, opts)
+}
+
+// buildEngine builds a trial engine, the global engine of a contextual one
+// when hook is non-nil (see NewContextualTuner), and resumes its
+// checkpoint directory.
+func buildEngine(algos []Algorithm, selector nominal.Selector, factory search.Factory, seed int64, hook ContextHook, opts []Option) (*ConcurrentTuner, error) {
 	tunerOpts, engineOpts, err := splitEngineOptions(opts)
 	if err != nil {
 		return nil, err
@@ -160,25 +177,29 @@ func NewConcurrentTuner(algos []Algorithm, selector nominal.Selector, factory se
 	if err != nil {
 		return nil, err
 	}
+	mu := new(engineMu)
+	if hook != nil {
+		t.ctxs = newContextSet(hook, mu, factory, tunerOpts, engineOpts)
+	}
 	if err := t.openCheckpoint(t.replayCompletion); err != nil {
 		return nil, err
 	}
-	c, err := wrapEngine(t, engineOpts)
+	c, err := wrapEngine(t, engineOpts, mu)
 	if err != nil {
 		return nil, err
 	}
 	// Every snapshot carries the highest trial ID issued or journaled
 	// before it, so IDs folded into the restored snapshot and leases
 	// still out at that snapshot stay disjoint from fresh ones too.
-	c.nextID = t.maxTrial
+	mu.lastID = t.maxTrial
 	return c, nil
 }
 
 // wrapEngine wraps a freshly built (or resumed) Tuner in the trial
-// engine. The tuner must be at an iteration boundary — no Next/Observe
-// pending — and must not be used directly afterwards. opts must already
-// be filtered to engine scope.
-func wrapEngine(t *Tuner, opts []Option) (*ConcurrentTuner, error) {
+// engine that locks mu and draws its trial IDs from it. The tuner must be at an iteration boundary — no
+// Next/Observe pending — and must not be used directly afterwards. opts
+// must already be filtered to engine scope.
+func wrapEngine(t *Tuner, opts []Option, mu *engineMu) (*ConcurrentTuner, error) {
 	if t == nil {
 		return nil, errors.New("core: NewConcurrentTuner with nil tuner")
 	}
@@ -189,6 +210,7 @@ func wrapEngine(t *Tuner, opts []Option) (*ConcurrentTuner, error) {
 	// the strategies beneath the proposers' outstanding proposals.
 	t.engineOwned = true
 	c := &ConcurrentTuner{
+		mu:        mu,
 		t:         t,
 		proposers: make([]*search.Proposer, len(t.strategies)),
 		leases:    make(map[uint64]lease),
@@ -244,9 +266,10 @@ func (c *ConcurrentTuner) leaseOneLocked(now time.Time) (Trial, error) {
 		return Trial{}, ErrTooManyInFlight
 	}
 	t := c.t
-	c.nextID++
-	t.maxTrial = max(t.maxTrial, c.nextID)
-	tr := Trial{ID: c.nextID}
+	c.mu.lastID++
+	lt := t.journalOwner()
+	lt.maxTrial = max(lt.maxTrial, c.mu.lastID)
+	tr := Trial{ID: c.mu.lastID}
 	var prop search.Proposal
 	if t.degraded && t.bestAlgo >= 0 {
 		tr.Algo = t.bestAlgo
@@ -473,7 +496,7 @@ func (c *ConcurrentTuner) Absorb(obs []nominal.Observation) int {
 		if o.Arm < 0 || o.Arm >= len(t.algos) || math.IsNaN(o.Value) || math.IsInf(o.Value, 0) {
 			continue
 		}
-		c.nextID++
+		c.mu.lastID++
 		var fail *guard.Failure
 		if o.Failed {
 			fail = &guard.Failure{
@@ -484,61 +507,13 @@ func (c *ConcurrentTuner) Absorb(obs []nominal.Observation) int {
 			}
 		}
 		t.applyCompletion(completion{
-			algo: o.Arm, value: o.Value, fail: fail, trial: c.nextID, spec: true,
+			algo: o.Arm, value: o.Value, fail: fail, trial: c.mu.lastID, spec: true,
 		}, nil)
 		applied++
 	}
 	c.nAbsorbed += uint64(applied)
 	c.dirty = true
 	return applied
-}
-
-// ExportSelectorState serializes the phase-two selector's state under
-// the engine mutex — the fold contextual replicas warm-start from. It
-// fails when the selector does not implement nominal.Stateful (all
-// built-in selectors do).
-func (c *ConcurrentTuner) ExportSelectorState() ([]byte, error) {
-	c.mu.Lock()
-	defer c.unlock()
-	sel, ok := c.t.selector.(nominal.Stateful)
-	if !ok {
-		return nil, fmt.Errorf("core: selector %T does not export state", c.t.selector)
-	}
-	return sel.Export()
-}
-
-// RestoreSelectorState replaces the phase-two selector's state with a
-// previously exported one, under the engine mutex. The selector must be
-// the same type the state was exported from (the caller pairs factories,
-// as contextual replicas do with the global engine's selector).
-func (c *ConcurrentTuner) RestoreSelectorState(data []byte) error {
-	c.mu.Lock()
-	defer c.unlock()
-	sel, ok := c.t.selector.(nominal.Stateful)
-	if !ok {
-		return fmt.Errorf("core: selector %T does not restore state", c.t.selector)
-	}
-	if err := sel.Restore(data); err != nil {
-		return err
-	}
-	c.dirty = true
-	return nil
-}
-
-// DecaySelector discounts the phase-two selector's accumulated history
-// (see nominal.Decayable), keeping roughly a keep-fraction of each arm's
-// evidence. Contextual replicas use it to soften a warm start imported
-// from another engine's fold: the imported record biases early choices
-// but weakly-evidenced arms return to the unvisited state and are
-// re-probed against local, honestly-scaled measurements. No-op for
-// selectors that do not implement Decayable.
-func (c *ConcurrentTuner) DecaySelector(keep float64) {
-	c.mu.Lock()
-	defer c.unlock()
-	if d, ok := c.t.selector.(nominal.Decayable); ok {
-		d.Decay(keep)
-	}
-	c.dirty = true
 }
 
 // Checkpoint journals a snapshot of the current state, syncs it and
@@ -678,6 +653,7 @@ func (c *ConcurrentTuner) finishLocked(l *lease, value float64, fail *guard.Fail
 // and the expiry sweeps Lease, Heartbeat and Alive run — releases the
 // mutex here.
 func (c *ConcurrentTuner) unlock() {
+	c.t.exported = false // the operation may have changed the state
 	c.t.journalSync()
 	if c.dirty {
 		c.publishLocked()

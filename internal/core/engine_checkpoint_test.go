@@ -67,7 +67,7 @@ func TestConcurrentCrashResume(t *testing.T) {
 	preCounts := ct.Counts()
 	preBestA, preBestC, preBestV := ct.Best()
 	preFS := ct.FailureStats()
-	maxID := ct.nextID
+	maxID := ct.mu.lastID
 
 	// A sequential build must refuse a trial-engine journal.
 	if _, err := NewTuner(algos, mk(), nil, 11, WithCheckpoint(dir, 10)); err == nil || !strings.Contains(err.Error(), "NewConcurrentTuner") {

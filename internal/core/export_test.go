@@ -91,8 +91,37 @@ func referenceExportState(t *Tuner) ([]byte, error) {
 			Value:  checkpoint.F(r.Value), Failed: r.Failed,
 		}
 	}
+	if cs := t.ctxs; cs != nil {
+		part, err := cs.hook.ExportPartition()
+		if err != nil {
+			return nil, err
+		}
+		st.Contexts = &contextsState{Partitioner: part, Replicas: map[string]json.RawMessage{}}
+		for id, r := range cs.replicas {
+			raw, err := referenceExportState(r.t)
+			if err != nil {
+				return nil, err
+			}
+			st.Contexts.Replicas[id] = raw
+		}
+	}
 	return json.Marshal(st)
 }
+
+// exportHook is a ContextHook over a fixed partitioner payload, encoded
+// as Tree.Export encodes it (json.Marshal escapes HTML), whose
+// replicas take the selector sel builds.
+type exportHook struct{ sel func() nominal.Selector }
+
+func (h exportHook) Replica(ctx string) (nominal.Selector, int64) { return h.sel(), int64(len(ctx)) }
+func (exportHook) WarmStart(replica, global nominal.Selector)     {}
+func (exportHook) Born(string, *ConcurrentTuner)                  {}
+func (exportHook) Splits() []checkpoint.Record                    { return nil }
+func (exportHook) ExportPartition() ([]byte, error) {
+	return json.Marshal(map[string]any{"splits": []map[string]any{{"node": "b<0>", "dim": 0, "bin": 3}}})
+}
+func (exportHook) RestorePartition([]byte) error     { return nil }
+func (exportHook) ReplaySplit(rec checkpoint.Record) {}
 
 // exportSelectors are every selector nominal.NewByName builds.
 var exportSelectors = []string{
@@ -132,15 +161,54 @@ func (c exportCase) String() string {
 	return fmt.Sprintf("%s/guard=%t/drift=%t/history=%t", c.selector, c.guard, c.drift, !c.noHistory)
 }
 
-func (c exportCase) build(tb testing.TB, seed int64) *Tuner {
+func (c exportCase) newSelector(tb testing.TB) nominal.Selector {
 	tb.Helper()
 	sel, err := nominal.NewByName(c.selector)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	var opts []Option
 	if c.guard {
 		sel = guard.NewQuarantine(sel)
+	}
+	return sel
+}
+
+// buildContextual builds the global engine of a contextual engine with
+// two replicas, b0 and "b<0>.lo" (a name that needs escaping), and
+// returns the three tuners.
+func (c exportCase) buildContextual(tb testing.TB, seed int64) []*Tuner {
+	tb.Helper()
+	var opts []Option
+	if c.guard {
+		opts = append(opts, WithGuard())
+	}
+	if c.drift {
+		opts = append(opts, WithDriftWatchdog(DefaultDriftConfig()))
+	}
+	if c.noHistory {
+		opts = append(opts, WithoutHistory())
+	}
+	g, err := NewContextualTuner(exportAlgos(), c.newSelector(tb), DefaultFactory, seed,
+		exportHook{func() nominal.Selector { return c.newSelector(tb) }}, opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tuners := []*Tuner{g.t}
+	for _, id := range []string{"b0", "b<0>.lo"} {
+		r, err := g.Replica(id)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tuners = append(tuners, r.t)
+	}
+	return tuners
+}
+
+func (c exportCase) build(tb testing.TB, seed int64) *Tuner {
+	tb.Helper()
+	sel := c.newSelector(tb)
+	var opts []Option
+	if c.guard {
 		opts = append(opts, WithGuard())
 	}
 	if c.drift {
@@ -239,23 +307,107 @@ func TestExportStateMatchesJSON(t *testing.T) {
 
 // FuzzExportState runs seeded operation sequences through a tuner whose
 // selector, guard, drift watchdog and history keeping the first two
-// bytes choose, and requires ExportState to equal json.Marshal.
+// bytes choose, and requires ExportState to equal json.Marshal. With the
+// first byte's high bit set the tuner is a contextual engine's global
+// one, and the operations alternate between it and two replicas, whose
+// states its snapshot carries.
 func FuzzExportState(f *testing.F) {
 	f.Add([]byte{0, 0})
 	f.Add([]byte{7, 15, 3, 2, 1, 0, 255, 254, 128, 64})
 	f.Add([]byte{2, 5, 11, 42, 43, 46, 47, 99, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3})
+	f.Add([]byte{0x80, 7, 1, 2, 3, 44, 45, 46, 47, 200, 201, 202, 203})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 || len(data) > 512 {
 			return
 		}
 		c := exportCase{
-			selector:  exportSelectors[int(data[0])%len(exportSelectors)],
+			selector:  exportSelectors[int(data[0]&0x7f)%len(exportSelectors)],
 			guard:     data[1]&1 != 0,
 			drift:     data[1]&2 != 0,
 			noHistory: data[1]&4 != 0,
 		}
-		tu := c.build(t, int64(data[1]>>3))
-		runOps(tu, data[2:])
-		checkExport(t, c.String(), tu)
+		if data[0]&0x80 == 0 {
+			tu := c.build(t, int64(data[1]>>3))
+			runOps(tu, data[2:])
+			checkExport(t, c.String(), tu)
+			return
+		}
+		tuners := c.buildContextual(t, int64(data[1]>>3))
+		for i, op := range data[2:] {
+			runOps(tuners[i%len(tuners)], []byte{op})
+		}
+		checkExport(t, c.String()+"/contextual", tuners[0])
 	})
+}
+
+// TestSnapshotReencodesTouchedReplicas: a snapshot copies a replica's
+// previous encoding only while no operation has touched the replica.
+// Its payload for each replica must equal the replica's own export at
+// that moment: after a lease alone (which moves the replica's RNG and
+// proposals but journals nothing), and when a replica's completion takes
+// the snapshot right after one that encoded the replica.
+func TestSnapshotReencodesTouchedReplicas(t *testing.T) {
+	dir := t.TempDir()
+	c := exportCase{selector: "egreedy:10"}
+	g, err := NewContextualTuner(exportAlgos(), c.newSelector(t), DefaultFactory, 3,
+		exportHook{func() nominal.Selector { return c.newSelector(t) }}, WithCheckpoint(dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps := map[string]*ConcurrentTuner{}
+	for _, id := range []string{"a", "b"} {
+		if reps[id], err = g.Replica(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lease := func(id string) Trial {
+		tr, err := reps[id].LeaseN(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr[0]
+	}
+	complete := func(id string, tr Trial) {
+		if errs := reps[id].CompleteN([]TrialResult{{ID: tr.ID, Value: 1 + float64(tr.Algo)}}); errs[0] != nil {
+			t.Fatal(errs[0])
+		}
+	}
+	check := func(step string) {
+		t.Helper()
+		st, err := checkpoint.Load(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap struct {
+			Contexts struct {
+				Replicas map[string]json.RawMessage `json:"replicas"`
+			} `json:"contexts"`
+		}
+		if err := json.Unmarshal(st.Payload, &snap); err != nil {
+			t.Fatal(err)
+		}
+		for id, r := range reps {
+			want, err := referenceExportState(r.t)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := snap.Contexts.Replicas[id]; !bytes.Equal(got, want) {
+				t.Fatalf("%s: snapshot holds replica %s as\n%s\nits state is\n%s", step, id, got, want)
+			}
+		}
+	}
+	for i := 0; i < 5; i++ {
+		ta, tb := lease("a"), lease("b")
+		complete("b", tb) // its snapshot encodes a, leased since the last one
+		check(fmt.Sprintf("round %d, after b", i))
+		complete("a", ta) // a's snapshot, untouched since b's but for this completion
+		check(fmt.Sprintf("round %d, after a", i))
+	}
+	if _, err := reps["b"].LeaseN(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	check("a lease alone")
 }

@@ -143,6 +143,19 @@ type Tuner struct {
 	ckptErr   error
 	replaying bool
 	stateBuf  []byte // ExportState's reused payload buffer
+	logIter   int    // Iter of the next record in the log (see checkpoint.Record)
+	// exported reports that stateBuf holds a context replica's current
+	// state, so its global tuner's next snapshot need not encode it
+	// again (contextSet.appendState).
+	exported bool
+
+	// Contexts (see NewContextualTuner). A contextual engine's global
+	// tuner holds its replicas in ctxs; each replica's tuner names its
+	// context in ctx and its global tuner in owner, which learns from the
+	// replica's successes and keeps its records in its log.
+	ctxs  *contextSet
+	ctx   string
+	owner *Tuner
 }
 
 // NewTuner creates a two-phase tuner over the given algorithms.
@@ -386,6 +399,10 @@ func (t *Tuner) applyCompletion(c completion, reportPhase1 func(param.Config, fl
 		}
 		t.selector.Report(c.algo, c.value)
 	}
+	if t.owner != nil && !failed {
+		// The global selector learns from every context's traffic.
+		t.owner.selector.Report(c.algo, c.value)
+	}
 	t.counts[c.algo]++
 	if t.keepHistory {
 		t.history = append(t.history, Record{
@@ -420,8 +437,8 @@ func (t *Tuner) applyCompletion(c completion, reportPhase1 func(param.Config, fl
 	}
 	t.lastValue, t.lastFailed = c.value, failed
 	t.watch(failed)
-	if t.ckptDir != "" && !t.replaying {
-		t.checkpointObserve(iter, c)
+	if t.journalOwner().ckptDir != "" && !t.replaying {
+		t.checkpointObserve(c)
 	}
 	if t.drift != nil {
 		// After checkpointObserve: a reset's journal sentinel must

@@ -16,15 +16,21 @@
 //     starts from quantized hash buckets and refines online: when a
 //     bucket's observed cost distribution is bimodal across a feature
 //     threshold (min-samples and min-lift gated), the bucket splits into
-//     two child contexts. Splits are journaled and replayed on resume,
-//     so a restarted server rediscovers every context it had learned.
-//   - An Engine maintains one selector replica per context: each
-//     context gets its own lease-based trial engine whose selector is
-//     warm-started from its own snapshot after a restart, else from the
-//     global selector's state (ExportSelectorState/RestoreSelectorState),
-//     so a newly discovered context does not relearn from scratch, and
-//     every contextual completion folds back into the global selector
-//     through Absorb.
+//     two child contexts.
+//   - An Engine maintains one replica per context: each context gets its
+//     own lease-based trial engine, built beside the global engine by
+//     core.NewContextualTuner and sharing its mutex. A new context's
+//     selector is warm-started from the global selector's state, so it
+//     does not relearn from scratch, and the global selector learns from
+//     every context's successful trials in turn.
+//   - With a checkpoint directory the engine has one durable log, the
+//     global engine's journal: every replica's completions, failures
+//     and drift resets are records tagged with their context, each
+//     replica's birth and every split is a record too, and snapshots
+//     carry the partitioner and every replica's full state. A restarted
+//     server replays that log and comes back with every context it had
+//     learned and what each had learned, losing at most the trials of an
+//     operation cut by the crash.
 //
 // The tuned server routes feature-bearing LeaseN requests through this
 // engine; requests without features land on the global context, so a

@@ -1,13 +1,8 @@
 package ctxtune
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
 	"hash/fnv"
-	"math"
-	"os"
-	"path/filepath"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -20,14 +15,18 @@ import (
 	"repro/internal/search"
 )
 
-// extIDBase is where contextual trial IDs start: IDs at or above it were
-// leased from a per-context replica (and carry a route entry back to
-// it); IDs below it pass through to the global engine untouched. 2^32
-// keeps the IDs at ten JSON digits — every trial's ID crosses the wire
-// three times (lease, completion, ack), so digit count is throughput. The
-// global counter would need 4.3 billion completions to reach the stripe,
-// and even then a colliding completion degrades to ErrUnknownTrial — the
-// route table, not the ID range, is what actually resolves a trial.
+// extIDBase is where contextual trial IDs start: a replica's trial ID
+// plus extIDBase is the ID its lease carries (and a route entry leads
+// back to it); IDs below it pass through to the global engine untouched.
+// The global engine and its replicas draw from one trial-ID counter
+// (core.NewContextualTuner), which a resume restarts above every
+// journaled ID, so an ID never names two trials, not even across a
+// restart. 2^32 keeps the IDs at ten JSON digits — every trial's ID
+// crosses the wire three times (lease, completion, ack), so digit count
+// is throughput. The counter would need 4.3 billion leases to reach the
+// stripe, and even then a colliding completion degrades to
+// ErrUnknownTrial — the route table, not the ID range, is what actually
+// resolves a trial.
 const extIDBase uint64 = 1 << 32
 
 // warmStartKeep is the Decay fraction applied to a selector state
@@ -59,12 +58,13 @@ type Config struct {
 	Seed int64
 	// Partitioner maps features to contexts (nil = NewTree defaults).
 	Partitioner Partitioner
-	// Dir is the persistence root: the global engine checkpoints under
-	// Dir/global, the partitioner journals splits to Dir/splits.jsonl,
-	// and Checkpoint snapshots partitioner + per-context selector state
-	// to Dir/contexts.json. Empty = in-memory only.
+	// Dir is the checkpoint directory of the whole engine: one journal,
+	// the global engine's, holds every trial of every context, each
+	// replica's birth and every split, and its snapshots carry the
+	// partitioner and every replica's state. Empty = in-memory only.
 	Dir string
-	// Every is the global engine's snapshot interval (with Dir).
+	// Every is the snapshot interval, in records of that journal (with
+	// Dir).
 	Every int
 	// Opts are engine/tuner options applied to the global engine and to
 	// every replica (lease timeout, max in-flight, drift watchdog, ...).
@@ -77,9 +77,7 @@ type Config struct {
 // and heartbeats find their replica and the feature vector reaches the
 // partitioner when the measurement lands.
 type route struct {
-	ctx    string
-	local  uint64
-	algo   int
+	eng    *core.ConcurrentTuner
 	feats  Features
 	expiry time.Time
 }
@@ -88,46 +86,38 @@ type route struct {
 type replica struct {
 	id  string
 	eng *core.ConcurrentTuner
-
-	// feats is the feature vector of the replica's latest lease, shared
-	// by the routes of every lease carrying an equal vector, so a
-	// client's sticky vector is copied once, not per lease. Never
-	// mutated; guarded by Engine.mu.
-	feats Features
 }
 
 // Engine is the contextual tuning engine: a global core.ConcurrentTuner
 // for feature-less traffic plus one lazily created replica per
-// partitioner context, with all replica completions folded back into the
-// global selector via Absorb. It implements the tuned.Engine surface, so
-// the wire server can serve it directly; LeaseNFor is the contextual
-// entry point.
+// partitioner context (core.NewContextualTuner), whose successful trials
+// the global selector also learns from. It implements the tuned.Engine
+// surface, so the wire server can serve it directly; LeaseNFor is the
+// contextual entry point.
 type Engine struct {
 	cfg    Config
 	part   Partitioner
 	global *core.ConcurrentTuner
 
-	mu       sync.Mutex
-	replicas map[string]*replica
-	routes   map[uint64]route
-	nextExt  uint64
-	journal  *splitJournal // nil without Dir
-	now      func() time.Time
+	mu     sync.Mutex
+	routes map[uint64]route
+	// feats holds each context's latest lease's feature vector, shared
+	// by the routes of every lease carrying an equal vector, so a
+	// client's sticky vector is copied once, not per lease. The vectors
+	// are never mutated.
+	feats map[string]Features
+	now   func() time.Time
 
-	// reps mirrors the replicas map as an immutable slice (replicas are
-	// never removed), so the read-side aggregates — Iterations above
-	// all, which the server consults on every lease for its trial
-	// target — never contend with the routing mutex.
-	reps atomic.Pointer[[]*replica]
+	// reps lists the replicas the global engine built, in birth order,
+	// as an immutable slice (replicas are never removed) that the
+	// global engine's ContextHook.Born replaces under its mutex, so the
+	// read-side aggregates — Iterations above all, which the server
+	// consults on every lease for its trial target — take no lock.
+	reps atomic.Pointer[[]replica]
 
-	// Fold-back accounting: contextual completions absorbed into the
-	// global selector count as global iterations, but they are copies of
-	// measurements the replicas already counted — aggregates subtract
-	// them so one measurement is one iteration. nFolds is atomic for the
-	// same lock-free Iterations; the per-algorithm counts stay behind mu
-	// (Counts is not on the hot path).
-	nFolds atomic.Int64
-	folds  []int // per algorithm
+	// journaled counts the partitioner's splits already in the log. Only
+	// the contextHook reads and writes it, under the engine mutex.
+	journaled int
 
 	// scratch is CompleteN's working set, taken under mu for the length
 	// of one call and put back at its end; a concurrent call finding it
@@ -140,41 +130,25 @@ type completeScratch struct {
 	globalIdx []int
 	globalRes []core.TrialResult
 	items     []ctxItem
-	obs       []nominal.Observation
 	batch     []core.TrialResult
 	group     []int
 }
 
-// ctxItem is one contextual result of a CompleteN batch: its index in
-// the batch, its route, and its replica (nil once completed).
+// ctxItem is one contextual entry of a batch: its index in the batch,
+// its route, and its replica (nil once its group is handled).
 type ctxItem struct {
 	idx int
 	rt  route
-	rep *replica
+	rep *core.ConcurrentTuner
 }
 
-// engineState is the contexts.json payload: the partitioner snapshot and
-// every replica's selector state.
-type engineState struct {
-	Partitioner json.RawMessage   `json:"partitioner,omitempty"`
-	Contexts    map[string][]byte `json:"contexts,omitempty"`
-}
-
-const contextsFileName = "contexts.json"
-
-// HasCheckpoint reports whether dir holds a contextual engine's state
-// for New to resume: its global engine's checkpoint in dir/global.
-func HasCheckpoint(dir string) bool {
-	return dir != "" && core.HasCheckpoint(filepath.Join(dir, "global"))
-}
-
-// New builds a contextual engine. When cfg.Dir holds state from a
-// previous incarnation (a global checkpoint, a contexts snapshot, a
-// split journal), the engine resumes from it: the global engine replays
-// its journal, the partitioner restores its snapshot and replays the
-// split journal on top, and every snapshotted context replica is
-// re-created with its saved selector state — a restarted server
-// rediscovers every context it had learned.
+// New builds a contextual engine. When cfg.Dir holds the state of a
+// previous incarnation, the engine resumes from it: the global engine
+// restores its newest snapshot — partitioner and every replica included
+// — and replays the journal after it, so a restarted server rediscovers
+// every context it had learned with what each had learned. A directory
+// in the earlier contextual layout is refused with
+// checkpoint.ErrContextLayout and left as it is.
 func New(cfg Config) (*Engine, error) {
 	if len(cfg.Algos) == 0 {
 		return nil, errors.New("ctxtune: no algorithms")
@@ -189,129 +163,104 @@ func New(cfg Config) (*Engine, error) {
 	// a long-running contextual server stays at constant memory.
 	cfg.Opts = append(append([]core.Option(nil), cfg.Opts...), core.WithoutHistory())
 	e := &Engine{
-		cfg:      cfg,
-		part:     cfg.Partitioner,
-		replicas: make(map[string]*replica),
-		routes:   make(map[uint64]route),
-		now:      time.Now,
-		folds:    make([]int, len(cfg.Algos)),
+		cfg:    cfg,
+		part:   cfg.Partitioner,
+		routes: make(map[uint64]route),
+		feats:  make(map[string]Features),
+		now:    time.Now,
 	}
 	if e.part == nil {
 		e.part = NewTree(0, 0, 0)
 	}
-
 	opts := cfg.Opts
 	if cfg.Dir != "" {
-		opts = append(append([]core.Option(nil), cfg.Opts...), core.WithCheckpoint(filepath.Join(cfg.Dir, "global"), cfg.Every))
+		opts = append(opts[:len(opts):len(opts)], core.WithCheckpoint(cfg.Dir, cfg.Every))
 	}
 	var err error
-	e.global, err = core.NewConcurrentTuner(cfg.Algos, cfg.Selector(), cfg.Factory, cfg.Seed, opts...)
+	e.global, err = core.NewContextualTuner(cfg.Algos, cfg.Selector(), cfg.Factory, cfg.Seed, (*contextHook)(e), opts...)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Dir == "" {
-		return e, nil
-	}
-	if err := e.restoreContexts(); err != nil {
-		return nil, err
-	}
-	// Journal splits learned before the partitioner's last snapshot are
-	// already in the tree; Replay is idempotent, so applying the full
-	// journal closes the gap between snapshot and crash.
-	if r, ok := e.part.(interface{ Replay([]Split) }); ok {
-		r.Replay(readSplits(cfg.Dir))
-	}
-	e.journal = &splitJournal{dir: cfg.Dir}
-	// The Tree journals a new split under its own lock, before the split
-	// becomes visible to Context, so a journaled split is never skipped.
-	if t, ok := e.part.(*Tree); ok {
-		t.onSplit = func(s Split) { e.journal.append(s) }
 	}
 	return e, nil
 }
 
-// restoreContexts loads Dir/contexts.json, restoring the partitioner and
-// re-creating every snapshotted replica. A missing file is a fresh
-// start; a corrupt one fails the resume loudly.
-func (e *Engine) restoreContexts() error {
-	buf, err := os.ReadFile(filepath.Join(e.cfg.Dir, contextsFileName))
-	if os.IsNotExist(err) {
-		return nil
+// Close does nothing: the engine's only file is its global engine's
+// journal segment, which Checkpoint closes. It stays because the
+// benchmark module (bench/) closes the engines it builds.
+func (e *Engine) Close() error { return nil }
+
+// contextHook is the Engine as its global engine's core.ContextHook.
+type contextHook Engine
+
+// Replica implements core.ContextHook: a replica's seed folds its
+// context ID into the engine seed, so two contexts never share an RNG
+// stream.
+func (h *contextHook) Replica(ctx string) (nominal.Selector, int64) {
+	f := fnv.New64a()
+	f.Write([]byte(ctx))
+	return h.cfg.Selector(), h.cfg.Seed ^ int64(f.Sum64())
+}
+
+// WarmStart implements core.ContextHook: a new context begins with
+// everything global traffic has learned. The global fold's values may
+// live on another cost scale, so they are imported softened to a weak
+// prior (see warmStartKeep). Best effort — a selector that cannot
+// round-trip its state just starts cold.
+func (h *contextHook) WarmStart(replica, global nominal.Selector) {
+	g, ok1 := global.(nominal.Stateful)
+	r, ok2 := replica.(nominal.Stateful)
+	if !ok1 || !ok2 {
+		return
 	}
-	if err != nil {
-		return fmt.Errorf("ctxtune: %w", err)
-	}
-	var st engineState
-	if err := json.Unmarshal(buf, &st); err != nil {
-		return fmt.Errorf("ctxtune: contexts snapshot: %w", err)
-	}
-	if len(st.Partitioner) > 0 {
-		if err := e.part.Restore(st.Partitioner); err != nil {
-			return err
+	if state, err := g.Export(); err == nil && r.Restore(state) == nil {
+		if d, ok := replica.(nominal.Decayable); ok {
+			d.Decay(warmStartKeep)
 		}
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for id, sel := range st.Contexts {
-		if _, err := e.replicaForLocked(id, sel); err != nil {
-			return err
-		}
+}
+
+// Born implements core.ContextHook: the new replica joins the lock-free
+// list the aggregates read.
+func (h *contextHook) Born(ctx string, eng *core.ConcurrentTuner) {
+	var reps []replica
+	if p := h.reps.Load(); p != nil {
+		reps = *p
 	}
+	reps = append(reps[:len(reps):len(reps)], replica{ctx, eng})
+	h.reps.Store(&reps)
+}
+
+// Splits implements core.ContextHook.
+func (h *contextHook) Splits() []checkpoint.Record {
+	all := h.part.Splits()
+	var recs []checkpoint.Record
+	for _, s := range all[min(h.journaled, len(all)):] {
+		recs = append(recs, checkpoint.Record{Ctx: s.Node, Split: []checkpoint.F{checkpoint.F(s.Dim), checkpoint.F(s.Bin)}})
+	}
+	h.journaled = len(all)
+	return recs
+}
+
+// ExportPartition implements core.ContextHook.
+func (h *contextHook) ExportPartition() ([]byte, error) { return h.part.Export() }
+
+// RestorePartition implements core.ContextHook.
+func (h *contextHook) RestorePartition(data []byte) error {
+	if err := h.part.Restore(data); err != nil {
+		return err
+	}
+	h.journaled = len(h.part.Splits())
 	return nil
 }
 
-// Close releases the split journal (the engines need no closing). A
-// split after Close reopens it.
-func (e *Engine) Close() error {
-	if e.journal == nil {
-		return nil
+// ReplaySplit implements core.ContextHook. A split is authoritative on
+// replay: the partitioner does not re-derive it from observations.
+func (h *contextHook) ReplaySplit(rec checkpoint.Record) {
+	if len(rec.Split) != 2 {
+		return
 	}
-	return e.journal.close()
-}
-
-// seedFor derives a replica's seed from the engine seed and its context
-// ID, the same way core.Contextual derived per-context tuner seeds.
-func (e *Engine) seedFor(id string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(id))
-	return e.cfg.Seed ^ int64(h.Sum64())
-}
-
-// replicaForLocked returns (creating and warm-starting on demand) the
-// replica for a context. A cold replica's selector starts from saved,
-// the snapshotted state of a previous incarnation, when there is one,
-// else from the global selector's current fold — a new context begins
-// with everything global traffic has learned.
-func (e *Engine) replicaForLocked(id string, saved []byte) (*replica, error) {
-	if r, ok := e.replicas[id]; ok {
-		return r, nil
-	}
-	eng, err := core.NewConcurrentTuner(e.cfg.Algos, e.cfg.Selector(), e.cfg.Factory, e.seedFor(id), e.cfg.Opts...)
-	if err != nil {
-		return nil, fmt.Errorf("ctxtune: context %s: %w", id, err)
-	}
-	if saved != nil {
-		// A snapshot of this very context: honest values, restore as-is.
-		if err := eng.RestoreSelectorState(saved); err != nil {
-			return nil, fmt.Errorf("ctxtune: context %s selector: %w", id, err)
-		}
-	} else if state, err := e.global.ExportSelectorState(); err == nil {
-		// The global fold's values may live on another cost scale:
-		// import them softened to a weak prior (see warmStartKeep).
-		// Best effort — a selector that cannot round-trip its state
-		// just starts cold.
-		if eng.RestoreSelectorState(state) == nil {
-			eng.DecaySelector(warmStartKeep)
-		}
-	}
-	r := &replica{id: id, eng: eng}
-	e.replicas[id] = r
-	reps := make([]*replica, 0, len(e.replicas))
-	for _, rr := range e.replicas {
-		reps = append(reps, rr)
-	}
-	e.reps.Store(&reps)
-	return r, nil
+	h.part.Replay([]Split{{Node: rec.Ctx, Dim: int(rec.Split[0]), Bin: int(rec.Split[1])}})
+	h.journaled = len(h.part.Splits())
 }
 
 // LeaseNFor leases up to n trials for a feature vector: feature-less
@@ -327,28 +276,28 @@ func (e *Engine) LeaseNFor(f Features, n int) ([]core.Trial, error) {
 	if id == GlobalContext {
 		return e.global.LeaseN(n)
 	}
-	e.mu.Lock()
-	r, err := e.replicaForLocked(id, nil)
-	e.mu.Unlock()
+	// The global engine builds the context's replica on first use; it
+	// journals the birth after the splits made before it, so no trial
+	// leased in a split's child is acknowledged before the split is
+	// durable.
+	eng, err := e.global.Replica(id)
 	if err != nil {
 		return nil, err
 	}
-	trials, err := r.eng.LeaseN(n)
+	trials, err := eng.LeaseN(n)
 	if err != nil {
 		return nil, err
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	feats := r.feats
+	feats := e.feats[id]
 	if !slices.Equal(feats, f) {
 		feats = append(Features(nil), f...)
-		r.feats = feats
+		e.feats[id] = feats
 	}
 	for i := range trials {
-		e.nextExt++
-		ext := extIDBase + e.nextExt
-		e.routes[ext] = route{ctx: id, local: trials[i].ID, algo: trials[i].Algo, feats: feats, expiry: trials[i].Deadline}
-		trials[i].ID = ext
+		trials[i].ID += extIDBase
+		e.routes[trials[i].ID] = route{eng: eng, feats: feats, expiry: trials[i].Deadline}
 	}
 	return trials, nil
 }
@@ -367,86 +316,95 @@ func (e *Engine) takeRoute(id uint64) (route, bool) {
 	return rt, ok
 }
 
-func (e *Engine) replicaOf(ctx string) *replica {
+// routeBatch resolves a batch's IDs in one pass under the routing
+// mutex: it appends the index of every global ID to globalIdx and every
+// contextual entry, with its route and replica, to items. take removes
+// the routes it resolves; an unresolved contextual ID gets
+// ErrUnknownTrial in errs when errs is non-nil.
+func routeBatch[T any](e *Engine, batch []T, idOf func(T) uint64, take bool, errs []error, items []ctxItem, globalIdx []int) ([]ctxItem, []int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.replicas[ctx]
+	for i, x := range batch {
+		id := idOf(x)
+		if id < extIDBase {
+			globalIdx = append(globalIdx, i)
+			continue
+		}
+		rt, ok := e.routes[id]
+		if !ok {
+			if errs != nil {
+				errs[i] = core.ErrUnknownTrial
+			}
+			continue
+		}
+		if take {
+			delete(e.routes, id)
+		}
+		items = append(items, ctxItem{i, rt, rt.eng})
+	}
+	return items, globalIdx
 }
 
-// CompleteN finishes a batch of trials, global and contextual mixed. A
-// successful contextual completion additionally feeds the partitioner
-// (features, cost) for split refinement and folds the observation into
-// the global selector, so global knowledge keeps improving even when all
-// traffic carries features.
+// nextGroup returns the replica of the first item from g on that no
+// group has taken yet, and the indices of all its items from there,
+// marking them taken; nil when every item is taken. A batch is one call
+// per replica: a worker's batch is nearly always single-context, and at
+// wire batch sizes this scan is cheaper than building a map.
+func nextGroup(items []ctxItem, g *int, group []int) (*core.ConcurrentTuner, []int) {
+	for ; *g < len(items); *g++ {
+		rep := items[*g].rep
+		if rep == nil {
+			continue
+		}
+		for j := *g; j < len(items); j++ {
+			if items[j].rep == rep {
+				items[j].rep = nil
+				group = append(group, j)
+			}
+		}
+		return rep, group
+	}
+	return nil, group
+}
+
+// CompleteN finishes a batch of trials, global and contextual mixed:
+// one call per replica, each durable in one journal sync. A successful
+// contextual completion also feeds the partitioner (features, cost) for
+// split refinement; a split it causes is journaled before CompleteN
+// returns.
 func (e *Engine) CompleteN(results []core.TrialResult) []error {
 	errs := make([]error, len(results))
 	e.mu.Lock()
 	sc := e.scratch
 	e.scratch = nil
+	e.mu.Unlock()
 	if sc == nil {
 		sc = new(completeScratch)
 	}
-	globalIdx, globalRes, items := sc.globalIdx[:0], sc.globalRes[:0], sc.items[:0]
-	for i, res := range results {
-		if res.ID < extIDBase {
-			globalIdx = append(globalIdx, i)
-			globalRes = append(globalRes, res)
-			continue
+	items, globalIdx := routeBatch(e, results, func(r core.TrialResult) uint64 { return r.ID }, true, errs, sc.items[:0], sc.globalIdx[:0])
+	batch, group, split := sc.batch, sc.group, false
+	for g := 0; ; {
+		var rep *core.ConcurrentTuner
+		if rep, group = nextGroup(items, &g, group[:0]); rep == nil {
+			break
 		}
-		rt, ok := e.routes[res.ID]
-		if !ok {
-			errs[i] = core.ErrUnknownTrial
-			continue
+		batch = batch[:0]
+		for _, j := range group {
+			batch = append(batch, core.TrialResult{ID: results[items[j].idx].ID - extIDBase, Value: results[items[j].idx].Value})
 		}
-		delete(e.routes, res.ID)
-		r := e.replicas[rt.ctx]
-		if r == nil {
-			errs[i] = core.ErrUnknownTrial
-			continue
-		}
-		items = append(items, ctxItem{i, rt, r})
-	}
-	e.mu.Unlock()
-	// One replica CompleteN per context and one global Absorb per call:
-	// the wire path hands us whole batches, and per-result round trips
-	// through three mutexes were the routing layer's dominant cost. The
-	// grouping scans instead of building a map — a worker's batch is
-	// nearly always single-context, and at wire batch sizes the scan is
-	// cheaper than map churn.
-	obs, batch, group := sc.obs[:0], sc.batch, sc.group
-	for g := range items {
-		rep := items[g].rep
-		if rep == nil {
-			continue // completed with an earlier group
-		}
-		batch, group = batch[:0], group[:0]
-		for j := g; j < len(items); j++ {
-			if items[j].rep == rep {
-				items[j].rep = nil
-				group = append(group, j)
-				batch = append(batch, core.TrialResult{ID: items[j].rt.local, Value: results[items[j].idx].Value})
-			}
-		}
-		for k, err := range rep.eng.CompleteN(batch) {
+		for k, err := range rep.CompleteN(batch) {
 			it := items[group[k]]
-			errs[it.idx] = err
-			if err != nil {
-				continue
-			}
-			v := results[it.idx].Value
-			e.part.Observe(it.rt.feats, v)
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				obs = append(obs, nominal.Observation{Arm: it.rt.algo, Value: v})
+			if errs[it.idx] = err; err == nil && e.part.Observe(it.rt.feats, results[it.idx].Value) {
+				split = true
 			}
 		}
 	}
-	// Absorb only skips out-of-range arms and non-finite values; arms
-	// come from our own routes and values are filtered above, so the
-	// applied count equals len(obs) and per-arm fold counters stay exact.
-	folded := 0
-	if len(obs) > 0 {
-		folded = e.global.Absorb(obs)
-		e.nFolds.Add(int64(folded))
+	if split {
+		e.global.JournalSplits()
+	}
+	globalRes := sc.globalRes[:0]
+	for _, i := range globalIdx {
+		globalRes = append(globalRes, results[i])
 	}
 	if len(globalRes) > 0 {
 		for j, err := range e.global.CompleteN(globalRes) {
@@ -454,46 +412,41 @@ func (e *Engine) CompleteN(results []core.TrialResult) []error {
 		}
 	}
 	clear(items) // drop the routes' feature vectors and replica pointers
-	*sc = completeScratch{globalIdx, globalRes, items, obs, batch, group}
+	*sc = completeScratch{globalIdx, globalRes, items, batch, group}
 	e.mu.Lock()
-	if folded > 0 && folded == len(obs) {
-		for _, o := range obs {
-			if o.Arm < len(e.folds) {
-				e.folds[o.Arm]++
-			}
-		}
-	}
 	e.scratch = sc
 	e.mu.Unlock()
 	return errs
 }
 
-// FailN fails a batch of trials, global and contextual mixed. Failures
-// do not reach the partitioner (a penalty value says nothing about the
-// input's cost regime) or the global fold.
+// FailN fails a batch of trials, global and contextual mixed, with one
+// call per replica as CompleteN makes, so a durable batch of one
+// context's failures costs one journal sync. Failures do not reach the
+// partitioner (a penalty value says nothing about the input's cost
+// regime) or the global selector.
 func (e *Engine) FailN(fails []core.TrialFailure) []error {
 	errs := make([]error, len(fails))
-	var globalIdx []int
-	var globalFails []core.TrialFailure
-	for i, f := range fails {
-		if f.ID < extIDBase {
-			globalIdx = append(globalIdx, i)
-			globalFails = append(globalFails, f)
-			continue
+	items, globalIdx := routeBatch(e, fails, func(f core.TrialFailure) uint64 { return f.ID }, true, errs, nil, nil)
+	var batch []core.TrialFailure
+	var group []int
+	for g := 0; ; {
+		var rep *core.ConcurrentTuner
+		if rep, group = nextGroup(items, &g, group[:0]); rep == nil {
+			break
 		}
-		rt, ok := e.takeRoute(f.ID)
-		if !ok {
-			errs[i] = core.ErrUnknownTrial
-			continue
+		batch = batch[:0]
+		for _, j := range group {
+			batch = append(batch, core.TrialFailure{ID: fails[items[j].idx].ID - extIDBase, Failure: fails[items[j].idx].Failure})
 		}
-		r := e.replicaOf(rt.ctx)
-		if r == nil {
-			errs[i] = core.ErrUnknownTrial
-			continue
+		for k, err := range rep.FailN(batch) {
+			errs[items[group[k]].idx] = err
 		}
-		errs[i] = r.eng.FailN([]core.TrialFailure{{ID: rt.local, Failure: f.Failure}})[0]
 	}
-	if len(globalFails) > 0 {
+	if len(globalIdx) > 0 {
+		globalFails := make([]core.TrialFailure, len(globalIdx))
+		for j, i := range globalIdx {
+			globalFails[j] = fails[i]
+		}
 		for j, err := range e.global.FailN(globalFails) {
 			errs[globalIdx[j]] = err
 		}
@@ -501,43 +454,35 @@ func (e *Engine) FailN(fails []core.TrialFailure) []error {
 	return errs
 }
 
-// liveness answers Heartbeat/Alive for a mixed ID batch.
-func (e *Engine) liveness(ids []uint64, probe func(r *replica, local []uint64) []bool, global func([]uint64) []bool) []bool {
+// liveness answers Heartbeat/Alive for a mixed ID batch with one probe
+// per replica, and drops the routes of contextual trials found dead.
+func (e *Engine) liveness(ids []uint64, probe func(r *core.ConcurrentTuner, local []uint64) []bool, global func([]uint64) []bool) []bool {
 	out := make([]bool, len(ids))
-	var globalIdx []int
-	var globalIDs []uint64
-	byCtx := make(map[string][]int)
-	e.mu.Lock()
-	for i, id := range ids {
-		if id < extIDBase {
-			globalIdx = append(globalIdx, i)
-			globalIDs = append(globalIDs, id)
-			continue
+	items, globalIdx := routeBatch(e, ids, func(id uint64) uint64 { return id }, false, nil, nil, nil)
+	var local []uint64
+	var group []int
+	for g := 0; ; {
+		var rep *core.ConcurrentTuner
+		if rep, group = nextGroup(items, &g, group[:0]); rep == nil {
+			break
 		}
-		if _, ok := e.routes[id]; ok {
-			byCtx[e.routes[id].ctx] = append(byCtx[e.routes[id].ctx], i)
+		local = local[:0]
+		for _, j := range group {
+			local = append(local, ids[items[j].idx]-extIDBase)
 		}
-	}
-	e.mu.Unlock()
-	for ctx, idxs := range byCtx {
-		r := e.replicaOf(ctx)
-		if r == nil {
-			continue
-		}
-		local := make([]uint64, len(idxs))
-		e.mu.Lock()
-		for j, i := range idxs {
-			local[j] = e.routes[ids[i]].local
-		}
-		e.mu.Unlock()
-		for j, alive := range probe(r, local) {
-			out[idxs[j]] = alive
+		for k, alive := range probe(rep, local) {
+			i := items[group[k]].idx
+			out[i] = alive
 			if !alive {
-				e.takeRoute(ids[idxs[j]])
+				e.takeRoute(ids[i])
 			}
 		}
 	}
-	if len(globalIDs) > 0 {
+	if len(globalIdx) > 0 {
+		globalIDs := make([]uint64, len(globalIdx))
+		for j, i := range globalIdx {
+			globalIDs[j] = ids[i]
+		}
 		for j, alive := range global(globalIDs) {
 			out[globalIdx[j]] = alive
 		}
@@ -548,14 +493,14 @@ func (e *Engine) liveness(ids []uint64, probe func(r *replica, local []uint64) [
 // Heartbeat extends leases and reports liveness for a mixed ID batch.
 func (e *Engine) Heartbeat(ids []uint64) []bool {
 	return e.liveness(ids,
-		func(r *replica, local []uint64) []bool { return r.eng.Heartbeat(local) },
+		(*core.ConcurrentTuner).Heartbeat,
 		e.global.Heartbeat)
 }
 
 // Alive reports liveness for a mixed ID batch without extending leases.
 func (e *Engine) Alive(ids []uint64) []bool {
 	return e.liveness(ids,
-		func(r *replica, local []uint64) []bool { return r.eng.Alive(local) },
+		(*core.ConcurrentTuner).Alive,
 		e.global.Alive)
 }
 
@@ -582,40 +527,15 @@ func (e *Engine) ReclaimExpired() int {
 	return n
 }
 
-// Checkpoint snapshots the global engine, the partitioner, and every
-// replica's selector state, then closes the split journal as the global
-// engine closes its segment: an engine left idle after a checkpoint, a
-// spilled tenant's above all, holds no file open. The next split
-// reopens the journal. With no Dir only the global engine checkpoints.
-func (e *Engine) Checkpoint() error {
-	if err := e.global.Checkpoint(); err != nil || e.cfg.Dir == "" {
-		return err
-	}
-	part, err := e.part.Export()
-	if err != nil {
-		return err
-	}
-	st := engineState{Partitioner: part, Contexts: make(map[string][]byte)}
-	for _, r := range e.snapshotReplicas() {
-		sel, err := r.eng.ExportSelectorState()
-		if err != nil {
-			continue
-		}
-		st.Contexts[r.id] = sel
-	}
-	buf, err := json.Marshal(st)
-	if err != nil {
-		return err
-	}
-	if err := checkpoint.WriteFileAtomic(filepath.Join(e.cfg.Dir, contextsFileName), buf, 0o644); err != nil {
-		return err
-	}
-	return e.journal.close()
-}
+// Checkpoint snapshots the whole engine — global engine, partitioner
+// and every replica — into the journal and closes its segment, so an
+// engine left idle after a checkpoint, a spilled tenant's above all,
+// holds no file open. With no Dir it does nothing.
+func (e *Engine) Checkpoint() error { return e.global.Checkpoint() }
 
 // snapshotReplicas returns a stable view of the replica set without
 // touching the routing mutex (see the reps field).
-func (e *Engine) snapshotReplicas() []*replica {
+func (e *Engine) snapshotReplicas() []replica {
 	if p := e.reps.Load(); p != nil {
 		return *p
 	}
@@ -623,24 +543,20 @@ func (e *Engine) snapshotReplicas() []*replica {
 }
 
 // Best returns the best observation across the global engine and every
-// replica. A replica wins a tie with the global engine: the global
-// engine holds each contextual completion as an Absorb copy, which
-// carries the value but not the configuration the replica measured.
+// replica.
 func (e *Engine) Best() (int, param.Config, float64) {
 	algo, cfg, val := e.global.Best()
 	for _, r := range e.snapshotReplicas() {
-		if a, c, v := r.eng.Best(); a >= 0 && v <= val {
+		if a, c, v := r.eng.Best(); a >= 0 && v < val {
 			algo, cfg, val = a, c, v
 		}
 	}
 	return algo, cfg, val
 }
 
-// Iterations returns completed trials summed across all engines, each
-// real measurement counted once: the fold-back copies in the global
-// engine are subtracted back out.
+// Iterations returns completed trials summed across all engines.
 func (e *Engine) Iterations() int {
-	n := e.global.Iterations() - int(e.nFolds.Load())
+	n := e.global.Iterations()
 	for _, r := range e.snapshotReplicas() {
 		n += r.eng.Iterations()
 	}
@@ -648,32 +564,19 @@ func (e *Engine) Iterations() int {
 }
 
 // Counts returns per-algorithm completion counts summed across all
-// engines, net of fold-back copies (see Iterations).
+// engines.
 func (e *Engine) Counts() []int {
 	counts := e.global.Counts()
-	if counts == nil {
-		counts = make([]int, len(e.cfg.Algos))
-	}
-	e.mu.Lock()
-	for i, n := range e.folds {
-		if i < len(counts) {
-			counts[i] -= n
-		}
-	}
-	e.mu.Unlock()
 	for _, r := range e.snapshotReplicas() {
 		for i, n := range r.eng.Counts() {
-			if i < len(counts) {
-				counts[i] += n
-			}
+			counts[i] += n
 		}
 	}
 	return counts
 }
 
-// Stats returns engine event counters summed across all engines. The
-// global Absorbed counter includes the per-context completions folded
-// back in.
+// Stats returns engine event counters summed across all engines.
+// Absorbed counts the global engine's Absorb calls alone.
 func (e *Engine) Stats() core.EngineStats {
 	st := e.global.Stats()
 	for _, r := range e.snapshotReplicas() {
@@ -722,11 +625,7 @@ func (e *Engine) AlgorithmName(i int) string { return e.global.AlgorithmName(i) 
 func (e *Engine) LeaseTimeout() time.Duration { return e.global.LeaseTimeout() }
 
 // ContextCount returns the number of live context replicas.
-func (e *Engine) ContextCount() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.replicas)
-}
+func (e *Engine) ContextCount() int { return len(e.snapshotReplicas()) }
 
 // Contexts returns every context ID the partitioner has created.
 func (e *Engine) Contexts() []string { return e.part.Contexts() }
@@ -739,11 +638,10 @@ func (e *Engine) BestFor(f Features) (int, param.Config, float64) {
 		return e.global.Best()
 	}
 	id := e.part.Context(f)
-	e.mu.Lock()
-	r := e.replicas[id]
-	e.mu.Unlock()
-	if r == nil {
-		return e.global.Best()
+	for _, r := range e.snapshotReplicas() {
+		if r.id == id {
+			return r.eng.Best()
+		}
 	}
-	return r.eng.Best()
+	return e.global.Best()
 }

@@ -19,12 +19,16 @@ type Partitioner interface {
 	// Context returns the context ID for a feature vector. Empty
 	// features return GlobalContext.
 	Context(f Features) string
-	// Observe feeds one measured cost for refinement. Implementations
-	// may split a context as a result; the new routing applies to
-	// subsequent Context calls only.
-	Observe(f Features, cost float64)
+	// Observe feeds one measured cost for refinement and reports whether
+	// it split a context. The new routing applies to subsequent Context
+	// calls only.
+	Observe(f Features, cost float64) bool
 	// Contexts returns the IDs of every context created so far, sorted.
 	Contexts() []string
+	// Splits returns the splits made so far, in order; Replay re-applies
+	// recorded splits, idempotently, in order.
+	Splits() []Split
+	Replay(splits []Split)
 	// Export serializes the partitioner (topology and refinement
 	// statistics); Restore replaces the receiver's state with it.
 	Export() ([]byte, error)
@@ -43,7 +47,8 @@ const (
 // across feature dimension Dim at quantized bin Bin, so the node was
 // subdivided — features whose Dim'th quantized value is <= Bin route to
 // the ".lo" child, the rest to ".hi". Splits are journaled in the order
-// they happen and replaying them in order reconstructs the tree exactly.
+// they happen (as checkpoint records, see Engine) and replaying them in
+// order reconstructs the tree exactly.
 type Split struct {
 	Node string `json:"node"`
 	Dim  int    `json:"dim"`
@@ -94,10 +99,6 @@ type Tree struct {
 	roots  map[int]*node
 	nodes  map[string]*node
 	splits []Split
-
-	// onSplit, when set, is invoked (under the tree lock) for every new
-	// split — the engine hooks the split journal here.
-	onSplit func(Split)
 }
 
 // NewTree builds a Tree partitioner. Non-positive arguments take the
@@ -194,9 +195,9 @@ func (t *Tree) Context(f Features) string {
 // Observe implements Partitioner: it accumulates the cost into the
 // feature vector's leaf and splits the leaf when its distribution has
 // proven bimodal across some feature threshold.
-func (t *Tree) Observe(f Features, cost float64) {
+func (t *Tree) Observe(f Features, cost float64) bool {
 	if len(f) == 0 || math.IsNaN(cost) || math.IsInf(cost, 0) {
-		return
+		return false
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -222,9 +223,8 @@ func (t *Tree) Observe(f Features, cost float64) {
 	// would under per-observation evaluation, and the elected (dim, bin)
 	// is unchanged — determinism across arrival order is preserved
 	// because the journal records the split, not the count it fired at.
-	if n.count >= t.minSamples && (n.count == t.minSamples || (n.count-t.minSamples)%splitStride == 0) {
+	return n.count >= t.minSamples && (n.count == t.minSamples || (n.count-t.minSamples)%splitStride == 0) &&
 		t.maybeSplit(n)
-	}
 }
 
 // splitStride is how often a mature leaf re-evaluates its split gates.
@@ -236,10 +236,10 @@ const splitStride = 8
 // bin boundaries — a finite, data-independent set — and the winner is
 // the highest lift with (dim, bin) as the deterministic tie-break, so
 // any sufficiently large sample of a clearly bimodal stream elects the
-// same split.
-func (t *Tree) maybeSplit(n *node) {
+// same split. It reports whether the leaf split.
+func (t *Tree) maybeSplit(n *node) bool {
 	if n.count < t.minSamples || n.depth >= t.maxDepth {
-		return
+		return false
 	}
 	minSide := t.minSamples / 4
 	if minSide < 1 {
@@ -285,13 +285,10 @@ func (t *Tree) maybeSplit(n *node) {
 		}
 	}
 	if bestDim < 0 || bestLift < t.minLift {
-		return
+		return false
 	}
-	s := Split{Node: n.id, Dim: bestDim, Bin: bestBin}
-	t.applySplit(s)
-	if t.onSplit != nil {
-		t.onSplit(s)
-	}
+	t.applySplit(Split{Node: n.id, Dim: bestDim, Bin: bestBin})
+	return true
 }
 
 // applySplit subdivides a node per the split record. It is idempotent —
@@ -315,8 +312,9 @@ func (t *Tree) applySplit(s Split) {
 
 func (s *Split) clone() Split { return Split{Node: s.Node, Dim: s.Dim, Bin: s.Bin} }
 
-// Replay applies journaled splits in order (idempotently), rebuilding
-// the tree topology a previous process had learned.
+// Replay implements Partitioner: it applies journaled splits in order
+// (idempotently), rebuilding the tree topology a previous process had
+// learned.
 func (t *Tree) Replay(splits []Split) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -359,7 +357,7 @@ func (t *Tree) Contexts() []string {
 	return out
 }
 
-// Splits returns the splits recorded so far, in order.
+// Splits implements Partitioner.
 func (t *Tree) Splits() []Split {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -85,6 +85,7 @@ func TestShardedDirectoryResumes(t *testing.T) {
 // directory holds a format-2 checkpoint (checkpoint's testdata/engine-v2)
 // fails its resume with the error naming the format, for a flat and a
 // contextual spec alike, and the format-2 files are still there after.
+// Both keep their journal in ckpt/ itself.
 func TestFormat2TenantRefused(t *testing.T) {
 	for _, tc := range []struct {
 		spec Spec
@@ -92,7 +93,7 @@ func TestFormat2TenantRefused(t *testing.T) {
 	}{
 		{Spec{Name: "flat", Workload: "sleep", Engine: core.EngineSpec{Seed: 7}}, ""},
 		{Spec{Name: "ctx", Workload: "sleep", Engine: core.EngineSpec{Seed: 7},
-			Contexts: &Contexts{Buckets: 1, SplitMin: 32}}, "global"},
+			Contexts: &Contexts{Buckets: 1, SplitMin: 32}}, ""},
 	} {
 		root := t.TempDir()
 		first, err := NewRegistry(Config{Root: root})

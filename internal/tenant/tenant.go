@@ -114,15 +114,14 @@ func (s Spec) Build(algos []core.Algorithm, factory search.Factory, dir string) 
 	if err != nil {
 		return nil, false, err
 	}
+	resumed = core.HasCheckpoint(dir)
 	if s.Contexts == nil {
-		resumed = core.HasCheckpoint(dir)
 		flat, err := s.Engine.Build(algos, sel, factory, dir)
 		if err != nil {
 			return nil, false, err
 		}
 		return flat, resumed, nil
 	}
-	resumed = ctxtune.HasCheckpoint(dir)
 	ceng, err := ctxtune.New(ctxtune.Config{
 		Algos: algos,
 		Selector: func() nominal.Selector {

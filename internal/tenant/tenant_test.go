@@ -183,7 +183,7 @@ func TestLRUSpillAndWarmRestart(t *testing.T) {
 				t.Fatalf("resident=%d after spill, want 1", got)
 			}
 			alphaDir := filepath.Join(root, "alpha", "ckpt")
-			if !core.HasCheckpoint(alphaDir) && !ctxtune.HasCheckpoint(alphaDir) {
+			if !core.HasCheckpoint(alphaDir) {
 				t.Fatal("spill wrote no checkpoint for alpha")
 			}
 
@@ -226,17 +226,17 @@ func TestLRUSpillAndWarmRestart(t *testing.T) {
 
 // TestSpillLeavesNoSegmentOpen: a tenant spilled under the residency
 // cap holds no file open — its checkpoint syncs and closes the journal
-// segment, and a contextual tenant's also closes its split journal —
-// while the resident tenant still appends to its own segment.
+// segment, which for a contextual tenant holds its contexts' records
+// too — while the resident tenant still appends to its own segment.
 func TestSpillLeavesNoSegmentOpen(t *testing.T) {
 	for _, row := range []struct {
 		name   string
 		spec   func(name string) Spec
 		segDir string // segment directory under the tenant's ckpt/
-		open   int    // files a resident tenant holds: segment (+ split journal)
+		open   int    // files a resident tenant holds: its segment
 	}{
 		{"flat", sleepSpec, "", 1},
-		{"contextual", ctxSpec, "global", 2},
+		{"contextual", ctxSpec, "", 1},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			disk := crashtest.Install(t)
