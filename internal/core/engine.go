@@ -58,10 +58,15 @@ type TrialResult struct {
 }
 
 // TrialFailure is one entry of a FailN batch: a leased trial that failed
-// to measure.
+// to measure. Released marks instead a lease handed back unmeasured (a
+// client stopping with trials it leased ahead): the engine takes it back
+// without a penalty or a failure count, reports nothing to the selector,
+// the guard or the drift watchdog, journals nothing, and re-issues a
+// primary proposal as its arm's next primary. Failure is ignored.
 type TrialFailure struct {
-	ID      uint64
-	Failure guard.Failure
+	ID       uint64
+	Failure  guard.Failure
+	Released bool
 }
 
 // lease is the engine's record of an outstanding trial, stored by value
@@ -87,9 +92,10 @@ type bestSnap struct {
 
 // EngineStats counts trial-engine events since construction.
 type EngineStats struct {
-	// Leased counts tickets handed out; Completed, Failed and Expired
-	// count how they ended (Leased − the others = currently in flight).
-	Leased, Completed, Failed, Expired uint64
+	// Leased counts tickets handed out; Completed, Failed, Expired and
+	// Released count how they ended (Leased − the others = currently in
+	// flight).
+	Leased, Completed, Failed, Expired, Released uint64
 	// Absorbed counts external observations folded in via Absorb —
 	// degraded-mode worker measurements, never leased as trials.
 	Absorbed uint64
@@ -134,7 +140,7 @@ type ConcurrentTuner struct {
 	sweepAt     time.Time        // earliest outstanding deadline; no sweep can reclaim before it
 	now         func() time.Time // injectable clock for expiry tests
 
-	nLeased, nCompleted, nFailed, nExpired, nAbsorbed uint64
+	nLeased, nCompleted, nFailed, nExpired, nReleased, nAbsorbed uint64
 
 	dirty  bool // decision state changed since the last publish
 	best   atomic.Pointer[bestSnap]
@@ -415,16 +421,36 @@ func (c *ConcurrentTuner) CompleteN(results []TrialResult) []error {
 
 // FailN fails a batch of leased trials under a single acquisition of the
 // decision mutex, with the same alignment and idempotency semantics as
-// CompleteN.
+// CompleteN. Entries marked Released are taken back instead (see
+// TrialFailure).
 func (c *ConcurrentTuner) FailN(fails []TrialFailure) []error {
 	c.mu.Lock()
 	defer c.unlock()
 	c.reclaimLocked()
 	errs := make([]error, len(fails))
 	for i, f := range fails {
-		errs[i] = c.failLocked(f.ID, f.Failure)
+		if f.Released {
+			errs[i] = c.releaseLocked(f.ID)
+		} else {
+			errs[i] = c.failLocked(f.ID, f.Failure)
+		}
 	}
 	return errs
+}
+
+// releaseLocked takes back a lease that was never measured, as if it had
+// not been issued: only the proposer hears of it, so a primary proposal
+// is re-issued as its arm's next primary.
+func (c *ConcurrentTuner) releaseLocked(id uint64) error {
+	l, ok := c.takeLocked(id)
+	if !ok {
+		return ErrUnknownTrial
+	}
+	c.nReleased++
+	if !l.trial.Pinned {
+		c.proposers[l.trial.Algo].Release(l.prop)
+	}
+	return nil
 }
 
 // Heartbeat extends the lease deadline of each still-outstanding trial
@@ -716,6 +742,7 @@ func (c *ConcurrentTuner) Stats() EngineStats {
 		Completed: c.nCompleted,
 		Failed:    c.nFailed,
 		Expired:   c.nExpired,
+		Released:  c.nReleased,
 		Absorbed:  c.nAbsorbed,
 		InFlight:  len(c.leases),
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/guard"
 	"repro/internal/nominal"
 	"repro/internal/param"
+	"repro/internal/search"
 )
 
 // engineAlgos is a mixed set for engine tests: tunable and
@@ -196,6 +197,48 @@ func TestLeaseExpiryReclaimedAsTimeout(t *testing.T) {
 }
 
 // TestUnknownTrialRejected covers the remaining ticket-misuse paths.
+// TestReleaseTakesLeaseBack: a released lease ends without a
+// completion, failure or penalty; its arm's primary proposal is the
+// next primary, though random search would draw a new point; a second
+// release of the same ID is unknown.
+func TestReleaseTakesLeaseBack(t *testing.T) {
+	algos := []Algorithm{{Name: "tuned", Space: param.NewSpace(param.NewRatio("alpha", 1, 10))}}
+	random := func() search.Strategy { return search.NewRandom(1) }
+	ct, err := NewConcurrentTuner(algos, nominal.NewEpsilonGreedy(0.10), random, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trials, err := ct.LeaseN(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary, spec := trials[0], trials[1]
+	if primary.Speculative || !spec.Speculative {
+		t.Fatalf("leases %+v, want a primary then a speculative one", trials)
+	}
+	errs := ct.FailN([]TrialFailure{{ID: primary.ID, Released: true}, {ID: spec.ID, Released: true}})
+	if errs[0] != nil || errs[1] != nil {
+		t.Fatalf("release: %v", errs)
+	}
+	if errs := ct.FailN([]TrialFailure{{ID: primary.ID, Released: true}}); !errors.Is(errs[0], ErrUnknownTrial) {
+		t.Fatalf("second release = %v, want ErrUnknownTrial", errs[0])
+	}
+	st := ct.Stats()
+	if st.Released != 2 || st.Failed != 0 || st.Completed != 0 || st.InFlight != 0 {
+		t.Fatalf("stats after release %+v", st)
+	}
+	if fs := ct.FailureStats(); fs.Total != 0 || ct.Iterations() != 0 || ct.Counts()[0] != 0 {
+		t.Fatalf("release reached the tuner: failures %+v, %d iterations", fs, ct.Iterations())
+	}
+	again, err := ct.Lease()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Speculative || !again.Config.Equal(primary.Config) {
+		t.Fatalf("lease after the release = %+v, want the released primary %v again", again, primary.Config)
+	}
+}
+
 func TestUnknownTrialRejected(t *testing.T) {
 	ct := newEngine(t, 3)
 	if err := ct.Complete(999, 1.0); !errors.Is(err, ErrUnknownTrial) {

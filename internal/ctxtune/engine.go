@@ -423,7 +423,9 @@ func (e *Engine) CompleteN(results []core.TrialResult) []error {
 // call per replica as CompleteN makes, so a durable batch of one
 // context's failures costs one journal sync. Failures do not reach the
 // partitioner (a penalty value says nothing about the input's cost
-// regime) or the global selector.
+// regime) or the global selector. A released entry (TrialFailure.
+// Released) takes the same route to the engine that leased it, which
+// takes the lease back.
 func (e *Engine) FailN(fails []core.TrialFailure) []error {
 	errs := make([]error, len(fails))
 	items, globalIdx := routeBatch(e, fails, func(f core.TrialFailure) uint64 { return f.ID }, true, errs, nil, nil)
@@ -436,7 +438,9 @@ func (e *Engine) FailN(fails []core.TrialFailure) []error {
 		}
 		batch = batch[:0]
 		for _, j := range group {
-			batch = append(batch, core.TrialFailure{ID: fails[items[j].idx].ID - extIDBase, Failure: fails[items[j].idx].Failure})
+			f := fails[items[j].idx]
+			f.ID -= extIDBase
+			batch = append(batch, f)
 		}
 		for k, err := range rep.FailN(batch) {
 			errs[items[group[k]].idx] = err
@@ -585,6 +589,7 @@ func (e *Engine) Stats() core.EngineStats {
 		st.Completed += rs.Completed
 		st.Failed += rs.Failed
 		st.Expired += rs.Expired
+		st.Released += rs.Released
 		st.InFlight += rs.InFlight
 	}
 	return st

@@ -59,8 +59,9 @@ type Proposer struct {
 	space *param.Space
 	rng   *rand.Rand
 
-	primaryOut  bool // the strategy's genuine proposal is leased out
-	outstanding int  // proposals handed out and not yet reported
+	primaryOut  bool         // the strategy's genuine proposal is leased out
+	released    param.Config // a primary handed back unmeasured, issued next
+	outstanding int          // proposals handed out and not yet reported
 
 	specBest    param.Config // best config seen via speculative reports
 	specBestVal float64
@@ -85,12 +86,16 @@ func NewProposer(strat Strategy, space *param.Space, seed int64) *Proposer {
 }
 
 // Propose returns the next configuration: the strategy's genuine
-// proposal when none is outstanding, a speculative point otherwise. It
-// never blocks and never fails.
+// proposal when none is outstanding (a released primary first), a
+// speculative point otherwise. It never blocks and never fails.
 func (p *Proposer) Propose() Proposal {
 	p.outstanding++
 	if !p.primaryOut {
 		p.primaryOut = true
+		if cfg := p.released; cfg != nil {
+			p.released = nil
+			return Proposal{Config: cfg, Primary: true}
+		}
 		return Proposal{Config: p.strat.Propose(), Primary: true}
 	}
 	return Proposal{Config: p.speculate()}
@@ -123,6 +128,20 @@ func (p *Proposer) Report(pr Proposal, value float64) {
 	if value < p.specBestVal {
 		p.specBestVal = value
 		p.specBest = pr.Config.Clone()
+	}
+}
+
+// Release hands back a proposal that was never measured, without a
+// value. A primary goes back to the proposer, whose strategy still waits
+// for its report: the next Propose re-issues the same configuration as
+// the primary. A speculative proposal is simply forgotten.
+func (p *Proposer) Release(pr Proposal) {
+	if p.outstanding > 0 {
+		p.outstanding--
+	}
+	if pr.Primary && p.primaryOut {
+		p.primaryOut = false
+		p.released = pr.Config
 	}
 }
 

@@ -64,6 +64,45 @@ func TestProposerSinglePrimaryOutstanding(t *testing.T) {
 	}
 }
 
+// TestProposerReleaseReissuesPrimary: a primary handed back unmeasured
+// is the next primary, and the strategy never hears of the release; a
+// released speculative proposal leaves the primary where it is. Random
+// search draws a new point on every Propose, so asking the strategy
+// again would not give the released point back.
+func TestProposerReleaseReissuesPrimary(t *testing.T) {
+	sp := proposerSpace()
+	strat := NewRandom(1)
+	if err := strat.Start(sp, nil); err != nil {
+		t.Fatal(err)
+	}
+	p := NewProposer(strat, sp, 1)
+	primary, spec := p.Propose(), p.Propose()
+	p.Release(spec)
+	if p.Outstanding() != 1 {
+		t.Fatalf("outstanding = %d after releasing the speculative proposal, want 1", p.Outstanding())
+	}
+	if pr := p.Propose(); pr.Primary {
+		t.Fatal("a released speculative proposal freed the primary slot")
+	} else {
+		p.Release(pr)
+	}
+	p.Release(primary)
+	if p.Outstanding() != 0 || strat.Evaluations() != 0 {
+		t.Fatalf("after releases: outstanding %d, %d evaluations, want 0 and 0", p.Outstanding(), strat.Evaluations())
+	}
+	again := p.Propose()
+	if !again.Primary || !again.Config.Equal(primary.Config) {
+		t.Fatalf("next proposal %+v, want the released primary %v re-issued", again, primary.Config)
+	}
+	p.Report(again, 2)
+	if strat.Evaluations() != 1 {
+		t.Fatalf("re-issued primary's report reached the strategy %d times, want 1", strat.Evaluations())
+	}
+	if next := p.Propose(); !next.Primary || next.Config.Equal(primary.Config) {
+		t.Fatalf("proposal after the report = %+v, want the strategy's next point", next)
+	}
+}
+
 func TestProposerSpeculativeBest(t *testing.T) {
 	sp := proposerSpace()
 	nm := NewNelderMead()

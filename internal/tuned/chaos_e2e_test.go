@@ -210,7 +210,7 @@ func TestChaosSoakLoopback(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	st := eng.Stats()
-	if st.Leased != st.Completed+st.Failed+st.Expired {
+	if st.Leased != st.Completed+st.Failed+st.Expired+st.Released {
 		t.Fatalf("lease ledger does not balance: %+v", st)
 	}
 	if winner := mostSelected(eng.Counts()); algos[winner].Name != "charlie" {

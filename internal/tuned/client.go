@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -99,6 +100,9 @@ func WithRequestTimeout(d time.Duration) ClientOption {
 // not redial in lockstep. Requests are safe to retry by protocol
 // design: completion is idempotent per trial ID, and a LeaseN whose
 // response was lost only costs leases that expire on their deadlines.
+// A CompleteN that leases ahead is retried whole, so one whose reply
+// was lost costs the same: the trials that reply carried expire on
+// their deadlines, and the retry leases ahead afresh.
 func WithRetry(retries int, base, max time.Duration) ClientOption {
 	return func(c *Client) {
 		if retries >= 0 {
@@ -194,8 +198,37 @@ type Client struct {
 	refAlgo atomic.Int64 // calibration reference algorithm (handshake)
 	closed  atomic.Bool
 
-	worker uint64    // identity stamped into reports (WithWorker)
-	feats  []float64 // sticky lease feature vector (WithFeatures)
+	worker uint64       // identity stamped into reports (WithWorker)
+	feats  []float64    // sticky lease feature vector (WithFeatures)
+	want   atomic.Int64 // n of the last LeaseN; 0 after a LeaseNFor
+
+	// hmu guards the trials completions leased ahead (see completeN):
+	// at most one batch per feature vector, held until a lease under
+	// that vector takes it or relTimer hands it back at its releaseAt.
+	// armedAt is when relTimer fires (zero: not armed). noHold is set
+	// by Close.
+	hmu      sync.Mutex
+	held     []heldBatch
+	relTimer *time.Timer
+	armedAt  time.Time
+	noHold   bool
+}
+
+// heldBatch is a batch of trials a completion leased ahead, or, while
+// pending, the place reserved for the batch that completion asked for.
+// feats is the client's or a session's immutable vector.
+type heldBatch struct {
+	feats   []float64
+	pending bool
+	trials  []core.Trial
+	epoch   int64
+	// releaseAt is half-way from the batch's arrival to its earliest
+	// lease deadline (zero: no deadline). From then on the batch is no
+	// longer handed out but handed back, so the server never reclaims
+	// an unmeasured trial as a timeout, and a trial handed out has at
+	// least half its lease left to be measured in.
+	releaseAt time.Time
+	suggest   int
 }
 
 // clientConn is one connection with its handshake result.
@@ -326,8 +359,18 @@ func (c *Client) put(cc *clientConn) {
 
 // Close closes the client, its pooled connections, and the pipelined
 // connection if any. In-flight requests on borrowed connections finish;
-// their connections are closed on return.
+// their connections are closed on return. Trials that completions
+// leased ahead and no LeaseN took go back to the server first, in one
+// FailN of wire.FailReleased entries and a single attempt: the engine
+// takes them back unpenalized instead of charging them as timeouts when
+// their leases expire. That attempt may block Close for up to one
+// request timeout (WithRequestTimeout) when the server is unreachable;
+// the leases then expire on their deadlines.
 func (c *Client) Close() error {
+	if c.closed.Load() {
+		return nil
+	}
+	c.releaseHeld(nil, true)
 	if !c.closed.CompareAndSwap(false, true) {
 		return nil
 	}
@@ -379,6 +422,7 @@ type Session struct {
 	c      *Client
 	worker uint64
 	feats  []float64
+	want   atomic.Int64 // n of the session's last LeaseN
 }
 
 // SessionOption configures a Session at construction.
@@ -418,15 +462,19 @@ func (s *Session) Features() []float64 {
 	return append([]float64(nil), s.feats...)
 }
 
-// LeaseN leases up to n trials under the session's feature vector.
+// LeaseN leases up to n trials under the session's feature vector,
+// taking them from a batch the client holds for that vector when it
+// has one; see Client.LeaseN.
 func (s *Session) LeaseN(n int) (LeaseBatch, error) {
+	s.want.Store(int64(n))
 	return s.c.leaseN(s.feats, n)
 }
 
 // CompleteN reports measured values under the session's worker
-// identity; see Client.CompleteN.
+// identity and leases the next trials ahead under the session's feature
+// vector; see Client.CompleteN.
 func (s *Session) CompleteN(epoch int64, results []core.TrialResult) (applied, dropped []uint64, err error) {
-	return s.c.completeN(s.worker, epoch, results)
+	return s.c.completeN(s.worker, s.feats, int(s.want.Load()), epoch, results)
 }
 
 // FailN reports measurement failures; see Client.FailN.
@@ -770,11 +818,13 @@ func (p *pipe) fail(err error) {
 	}
 }
 
-// LeaseBatch is the result of one LeaseN round trip. Epoch stamps the
-// server process that issued the trials and must be echoed when they
-// are completed or failed. The caller owns Trials and every Config in
-// it: later LeaseN calls never write to them. A batch's Configs share
-// one backing array, each capped at its own length.
+// LeaseBatch is the result of one LeaseN call. Epoch stamps the server
+// process that issued the trials and must be echoed when they are
+// completed or failed. The caller owns Trials and every Config in it:
+// later LeaseN calls never write to them. A batch's Configs share one
+// backing array, each capped at its own length; a batch handed out from
+// held trials may share it with the held remainder, which no caller
+// writes either.
 type LeaseBatch struct {
 	Trials   []core.Trial
 	Epoch    int64
@@ -788,16 +838,26 @@ type LeaseBatch struct {
 	SuggestMax int
 }
 
-// LeaseN leases up to n trials in one round trip, attaching the sticky
-// feature vector (if any) so a contextual server can route the lease.
+// LeaseN leases up to n trials under the sticky feature vector (if
+// any), so a contextual server can route the lease. When the client
+// holds trials a completion leased ahead under the same vector (see
+// CompleteN), it hands out up to n of them without a round trip, as
+// long as they carry the current handshake epoch and less than half of
+// their lease time has passed. Held trials of another epoch are
+// discarded, and older ones are handed back to the server. Otherwise
+// LeaseN leases in one round trip.
 func (c *Client) LeaseN(n int) (LeaseBatch, error) {
+	c.want.Store(int64(n))
 	return c.leaseN(c.feats, n)
 }
 
-// LeaseNFor leases up to n trials under an explicit feature vector,
-// overriding the sticky one for this request. Nil features ask for the
-// global context.
+// LeaseNFor is LeaseN under an explicit feature vector, overriding the
+// sticky one for this call. Nil features ask for the global context.
+// Held trials are handed out only to the vector they were leased under,
+// and Client.CompleteN leases ahead only after a LeaseN, never for a
+// LeaseNFor's vector.
 func (c *Client) LeaseNFor(features []float64, n int) (LeaseBatch, error) {
+	c.want.Store(0)
 	return c.leaseN(features, n)
 }
 
@@ -816,6 +876,13 @@ var trialBufPool = sync.Pool{New: func() any { return new(trialBufs) }}
 
 // leaseN is the lease path shared by Client and Session.
 func (c *Client) leaseN(features []float64, n int) (LeaseBatch, error) {
+	lb, ok, due := c.takeHeld(features, n)
+	if ok {
+		return lb, nil
+	}
+	if len(due.trials) > 0 {
+		c.sendRelease(due.epoch, due.trials)
+	}
 	b := trialBufPool.Get().(*trialBufs)
 	defer trialBufPool.Put(b)
 	b.lease = wire.PackedLeaseReq{N: n, Features: features}
@@ -894,14 +961,28 @@ func ownIDs(ack *wire.PackedAck) (applied, dropped []uint64) {
 // slices; they may share one backing array, each capped at its own
 // length, so appending to one never overwrites the other. CompleteN
 // keeps no reference to results.
+//
+// When the last lease was a LeaseN and the client holds no trials
+// ahead for the sticky feature vector, the same request also leases
+// trials under that vector, after the results are applied: as many as
+// it reports, or as many as the last LeaseN asked for if that is more,
+// so a batch handed out in parts at the end of a quota does not shrink
+// every batch after it. The client holds them for the next LeaseN, so a
+// lockstep worker pays one round trip per batch, not two. Held trials
+// that no LeaseN takes go back to the server unpenalized: at Close, or
+// once half their lease time has passed, so a caller that pauses
+// between batches longer than that costs one extra round trip, never a
+// timeout failure.
 func (c *Client) CompleteN(epoch int64, results []core.TrialResult) (applied, dropped []uint64, err error) {
-	return c.completeN(c.worker, epoch, results)
+	return c.completeN(c.worker, c.feats, int(c.want.Load()), epoch, results)
 }
 
-func (c *Client) completeN(worker uint64, epoch int64, results []core.TrialResult) (applied, dropped []uint64, err error) {
+// completeN is the completion path shared by Client and Session; want is
+// the caller's last LeaseN size, and 0 leases nothing ahead.
+func (c *Client) completeN(worker uint64, feats []float64, want int, epoch int64, results []core.TrialResult) (applied, dropped []uint64, err error) {
 	// No feature vector on results: a contextual server routes
-	// completions by trial ID through its route table, so echoing the
-	// sticky vector here would only fatten the hottest wire message.
+	// completions by trial ID through its route table. feats travels
+	// only with the lease request.
 	b := trialBufPool.Get().(*trialBufs)
 	defer trialBufPool.Put(b)
 	req := &b.complete
@@ -909,11 +990,211 @@ func (c *Client) completeN(worker uint64, epoch int64, results []core.TrialResul
 	for _, r := range results {
 		req.Results = append(req.Results, wire.PackedResult{ID: r.ID, Value: r.Value})
 	}
-	if err := c.roundTrip(wire.TCompleteP, req, wire.TAckP, &b.ack); err != nil {
+	req.Next = wire.PackedLeaseReq{N: c.reserveHeld(feats, len(results), want), Features: feats}
+	err = c.roundTrip(wire.TCompleteP, req, wire.TAckP, &b.ack)
+	req.Next.Features = nil // the caller's slice: do not keep it pooled
+	if req.Next.N > 0 {
+		c.fillHeld(feats, &b.ack, err == nil)
+	}
+	if err != nil {
 		return nil, nil, err
 	}
 	applied, dropped = ownIDs(&b.ack)
 	return applied, dropped, nil
+}
+
+// heldFor returns the index of the batch held or reserved for feats, or
+// -1. The caller holds hmu.
+func (c *Client) heldFor(feats []float64) int {
+	for i := range c.held {
+		if slices.Equal(c.held[i].feats, feats) {
+			return i
+		}
+	}
+	return -1
+}
+
+// reserveHeld returns how many trials a completion reporting n results
+// under feats, from a caller whose last LeaseN asked for want, should
+// lease ahead: the larger of n and want when the client holds none for
+// feats and no other completion is asking for them, reserving the
+// place; 0 otherwise, and always for a completion reporting nothing or
+// a want of 0.
+func (c *Client) reserveHeld(feats []float64, n, want int) int {
+	if n == 0 || want <= 0 {
+		return 0
+	}
+	c.hmu.Lock()
+	defer c.hmu.Unlock()
+	if c.noHold || c.heldFor(feats) >= 0 {
+		return 0
+	}
+	c.held = append(c.held, heldBatch{feats: feats, pending: true})
+	return max(n, want)
+}
+
+// fillHeld stores the trials a completion leased ahead for feats in the
+// place reserveHeld made, or frees the place when the request failed or
+// brought none. The trials are the slice ownTrials returns, handed out
+// later without another copy. Trials arriving after Close began go
+// straight back to the server.
+func (c *Client) fillHeld(feats []float64, ack *wire.PackedAck, ok bool) {
+	var hb heldBatch
+	if ok && ack.HasNext {
+		hb = heldBatch{feats: feats, trials: ownTrials(ack.Next.Trials), epoch: ack.Next.Epoch, suggest: ack.Next.SuggestMax}
+		var deadline time.Time
+		for _, tr := range hb.trials {
+			if !tr.Deadline.IsZero() && (deadline.IsZero() || tr.Deadline.Before(deadline)) {
+				deadline = tr.Deadline
+			}
+		}
+		if !deadline.IsZero() {
+			now := time.Now()
+			hb.releaseAt = now.Add(deadline.Sub(now) / 2)
+		}
+	}
+	c.hmu.Lock()
+	i := c.heldFor(feats)
+	if len(hb.trials) > 0 && !c.noHold {
+		c.held[i] = hb
+		c.armLocked(hb.releaseAt)
+		c.hmu.Unlock()
+		return
+	}
+	c.held = slices.Delete(c.held, i, i+1)
+	stopped := c.noHold
+	c.hmu.Unlock()
+	if stopped && len(hb.trials) > 0 {
+		c.sendRelease(hb.epoch, hb.trials)
+	}
+}
+
+// takeHeld hands out up to n (at least 1) of the trials held for
+// features, if they carry the current handshake epoch and their
+// releaseAt has not passed. A batch of another epoch is discarded (a
+// dead epoch's trials are not the new server's to take back); a batch
+// past its releaseAt is removed and returned as due, for the caller to
+// hand back.
+func (c *Client) takeHeld(features []float64, n int) (lb LeaseBatch, ok bool, due heldBatch) {
+	c.hmu.Lock()
+	defer c.hmu.Unlock()
+	if len(c.held) == 0 {
+		return LeaseBatch{}, false, due
+	}
+	i := c.heldFor(features)
+	if i < 0 || c.held[i].pending {
+		return LeaseBatch{}, false, due
+	}
+	hb := &c.held[i]
+	if hb.epoch != c.epoch.Load() || (!hb.releaseAt.IsZero() && !time.Now().Before(hb.releaseAt)) {
+		if hb.epoch == c.epoch.Load() {
+			due = *hb
+		}
+		c.held = slices.Delete(c.held, i, i+1)
+		return LeaseBatch{}, false, due
+	}
+	k := min(max(n, 1), len(hb.trials))
+	lb = LeaseBatch{Trials: hb.trials[:k:k], Epoch: hb.epoch, SuggestMax: hb.suggest}
+	if k == len(hb.trials) {
+		c.held = slices.Delete(c.held, i, i+1)
+	} else {
+		hb.trials = hb.trials[k:]
+	}
+	return lb, true, due
+}
+
+// armLocked makes relTimer fire by at, when at is set and the timer is
+// not already due to fire earlier. The caller holds hmu. In a lockstep
+// loop each batch is taken before its releaseAt, so the timer fires
+// about once per half lease TTL and finds nothing due.
+func (c *Client) armLocked(at time.Time) {
+	if at.IsZero() || (!c.armedAt.IsZero() && !at.Before(c.armedAt)) {
+		return
+	}
+	c.armedAt = at
+	if c.relTimer == nil {
+		c.relTimer = time.AfterFunc(time.Until(at), c.releaseDue)
+	} else {
+		c.relTimer.Reset(time.Until(at))
+	}
+}
+
+// releaseDue hands back every held batch whose releaseAt has passed and
+// re-arms relTimer for the earliest one left.
+func (c *Client) releaseDue() {
+	c.hmu.Lock()
+	c.armedAt = time.Time{}
+	if c.noHold {
+		c.hmu.Unlock()
+		return
+	}
+	now, epoch := time.Now(), c.epoch.Load()
+	var trials []core.Trial
+	var next time.Time
+	kept := c.held[:0]
+	for _, hb := range c.held {
+		if !hb.pending && !hb.releaseAt.IsZero() && !now.Before(hb.releaseAt) {
+			if hb.epoch == epoch {
+				trials = append(trials, hb.trials...)
+			}
+			continue
+		}
+		kept = append(kept, hb)
+		if !hb.releaseAt.IsZero() && (next.IsZero() || hb.releaseAt.Before(next)) {
+			next = hb.releaseAt
+		}
+	}
+	clear(c.held[len(kept):])
+	c.held = kept
+	c.armLocked(next)
+	c.hmu.Unlock()
+	c.sendRelease(epoch, trials)
+}
+
+// releaseHeld hands back to the server the trials held for feats, or
+// every held batch with all set, which also stops completions from
+// leasing ahead (Close). Batches of another epoch than the current
+// handshake's are discarded. A tuned.Worker releases its vector's batch
+// when it stops on MaxTrials or Done.
+func (c *Client) releaseHeld(feats []float64, all bool) {
+	c.hmu.Lock()
+	if all {
+		c.noHold = true
+		if c.relTimer != nil {
+			c.relTimer.Stop()
+		}
+	}
+	epoch := c.epoch.Load()
+	var trials []core.Trial
+	kept := c.held[:0]
+	for _, hb := range c.held {
+		if hb.pending || !(all || slices.Equal(hb.feats, feats)) {
+			kept = append(kept, hb)
+			continue
+		}
+		if hb.epoch == epoch {
+			trials = append(trials, hb.trials...)
+		}
+	}
+	clear(c.held[len(kept):])
+	c.held = kept
+	c.hmu.Unlock()
+	c.sendRelease(epoch, trials)
+}
+
+// sendRelease hands trials back to the server in one FailN of
+// wire.FailReleased entries, in a single attempt: if it fails, the
+// leases expire as any abandoned lease does.
+func (c *Client) sendRelease(epoch int64, trials []core.Trial) {
+	if len(trials) == 0 {
+		return
+	}
+	req := wire.PackedFailReq{Epoch: epoch, Fails: make([]wire.PackedFail, len(trials))}
+	for i, tr := range trials {
+		req.Fails[i] = wire.PackedFail{ID: tr.ID, Kind: wire.FailReleased}
+	}
+	var ack wire.PackedAck
+	c.roundTripRetries(0, wire.TFailP, &req, wire.TAckP, &ack)
 }
 
 // wireFailKind maps a guard failure kind to its packed wire code.

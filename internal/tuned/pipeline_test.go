@@ -77,6 +77,7 @@ func TestPipelinedReorderParity(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		c.Close() // hands back the trials a completion leased ahead
 		st := eng.Stats()
 		if st.InFlight != 0 {
 			t.Fatalf("in-flight = %d after all reports, want 0", st.InFlight)

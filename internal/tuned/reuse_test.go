@@ -170,6 +170,9 @@ func TestPipeTimeoutThenRedial(t *testing.T) {
 		t.Fatalf("warm-up LeaseN: %d trials, %v", len(lb.Trials), err)
 	}
 	completeAll(lb)
+	// Hand back the trials the completion leased ahead, so the next
+	// LeaseN goes to the wire.
+	c.releaseHeld(nil, false)
 
 	sl.armed.Store(true)
 	if _, err := c.LeaseN(1); !errors.Is(err, errPipeTimeout) {

@@ -6,19 +6,24 @@
 // The division of labour mirrors the in-process engine exactly. The
 // server runs both tuning phases and the crash-safe journal; workers
 // are pure measurement loops — lease a batch, run it, report a batch —
-// with no tuning state of their own. Every failure mode reduces to one
-// the engine already handles:
+// with no tuning state of their own. A report also leases the next
+// batch in the same round trip: the client holds it for the next lease
+// under the same feature vector, so a lockstep worker pays one round
+// trip per batch, and hands back, unpenalized, a held batch no lease
+// took when it closes or once half the batch's lease time has passed.
+// Every failure mode reduces to one the engine already handles:
 //
 //   - A worker that dies holding leases is a missed deadline; the
-//     engine reclaims the trials as Timeout failures. Long measurements
-//     stay alive by heartbeating.
+//     engine reclaims the trials as Timeout failures, trials it held
+//     ahead included. Long measurements stay alive by heartbeating.
 //   - A duplicate or late report (client retry, reclaimed lease) is
 //     acknowledged and dropped — completion is idempotent per trial ID.
 //   - A server restart resumes from snapshot + journal (the engine
 //     constructors resume a WithCheckpoint directory that holds a
 //     checkpoint) under a fresh session epoch; reports for
 //     leases issued by the dead process carry the old epoch and are
-//     dropped, never misapplied to a re-issued trial ID.
+//     dropped, never misapplied to a re-issued trial ID, and a client
+//     discards the trials it held ahead once it sees the new epoch.
 //
 // A server serves a tenant registry (NewTenantServer): named tuning
 // problems behind one port, each with its own engine, epoch, persistence
@@ -217,7 +222,7 @@ func (sess *session) reply(typ wire.Type, corr uint16, p wire.Payload) error {
 // resetAck empties the session's reusable ack.
 func (sess *session) resetAck() *wire.PackedAck {
 	ack := &sess.ack
-	ack.Applied, ack.Dropped = ack.Applied[:0], ack.Dropped[:0]
+	ack.Applied, ack.Dropped, ack.HasNext = ack.Applied[:0], ack.Dropped[:0], false
 	return ack
 }
 
@@ -734,12 +739,22 @@ func (s *Server) lease(sess *session, eng Engine, n int, features []float64, res
 
 func (s *Server) serveLease(sess *session, eng Engine, corr uint16, req *wire.PackedLeaseReq) bool {
 	resp := &sess.trials
-	*resp = wire.PackedTrials{Epoch: sess.rt.epoch, Trials: resp.Trials[:0]}
-	if err := s.lease(sess, eng, req.N, req.Features, resp); err != nil {
-		sess.reply(wire.TError, corr, &wire.ErrorResp{Code: wire.CodeInternal, Msg: err.Error()})
+	if !s.fillLease(sess, eng, corr, req.N, req.Features, resp) {
 		return false
 	}
 	return sess.reply(wire.TTrialsP, corr, resp) == nil
+}
+
+// fillLease resets resp to an empty batch of the session's epoch and
+// runs lease into it; on an engine error it replies with the error frame
+// and reports false.
+func (s *Server) fillLease(sess *session, eng Engine, corr uint16, n int, features []float64, resp *wire.PackedTrials) bool {
+	*resp = wire.PackedTrials{Epoch: sess.rt.epoch, Trials: resp.Trials[:0]}
+	if err := s.lease(sess, eng, n, features, resp); err != nil {
+		sess.reply(wire.TError, corr, &wire.ErrorResp{Code: wire.CodeInternal, Msg: err.Error()})
+		return false
+	}
+	return true
 }
 
 // serveComplete applies a completion batch. Reports from another epoch
@@ -747,26 +762,37 @@ func (s *Server) serveLease(sess *session, eng Engine, corr uint16, req *wire.Pa
 // possibly colliding with re-issued trial IDs) are dropped wholesale —
 // acknowledged, never applied. Tenant epochs are unique within a
 // process, so a report carried across tenants always fails this check.
+//
+// A request that asks for the next trials (req.Next.N > 0) then gets
+// them from lease, exactly as a TLeaseP arriving after this completion
+// would, under the current epoch whatever the report's, and appended to
+// the ack.
 func (s *Server) serveComplete(sess *session, eng Engine, corr uint16, req *wire.PackedCompleteReq) bool {
 	ack := sess.resetAck()
 	if req.Epoch != sess.rt.epoch {
 		for _, r := range req.Results {
 			ack.Dropped = append(ack.Dropped, r.ID)
 		}
-		return sess.reply(wire.TAckP, corr, ack) == nil
+	} else {
+		factor := sess.rt.factorFor(req.Worker)
+		results := sess.results[:0]
+		for _, r := range req.Results {
+			results = append(results, core.TrialResult{ID: r.ID, Value: r.Value / factor})
+			delete(sess.leased, r.ID)
+		}
+		sess.results = results
+		for i, err := range eng.CompleteN(results) {
+			if err == nil {
+				ack.Applied = append(ack.Applied, results[i].ID)
+			} else {
+				ack.Dropped = append(ack.Dropped, results[i].ID)
+			}
+		}
 	}
-	factor := sess.rt.factorFor(req.Worker)
-	results := sess.results[:0]
-	for _, r := range req.Results {
-		results = append(results, core.TrialResult{ID: r.ID, Value: r.Value / factor})
-		delete(sess.leased, r.ID)
-	}
-	sess.results = results
-	for i, err := range eng.CompleteN(results) {
-		if err == nil {
-			ack.Applied = append(ack.Applied, results[i].ID)
-		} else {
-			ack.Dropped = append(ack.Dropped, results[i].ID)
+	if req.Next.N > 0 {
+		ack.HasNext = true
+		if !s.fillLease(sess, eng, corr, req.Next.N, req.Next.Features, &ack.Next) {
+			return false
 		}
 	}
 	return sess.reply(wire.TAckP, corr, ack) == nil
@@ -786,7 +812,8 @@ func failKindOf(kind uint8) guard.Kind {
 }
 
 // serveFail applies a failure batch under the same epoch gate as
-// serveComplete.
+// serveComplete. Entries of kind wire.FailReleased hand back leases the
+// client held but never measured; the engine takes them back unpenalized.
 func (s *Server) serveFail(sess *session, eng Engine, corr uint16, req *wire.PackedFailReq) bool {
 	ack := sess.resetAck()
 	if req.Epoch != sess.rt.epoch {
@@ -798,6 +825,10 @@ func (s *Server) serveFail(sess *session, eng Engine, corr uint16, req *wire.Pac
 	fails := make([]core.TrialFailure, len(req.Fails))
 	for i, f := range req.Fails {
 		delete(sess.leased, f.ID)
+		if f.Kind == wire.FailReleased {
+			fails[i] = core.TrialFailure{ID: f.ID, Released: true}
+			continue
+		}
 		fails[i] = core.TrialFailure{ID: f.ID, Failure: guard.Failure{
 			Kind:    failKindOf(f.Kind),
 			Err:     errors.New(f.Msg),
@@ -928,6 +959,7 @@ func (s *Server) serveStats(sess *session, eng Engine, corr uint16) bool {
 		Completed:  st.Completed,
 		Failed:     st.Failed,
 		Expired:    st.Expired,
+		Released:   st.Released,
 		InFlight:   st.InFlight,
 		Absorbed:   st.Absorbed,
 		Iterations: eng.Iterations(),

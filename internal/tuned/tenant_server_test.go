@@ -125,7 +125,10 @@ func TestWrongTenantReportsRejected(t *testing.T) {
 		t.Fatalf("cross-tenant report with foreign epoch: applied=%v dropped=%v", applied, dropped)
 	}
 
-	// Under B's own epoch the IDs are unknown to B's engine: dropped too.
+	// That report leased B's next trials ahead, and B's engine numbers
+	// its trials from 1 as A's does: hand them back, so that under B's
+	// own epoch the IDs are unknown to B's engine and dropped too.
+	cb.releaseHeld(nil, false)
 	applied, dropped, err = cb.CompleteN(cb.Epoch(), results)
 	if err != nil {
 		t.Fatal(err)

@@ -126,11 +126,14 @@ func TestLeaseCompleteRoundTrip(t *testing.T) {
 	if best.Algo < 0 || best.Iterations != 4 || best.Name == "" {
 		t.Fatalf("Best() = %+v", best)
 	}
+	// The first CompleteN leased 4 trials ahead; handing them back ends
+	// their leases as released, not completed.
+	c.releaseHeld(nil, false)
 	st, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Completed != 4 || st.Leased != 4 || st.InFlight != 0 {
+	if st.Completed != 4 || st.Leased != 8 || st.Released != 4 || st.InFlight != 0 {
 		t.Fatalf("Stats() = %+v", st)
 	}
 }
@@ -159,7 +162,9 @@ func TestWrongEpochDropped(t *testing.T) {
 	if fAppl, fDrop, err := c.FailN(stale, []core.TrialFailure{{ID: lb.Trials[1].ID}}); err != nil || len(fAppl) != 0 || len(fDrop) != 1 {
 		t.Fatalf("stale-epoch FailN = (%v, %v, %v), want all dropped", fAppl, fDrop, err)
 	}
-	if st := eng.Stats(); st.Completed != 0 || st.Failed != 0 || st.InFlight != 2 {
+	// The stale-epoch CompleteN still leased the caller's batch of two
+	// ahead, the only leases beyond the first two.
+	if st := eng.Stats(); st.Completed != 0 || st.Failed != 0 || st.InFlight != 4 {
 		t.Fatalf("engine touched by stale-epoch reports: %+v", st)
 	}
 	// The genuine epoch still works.

@@ -156,8 +156,11 @@ func (w *Worker) bump(f func(*WorkerStats)) {
 // under leases; degraded-mode work is accounted in Stats.
 //
 // Cancellation is deliberately abrupt: a cancelled worker abandons the
-// batch it holds without completing it, modelling a killed process.
-// The server reclaims those leases at their deadlines.
+// batch it holds without completing it, modelling a killed process. The
+// server reclaims those leases at their deadlines. Trials its client
+// leased ahead stay with the client, which hands them back (see
+// Client.CompleteN); a worker stopping on MaxTrials or Done hands them
+// back at once.
 func (w *Worker) Run(ctx context.Context) (int, error) {
 	if w.Client == nil || w.Measure == nil {
 		return 0, errors.New("tuned: Worker needs a Client and a Measure")
@@ -182,6 +185,7 @@ func (w *Worker) Run(ctx context.Context) (int, error) {
 			return completed, err
 		}
 		if w.MaxTrials > 0 && completed >= w.MaxTrials {
+			w.stop(sess)
 			return completed, nil
 		}
 		if w.CalibrateEvery > 0 && completed >= nextCal {
@@ -203,6 +207,7 @@ func (w *Worker) Run(ctx context.Context) (int, error) {
 			continue
 		}
 		if lb.Done {
+			w.stop(sess)
 			return completed, nil
 		}
 		if len(lb.Trials) == 0 {
@@ -258,9 +263,11 @@ const pipelineReports = 4
 // runPipelined is the overlapped loop behind Worker.Pipeline: the next
 // lease request is on the wire while the current batch measures, and
 // completion reports settle asynchronously (at most pipelineReports
-// outstanding). Accounting matches the lockstep loop — completed counts
-// acked reports only — and a failed report is converted to
-// degraded-mode observations exactly as there.
+// outstanding). Its reports lease nothing ahead, so at most two batches
+// are leased at once: the one measuring and the prefetched one.
+// Accounting matches the lockstep loop — completed counts acked reports
+// only — and a failed report is converted to degraded-mode observations
+// exactly as there.
 func (w *Worker) runPipelined(ctx context.Context, sess *Session, batch int) (int, error) {
 	type leaseRes struct {
 		lb  LeaseBatch
@@ -289,7 +296,9 @@ func (w *Worker) runPipelined(ctx context.Context, sess *Session, batch int) (in
 		go func() {
 			res := ackRes{lb: lb, results: results, fails: fails}
 			if len(results) > 0 {
-				if _, _, err := sess.CompleteN(lb.Epoch, results); err != nil {
+				// No lease ahead: startLease's prefetch already keeps
+				// the next batch in flight.
+				if _, _, err := sess.c.completeN(sess.worker, sess.feats, 0, lb.Epoch, results); err != nil {
 					res.err = err
 					ch <- res
 					return
@@ -446,6 +455,14 @@ func (w *Worker) runPipelined(ctx context.Context, sess *Session, batch int) (in
 		}
 		report(lb, results, fails)
 	}
+}
+
+// stop hands back the trials the session's completions leased ahead
+// (see Client.CompleteN) when the worker stops cleanly, on MaxTrials or
+// Done, so the server takes them back instead of charging them as
+// timeouts when their leases expire.
+func (w *Worker) stop(sess *Session) {
+	w.Client.releaseHeld(sess.feats, false)
 }
 
 // idleWait turns an empty-lease retry hint into a jittered sleep: the

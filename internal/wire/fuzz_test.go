@@ -64,6 +64,15 @@ func FuzzWireDecode(f *testing.F) {
 		{TCompleteP, &PackedCompleteReq{Epoch: 42, Worker: 0xfeed, Results: []PackedResult{{ID: 7, Value: 3.25}, {ID: 1 << 48, Value: -9}}}},
 		{TFailP, &PackedFailReq{Epoch: 42, Fails: []PackedFail{{ID: 9, Kind: FailTimeout, Penalty: 100, Msg: "deadline"}}}},
 		{TAckP, &PackedAck{Applied: []uint64{1, 2}, Dropped: []uint64{3}}},
+		// The fused lease: a completion asking for the next trials, the
+		// ack carrying them (or an empty Done batch), and the release of
+		// a held lease.
+		{TCompleteP, &PackedCompleteReq{Epoch: 42, Worker: 0xfeed, Results: []PackedResult{{ID: 7, Value: 3.25}},
+			Next: PackedLeaseReq{N: 1, Features: []float64{100}}}},
+		{TAckP, &PackedAck{Applied: []uint64{7}, HasNext: true, Next: PackedTrials{Epoch: 42, Trials: []PackedTrial{
+			{ID: 8, Algo: 1, Config: []float64{1, 2.5}, DeadlineMS: 1700000000000}}}}},
+		{TAckP, &PackedAck{Dropped: []uint64{7}, HasNext: true, Next: PackedTrials{Epoch: 42, Done: true}}},
+		{TFailP, &PackedFailReq{Epoch: 42, Fails: []PackedFail{{ID: 8, Kind: FailReleased}}}},
 	} {
 		frame, err := Encode(m.typ, m.v)
 		if err != nil {

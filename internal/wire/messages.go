@@ -219,6 +219,7 @@ type StatsResp struct {
 	Completed  uint64 `json:"completed"`
 	Failed     uint64 `json:"failed"`
 	Expired    uint64 `json:"expired"`
+	Released   uint64 `json:"released,omitempty"`
 	InFlight   int    `json:"in_flight"`
 	Iterations int    `json:"iterations"`
 	Counts     []int  `json:"counts,omitempty"`

@@ -27,23 +27,34 @@ import (
 //	             uvarint suggestMax, uvarint nTrials, nTrials × Trial
 //	Trial      = uvarint id, uvarint algo, byte flags(spec|pinned|dl),
 //	             [uvarint deadlineMS], uvarint nCfg, nCfg × f64
-//	CompleteP  = u64 epoch, uvarint worker, uvarint n, n × (uvarint id, f64)
+//	CompleteP  = u64 epoch, uvarint worker, uvarint n, n × (uvarint id, f64),
+//	             [LeaseP]
 //	FailP      = u64 epoch, uvarint n, n × (uvarint id, byte kind,
 //	             f64 penalty, uvarint msgLen, msg bytes)
 //	AckP       = uvarint nApplied, nApplied × uvarint,
-//	             uvarint nDropped, nDropped × uvarint
+//	             uvarint nDropped, nDropped × uvarint, [TrialsP]
+//
+// The bracketed tails fuse the next lease into a completion's round
+// trip: a CompleteP that ends in a LeaseP asks for the next trials after
+// its results are applied, and its AckP ends in the TrialsP that answers
+// them. A frame without a tail is byte for byte the frame without the
+// feature, so a decoder reads "no tail" from an empty remainder; a tail
+// that is present but truncated is an error, never a silent zero.
 //
 // Counts are validated against the remaining payload length before any
 // slice grows, so a hostile count cannot balloon memory (every element
 // consumes at least one byte).
 
 // Failure kinds on the packed wire, mirroring guard.Kind; a server
-// charges FailOther and unknown kind bytes as invalid.
+// charges FailOther and unknown kind bytes as invalid. FailReleased is
+// not a failure: it hands back a lease the client held but never
+// measured, which the engine takes back without a penalty.
 const (
-	FailOther   uint8 = 0
-	FailPanic   uint8 = 1
-	FailTimeout uint8 = 2
-	FailInvalid uint8 = 3
+	FailOther    uint8 = 0
+	FailPanic    uint8 = 1
+	FailTimeout  uint8 = 2
+	FailInvalid  uint8 = 3
+	FailReleased uint8 = 4
 )
 
 // Packed-payload flag bits.
@@ -229,6 +240,11 @@ func (m *PackedTrials) AppendEncode(buf []byte) []byte {
 	return buf
 }
 
+// reset empties m, keeping its slices' capacity for the next decode.
+func (m *PackedTrials) reset() {
+	*m = PackedTrials{Trials: m.Trials[:0], arena: m.arena[:0], starts: m.starts[:0], lens: m.lens[:0]}
+}
+
 func (m *PackedTrials) DecodeFrom(buf []byte) error {
 	epoch, rest, err := getU64(buf)
 	if err != nil {
@@ -333,10 +349,16 @@ type PackedResult struct {
 // that worker's calibrated speed factor (see CalibrateReq); zero reports
 // raw costs. A contextual server routes completions by trial ID, so a
 // result carries no feature vector.
+//
+// Next, when Next.N > 0, asks for up to Next.N trials under
+// Next.Features, leased after the results are applied and returned in
+// the ack's Next: one round trip per batch for a lockstep worker. With
+// Next.N == 0 no tail is encoded.
 type PackedCompleteReq struct {
 	Epoch   int64
 	Worker  uint64
 	Results []PackedResult
+	Next    PackedLeaseReq
 }
 
 func (m *PackedCompleteReq) AppendEncode(buf []byte) []byte {
@@ -346,6 +368,9 @@ func (m *PackedCompleteReq) AppendEncode(buf []byte) []byte {
 	for i := range m.Results {
 		buf = binary.AppendUvarint(buf, m.Results[i].ID)
 		buf = appendF64(buf, m.Results[i].Value)
+	}
+	if m.Next.N > 0 {
+		buf = m.Next.AppendEncode(buf)
 	}
 	return buf
 }
@@ -380,7 +405,11 @@ func (m *PackedCompleteReq) DecodeFrom(buf []byte) error {
 		}
 		m.Results = append(m.Results, r)
 	}
-	return nil
+	if len(rest) == 0 {
+		m.Next.N, m.Next.Features = 0, m.Next.Features[:0]
+		return nil
+	}
+	return m.Next.DecodeFrom(rest)
 }
 
 // PackedFail is one failed trial in a PackedFailReq. Msg allocates on
@@ -461,9 +490,16 @@ func (m *PackedFailReq) DecodeFrom(buf []byte) error {
 // lease expiry, or from a different epoch. Both outcomes are success for
 // the worker; Dropped only means the engine had already charged the
 // trial.
+//
+// HasNext marks the answer to a completion's lease request: Next is then
+// the batch a TLeaseP of the same request would have returned (trials,
+// or Done, Draining or a busy hint with none). Without HasNext, Next is
+// empty and no tail is encoded.
 type PackedAck struct {
 	Applied []uint64
 	Dropped []uint64
+	HasNext bool
+	Next    PackedTrials
 }
 
 func appendIDList(buf []byte, ids []uint64) []byte {
@@ -496,7 +532,11 @@ func decodeIDList(dst []uint64, buf []byte) ([]uint64, []byte, error) {
 
 func (m *PackedAck) AppendEncode(buf []byte) []byte {
 	buf = appendIDList(buf, m.Applied)
-	return appendIDList(buf, m.Dropped)
+	buf = appendIDList(buf, m.Dropped)
+	if m.HasNext {
+		buf = m.Next.AppendEncode(buf)
+	}
+	return buf
 }
 
 func (m *PackedAck) DecodeFrom(buf []byte) error {
@@ -505,6 +545,14 @@ func (m *PackedAck) DecodeFrom(buf []byte) error {
 	if err != nil {
 		return err
 	}
-	m.Dropped, _, err = decodeIDList(m.Dropped, buf)
-	return err
+	m.Dropped, buf, err = decodeIDList(m.Dropped, buf)
+	if err != nil {
+		return err
+	}
+	m.HasNext = len(buf) > 0
+	if !m.HasNext {
+		m.Next.reset()
+		return nil
+	}
+	return m.Next.DecodeFrom(buf)
 }

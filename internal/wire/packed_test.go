@@ -105,6 +105,78 @@ func TestPackedAckRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPackedLeaseTails round-trips the fused lease: a completion whose
+// tail asks for the next trials, an ack whose tail carries them, and a
+// release entry. A frame without a tail keeps the bytes it had before
+// tails existed.
+func TestPackedLeaseTails(t *testing.T) {
+	req := &PackedCompleteReq{Epoch: 42, Worker: 7, Results: []PackedResult{{ID: 9, Value: 1.5}},
+		Next: PackedLeaseReq{N: 2, Features: []float64{100}}}
+	var gotReq PackedCompleteReq
+	packedRoundTrip(t, TCompleteP, req, &gotReq)
+	if !reflect.DeepEqual(&gotReq, req) {
+		t.Fatalf("completion with a lease tail = %+v, want %+v", gotReq, *req)
+	}
+	plain := PackedCompleteReq{Epoch: 42, Worker: 7, Results: req.Results}
+	if got, want := req.AppendEncode(nil), plain.AppendEncode(nil); !bytes.HasPrefix(got, want) || len(got) == len(want) {
+		t.Fatalf("tail is not appended after the untailed encoding: %x vs %x", got, want)
+	}
+	// A tail-less frame decoded into a receiver that held a tail clears it.
+	if err := gotReq.DecodeFrom(plain.AppendEncode(nil)); err != nil || gotReq.Next.N != 0 || len(gotReq.Next.Features) != 0 {
+		t.Fatalf("tail-less decode into a reused receiver left %+v (%v)", gotReq.Next, err)
+	}
+
+	ack := &PackedAck{Applied: []uint64{9}, HasNext: true, Next: PackedTrials{Epoch: 42, SuggestMax: 3,
+		Trials: []PackedTrial{{ID: 10, Algo: 1, Config: []float64{0.5}, DeadlineMS: 1700000000000}}}}
+	var gotAck PackedAck
+	packedRoundTrip(t, TAckP, ack, &gotAck)
+	if !gotAck.HasNext || gotAck.Next.Epoch != 42 || gotAck.Next.SuggestMax != 3 || len(gotAck.Next.Trials) != 1 ||
+		gotAck.Next.Trials[0].ID != 10 || !reflect.DeepEqual(gotAck.Next.Trials[0].Config, []float64{0.5}) {
+		t.Fatalf("ack with a trials tail = %+v", gotAck)
+	}
+	done := &PackedAck{Dropped: []uint64{9}, HasNext: true, Next: PackedTrials{Epoch: 42, Done: true}}
+	packedRoundTrip(t, TAckP, done, &gotAck)
+	if !gotAck.HasNext || !gotAck.Next.Done || len(gotAck.Next.Trials) != 0 || len(gotAck.Applied) != 0 {
+		t.Fatalf("ack with an empty Done tail = %+v", gotAck)
+	}
+	if err := gotAck.DecodeFrom((&PackedAck{Applied: []uint64{1}}).AppendEncode(nil)); err != nil || gotAck.HasNext || gotAck.Next.Done || len(gotAck.Next.Trials) != 0 {
+		t.Fatalf("tail-less ack decoded into a reused receiver = %+v (%v)", gotAck, err)
+	}
+
+	rel := &PackedFailReq{Epoch: 42, Fails: []PackedFail{{ID: 10, Kind: FailReleased}}}
+	var gotRel PackedFailReq
+	packedRoundTrip(t, TFailP, rel, &gotRel)
+	if !reflect.DeepEqual(&gotRel, rel) {
+		t.Fatalf("release = %+v, want %+v", gotRel, *rel)
+	}
+}
+
+// TestPackedTruncatedTails cuts each tail at every length short of its
+// end: a present but truncated tail must be an error, never read as
+// "no lease" or an empty batch.
+func TestPackedTruncatedTails(t *testing.T) {
+	for _, c := range []struct {
+		typ        Type
+		head, full []byte
+	}{
+		{TCompleteP,
+			(&PackedCompleteReq{Epoch: 1, Results: []PackedResult{{ID: 1, Value: 2}}}).AppendEncode(nil),
+			(&PackedCompleteReq{Epoch: 1, Results: []PackedResult{{ID: 1, Value: 2}}, Next: PackedLeaseReq{N: 1, Features: []float64{3}}}).AppendEncode(nil)},
+		{TAckP,
+			(&PackedAck{Applied: []uint64{1}}).AppendEncode(nil),
+			(&PackedAck{Applied: []uint64{1}, HasNext: true, Next: PackedTrials{Epoch: 5, Trials: []PackedTrial{{ID: 2, Algo: 1, DeadlineMS: 9, Config: []float64{1}}}}}).AppendEncode(nil)},
+	} {
+		if err := payloadFor(c.typ).DecodeFrom(c.full); err != nil {
+			t.Fatalf("%v: full tailed payload rejected: %v", c.typ, err)
+		}
+		for n := len(c.head) + 1; n < len(c.full); n++ {
+			if err := payloadFor(c.typ).DecodeFrom(c.full[:n]); err == nil {
+				t.Errorf("%v: tail cut to %d of %d bytes accepted", c.typ, n-len(c.head), len(c.full)-len(c.head))
+			}
+		}
+	}
+}
+
 // TestPackedHostileCounts pins the count-validation defense: a payload
 // whose count field promises more elements than its bytes can hold must
 // be rejected before any slice grows.
@@ -195,6 +267,8 @@ func TestPackedEncodeZeroAllocs(t *testing.T) {
 		complete.Results[i] = PackedResult{ID: uint64(i + 1), Value: float64(i) * 1.25}
 	}
 	lease := &PackedLeaseReq{N: 16, Features: []float64{27, 0.5}}
+	fused := &PackedCompleteReq{Epoch: 7, Worker: 1, Results: complete.Results, Next: *lease}
+	ack := &PackedAck{Applied: []uint64{1, 2}, HasNext: true, Next: *trials}
 
 	for _, c := range []struct {
 		name string
@@ -204,6 +278,8 @@ func TestPackedEncodeZeroAllocs(t *testing.T) {
 		{"lease", TLeaseP, lease},
 		{"trials", TTrialsP, trials},
 		{"complete", TCompleteP, complete},
+		{"complete+lease", TCompleteP, fused},
+		{"ack+trials", TAckP, ack},
 	} {
 		buf := make([]byte, 0, 4096)
 		allocs := testing.AllocsPerRun(100, func() {
@@ -230,6 +306,8 @@ func TestPackedDecodeZeroAllocs(t *testing.T) {
 		complete.Results[i] = PackedResult{ID: uint64(i + 1), Value: float64(i) * 1.25}
 	}
 	lease := &PackedLeaseReq{N: 16, Features: []float64{27, 0.5}}
+	fused := &PackedCompleteReq{Epoch: 7, Worker: 1, Results: complete.Results, Next: *lease}
+	ack := &PackedAck{Applied: []uint64{1, 2}, HasNext: true, Next: *trials}
 
 	for _, c := range []struct {
 		name string
@@ -239,6 +317,8 @@ func TestPackedDecodeZeroAllocs(t *testing.T) {
 		{"lease", lease.AppendEncode(nil), &PackedLeaseReq{}},
 		{"trials", trials.AppendEncode(nil), &PackedTrials{}},
 		{"complete", complete.AppendEncode(nil), &PackedCompleteReq{}},
+		{"complete+lease", fused.AppendEncode(nil), &PackedCompleteReq{}},
+		{"ack+trials", ack.AppendEncode(nil), &PackedAck{}},
 	} {
 		// Warm the receiver's slices once so steady state is measured.
 		if err := c.into.DecodeFrom(c.pay); err != nil {
