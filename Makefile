@@ -39,10 +39,10 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # CLI-level crash/resume: a second atune-demo run over the same
-# -checkpoint directory must resume the first run's 60 iterations, for
-# the sequential loop and for the lease-based trial engine alike, and
+# -checkpoint directory must resume the first run's 60 iterations, and
 # leave a directory of journal segments only: no snap-*.ckpt or
-# wal-*.log.
+# wal-*.log. Both legs run the one tuner type: -workers 1 drives it
+# through its single-caller Step loop, -workers 4 through leases.
 resume-smoke:
 	@for w in 1 4; do \
 		tmp=$$(mktemp -d); \

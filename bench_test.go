@@ -382,7 +382,7 @@ func BenchmarkTrialEngineLeaseComplete(b *testing.B) {
 		{Name: "plain"},
 		{Name: "tuned", Space: param.NewSpace(param.NewInterval("x", 0, 10))},
 	}
-	ct, err := core.NewConcurrentTuner(algos, nominal.NewEpsilonGreedy(0.10), nil, 42)
+	ct, err := core.NewTuner(algos, nominal.NewEpsilonGreedy(0.10), nil, 42)
 	if err != nil {
 		b.Fatal(err)
 	}

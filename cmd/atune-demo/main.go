@@ -26,12 +26,11 @@
 //	atune-demo -checkpoint /tmp/demo-ckpt    # interrupt this...
 //	atune-demo -checkpoint /tmp/demo-ckpt    # ...then warm-restart
 //
-// -workers N > 1 switches from the sequential Step loop to the lease-based
-// trial engine: N goroutines lease trials, measure them concurrently, and
-// complete them out of order (per-iteration progress lines are then
-// suppressed — completions have no single order to print them in). All
-// other flags compose; -checkpoint with -workers replays the journal
-// through the concurrent path.
+// -workers N > 1 drives the same tuner from N goroutines instead of one
+// Step loop: they lease trials, measure them concurrently, and complete
+// them out of order (per-iteration progress lines are then suppressed —
+// completions have no single order to print them in). All other flags
+// compose; a -checkpoint directory resumes whichever way it was written.
 //
 // -contextual demonstrates feature-vector routing: the same three
 // algorithms, but the right answer now depends on the request. Two
@@ -72,7 +71,7 @@ func main() {
 		guarded  = flag.Bool("guard", false, "enable the fault-tolerant measurement layer (guard + quarantine)")
 		ckptDir  = flag.String("checkpoint", "", "directory for crash-safe tuner snapshots + journal, resumed when it holds one (empty = off)")
 		snapEach = flag.Int("snap-every", 20, "snapshot cadence in iterations (with -checkpoint)")
-		workers  = flag.Int("workers", 1, "concurrent measurement workers (>1 uses the lease-based trial engine)")
+		workers  = flag.Int("workers", 1, "concurrent measurement workers (>1 leases trials from that many goroutines)")
 		ctxFlg   = flag.Bool("contextual", false, "demo feature-vector routing: two request classes with different winners")
 	)
 	flag.Parse()
@@ -151,46 +150,24 @@ func main() {
 	}
 
 	// A -checkpoint directory holding a previous run's state is resumed
-	// by the constructor; the trial engine also accepts a journal written
-	// by the sequential loop.
+	// by the constructor.
 	resumed := core.HasCheckpoint(*ckptDir)
 	if *ckptDir != "" {
 		opts = append(opts, core.WithCheckpoint(*ckptDir, *snapEach))
 	}
-
-	// The trial engine exposes the tuner's whole read-side surface, so
-	// the summary below works off either loop.
-	var state interface {
-		Iterations() int
-		Best() (int, param.Config, float64)
-		Counts() []int
-		FailureStats() core.FailureStats
-		Degraded() bool
-		CheckpointErr() error
-	}
-	var (
-		tuner *core.Tuner
-		ct    *core.ConcurrentTuner
-	)
-	if *workers > 1 {
-		ct, err = core.NewConcurrentTuner(algos, sel, nil, *seed, opts...)
-		state = ct
-	} else {
-		tuner, err = core.NewTuner(algos, sel, nil, *seed, opts...)
-		state = tuner
-	}
+	tuner, err := core.NewTuner(algos, sel, nil, *seed, opts...)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if resumed {
-		fmt.Printf("resumed from %s at iteration %d\n", *ckptDir, state.Iterations())
+		fmt.Printf("resumed from %s at iteration %d\n", *ckptDir, tuner.Iterations())
 	}
 
-	if ct != nil {
+	if *workers > 1 {
 		fmt.Printf("online-autotuning %d algorithms with %s across %d workers\n\n",
 			len(algos), sel.Name(), *workers)
-		ct.RunPool(*workers, *iters, measure)
-		s := ct.Stats()
+		tuner.RunPool(*workers, *iters, measure)
+		s := tuner.Stats()
 		fmt.Printf("leased %d trials: %d completed, %d failed, %d expired\n",
 			s.Leased, s.Completed, s.Failed, s.Expired)
 	} else {
@@ -198,19 +175,19 @@ func main() {
 	}
 
 	if *ckptDir != "" {
-		if err := state.CheckpointErr(); err != nil {
+		if err := tuner.CheckpointErr(); err != nil {
 			fmt.Fprintln(os.Stderr, "warning: checkpointing degraded:", err)
 		}
 	}
 
-	best, cfg, val := state.Best()
+	best, cfg, val := tuner.Best()
 	fmt.Printf("\nbest algorithm : %s\n", algos[best].Name)
 	if algos[best].Space != nil {
 		fmt.Printf("best config    : %s\n", algos[best].Space.Format(cfg))
 	}
 	fmt.Printf("best cost      : %.3f\n", val)
 	fmt.Printf("selection count: ")
-	for i, c := range state.Counts() {
+	for i, c := range tuner.Counts() {
 		if i > 0 {
 			fmt.Print(", ")
 		}
@@ -218,11 +195,11 @@ func main() {
 	}
 	fmt.Println()
 	if *guarded {
-		fs := state.FailureStats()
+		fs := tuner.FailureStats()
 		fmt.Printf("failures       : %d total (%d panics, %d timeouts, %d invalid)\n",
 			fs.Total, fs.Panics, fs.Timeouts, fs.Invalids)
 		fmt.Printf("quarantine     : %s tripped %d times; degraded=%v, pinned iters=%d\n",
-			algos[faultyAlgo].Name, q.Trips(faultyAlgo), state.Degraded(), fs.PinnedIterations)
+			algos[faultyAlgo].Name, q.Trips(faultyAlgo), tuner.Degraded(), fs.PinnedIterations)
 	}
 	if best != 1 {
 		fmt.Fprintln(os.Stderr, "note: the tunable algorithm was not identified as best; try more iterations")
@@ -345,8 +322,8 @@ func runContextual(iters int, seed int64) {
 	}
 }
 
-// runSequential is the classic strictly alternating tuning loop with
-// per-iteration progress lines.
+// runSequential is the single-caller tuning loop with per-iteration
+// progress lines.
 func runSequential(tuner *core.Tuner, algos []core.Algorithm, sel nominal.Selector, measure core.Measure, iters int) {
 	fmt.Printf("online-autotuning %d algorithms with %s\n\n", len(algos), sel.Name())
 	for i := 0; i < iters; i++ {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -39,5 +41,24 @@ func TestOnlyT1PrintsTableI(t *testing.T) {
 	}
 	if strings.Contains(got, "Table II") {
 		t.Fatalf("-only T1 also printed Table II:\n%s", got)
+	}
+}
+
+// TestSeededAblationsGolden: the seeded, synthetic ablations print the
+// bytes of testdata/seeded-ablations.txt. A1–A4 there also match
+// figures_output.txt. The bank-driven ablations (A10–A12, A14–A16) are
+// left out: their banks are recorded from wall-clock timings, so their
+// winners can change from run to run (A11's did in one of ten runs).
+func TestSeededAblationsGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "seeded-ablations.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-only", "a1,a2,a3,a4,a8,a9"}, &out, &errOut); code != 0 {
+		t.Fatalf("exit code %d, stderr %q", code, errOut.String())
+	}
+	if got := out.Bytes(); !bytes.Equal(got, want) {
+		t.Fatalf("seeded ablations changed:\n%s\nwant:\n%s", got, want)
 	}
 }

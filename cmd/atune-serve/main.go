@@ -1,5 +1,5 @@
 // Command atune-serve runs the distributed tuning service: the
-// sequential tuner wrapped in the lease-based trial engine, exposed
+// two-phase tuner's lease-based trial engine (core.Tuner), exposed
 // over TCP to remote atune-worker processes. All tuning decisions stay
 // here; workers only measure.
 //

@@ -68,7 +68,7 @@ func wantAll(t *testing.T, out string, wants ...string) {
 func TestInspectSegments(t *testing.T) {
 	dir := t.TempDir()
 	algos := []core.Algorithm{{Name: "fast"}, {Name: "slow"}}
-	eng, err := core.NewConcurrentTuner(algos, nominal.NewEpsilonGreedy(0.10), nil, 1, core.WithCheckpoint(dir, 10))
+	eng, err := core.NewTuner(algos, nominal.NewEpsilonGreedy(0.10), nil, 1, core.WithCheckpoint(dir, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,9 +88,10 @@ func TestInspectSegments(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("inspect %s: exit %d\n%s", seg, code, out)
 	}
-	wantAll(t, out, "5 snapshot lines, 35 valid records, first damaged line none", "line 12: snapshot at iteration 10")
+	// 35 completions and the trial-ID mark the first lease journaled.
+	wantAll(t, out, "5 snapshot lines, 36 valid records, first damaged line none", "line 13: snapshot at iteration 10")
 
-	// Damage the record on line 3 (iteration 1).
+	// Damage the record on line 3 (iteration 0).
 	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +105,7 @@ func TestInspectSegments(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("inspect %s: exit %d\n%s", seg, code, out)
 	}
-	wantAll(t, out, "5 snapshot lines, 34 valid records, first damaged line 3")
+	wantAll(t, out, "5 snapshot lines, 35 valid records, first damaged line 3")
 }
 
 // TestInspectV2Fixture: inspect refuses the format-2 fixture directory

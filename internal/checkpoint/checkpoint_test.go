@@ -408,22 +408,28 @@ func TestAppendRecordMatchesJSON(t *testing.T) {
 // them spliced in — the decoder agrees with json.Unmarshal.
 func FuzzJournalRecord(f *testing.F) {
 	f.Add(0, "", []byte(nil), true, 0.0, "", uint64(0), false, false, "", uint64(0), 0, 0.0, 0, false, "", []byte(nil),
-		[]byte(`{"iter":1,"algo":"a","config":null,"value":1}`))
+		uint64(0), uint64(0), []byte(`{"iter":1,"algo":"a","config":null,"value":1}`))
 	f.Add(5, "tuned", []byte{0, 0, 0, 0, 0, 0, 0xf8, 0x7f}, false, 1e-7, "panic", uint64(9), true, true,
-		DriftRefork, uint64(3), 2, 0.5, 4, true, "", []byte(nil), []byte(`,"spec":true`))
+		DriftRefork, uint64(3), 2, 0.5, 4, true, "", []byte(nil), uint64(0), uint64(0), []byte(`,"spec":true`))
 	f.Add(-1, "<\xff\u2028>", []byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, false, 2.5e21, "\n", uint64(1), false, true,
-		DriftDecay, uint64(1), -3, math.Inf(-1), -2, false, "", []byte(nil), []byte(`"\u004eaN"`))
+		DriftDecay, uint64(1), -3, math.Inf(-1), -2, false, "", []byte(nil), uint64(0), uint64(0), []byte(`"\u004eaN"`))
 	// A contextual completion, a contextual failure and a split record.
 	f.Add(7, "tuned", []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x3f}, false, 1.25, "", uint64(3), true, false,
-		"", uint64(0), 0, 0.0, 0, false, "b0.lo", []byte(nil), []byte(`,"ctx":"b0.lo"}`))
+		"", uint64(0), 0, 0.0, 0, false, "b0.lo", []byte(nil), uint64(0), uint64(0), []byte(`,"ctx":"b0.lo"}`))
 	f.Add(8, "plain", []byte(nil), true, 40.0, "timeout", uint64(4), false, false,
-		"", uint64(0), 0, 0.0, 0, false, "b1", []byte(nil), []byte(`,"fail":"timeout","trial":4,"ctx":"b1"`))
+		"", uint64(0), 0, 0.0, 0, false, "b1", []byte(nil), uint64(0), uint64(0), []byte(`,"fail":"timeout","trial":4,"ctx":"b1"`))
 	f.Add(9, "", []byte(nil), true, 0.0, "", uint64(0), false, false,
 		"", uint64(0), 0, 0.0, 0, false, "b0", []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x08, 0x40},
-		[]byte(`{"iter":9,"algo":"","config":null,"value":0,"ctx":"b0","split":[0,3]}`))
+		uint64(0), uint64(0), []byte(`{"iter":9,"algo":"","config":null,"value":0,"ctx":"b0","split":[0,3]}`))
+	// A completion with its selector RNG draw count, and a trial-ID mark.
+	f.Add(10, "tuned", []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x3f}, false, 2.0, "", uint64(5), false, false,
+		"", uint64(0), 0, 0.0, 0, false, "", []byte(nil), uint64(17), uint64(0), []byte(`,"trial":5,"draws":17}`))
+	f.Add(11, "", []byte(nil), true, 0.0, "", uint64(0), false, false,
+		"", uint64(0), 0, 0.0, 0, false, "", []byte(nil), uint64(0), uint64(2048),
+		[]byte(`{"iter":11,"algo":"","config":null,"value":0,"mark":2048}`))
 	f.Fuzz(func(t *testing.T, iter int, algo string, cfgBits []byte, cfgNil bool, value float64, fail string,
 		trial uint64, spec, pinned bool, drift string, dseq uint64, darm int, dkeep float64, dprobes int, dp1 bool,
-		ctx string, splitBits []byte, body []byte) {
+		ctx string, splitBits []byte, draws, mark uint64, body []byte) {
 		// Long inputs add no encoder branch, only time per run, and the
 		// fuzzer's minimizer pays that time once per byte of them.
 		algo, fail, drift, ctx = clip(algo), clip(fail), clip(drift), clip(ctx)
@@ -448,6 +454,7 @@ func FuzzJournalRecord(f *testing.F) {
 			Iter: iter, Algo: algo, Config: cfg, Value: F(value), FailKind: fail, Trial: trial,
 			Spec: spec, Pinned: pinned, Drift: drift, DriftSeq: dseq, DriftArm: darm,
 			DriftKeep: F(dkeep), DriftProbes: dprobes, DriftP1: dp1, Ctx: ctx, Split: split,
+			Draws: draws, Mark: mark,
 		}
 		checkRecordEncoding(t, "fuzz", rec)
 		checkRecordDecoding(t, "fuzz", rec)

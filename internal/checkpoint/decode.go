@@ -56,6 +56,11 @@ func parseRecord(body []byte, rec *Record) bool {
 	}
 	rec.Spec = p.lit(`,"spec":true`)
 	rec.Pinned = p.lit(`,"pinned":true`)
+	if p.lit(`,"draws":`) {
+		if rec.Draws, ok = p.uint(); !ok || rec.Draws == 0 {
+			return false
+		}
+	}
 	if p.lit(`,"drift":`) {
 		if rec.Drift, ok = p.str(); !ok {
 			return false
@@ -93,26 +98,32 @@ func parseRecord(body []byte, rec *Record) bool {
 			return false
 		}
 	}
+	if p.lit(`,"mark":`) {
+		if rec.Mark, ok = p.uint(); !ok || rec.Mark == 0 {
+			return false
+		}
+	}
 	return p.lit("}") && p.i == len(p.b)
 }
 
 // recordIter returns a record body's iteration and whether it is a
-// drift sentinel, without decoding the rest of it when the body is in
-// appendRecord's form: "iter" leads the body, and a non-empty "drift"
-// is the only way `drift":` can appear, since a quote inside a string
-// is escaped. The search starts at the rare byte 'd', not a comma.
-func recordIter(body []byte) (iter int, drift, ok bool) {
+// sentinel — a drift sentinel or a trial-ID mark, which carry the
+// iteration of the record after them — without decoding the rest of it
+// when the body is in appendRecord's form: "iter" leads the body, and a
+// non-empty "drift" or a non-zero "mark" is the only way `drift":` or
+// `mark":` can appear, since a quote inside a string is escaped.
+func recordIter(body []byte) (iter int, sentinel, ok bool) {
 	p := parser{b: body}
 	if p.lit(`{"iter":`) {
 		if iter, ok = p.int(); ok && p.i < len(p.b) && p.b[p.i] == ',' {
-			return iter, bytes.Contains(body, []byte(`drift":`)), true
+			return iter, bytes.Contains(body, []byte(`drift":`)) || bytes.Contains(body, []byte(`mark":`)), true
 		}
 	}
 	var rec Record
 	if decodeRecord(body, &rec) != nil {
 		return 0, false, false
 	}
-	return rec.Iter, rec.Drift != "", true
+	return rec.Iter, rec.Drift != "" || rec.Mark != 0, true
 }
 
 // parser reads the JSON that appendRecord and appendSnapshotLine write,

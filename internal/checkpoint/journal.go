@@ -19,8 +19,8 @@ import (
 // success) so replay can route the record through ObserveFailure.
 //
 // Trial, Spec and Pinned were added for the concurrent trial engine
-// (format version 2): Trial is the engine's lease ticket (0 for
-// sequential tuners, whose journals have no ticket concept), Spec marks
+// (format version 2): Trial is the engine's lease ticket (0 in journals
+// written before every tuner issued trial IDs), Spec marks
 // a speculative proposal that must not be replayed into the phase-one
 // strategy, and Pinned marks a degradation-mode incumbent run that
 // bypassed both phases. All three decode as zero values from version-1
@@ -49,6 +49,14 @@ import (
 // empty, so a flat engine's records and segments are byte-identical to
 // those written before the fields existed.
 //
+// Draws is the tuner's selector RNG draw count when the completion was
+// journaled, so a replay restores the RNG to where it was live. A record
+// with a non-zero Mark is not an observation but a trial-ID reservation:
+// the engine has reserved every trial ID up to Mark, and a resumed one
+// issues IDs above it. Like a drift sentinel it carries the iteration of
+// the record after it. Both fields are omitted when zero, so records
+// written before them read as "no draw count" and "no mark".
+//
 // appendRecord encodes a Record by hand, so a field added here must be
 // added there too; TestAppendRecordMatchesJSON sets every field through
 // reflection and fails until it is.
@@ -61,6 +69,7 @@ type Record struct {
 	Trial    uint64 `json:"trial,omitempty"`
 	Spec     bool   `json:"spec,omitempty"`
 	Pinned   bool   `json:"pinned,omitempty"`
+	Draws    uint64 `json:"draws,omitempty"`
 
 	Drift       string `json:"drift,omitempty"`
 	DriftSeq    uint64 `json:"dseq,omitempty"`
@@ -71,6 +80,8 @@ type Record struct {
 
 	Ctx   string `json:"ctx,omitempty"`
 	Split []F    `json:"split,omitempty"`
+
+	Mark uint64 `json:"mark,omitempty"`
 }
 
 // Drift sentinel kinds (Record.Drift).
@@ -387,6 +398,10 @@ func appendRecord(b []byte, rec *Record) []byte {
 	if rec.Pinned {
 		b = append(b, `,"pinned":true`...)
 	}
+	if rec.Draws != 0 {
+		b = append(b, `,"draws":`...)
+		b = strconv.AppendUint(b, rec.Draws, 10)
+	}
 	if rec.Drift != "" {
 		b = append(b, `,"drift":`...)
 		b = AppendString(b, rec.Drift)
@@ -417,6 +432,10 @@ func appendRecord(b []byte, rec *Record) []byte {
 	if len(rec.Split) > 0 {
 		b = append(b, `,"split":`...)
 		b = AppendFloats(b, rec.Split)
+	}
+	if rec.Mark != 0 {
+		b = append(b, `,"mark":`...)
+		b = strconv.AppendUint(b, rec.Mark, 10)
 	}
 	return append(b, '}')
 }
@@ -508,7 +527,7 @@ func readRecords(rd io.Reader) ([]Record, error) {
 			seq.snapshot(l.iter)
 		case lineRecord:
 			var rec Record
-			if seq.record(l.iter, l.drift) && decodeRecord(l.body, &rec) == nil {
+			if seq.record(l.iter, l.sentinel) && decodeRecord(l.body, &rec) == nil {
 				recs = append(recs, rec)
 			}
 		}

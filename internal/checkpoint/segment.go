@@ -140,7 +140,7 @@ func opensWithSnapshot(path string) bool {
 type State struct {
 	Payload []byte   // the snapshot's tuner state; nil when dir holds no state
 	Iter    int      // iteration the snapshot was taken at
-	Trial   uint64   // highest trial ID the snapshot carries or a record after it holds
+	Trial   uint64   // highest trial ID the snapshot carries or a record or mark after it holds
 	Records []Record // the records after the snapshot, in journal order
 	Seq     int      // newest segment's sequence number; 0 when there is none
 }
@@ -236,7 +236,7 @@ func (r *resumeReader) read(rd io.Reader) error {
 			r.state = append(r.state[:0], l.state...)
 			r.held = r.held[:0]
 		case lineRecord:
-			if r.seq.record(l.iter, l.drift) {
+			if r.seq.record(l.iter, l.sentinel) {
 				r.held = append(append(r.held, l.body...), '\n')
 			}
 		}
@@ -254,15 +254,16 @@ func (r *resumeReader) fill(st *State) {
 			break
 		}
 		st.Records = append(st.Records, rec)
-		st.Trial = max(st.Trial, rec.Trial)
+		st.Trial = max(st.Trial, rec.Trial, rec.Mark)
 		b = b[i+1:]
 	}
 }
 
 // readState follows the iteration sequence of a journal read line by
 // line, and rules on damaged lines by what follows them. A record
-// advances the iteration; a snapshot line does not, and a drift
-// sentinel carries the iteration of the record after it. A damaged
+// advances the iteration; a snapshot line does not, and a sentinel — a
+// drift sentinel or a trial-ID mark — carries the iteration of the
+// record after it. A damaged
 // line whose next valid line carries the iteration it would have
 // carried held no record: it was a snapshot line, or a torn tail that a
 // resume rolled past, and the read skips it. A damaged line followed by
@@ -285,9 +286,9 @@ func (s *readState) snapshot(iter int) {
 	*s = readState{expect: iter, started: true}
 }
 
-// record reports whether the record at iter (a drift sentinel when
-// drift) continues the read.
-func (s *readState) record(iter int, drift bool) bool {
+// record reports whether the record at iter (a sentinel when sentinel)
+// continues the read.
+func (s *readState) record(iter int, sentinel bool) bool {
 	if s.broken {
 		return false
 	}
@@ -300,7 +301,7 @@ func (s *readState) record(iter int, drift bool) bool {
 	}
 	s.started = true
 	s.expect = iter + 1
-	if drift {
+	if sentinel {
 		s.expect = iter
 	}
 	return true
@@ -318,15 +319,15 @@ const (
 
 // line is one journal line as scanLines classifies it.
 type line struct {
-	n     int    // 1-based line number
-	off   int    // byte offset of the line in its file
-	raw   []byte // the line, newline excluded
-	kind  lineKind
-	body  []byte // the checksummed body of a record or snapshot line
-	iter  int    // record or snapshot iteration
-	drift bool   // the record is a drift sentinel
-	trial uint64 // snapshot: highest trial ID issued
-	state []byte // snapshot: the tuner state payload
+	n        int    // 1-based line number
+	off      int    // byte offset of the line in its file
+	raw      []byte // the line, newline excluded
+	kind     lineKind
+	body     []byte // the checksummed body of a record or snapshot line
+	iter     int    // record or snapshot iteration
+	sentinel bool   // the record is a drift sentinel or a trial-ID mark
+	trial    uint64 // snapshot: highest trial ID issued
+	state    []byte // snapshot: the tuner state payload
 }
 
 // scanLines classifies every line rd holds, in order, and hands it to
@@ -390,8 +391,8 @@ func classify(n, off int, raw []byte) line {
 		}
 		return l
 	}
-	if iter, drift, ok := recordIter(body); ok {
-		l.kind, l.iter, l.drift = lineRecord, iter, drift
+	if iter, sentinel, ok := recordIter(body); ok {
+		l.kind, l.iter, l.sentinel = lineRecord, iter, sentinel
 	}
 	return l
 }

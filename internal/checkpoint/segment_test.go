@@ -366,6 +366,12 @@ func FuzzSegmentRead(f *testing.F) {
 		ctxRec(Record{Iter: 2, Algo: "a", Config: []F{}, Value: 9, FailKind: "panic", Trial: 2, Ctx: "b0"}),
 		ctxRec(Record{Iter: 3, Ctx: "b0", Split: []F{0, 3}}),
 		damage(ctxRec(Record{Iter: 4, Ctx: "b0.lo"}))))
+	// Trial-ID marks, which carry the iteration of the record after
+	// them, around completions with draw counts, one mark damaged.
+	f.Add(cat(snapLine(0, 0), ctxRec(Record{Iter: 0, Mark: 1024}),
+		ctxRec(Record{Iter: 0, Algo: "a", Config: []F{}, Value: 2, Trial: 1, Draws: 3}),
+		damage(ctxRec(Record{Iter: 1, Mark: 2048})),
+		ctxRec(Record{Iter: 1, Algo: "a", Config: []F{}, Value: 1, Trial: 1025, Draws: 4})))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The checksummed bodies, found independently of scanLines.
 		var bodies [][]byte

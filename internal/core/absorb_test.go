@@ -73,7 +73,7 @@ func TestAbsorbFeedsSelectorAndBest(t *testing.T) {
 }
 
 // TestAbsorbJournaled checks absorbed observations are journaled under
-// fresh unique trial IDs and replayed when NewConcurrentTuner resumes the
+// fresh unique trial IDs and replayed when NewTuner resumes the
 // directory.
 func TestAbsorbJournaled(t *testing.T) {
 	dir := t.TempDir()
@@ -93,14 +93,19 @@ func TestAbsorbJournaled(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Journal audit: 13 records, unique trial IDs.
+	// Journal audit: 13 records, unique trial IDs, beside the trial-ID
+	// mark the first lease journaled.
 	var recs []checkpoint.Record
 	for _, seg := range checkpoint.Segments(dir) {
 		rs, err := checkpoint.ReadJournal(checkpoint.SegPath(dir, seg))
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs = append(recs, rs...)
+		for _, r := range rs {
+			if r.Mark == 0 {
+				recs = append(recs, r)
+			}
+		}
 	}
 	if len(recs) != 13 {
 		t.Fatalf("journal holds %d records, want 13", len(recs))
@@ -115,7 +120,7 @@ func TestAbsorbJournaled(t *testing.T) {
 
 	// The resume must replay the absorbed records (as speculative: selector
 	// and best, not phase one) and issue fresh IDs above them.
-	rt, err := NewConcurrentTuner(engineAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 5, WithCheckpoint(dir, 0))
+	rt, err := NewTuner(engineAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 5, WithCheckpoint(dir, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +186,7 @@ func TestEngineCheckpoint(t *testing.T) {
 	}
 	// The forced snapshot must cover all five iterations: a resume
 	// without any journal tail lands exactly there.
-	rt, err := NewConcurrentTuner(engineAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 2, WithCheckpoint(dir, 0))
+	rt, err := NewTuner(engineAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 2, WithCheckpoint(dir, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

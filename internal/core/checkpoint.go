@@ -21,19 +21,21 @@ import (
 // journal, leaving in the same write and fsync as the operation's
 // records. Starting and restarting are the same call: when dir already
 // holds a checkpoint (HasCheckpoint), the constructor resumes from it,
-// losing at most the crashed process's in-flight iteration; otherwise it
-// starts fresh and journals the initial snapshot. An `every` of 0
-// disables periodic snapshots (the journal alone still makes every
+// losing at most the crashed process's in-flight trials; otherwise it
+// starts fresh and journals the initial snapshot. A single caller's
+// resumed run makes the decisions of an uninterrupted one. An `every` of
+// 0 disables periodic snapshots (the journal alone still makes every
 // completed iteration recoverable from the initial snapshot, and the
 // journal then stays in one segment, however long it grows).
 //
 // Checkpoint I/O failures after construction never interrupt tuning;
 // they are recorded and exposed through CheckpointErr.
 func WithCheckpoint(dir string, every int) Option {
-	return tunerOption("WithCheckpoint", func(t *Tuner) {
-		t.ckptDir = dir
-		t.ckptEvery = every
-	})
+	return func(c *Tuner) error {
+		c.t.ckptDir = dir
+		c.t.ckptEvery = every
+		return nil
+	}
 }
 
 // CheckpointErr returns the most recent checkpoint I/O error, or nil.
@@ -44,10 +46,14 @@ func WithCheckpoint(dir string, every int) Option {
 // directory fsynced — clears the error, because a new file is the only
 // proof that the directory is writable again (journal appends keep
 // "succeeding" against an unlinked file).
-func (t *Tuner) CheckpointErr() error { return t.ckptErr }
+func (c *Tuner) CheckpointErr() error {
+	c.mu.Lock()
+	defer c.unlock()
+	return c.t.ckptErr
+}
 
 // CheckpointDir returns the checkpoint directory ("" when disabled).
-func (t *Tuner) CheckpointDir() string { return t.ckptDir }
+func (c *Tuner) CheckpointDir() string { return c.t.ckptDir }
 
 // tunerState is the snapshot payload: everything needed to resume the
 // tuner mid-search. Full iteration history and per-algorithm timelines
@@ -88,6 +94,8 @@ type tunerState struct {
 	RecentFails int    `json:"recent_fails"`
 	Degraded    bool   `json:"degraded"`
 	PinnedIters int    `json:"pinned_iters"`
+
+	Held []int `json:"held,omitempty"`
 
 	HistoryTail []recState `json:"history_tail,omitempty"`
 
@@ -133,16 +141,12 @@ type recState struct {
 // stateHistoryTail bounds how many iteration records a snapshot keeps.
 const stateHistoryTail = 64
 
-// ExportState serializes the tuner's complete resumable state. It must
-// be called at an iteration boundary (no observation pending). The
+// ExportState serializes the tuner's complete resumable state. The
 // payload is the json.Marshal form of tunerState, byte for byte, but
 // encoded by hand into a buffer the tuner reuses: the returned bytes
 // are valid until the next ExportState call. The selector, strategy and
 // guard states are their own Export payloads, appended as they are.
-func (t *Tuner) ExportState() ([]byte, error) {
-	if t.pending {
-		return nil, fmt.Errorf("core: ExportState with an observation pending")
-	}
+func (t *tuner) ExportState() ([]byte, error) {
 	sel, ok := t.selector.(nominal.Stateful)
 	if !ok {
 		return nil, fmt.Errorf("core: selector %s is not checkpointable", t.selector.Name())
@@ -237,6 +241,21 @@ func (t *Tuner) ExportState() ([]byte, error) {
 	b = strconv.AppendBool(b, t.degraded)
 	b = append(b, `,"pinned_iters":`...)
 	b = strconv.AppendInt(b, int64(t.pinnedIters), 10)
+	held := false
+	for i, p := range t.proposers {
+		if p.Holds() {
+			if !held {
+				b = append(b, `,"held":[`...)
+			} else {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(i), 10)
+			held = true
+		}
+	}
+	if held {
+		b = append(b, ']')
+	}
 	if tail := t.history[max(0, len(t.history)-stateHistoryTail):]; len(tail) > 0 {
 		b = append(b, `,"history_tail":[`...)
 		for i, r := range tail {
@@ -287,13 +306,10 @@ func (t *Tuner) ExportState() ([]byte, error) {
 }
 
 // RestoreState overwrites a freshly constructed tuner's state with a
-// snapshot payload. The tuner must have been built by New with the same
+// snapshot payload. The tuner must have been built with the same
 // algorithms, selector type, strategy factory and options as the one
 // that wrote the snapshot.
-func (t *Tuner) RestoreState(payload []byte) error {
-	if t.pending {
-		return fmt.Errorf("core: RestoreState with an observation pending")
-	}
+func (t *tuner) RestoreState(payload []byte) error {
 	var st tunerState
 	if err := json.Unmarshal(payload, &st); err != nil {
 		return fmt.Errorf("core: snapshot payload: %v", err)
@@ -337,6 +353,11 @@ func (t *Tuner) RestoreState(payload []byte) error {
 	t.rng = t.src.Rand()
 	t.seed = st.RngSeed
 	copy(t.counts, st.Counts)
+	t.total = 0
+	for _, n := range t.counts {
+		t.total += n
+	}
+	t.bestGen++
 	t.bestAlgo = st.BestAlgo
 	t.bestCfg = param.Config(checkpoint.Unfloats(st.BestCfg))
 	t.bestVal = float64(st.BestVal)
@@ -362,6 +383,13 @@ func (t *Tuner) RestoreState(payload []byte) error {
 		t.degraded = st.Degraded && st.RecentFill > 0
 	}
 	t.pinnedIters = st.PinnedIters
+	t.held = make([]bool, len(t.algos))
+	for _, a := range st.Held {
+		if a < 0 || a >= len(t.algos) {
+			return fmt.Errorf("core: snapshot holds a proposal of algorithm %d, out of range", a)
+		}
+		t.held[a] = true
+	}
 	if ds := st.Drift; ds != nil {
 		t.driftSeq = ds.Seq
 		if d := t.drift; d != nil {
@@ -401,7 +429,7 @@ func (t *Tuner) RestoreState(payload []byte) error {
 // fsync carry it — unless a new segment is due: the tuner has none yet
 // (a fresh start or a resume), the current one is full, or a checkpoint
 // error is pending.
-func (t *Tuner) snapshotNow() error {
+func (t *tuner) snapshotNow() error {
 	payload, err := t.ExportState()
 	if err != nil {
 		return err
@@ -420,7 +448,7 @@ func (t *Tuner) snapshotNow() error {
 // cannot be created the tuner keeps journaling into the old one. Once it
 // is created, the outgoing segment's errors no longer matter: the new
 // snapshot holds everything it held.
-func (t *Tuner) rollSegment(iter int, payload []byte) error {
+func (t *tuner) rollSegment(iter int, payload []byte) error {
 	t.journal.Sync()
 	t.ckptSeq++
 	j, err := checkpoint.Roll(t.ckptDir, t.ckptSeq, iter, t.maxTrial, payload)
@@ -433,16 +461,17 @@ func (t *Tuner) rollSegment(iter int, payload []byte) error {
 }
 
 // checkpointObserve is called from applyCompletion for every completed
-// iteration: it journals the record unsynced — the operation that
-// completed it syncs once, through journalSync, before it returns — and
-// takes the periodic snapshot. A replica journals into its global
+// iteration: it journals the record, with the selector RNG's draw count,
+// unsynced — the operation that completed it syncs once, through
+// journalSync, before it returns — and takes the periodic snapshot. A replica journals into its global
 // tuner's log, tagged with its context, and counts toward that log's
 // snapshot cadence. Failures are absorbed into ckptErr — persistence
 // must never take the tuning loop down with it.
-func (t *Tuner) checkpointObserve(c completion) {
+func (t *tuner) checkpointObserve(c completion) {
 	lt := t.journalOwner()
 	lt.maxTrial = max(lt.maxTrial, c.trial)
 	if lt.journal != nil {
+		_, draws := t.src.State()
 		rec := checkpoint.Record{
 			Iter:   lt.logIter,
 			Algo:   t.algos[c.algo].Name,
@@ -452,6 +481,7 @@ func (t *Tuner) checkpointObserve(c completion) {
 			Spec:   c.spec,
 			Pinned: c.pinned,
 			Ctx:    t.ctx,
+			Draws:  draws,
 		}
 		if c.fail != nil {
 			rec.FailKind = c.fail.Kind.String()
@@ -468,7 +498,7 @@ func (t *Tuner) checkpointObserve(c completion) {
 
 // advanceLog counts one record into the log and takes the periodic
 // snapshot when it is due.
-func (t *Tuner) advanceLog() {
+func (t *tuner) advanceLog() {
 	t.logIter++
 	if t.ckptEvery > 0 && t.logIter%t.ckptEvery == 0 {
 		if err := t.snapshotNow(); err != nil {
@@ -481,9 +511,25 @@ func (t *Tuner) advanceLog() {
 	}
 }
 
+// journalMark reserves the trial IDs up to mark (see idBlock): from now
+// on snapshots carry it, and on a durable engine a mark record journals
+// it, durable — through the operation's one sync — before the ID that
+// crossed the previous mark reaches its caller. Like a drift sentinel,
+// a mark does not advance the log's iteration.
+func (t *tuner) journalMark(mark uint64) {
+	lt := t.journalOwner()
+	lt.maxTrial = max(lt.maxTrial, mark)
+	if lt.journal == nil {
+		return
+	}
+	if err := lt.journal.AppendBuffered(checkpoint.Record{Iter: lt.logIter, Mark: mark}); err != nil {
+		lt.ckptErr = err
+	}
+}
+
 // journalOwner returns the tuner whose journal holds t's records: its
 // global tuner for a context replica, t itself otherwise.
-func (t *Tuner) journalOwner() *Tuner {
+func (t *tuner) journalOwner() *tuner {
 	if t.owner != nil {
 		return t.owner
 	}
@@ -492,11 +538,13 @@ func (t *Tuner) journalOwner() *Tuner {
 
 // journalSync makes every line journaled since the last sync durable.
 // It is the one durability point: every operation that journals reaches
-// it before it returns (Tuner.observe, and ConcurrentTuner.unlock for
-// the trial engines), so no acknowledged trial rests on unsynced bytes.
-// No-op when nothing is buffered.
-func (t *Tuner) journalSync() {
+// it, through Tuner.unlock, before it returns, so no acknowledged trial
+// rests on unsynced bytes. No-op when nothing is buffered.
+func (t *tuner) journalSync() {
 	lt := t.journalOwner()
+	if lt.journal == nil {
+		return
+	}
 	if err := lt.journal.Sync(); err != nil {
 		lt.ckptErr = err
 	}
@@ -517,16 +565,16 @@ func HasCheckpoint(dir string) bool {
 // directory with state is resumed: the newest valid snapshot is
 // restored — falling back to the one before it when the newest is
 // truncated or corrupt — the records after it are replayed, one
-// completion at a time, through replay (a contextual record through its
-// replica, see replayContextRecord), and a new segment opens with a
-// fresh snapshot, so a corrupted newest snapshot is healed by the resume
-// itself and a torn tail is never followed by new records. At most the
-// single in-flight iteration of the crashed process is lost.
+// completion at a time (a contextual record through its replica, see
+// replayContextRecord), and a new segment opens with a fresh snapshot,
+// so a corrupted newest snapshot is healed by the resume itself and a
+// torn tail is never followed by new records. At most the trials in
+// flight in the crashed process are lost.
 //
 // Unlike later periodic snapshots, any failure here is fatal: a tuner
 // that was asked to be durable but cannot write its directory, or would
 // drop the history the directory holds, must not start.
-func (t *Tuner) openCheckpoint(replay func(checkpoint.Record) error) error {
+func (t *tuner) openCheckpoint() error {
 	dir := t.ckptDir
 	if dir == "" {
 		return nil
@@ -549,6 +597,9 @@ func (t *Tuner) openCheckpoint(replay func(checkpoint.Record) error) error {
 	t.replaying = true
 	defer func() { t.replaying = false }()
 	for _, rec := range st.Records {
+		if rec.Mark != 0 {
+			continue // a trial-ID reservation; st.Trial covers it
+		}
 		if rec.Drift != "" {
 			// A journaled selector reset. Detection never fires during
 			// replay (snapshots do not persist detector state, so a
@@ -571,7 +622,7 @@ func (t *Tuner) openCheckpoint(replay func(checkpoint.Record) error) error {
 		}
 		var err error
 		if rec.Ctx == "" {
-			err = replay(rec)
+			err = t.replayCompletion(rec)
 		} else {
 			err = t.replayContextRecord(rec)
 		}
@@ -584,51 +635,45 @@ func (t *Tuner) openCheckpoint(replay func(checkpoint.Record) error) error {
 	return t.snapshotNow()
 }
 
-// replayVerified is the sequential tuner's replay step: it re-derives
-// the journaled iteration through the normal Next/Observe path and
-// checks that the tuner proposes exactly what was journaled, so the
-// resumed tuner is in the exact state of the crashed one. A trial
-// engine's journal cannot be verified this way (its interleaving is not
-// reproducible from the seed) and is refused.
-func (t *Tuner) replayVerified(rec checkpoint.Record) error {
-	if rec.Trial != 0 {
-		return fmt.Errorf("journal holds trial-engine records (trial %d) — build it with NewConcurrentTuner", rec.Trial)
-	}
-	algo, cfg := t.Next()
-	if t.algos[algo].Name != rec.Algo || !cfg.Equal(param.Config(checkpoint.Unfloats(rec.Config))) {
-		return fmt.Errorf("journal iteration %d proposes %s, tuner proposes %s — checkpoint was written by a different configuration",
-			rec.Iter, rec.Algo, t.algos[algo].Name)
-	}
-	if f := replayedFailure(rec, algo); f != nil {
-		t.ObserveFailure(*f)
-	} else {
-		t.Observe(float64(rec.Value))
-	}
-	return nil
-}
-
-// replayCompletion is the trial engine's replay step: it applies the
-// journaled completion directly to the decision state. A concurrent
-// run's interleaving of selector draws, speculative proposals and
-// out-of-order completions is not reproducible from the seed, so there
-// is no proposal-by-proposal verification; instead each record routes
-// exactly as it did live — primary completions re-report to their
-// algorithm's strategy in journal order (the order the strategy
-// originally saw), speculative and pinned completions bypass phase one.
-// Trials leased but never completed before the crash are lost by
-// design: they were never journaled.
-func (t *Tuner) replayCompletion(rec checkpoint.Record) error {
+// replayCompletion is the replay step: it applies one journaled
+// completion to the decision state, routed exactly as it was live.
+// Speculative and pinned completions bypass phase one. A primary
+// completion re-enacts its lease: the drift re-probe it took, if it took
+// one, and the selector RNG's draw count it journaled are restored, and
+// its algorithm's strategy proposes again — unless the restored
+// snapshot left the strategy holding that proposal — before it hears
+// the report. The re-proposal must be the journaled configuration, as
+// a check that the directory was written by this configuration. So a
+// single caller's resumed run makes the decisions of an uninterrupted
+// one, for every phase-one strategy, and a concurrent run's strategies
+// see the proposals and reports they saw live, in journal order (the
+// order each strategy originally saw). Journals written before draw
+// counts replay a differing re-proposal as journaled. Trials leased but
+// never completed before the crash are lost by design: they were never
+// journaled.
+func (t *tuner) replayCompletion(rec checkpoint.Record) error {
 	algo := t.algoIndex(rec.Algo)
 	if algo < 0 {
 		return fmt.Errorf("journal iteration %d names unknown algorithm %q", rec.Iter, rec.Algo)
 	}
+	cfg := param.Config(checkpoint.Unfloats(rec.Config))
+	t.src.AdvanceTo(rec.Draws)
 	var report func(param.Config, float64)
 	if !rec.Pinned && !rec.Spec {
+		t.replayProbe(algo)
 		s := t.strategies[algo]
-		report = func(cf param.Config, v float64) { s.Report(cf, v) }
+		if t.held == nil || !t.held[algo] {
+			if p := s.Propose(); !p.Equal(cfg) && rec.Draws != 0 {
+				return fmt.Errorf("journal iteration %d runs %s at %v, its strategy proposes %v — checkpoint was written by a different configuration",
+					rec.Iter, rec.Algo, cfg, p)
+			}
+		} else {
+			t.held[algo] = false
+		}
+		report = s.Report
 	}
 	t.applyCompletion(completion{
-		algo: algo, cfg: param.Config(checkpoint.Unfloats(rec.Config)), value: float64(rec.Value),
+		algo: algo, cfg: cfg, value: float64(rec.Value),
 		fail: replayedFailure(rec, algo), pinned: rec.Pinned, trial: rec.Trial, spec: rec.Spec,
 	}, report)
 	return nil

@@ -269,10 +269,6 @@ func TestResumeEmptyDir(t *testing.T) {
 			_, err := NewTuner(algos, sel(), DefaultFactory, seed, WithCheckpoint(dir, every))
 			return err
 		},
-		"NewConcurrentTuner": func() error {
-			_, err := NewConcurrentTuner(algos, sel(), DefaultFactory, seed, WithCheckpoint(dir, every))
-			return err
-		},
 		"EngineSpec.Build": func() error {
 			_, err := EngineSpec{Seed: seed, SnapshotEvery: every}.Build(algos, sel(), DefaultFactory, dir)
 			return err
@@ -308,7 +304,7 @@ func TestRebuildOverCheckpointResumes(t *testing.T) {
 			return sequentialPool{tu}, err
 		}},
 		{"NewConcurrentTuner", func(dir string) (engine, error) {
-			return NewConcurrentTuner(engineAlgos(), sel(), nil, 3, WithCheckpoint(dir, 10))
+			return NewTuner(engineAlgos(), sel(), nil, 3, WithCheckpoint(dir, 10))
 		}},
 		{"EngineSpec.Build", func(dir string) (engine, error) {
 			return EngineSpec{Seed: 3, SnapshotEvery: 10}.Build(engineAlgos(), sel(), nil, dir)
@@ -394,17 +390,6 @@ func TestCheckpointWithGuardAndFailures(t *testing.T) {
 	}
 	if c, rc := re.Counts(), ref.Counts(); c[faulty] != rc[faulty] {
 		t.Errorf("faulty arm selected %d times, reference %d", c[faulty], rc[faulty])
-	}
-}
-
-// TestExportStateWithPendingObservationFails: snapshots only happen at
-// iteration boundaries.
-func TestExportStateWithPendingObservationFails(t *testing.T) {
-	algos, _ := syntheticAlgos()
-	tu := mustNew(t, algos, nominal.NewEpsilonGreedy(0.2), DefaultFactory, 1)
-	tu.Next()
-	if _, err := tu.ExportState(); err == nil {
-		t.Error("ExportState with a pending observation succeeded")
 	}
 }
 

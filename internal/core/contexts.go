@@ -23,7 +23,7 @@ type ContextHook interface {
 	WarmStart(replica, global nominal.Selector)
 	// Born announces each replica as it is built, live or on resume
 	// (where its state is restored after the call).
-	Born(ctx string, replica *ConcurrentTuner)
+	Born(ctx string, replica *Tuner)
 	// Splits returns the partitioner's splits made since the previous
 	// call, oldest first, as records (Ctx and Split set) for the log.
 	Splits() []checkpoint.Record
@@ -39,30 +39,23 @@ type ContextHook interface {
 // trial-ID counter and keep their records in its log, and what it takes
 // to build another.
 type contextSet struct {
-	hook       ContextHook
-	mu         *engineMu
-	factory    search.Factory
-	tunerOpts  []Option // the global engine's, less WithCheckpoint
-	engineOpts []Option
-	replicas   map[string]*ConcurrentTuner
+	hook     ContextHook
+	mu       *engineMu
+	factory  search.Factory
+	opts     []Option // the global engine's; a replica keeps no checkpoint of its own
+	replicas map[string]*Tuner
 }
 
-func newContextSet(hook ContextHook, mu *engineMu, factory search.Factory, tunerOpts, engineOpts []Option) *contextSet {
-	cs := &contextSet{hook: hook, mu: mu, factory: factory, engineOpts: engineOpts, replicas: make(map[string]*ConcurrentTuner)}
-	for _, o := range tunerOpts {
-		if o.name != "WithCheckpoint" {
-			cs.tunerOpts = append(cs.tunerOpts, o)
-		}
-	}
-	return cs
+func newContextSet(hook ContextHook, mu *engineMu, factory search.Factory, opts []Option) *contextSet {
+	return &contextSet{hook: hook, mu: mu, factory: factory, opts: opts, replicas: make(map[string]*Tuner)}
 }
 
-// NewContextualTuner builds the global engine of a contextual engine:
-// a trial engine like NewConcurrentTuner's, with one replica per context
-// (Replica) beside it. The replicas share its mutex, so every operation
-// on any of them is one operation of the whole engine, and its trial-ID
-// counter, so a trial ID names one trial of the whole engine, before and
-// after a resume; the global
+// NewContextualTuner builds the global engine of a contextual engine: a
+// tuner like NewTuner's, with one replica per context (Replica) beside
+// it. The replicas share its mutex, so every operation on any of them is
+// one operation of the whole engine, and its trial-ID counter, so a
+// trial ID names one trial of the whole engine, before and after a
+// resume; the global
 // selector learns from each replica's successful trials; and the
 // replicas' completions, failures and drift resets, their births and the
 // partitioner's splits are records of the global engine's log, tagged
@@ -70,7 +63,7 @@ func newContextSet(hook ContextHook, mu *engineMu, factory search.Factory, tuner
 // every replica's state. With WithCheckpoint on a directory that holds a
 // checkpoint, the whole engine, replicas and partitioner included,
 // resumes from that one log.
-func NewContextualTuner(algos []Algorithm, selector nominal.Selector, factory search.Factory, seed int64, hook ContextHook, opts ...Option) (*ConcurrentTuner, error) {
+func NewContextualTuner(algos []Algorithm, selector nominal.Selector, factory search.Factory, seed int64, hook ContextHook, opts ...Option) (*Tuner, error) {
 	if hook == nil {
 		return nil, errors.New("core: NewContextualTuner with nil hook")
 	}
@@ -89,7 +82,7 @@ func NewContextualTuner(algos []Algorithm, selector nominal.Selector, factory se
 // state (ContextHook.WarmStart), and on a durable engine the birth is a
 // record of the log, after the splits made before it, durable before
 // Replica returns. It fails on an engine built without contexts.
-func (c *ConcurrentTuner) Replica(ctx string) (*ConcurrentTuner, error) {
+func (c *Tuner) Replica(ctx string) (*Tuner, error) {
 	c.mu.Lock()
 	defer c.unlock()
 	cs := c.t.ctxs
@@ -111,13 +104,13 @@ func (c *ConcurrentTuner) Replica(ctx string) (*ConcurrentTuner, error) {
 // JournalSplits journals the splits the partitioner made since the last
 // call (ContextHook.Splits) and returns once they are durable. No-op
 // without WithCheckpoint.
-func (c *ConcurrentTuner) JournalSplits() {
+func (c *Tuner) JournalSplits() {
 	c.mu.Lock()
 	defer c.unlock()
 	c.t.journalSplitsLocked()
 }
 
-func (t *Tuner) journalSplitsLocked() {
+func (t *tuner) journalSplitsLocked() {
 	if t.ckptDir == "" || t.ctxs == nil {
 		return
 	}
@@ -128,7 +121,7 @@ func (t *Tuner) journalSplitsLocked() {
 
 // journalContextEvent journals a birth or a split record at the log's
 // next position.
-func (t *Tuner) journalContextEvent(rec checkpoint.Record) {
+func (t *tuner) journalContextEvent(rec checkpoint.Record) {
 	if t.ckptDir == "" {
 		return
 	}
@@ -142,18 +135,16 @@ func (t *Tuner) journalContextEvent(rec checkpoint.Record) {
 }
 
 // birth builds the replica of context ctx beside the global tuner g.
-func (cs *contextSet) birth(g *Tuner, ctx string) (*ConcurrentTuner, error) {
+func (cs *contextSet) birth(g *tuner, ctx string) (*Tuner, error) {
 	sel, seed := cs.hook.Replica(ctx)
-	rt, err := newTuner(g.algos, sel, cs.factory, seed, cs.tunerOpts)
+	r, err := build(g.algos, sel, cs.factory, seed, cs.opts, cs.mu)
 	if err != nil {
 		return nil, fmt.Errorf("core: context %s: %w", ctx, err)
 	}
+	rt := r.t
+	rt.ckptDir, rt.ckptEvery = "", 0 // its records go to g's log
 	rt.ctx, rt.owner = ctx, g
 	cs.hook.WarmStart(sel, g.selector)
-	r, err := wrapEngine(rt, cs.engineOpts, cs.mu)
-	if err != nil {
-		return nil, err
-	}
 	cs.replicas[ctx] = r
 	cs.hook.Born(ctx, r)
 	return r, nil
@@ -198,7 +189,7 @@ func (cs *contextSet) appendState(b []byte) ([]byte, error) {
 }
 
 // restore rebuilds the partitioner and every replica of a snapshot.
-func (cs *contextSet) restore(g *Tuner, st *contextsState) error {
+func (cs *contextSet) restore(g *tuner, st *contextsState) error {
 	if err := cs.hook.RestorePartition(st.Partitioner); err != nil {
 		return err
 	}
@@ -216,7 +207,7 @@ func (cs *contextSet) restore(g *Tuner, st *contextsState) error {
 
 // recordTuner returns the tuner a journaled record replays into: the
 // replica its Ctx names, or t.
-func (t *Tuner) recordTuner(rec checkpoint.Record) (*Tuner, error) {
+func (t *tuner) recordTuner(rec checkpoint.Record) (*tuner, error) {
 	if rec.Ctx == "" {
 		return t, nil
 	}
@@ -232,7 +223,7 @@ func (t *Tuner) recordTuner(rec checkpoint.Record) (*Tuner, error) {
 
 // replayContextRecord replays a record tagged with a context: a birth, a
 // split, or a replica's completion.
-func (t *Tuner) replayContextRecord(rec checkpoint.Record) error {
+func (t *tuner) replayContextRecord(rec checkpoint.Record) error {
 	if t.ctxs == nil {
 		return fmt.Errorf("journal iteration %d belongs to context %q — build it as a contextual engine", rec.Iter, rec.Ctx)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/nominal"
-	"repro/internal/search"
 	"repro/internal/stats"
 )
 
@@ -26,10 +25,10 @@ import (
 //
 // Either way every algorithm is scheduled for a fixed number of forced
 // re-probes, so arms starved by the old regime's winner get fresh
-// samples under the new one, and — on sequential tuners — each
-// algorithm's search.Restarting strategy is restarted, because the
-// converged numeric configuration of the old context is a local optimum
-// of a landscape that no longer exists.
+// samples under the new one. Phase one is left as it is: its strategies
+// keep proposing, and a trial leased before the reset and completed
+// after it is dropped, its primary proposal issued again under the new
+// regime (see Tuner.finishLocked).
 //
 // Detection is per-arm, on the log of the cost (so thresholds are
 // relative, scale-free): a Page–Hinkley test catches abrupt mean shifts
@@ -178,12 +177,12 @@ func (c DriftConfig) withDefaults() DriftConfig {
 // WithDriftWatchdog enables the drift watchdog: online change-point
 // detection over every algorithm's cost stream, with the configured
 // reset policy on detection. Use DefaultDriftConfig() (or the zero
-// DriftConfig) for the defaults. Scope: every constructor (it
-// configures the underlying Tuner).
+// DriftConfig) for the defaults.
 func WithDriftWatchdog(cfg DriftConfig) Option {
-	return tunerOption("WithDriftWatchdog", func(t *Tuner) {
-		t.drift = &driftWatchdog{cfg: cfg.withDefaults()}
-	})
+	return func(c *Tuner) error {
+		c.t.drift = &driftWatchdog{cfg: cfg.withDefaults()}
+		return nil
+	}
 }
 
 // DriftStats counts drift-watchdog events since construction.
@@ -283,7 +282,7 @@ func (d *driftWatchdog) schedule(n, per int) {
 // replayed stream once warm), never invented — a detector warmed
 // differently than the live run's (snapshots do not persist detector
 // state) must not diverge the replay.
-func (t *Tuner) driftObserve(c completion) {
+func (t *tuner) driftObserve(c completion) {
 	d := t.drift
 	if c.pinned || c.fail != nil {
 		return
@@ -339,14 +338,11 @@ func (t *Tuner) driftObserve(c completion) {
 }
 
 // driftReset applies the configured reset after a change-point on arm:
-// discount (or drop) the selector's evidence, restart the numeric
-// strategies (sequential tuners only — under a trial engine the
-// proposers hold outstanding proposals the strategies must not be
-// restarted beneath), schedule the re-probe round, and journal the
-// sentinel so resume replays the reset exactly once. keep is the
-// (already change-point-adapted) evidence fraction for the decay policy;
-// refork ignores it.
-func (t *Tuner) driftReset(arm int, keep float64) {
+// discount (or drop) the selector's evidence, schedule the re-probe
+// round, and journal the sentinel so resume replays the reset exactly
+// once. keep is the (already change-point-adapted) evidence fraction for
+// the decay policy; refork ignores it.
+func (t *tuner) driftReset(arm int, keep float64) {
 	d := t.drift
 	d.events++
 	t.driftSeq++
@@ -362,21 +358,11 @@ func (t *Tuner) driftReset(arm int, keep float64) {
 		d.decays++
 	}
 
-	restartP1 := false
-	if !t.engineOwned {
-		for _, s := range t.strategies {
-			if r, ok := s.(*search.Restarting); ok {
-				r.Restart()
-				restartP1 = true
-			}
-		}
-	}
-
 	d.schedule(len(t.algos), d.cfg.ProbesPerArm)
 	d.resetDetectors()
 
 	if t.journalOwner().ckptDir != "" && !t.replaying {
-		t.journalDrift(arm, refork, keep, restartP1)
+		t.journalDrift(arm, refork, keep)
 	}
 }
 
@@ -384,7 +370,7 @@ func (t *Tuner) driftReset(arm int, keep float64) {
 // selector that is not Decayable (no package selector; only exotic
 // user-provided ones) is re-initialized on refork and left untouched on
 // decay — there is nothing gentler available.
-func (t *Tuner) applySelectorReset(refork bool, keep float64) {
+func (t *tuner) applySelectorReset(refork bool, keep float64) {
 	if dec, ok := t.selector.(nominal.Decayable); ok {
 		if refork {
 			dec.Decay(0)
@@ -400,10 +386,9 @@ func (t *Tuner) applySelectorReset(refork bool, keep float64) {
 
 // journalDrift appends the reset's sentinel record to the write-ahead
 // journal. The sentinel carries everything replay needs to re-apply the
-// reset verbatim — kind, keep fraction, probe count, whether phase one
-// was restarted — plus the sequence number that makes re-application
-// idempotent.
-func (t *Tuner) journalDrift(arm int, refork bool, keep float64, restartP1 bool) {
+// reset verbatim — kind, keep fraction, probe count — plus the sequence
+// number that makes re-application idempotent.
+func (t *tuner) journalDrift(arm int, refork bool, keep float64) {
 	lt := t.journalOwner()
 	if lt.journal == nil {
 		return
@@ -419,7 +404,6 @@ func (t *Tuner) journalDrift(arm int, refork bool, keep float64, restartP1 bool)
 		DriftArm:    arm,
 		DriftKeep:   checkpoint.F(keep),
 		DriftProbes: t.drift.cfg.ProbesPerArm,
-		DriftP1:     restartP1,
 		Ctx:         t.ctx,
 	}
 	if err := lt.journal.AppendBuffered(rec); err != nil {
@@ -428,24 +412,17 @@ func (t *Tuner) journalDrift(arm int, refork bool, keep float64, restartP1 bool)
 }
 
 // applyDriftRecord re-applies a journaled drift sentinel during resume.
-// The sequence guard makes it idempotent: a reset the replayed
-// observation stream already re-fired (the sequential replay step
-// runs through the live code, which bumps driftSeq itself) is
-// skipped, and so is a reset already inside the snapshot.
-func (t *Tuner) applyDriftRecord(rec checkpoint.Record) {
+// The sequence guard makes it idempotent: a reset already inside the
+// snapshot is skipped. A sentinel's phase-one restart flag (DriftP1),
+// written by tuners that restarted search.Restarting strategies on a
+// reset, is read and ignored.
+func (t *tuner) applyDriftRecord(rec checkpoint.Record) {
 	if rec.DriftSeq <= t.driftSeq {
 		return
 	}
 	t.driftSeq = rec.DriftSeq
 	refork := rec.Drift == checkpoint.DriftRefork
 	t.applySelectorReset(refork, float64(rec.DriftKeep))
-	if rec.DriftP1 && !t.engineOwned {
-		for _, s := range t.strategies {
-			if r, ok := s.(*search.Restarting); ok {
-				r.Restart()
-			}
-		}
-	}
 	if d := t.drift; d != nil {
 		d.events++
 		if refork {
@@ -458,8 +435,16 @@ func (t *Tuner) applyDriftRecord(rec checkpoint.Record) {
 	}
 }
 
+// replayProbe re-enacts, for a replayed primary completion of algo, the
+// re-probe its lease took: the head of the queue, when it names algo.
+func (t *tuner) replayProbe(algo int) {
+	if d := t.drift; d != nil && len(d.probeQ) > 0 && d.probeQ[0] == algo {
+		t.takeProbe()
+	}
+}
+
 // takeProbe pops the next scheduled forced re-probe, if any.
-func (t *Tuner) takeProbe() (int, bool) {
+func (t *tuner) takeProbe() (int, bool) {
 	d := t.drift
 	if d == nil || len(d.probeQ) == 0 {
 		return 0, false
@@ -472,7 +457,13 @@ func (t *Tuner) takeProbe() (int, bool) {
 // DriftStats returns the drift-watchdog counters (zero without
 // WithDriftWatchdog, except Seq and QuarantineReprobes, which are
 // maintained regardless).
-func (t *Tuner) DriftStats() DriftStats {
+func (c *Tuner) DriftStats() DriftStats {
+	c.mu.Lock()
+	defer c.unlock()
+	return c.t.driftStats()
+}
+
+func (t *tuner) driftStats() DriftStats {
 	s := DriftStats{Seq: t.driftSeq}
 	if q, ok := t.selector.(interface{ Reprobes() int }); ok {
 		s.QuarantineReprobes = q.Reprobes()
@@ -487,11 +478,4 @@ func (t *Tuner) DriftStats() DriftStats {
 		s.StaleDropped = d.staleDrops
 	}
 	return s
-}
-
-// DriftStats returns the drift-watchdog counters under the engine lock.
-func (c *ConcurrentTuner) DriftStats() DriftStats {
-	c.mu.Lock()
-	defer c.unlock()
-	return c.t.DriftStats()
 }

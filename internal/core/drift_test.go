@@ -1,10 +1,14 @@
 package core
 
 import (
+	"fmt"
+	"hash/crc32"
+	"os"
 	"slices"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/nominal"
 	"repro/internal/param"
 )
@@ -112,7 +116,9 @@ func TestDriftProbeScheduling(t *testing.T) {
 	m := driftMeasure(tu.Iterations, 1<<30)
 	tu.Run(20, m)
 
-	tu.driftReset(0, 0.25)
+	tu.mu.Lock()
+	tu.t.driftReset(0, 0.25)
+	tu.mu.Unlock()
 	ds := tu.DriftStats()
 	if ds.Seq != 1 || ds.Events != 1 {
 		t.Fatalf("after one reset: %+v", ds)
@@ -140,7 +146,7 @@ func TestDriftProbeScheduling(t *testing.T) {
 // TestDriftEngineProbeOverride: under a trial engine the reset's forced
 // re-probes override the selector on the next leases.
 func TestDriftEngineProbeOverride(t *testing.T) {
-	eng, err := NewConcurrentTuner(driftAlgos(), nominal.NewEpsilonGreedy(0.1), nil, 9,
+	eng, err := NewTuner(driftAlgos(), nominal.NewEpsilonGreedy(0.1), nil, 9,
 		WithDriftWatchdog(DefaultDriftConfig()))
 	if err != nil {
 		t.Fatal(err)
@@ -156,10 +162,6 @@ func TestDriftEngineProbeOverride(t *testing.T) {
 	}
 
 	eng.mu.Lock()
-	if !eng.t.engineOwned {
-		eng.mu.Unlock()
-		t.Fatal("engine-wrapped tuner not marked engineOwned")
-	}
 	eng.t.driftReset(0, 0.25)
 	eng.mu.Unlock()
 
@@ -191,7 +193,7 @@ func TestDriftEngineProbeOverride(t *testing.T) {
 // counts it in StaleDropped, while a trial leased after the reset
 // applies as usual.
 func TestDriftStaleBarrier(t *testing.T) {
-	eng, err := NewConcurrentTuner(driftAlgos(), nominal.NewEpsilonGreedy(0.1), nil, 9,
+	eng, err := NewTuner(driftAlgos(), nominal.NewEpsilonGreedy(0.1), nil, 9,
 		WithDriftWatchdog(DefaultDriftConfig()))
 	if err != nil {
 		t.Fatal(err)
@@ -327,7 +329,7 @@ func TestDriftEngineResume(t *testing.T) {
 		return 2.0
 	}
 
-	eng, err := NewConcurrentTuner(algos, nominal.NewEpsilonGreedy(0.1), nil, seed,
+	eng, err := NewTuner(algos, nominal.NewEpsilonGreedy(0.1), nil, seed,
 		WithDriftWatchdog(DefaultDriftConfig()), WithCheckpoint(dir, every))
 	if err != nil {
 		t.Fatal(err)
@@ -342,7 +344,7 @@ func TestDriftEngineResume(t *testing.T) {
 	}
 	iters := eng.Iterations()
 
-	rs, err := NewConcurrentTuner(algos, nominal.NewEpsilonGreedy(0.1), nil, seed,
+	rs, err := NewTuner(algos, nominal.NewEpsilonGreedy(0.1), nil, seed,
 		WithDriftWatchdog(DefaultDriftConfig()), WithCheckpoint(dir, every))
 	if err != nil {
 		t.Fatal(err)
@@ -364,5 +366,43 @@ func TestDriftEngineResume(t *testing.T) {
 	d0, d1 := after[0]-before[0], after[1]-before[1]
 	if d1 <= d0 {
 		t.Errorf("post-resume selections: arm0 %+d, arm1 %+d — stale incumbent re-elected", d0, d1)
+	}
+}
+
+// TestDriftSentinelWithPhaseOneFlagResumes: sentinels written when a
+// reset also restarted search.Restarting strategies carry "dp1":true. A
+// resume still reads them and applies the selector reset and the probe
+// round; the flag itself is ignored.
+func TestDriftSentinelWithPhaseOneFlagResumes(t *testing.T) {
+	dir := t.TempDir()
+	opts := []Option{WithDriftWatchdog(DefaultDriftConfig()), WithCheckpoint(dir, 0)}
+	tu := mustNew(t, driftAlgos(), nominal.NewEpsilonGreedy(0.1), nil, 7, opts...)
+	tu.Run(12, driftMeasure(tu.Iterations, 1<<30))
+	if err := tu.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	segs := checkpoint.Segments(dir)
+	body := `{"iter":12,"algo":"","config":null,"value":0,"drift":"decay","dseq":1,"dkeep":0.25,"dprobes":2,"dp1":true}`
+	f, err := os.OpenFile(checkpoint.SegPath(dir, segs[len(segs)-1]), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fmt.Fprintf(f, "%08x %s\n", crc32.ChecksumIEEE([]byte(body)), body); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re := mustNew(t, driftAlgos(), nominal.NewEpsilonGreedy(0.1), nil, 7, opts...)
+	if got := re.Iterations(); got != 12 {
+		t.Fatalf("resumed at %d iterations, want 12", got)
+	}
+	ds := re.DriftStats()
+	if ds.Seq != 1 || ds.Events != 1 || ds.Decays != 1 {
+		t.Fatalf("resumed drift state %+v, want the journaled decay applied once", ds)
+	}
+	if want := 2 * len(driftAlgos()); ds.PendingProbes != want {
+		t.Fatalf("PendingProbes = %d, want %d", ds.PendingProbes, want)
 	}
 }

@@ -42,7 +42,7 @@ func TestCrashPointsLoseNoAcknowledgedTrial(t *testing.T) {
 		build func(dir string) (durableEngine, error)
 	}{
 		{"NewConcurrentTuner", func(dir string) (durableEngine, error) {
-			return NewConcurrentTuner(engineAlgos(), sel(), nil, 5, WithCheckpoint(dir, 10))
+			return NewTuner(engineAlgos(), sel(), nil, 5, WithCheckpoint(dir, 10))
 		}},
 		{"EngineSpec.Build", func(dir string) (durableEngine, error) {
 			return EngineSpec{Seed: 5, SnapshotEvery: 10}.Build(engineAlgos(), sel(), nil, dir)
@@ -253,8 +253,13 @@ func TestJournalSyncsPerCall(t *testing.T) {
 		}, one},
 		{"LeaseN of 16", func(t *testing.T, dir string) func() {
 			ct := newEngine(t, 3, withDir(dir, 0)...)
+			lease(t, 1, ct.LeaseN) // journals the first trial-ID mark
 			return func() { lease(t, 16, ct.LeaseN) }
 		}, diskCost{}},
+		{"LeaseN across a trial-ID mark", func(t *testing.T, dir string) func() {
+			ct := newEngine(t, 3, withDir(dir, 0)...)
+			return func() { lease(t, 16, ct.LeaseN) }
+		}, one},
 	}
 	for _, tc := range cases {
 		for _, durable := range []bool{true, false} {
@@ -310,7 +315,7 @@ func TestAbsorbAcrossSnapshotSurvivesPowerLoss(t *testing.T) {
 	}
 	corruptSnapshotLine(t, path, snaps[1])
 
-	re, err := NewConcurrentTuner(engineAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 9, WithCheckpoint(dir, 10))
+	re, err := NewTuner(engineAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 9, WithCheckpoint(dir, 10))
 	if err != nil {
 		t.Fatalf("resume from the fallback generation: %v", err)
 	}

@@ -17,7 +17,7 @@ const batchRoundTripAllocs = 2
 
 func TestEngineBatchRoundTripAllocs(t *testing.T) {
 	algos := []Algorithm{{Name: "a"}, {Name: "b"}, {Name: "c"}}
-	eng, err := NewConcurrentTuner(algos, nominal.NewEpsilonGreedy(0.1), nil, 1, WithoutHistory())
+	eng, err := NewTuner(algos, nominal.NewEpsilonGreedy(0.1), nil, 1, WithoutHistory())
 	if err != nil {
 		t.Fatal(err)
 	}

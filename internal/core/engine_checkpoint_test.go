@@ -17,14 +17,14 @@ import (
 // TestConcurrentCrashResume drives the trial engine with several leases
 // in flight, completing them out of order (interleaved trial IDs,
 // speculative records, failures), kills it with leases outstanding, and
-// checks that NewConcurrentTuner over the same directory reconstructs
+// checks that NewTuner over the same directory reconstructs
 // the decision state from the journal and the engine keeps working.
 func TestConcurrentCrashResume(t *testing.T) {
 	dir := t.TempDir()
 	algos := engineAlgos()
 	mk := func() nominal.Selector { return nominal.NewEpsilonGreedy(0.10) }
 
-	ct, err := NewConcurrentTuner(algos, mk(), nil, 11, WithCheckpoint(dir, 10), WithMaxInFlight(8))
+	ct, err := NewTuner(algos, mk(), nil, 11, WithCheckpoint(dir, 10), WithMaxInFlight(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,12 +69,7 @@ func TestConcurrentCrashResume(t *testing.T) {
 	preFS := ct.FailureStats()
 	maxID := ct.mu.lastID
 
-	// A sequential build must refuse a trial-engine journal.
-	if _, err := NewTuner(algos, mk(), nil, 11, WithCheckpoint(dir, 10)); err == nil || !strings.Contains(err.Error(), "NewConcurrentTuner") {
-		t.Fatalf("sequential NewTuner on a concurrent journal: err = %v, want a pointer to NewConcurrentTuner", err)
-	}
-
-	res, err := NewConcurrentTuner(algos, mk(), nil, 11, WithCheckpoint(dir, 10))
+	res, err := NewTuner(algos, mk(), nil, 11, WithCheckpoint(dir, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,9 +111,9 @@ func TestConcurrentCrashResume(t *testing.T) {
 	}
 }
 
-// TestConcurrentResumeOfSequentialJournal checks NewConcurrentTuner also
-// accepts a plain sequential journal (trial IDs all zero): the engine is
-// the superset.
+// TestConcurrentResumeOfSequentialJournal: a journal a single caller
+// wrote through Run resumes, and the resumed tuner serves concurrent
+// workers.
 func TestConcurrentResumeOfSequentialJournal(t *testing.T) {
 	dir := t.TempDir()
 	algos := engineAlgos()
@@ -129,7 +124,7 @@ func TestConcurrentResumeOfSequentialJournal(t *testing.T) {
 	tn.Run(27, engineMeasure)
 	want := tn.Counts()
 
-	res, err := NewConcurrentTuner(algos, nominal.NewEpsilonGreedy(0.10), nil, 13, WithCheckpoint(dir, 8))
+	res, err := NewTuner(algos, nominal.NewEpsilonGreedy(0.10), nil, 13, WithCheckpoint(dir, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +161,7 @@ func TestResumeJournalFixture(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, filepath.Base(seg)), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	re, err := NewConcurrentTuner(engineAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 11, WithCheckpoint(dir, 0))
+	re, err := NewTuner(engineAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 11, WithCheckpoint(dir, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,10 +193,60 @@ func TestResumeJournalFixture(t *testing.T) {
 	}
 }
 
+// TestResumeSequentialFixture resumes testdata/tuner-v3, a directory the
+// sequential tuner wrote before it became the trial engine's
+// single-caller mode: 50 Steps at a snapshot cadence of 20, records with
+// neither trial IDs nor draw counts. The resumed tuner reaches the state
+// that tuner exported at the end of its run, state.json, but for
+// rng_drawn, which such records do not restore; and it keeps tuning.
+func TestResumeSequentialFixture(t *testing.T) {
+	fixture := filepath.Join("testdata", "tuner-v3")
+	dir := t.TempDir()
+	seg := checkpoint.SegPath(fixture, 1)
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, filepath.Base(seg)), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := NewTuner(engineAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 11, WithCheckpoint(dir, 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.Iterations() != 50 {
+		t.Fatalf("resumed at %d iterations, want 50", re.Iterations())
+	}
+	got, err := re.t.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(fixture, "state.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g, w map[string]any
+	if err := json.Unmarshal(got, &g); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(want, &w); err != nil {
+		t.Fatal(err)
+	}
+	delete(g, "rng_drawn")
+	delete(w, "rng_drawn")
+	if !reflect.DeepEqual(g, w) {
+		t.Fatalf("resumed state\n%s\nwant\n%s", got, want)
+	}
+	re.Run(10, engineMeasure)
+	if re.Iterations() != 60 {
+		t.Fatalf("post-resume iterations = %d, want 60", re.Iterations())
+	}
+}
+
 // TestResumeV2DirectoryRefused: a directory holding a format-2
-// checkpoint (checkpoint's testdata/engine-v2) holds state, so neither
-// constructor starts fresh over it; both fail with an error naming the
-// format, and the snap-*/wal-* files are still there.
+// checkpoint (checkpoint's testdata/engine-v2) holds state, so the
+// constructor does not start fresh over it; it fails with an error
+// naming the format, and the snap-*/wal-* files are still there.
 func TestResumeV2DirectoryRefused(t *testing.T) {
 	fixture := filepath.Join("..", "checkpoint", "testdata", "engine-v2")
 	dir := t.TempDir()
@@ -219,10 +264,6 @@ func TestResumeV2DirectoryRefused(t *testing.T) {
 		t.Fatal("HasCheckpoint false over a format-2 directory")
 	}
 	for name, build := range map[string]func() error{
-		"NewConcurrentTuner": func() error {
-			_, err := NewConcurrentTuner(engineAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 11, WithCheckpoint(dir, 0))
-			return err
-		},
 		"NewTuner": func() error {
 			_, err := NewTuner(engineAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 11, WithCheckpoint(dir, 0))
 			return err
@@ -273,5 +314,68 @@ func TestResumeIssuesIDsAboveOutstandingLeases(t *testing.T) {
 	}
 	if fresh[0].ID <= trs[19].ID {
 		t.Fatalf("resumed engine issued trial %d, at or below outstanding lease %d", fresh[0].ID, trs[19].ID)
+	}
+}
+
+// TestRebuildIssuesNoLeasedID: a lease still out when the engine is
+// rebuilt over its directory — as after a crash — was never journaled,
+// yet the rebuilt engine must not issue its ID again, or the stale
+// lease's late completion would be applied to a fresh trial. Flat and
+// contextual engines alike.
+func TestRebuildIssuesNoLeasedID(t *testing.T) {
+	for _, contextual := range []bool{false, true} {
+		name := "flat"
+		if contextual {
+			name = "contextual"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			// build returns the engine a worker leases from: the engine
+			// itself, or a replica of the contextual one.
+			build := func() *Tuner {
+				if !contextual {
+					return newEngine(t, 5, WithCheckpoint(dir, 0))
+				}
+				sel := func() nominal.Selector { return nominal.NewEpsilonGreedy(0.10) }
+				g, err := NewContextualTuner(engineAlgos(), sel(), nil, 5, exportHook{sel}, WithCheckpoint(dir, 0))
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, err := g.Replica("b0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				return r
+			}
+			e := build()
+			for i := 0; i < 5; i++ {
+				tr, err := e.Lease()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Complete(tr.ID, engineMeasure(tr.Algo, tr.Config)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			stale, err := e.Lease()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			re := build()
+			if got := re.Iterations(); got != 5 {
+				t.Fatalf("rebuilt at %d iterations, want 5", got)
+			}
+			fresh, err := re.Lease()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fresh.ID == stale.ID {
+				t.Fatalf("rebuilt engine issued trial %d again", fresh.ID)
+			}
+			if err := re.Complete(stale.ID, 99); !errors.Is(err, ErrUnknownTrial) {
+				t.Fatalf("stale completion of trial %d: err = %v, want ErrUnknownTrial", stale.ID, err)
+			}
+		})
 	}
 }

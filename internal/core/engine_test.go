@@ -35,9 +35,9 @@ func engineMeasure(algo int, cfg param.Config) float64 {
 	return v
 }
 
-func newEngine(t *testing.T, seed int64, opts ...Option) *ConcurrentTuner {
+func newEngine(t *testing.T, seed int64, opts ...Option) *Tuner {
 	t.Helper()
-	ct, err := NewConcurrentTuner(engineAlgos(), nominal.NewEpsilonGreedy(0.10), nil, seed, opts...)
+	ct, err := NewTuner(engineAlgos(), nominal.NewEpsilonGreedy(0.10), nil, seed, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestLeaseExpiryReclaimedAsTimeout(t *testing.T) {
 func TestReleaseTakesLeaseBack(t *testing.T) {
 	algos := []Algorithm{{Name: "tuned", Space: param.NewSpace(param.NewRatio("alpha", 1, 10))}}
 	random := func() search.Strategy { return search.NewRandom(1) }
-	ct, err := NewConcurrentTuner(algos, nominal.NewEpsilonGreedy(0.10), random, 1)
+	ct, err := NewTuner(algos, nominal.NewEpsilonGreedy(0.10), random, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,45 +277,9 @@ func TestMaxInFlight(t *testing.T) {
 	}
 }
 
-// TestAdapterMatchesSequentialTuner checks the acceptance criterion that
-// the classic API is a drop-in: a single-threaded caller driving the
-// engine through Next/Observe sees the exact decision sequence of a bare
-// Tuner with the same seed.
-func TestAdapterMatchesSequentialTuner(t *testing.T) {
-	seq, err := NewTuner(engineAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct := newEngine(t, 42)
-
-	const iters = 300
-	for i := 0; i < iters; i++ {
-		sa, sc := seq.Next()
-		ca, cc := ct.Next()
-		if sa != ca || !sc.Equal(cc) {
-			t.Fatalf("iteration %d: sequential proposes (%d, %v), adapter (%d, %v)", i, sa, sc, ca, cc)
-		}
-		v := engineMeasure(sa, sc)
-		seq.Observe(v)
-		ct.Observe(v)
-	}
-	if sHist, cHist := seq.History(), ct.History(); len(sHist) != len(cHist) {
-		t.Fatalf("history lengths: %d vs %d", len(sHist), len(cHist))
-	}
-	sA, sC, sV := seq.Best()
-	cA, cC, cV := ct.Best()
-	if sA != cA || sV != cV || !sC.Equal(cC) {
-		t.Fatalf("best diverged: (%d,%v,%v) vs (%d,%v,%v)", sA, sC, sV, cA, cC, cV)
-	}
-	for i := range engineAlgos() {
-		if sq, eg := seq.Counts()[i], ct.Counts()[i]; sq != eg {
-			t.Fatalf("counts[%d]: %d vs %d", i, sq, eg)
-		}
-	}
-}
-
-// TestAdapterPanicsMirrorTuner checks the adapter keeps the Tuner's
-// misuse contract.
+// TestAdapterPanicsMirrorTuner checks that the single-caller ask/tell
+// pair keeps its misuse contract: Observe needs a pending Next, and Next
+// needs none.
 func TestAdapterPanicsMirrorTuner(t *testing.T) {
 	ct := newEngine(t, 5)
 	mustPanic := func(name string, f func()) {
@@ -337,7 +301,7 @@ func TestAdapterPanicsMirrorTuner(t *testing.T) {
 // TestEngineStepRunAndGuard exercises Step/Run/RunPool with a guard
 // installed: panicking measurements become failures, never crashes.
 func TestEngineStepRunAndGuard(t *testing.T) {
-	ct, err := NewConcurrentTuner(engineAlgos(), guard.NewQuarantine(nominal.NewEpsilonGreedy(0.10)), nil, 6, WithGuard())
+	ct, err := NewTuner(engineAlgos(), guard.NewQuarantine(nominal.NewEpsilonGreedy(0.10)), nil, 6, WithGuard())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +335,7 @@ func TestEngineStepRunAndGuard(t *testing.T) {
 // still reach the global best.
 func TestSpeculativeLeasesMarked(t *testing.T) {
 	// Round-robin across 1 tunable algorithm forces same-algo leases.
-	ct, err := NewConcurrentTuner([]Algorithm{{Name: "only", Space: param.NewSpace(param.NewRatio("x", 0, 10))}},
+	ct, err := NewTuner([]Algorithm{{Name: "only", Space: param.NewSpace(param.NewRatio("x", 0, 10))}},
 		nominal.NewEpsilonGreedy(0), nil, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -421,7 +385,7 @@ func TestSnapshotsExactAfterEachOperation(t *testing.T) {
 		ct.mu.Lock()
 		algo, cfg, val := ct.t.bestAlgo, ct.t.bestCfg.Clone(), ct.t.bestVal
 		counts := append([]int(nil), ct.t.counts...)
-		iters := ct.t.Iterations()
+		iters := ct.t.total
 		ct.mu.Unlock()
 		if gAlgo, gCfg, gVal := ct.Best(); gAlgo != algo || gVal != val || !gCfg.Equal(cfg) {
 			t.Fatalf("after %s: Best() = (%d, %v, %g), state holds (%d, %v, %g)", op, gAlgo, gCfg, gVal, algo, cfg, val)
@@ -476,5 +440,66 @@ func TestSnapshotsExactAfterEachOperation(t *testing.T) {
 	check("a completion worse than the best")
 	if ct.best.Load() != before {
 		t.Fatal("a completion that left the best unchanged replaced its snapshot")
+	}
+}
+
+// TestConcurrentStepsAndLeases: Step keeps its trial out of the lease
+// map, yet steps from several goroutines, beside workers leasing and
+// completing, settle every trial exactly once: the ledger balances and
+// nothing stays in flight.
+func TestConcurrentStepsAndLeases(t *testing.T) {
+	ct := newEngine(t, 8)
+	const goroutines, each = 4, 50
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			ct.Run(each, engineMeasure)
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				tr, err := ct.Lease()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := ct.Complete(tr.ID, engineMeasure(tr.Algo, tr.Config)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	s := ct.Stats()
+	if s.Leased != 2*goroutines*each || s.Completed != s.Leased || s.InFlight != 0 {
+		t.Fatalf("stats %+v, want %d leased and completed, none in flight", s, 2*goroutines*each)
+	}
+	if got := ct.Iterations(); got != 2*goroutines*each {
+		t.Fatalf("Iterations() = %d, want %d", got, 2*goroutines*each)
+	}
+}
+
+// TestPanickingStepReleasesItsTrial: an unguarded measurement that
+// panics inside Step hands its trial back before the panic reaches the
+// caller, so a caller that recovers leaves nothing in flight, and the
+// primary proposal is issued again.
+func TestPanickingStepReleasesItsTrial(t *testing.T) {
+	ct := newEngine(t, 3, WithMaxInFlight(1))
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the measurement's panic did not reach the caller")
+			}
+		}()
+		ct.Step(func(int, param.Config) float64 { panic("measurement crash") })
+	}()
+	if s := ct.Stats(); s.InFlight != 0 || s.Released != 1 || s.Leased != 1 {
+		t.Fatalf("after a recovered panicking Step: %+v, want the trial released", s)
+	}
+	if rec := ct.Step(engineMeasure); rec.Iteration != 0 {
+		t.Fatalf("next Step recorded iteration %d, want 0", rec.Iteration)
 	}
 }

@@ -17,7 +17,7 @@ import (
 // referenceExportState is the reflective encoder ExportState replaced:
 // it fills a tunerState and hands it to json.Marshal. ExportState must
 // write exactly these bytes.
-func referenceExportState(t *Tuner) ([]byte, error) {
+func referenceExportState(t *tuner) ([]byte, error) {
 	seed, drawn := t.src.State()
 	st := tunerState{
 		Algos:       make([]string, len(t.algos)),
@@ -42,6 +42,11 @@ func referenceExportState(t *Tuner) ([]byte, error) {
 		RecentFails: t.recentFails,
 		Degraded:    t.degraded,
 		PinnedIters: t.pinnedIters,
+	}
+	for i, p := range t.proposers {
+		if p.Holds() {
+			st.Held = append(st.Held, i)
+		}
 	}
 	for i, a := range t.algos {
 		st.Algos[i] = a.Name
@@ -115,7 +120,7 @@ type exportHook struct{ sel func() nominal.Selector }
 
 func (h exportHook) Replica(ctx string) (nominal.Selector, int64) { return h.sel(), int64(len(ctx)) }
 func (exportHook) WarmStart(replica, global nominal.Selector)     {}
-func (exportHook) Born(string, *ConcurrentTuner)                  {}
+func (exportHook) Born(string, *Tuner)                            {}
 func (exportHook) Splits() []checkpoint.Record                    { return nil }
 func (exportHook) ExportPartition() ([]byte, error) {
 	return json.Marshal(map[string]any{"splits": []map[string]any{{"node": "b<0>", "dim": 0, "bin": 3}}})
@@ -193,13 +198,13 @@ func (c exportCase) buildContextual(tb testing.TB, seed int64) []*Tuner {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tuners := []*Tuner{g.t}
+	tuners := []*Tuner{g}
 	for _, id := range []string{"b0", "b<0>.lo"} {
 		r, err := g.Replica(id)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		tuners = append(tuners, r.t)
+		tuners = append(tuners, r)
 	}
 	return tuners
 }
@@ -237,7 +242,7 @@ func runOps(tu *Tuner, ops []byte) {
 			tu.Observe(v)
 		default:
 			kinds := []guard.Kind{guard.Panic, guard.Timeout, guard.Invalid}
-			tu.ObserveFailure(guard.Failure{Kind: kinds[int(op>>2)%len(kinds)], Algo: tu.pendingAlgo,
+			tu.ObserveFailure(guard.Failure{Kind: kinds[int(op>>2)%len(kinds)],
 				Err: fmt.Errorf("failure %d", op), Penalty: v})
 		}
 	}
@@ -246,11 +251,11 @@ func runOps(tu *Tuner, ops []byte) {
 // checkExport fails unless ExportState writes json.Marshal's bytes.
 func checkExport(tb testing.TB, name string, tu *Tuner) {
 	tb.Helper()
-	want, err := referenceExportState(tu)
+	want, err := referenceExportState(tu.t)
 	if err != nil {
 		tb.Fatalf("%s: reference export: %v", name, err)
 	}
-	got, err := tu.ExportState()
+	got, err := tu.t.ExportState()
 	if err != nil {
 		tb.Fatalf("%s: ExportState: %v", name, err)
 	}
@@ -284,21 +289,29 @@ func TestExportStateMatchesJSON(t *testing.T) {
 			if len(tu.History()) == 0 == !c.noHistory {
 				t.Fatalf("%s: history holds %d records", c, len(tu.History()))
 			}
-			if tu.pinnedIters == 0 {
+			if tu.t.pinnedIters == 0 {
 				t.Fatalf("%s: the failure-heavy run pinned no iteration", c)
 			}
+			// Leases still out: their strategies hold a proposal.
+			for range 3 {
+				if _, err := tu.Lease(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			checkExport(t, c.String()+"/leased", tu)
 
 			// States a run does not reach on its own.
-			tu.lastValue = math.NaN()
-			tu.bestCfg = param.Config{math.Inf(-1), math.NaN()}
-			if n := len(tu.history); n > 0 {
-				tu.history[n-1].Value = math.NaN()
-				tu.history[n-1].Config = param.Config{}
+			st := tu.t
+			st.lastValue = math.NaN()
+			st.bestCfg = param.Config{math.Inf(-1), math.NaN()}
+			if n := len(st.history); n > 0 {
+				st.history[n-1].Value = math.NaN()
+				st.history[n-1].Config = param.Config{}
 			}
-			if d := tu.drift; d != nil {
+			if d := st.drift; d != nil {
 				d.probeQ = append(d.probeQ, 2, 0, 1)
 				d.cooldown, d.events, d.decays, d.outliers = 4, 3, 2, 1
-				tu.driftSeq = 3
+				st.driftSeq = 3
 			}
 			checkExport(t, c.String()+"/poked", tu)
 		}
@@ -354,7 +367,7 @@ func TestSnapshotReencodesTouchedReplicas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reps := map[string]*ConcurrentTuner{}
+	reps := map[string]*Tuner{}
 	for _, id := range []string{"a", "b"} {
 		if reps[id], err = g.Replica(id); err != nil {
 			t.Fatal(err)

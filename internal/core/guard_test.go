@@ -55,26 +55,6 @@ func TestObserveAllNaNKeepsBestEmpty(t *testing.T) {
 	}
 }
 
-// Satellite: Settled must never report convergence while no finite best
-// exists (regression: a run where every iteration fails used to "settle"
-// after window iterations because +Inf never improved on +Inf).
-func TestSettledNeverTrueWithoutFiniteBest(t *testing.T) {
-	algos, _ := syntheticAlgos()
-	tu := mustNew(t, algos, nominal.NewRoundRobin(), DefaultFactory, 1)
-	nan := func(int, param.Config) float64 { return math.NaN() }
-	stop := Settled(5, 0.01)
-	n := tu.RunUntil(nan, stop, 60)
-	if n != 60 {
-		t.Fatalf("Settled reported convergence after %d all-failed iterations", n)
-	}
-	// Once successes arrive, Settled works from the first finite best.
-	_, m := syntheticAlgos()
-	n = tu.RunUntil(m, stop, 3000)
-	if n == 3000 {
-		t.Error("Settled never triggered after recovery")
-	}
-}
-
 func TestStepWithGuardRecoversPanics(t *testing.T) {
 	algos, m := syntheticAlgos()
 	crashing := func(algo int, cfg param.Config) float64 {
@@ -187,7 +167,7 @@ func TestDegradationPinsIncumbentAndRecovers(t *testing.T) {
 	// again.
 	meas := failWindowMeasure(m, &calls, 60, 140)
 	tu := mustNew(t, algos, nominal.NewEpsilonGreedy(0.1), DefaultFactory, 3,
-		WithWatchdog(8, 0.5))
+		withWatchdog(8, 0.5))
 
 	tu.Run(60, meas)
 	if tu.Degraded() {
@@ -222,7 +202,7 @@ func TestDegradationRequiresIncumbent(t *testing.T) {
 	// With no success ever, there is nothing to pin: the tuner must keep
 	// exploring (and failing) rather than pinning a nonexistent best.
 	algos, _ := syntheticAlgos()
-	tu := mustNew(t, algos, nominal.NewRoundRobin(), DefaultFactory, 1, WithWatchdog(4, 0.5))
+	tu := mustNew(t, algos, nominal.NewRoundRobin(), DefaultFactory, 1, withWatchdog(4, 0.5))
 	tu.Run(40, func(int, param.Config) float64 { return math.NaN() })
 	if tu.Degraded() {
 		t.Error("degraded with no incumbent to pin")
@@ -239,7 +219,7 @@ func TestWatchdogDisabled(t *testing.T) {
 	algos, m := syntheticAlgos()
 	calls := 0
 	tu := mustNew(t, algos, nominal.NewEpsilonGreedy(0.1), DefaultFactory, 3,
-		WithWatchdog(0, 0.5))
+		withWatchdog(0, 0.5))
 	tu.Run(40, failWindowMeasure(m, &calls, 10, 200))
 	if tu.Degraded() {
 		t.Error("watchdog fired despite window 0 (disabled)")
@@ -298,5 +278,15 @@ func TestTunerDeterminismWithGuard(t *testing.T) {
 		if a[i].Algo != b[i].Algo || a[i].Value != b[i].Value || a[i].Failed != b[i].Failed {
 			t.Fatalf("iteration %d differs between identical guarded runs", i)
 		}
+	}
+}
+
+// withWatchdog sets the failure-rate watchdog's window and threshold,
+// which a tuner fixes at DefaultWatchWindow and DefaultDegradeThreshold;
+// a window of 0 disables it.
+func withWatchdog(window int, threshold float64) Option {
+	return func(c *Tuner) error {
+		c.t.watchWindow, c.t.degradeAt, c.t.recoverAt = window, threshold, threshold/2
+		return nil
 	}
 }

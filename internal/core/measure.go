@@ -38,51 +38,3 @@ func MedianOfK(m Measure, k int) Measure {
 		return vals[k/2]
 	}
 }
-
-// MinOfK wraps a measurement function so each observation is the minimum
-// of k runs — the standard discipline for wall-clock micro-measurements,
-// where the minimum is the least-disturbed sample.
-func MinOfK(m Measure, k int) Measure {
-	if k < 1 {
-		k = 1
-	}
-	if k == 1 {
-		return m
-	}
-	return func(algo int, cfg param.Config) float64 {
-		best := m(algo, cfg)
-		for i := 1; i < k; i++ {
-			if v := m(algo, cfg); v < best {
-				best = v
-			}
-		}
-		return best
-	}
-}
-
-// EMA wraps a measurement function with a per-(algorithm, configuration
-// independent) exponential moving average: the reported sample is
-// alpha·raw + (1−alpha)·previous, smoothing spikes without multiplying
-// the measurement cost. State is per algorithm, matching the tuner's
-// per-algorithm phase-one strategies. alpha in (0, 1]; alpha = 1 is the
-// identity.
-func EMA(m Measure, alpha float64) Measure {
-	if alpha <= 0 || alpha > 1 {
-		alpha = 1
-	}
-	if alpha == 1 {
-		return m
-	}
-	state := map[int]float64{}
-	return func(algo int, cfg param.Config) float64 {
-		raw := m(algo, cfg)
-		prev, ok := state[algo]
-		if !ok {
-			state[algo] = raw
-			return raw
-		}
-		v := alpha*raw + (1-alpha)*prev
-		state[algo] = v
-		return v
-	}
-}

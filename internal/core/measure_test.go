@@ -57,49 +57,6 @@ func TestMedianOfK(t *testing.T) {
 	}
 }
 
-func TestMinOfK(t *testing.T) {
-	seq := []float64{12, 11, 10, 14}
-	i := 0
-	m := func(int, param.Config) float64 {
-		v := seq[i%len(seq)]
-		i++
-		return v
-	}
-	if got := MinOfK(m, 4)(0, nil); got != 10 {
-		t.Errorf("min of %v = %g", seq, got)
-	}
-}
-
-func TestEMA(t *testing.T) {
-	seq := []float64{10, 20, 20}
-	i := 0
-	m := func(algo int, _ param.Config) float64 {
-		v := seq[i%len(seq)]
-		i++
-		return v
-	}
-	e := EMA(m, 0.5)
-	if got := e(0, nil); got != 10 {
-		t.Errorf("first sample should pass through, got %g", got)
-	}
-	if got := e(0, nil); got != 15 {
-		t.Errorf("EMA after 10,20 = %g, want 15", got)
-	}
-	if got := e(0, nil); got != 17.5 {
-		t.Errorf("EMA after 10,20,20 = %g, want 17.5", got)
-	}
-	// Per-algorithm state: a different algo starts fresh.
-	i = 0
-	if got := e(1, nil); got != 10 {
-		t.Errorf("other algorithm's first sample = %g, want 10", got)
-	}
-	// Bad alpha degrades to identity.
-	i = 0
-	if got := EMA(m, 0)(0, nil); got != 10 {
-		t.Errorf("alpha=0 identity broken: %g", got)
-	}
-}
-
 func TestMedianOfKImprovesTuningUnderNoise(t *testing.T) {
 	// A noisy quadratic: Nelder-Mead inside the tuner should land closer
 	// to the optimum when each observation is a median-of-5.

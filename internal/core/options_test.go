@@ -1,35 +1,25 @@
 package core
 
 import (
-	"errors"
 	"slices"
 	"testing"
 
 	"repro/internal/nominal"
 )
 
-// TestOptionScope checks that the unified Option type is checked, not
-// silently ignored: an option outside a constructor's scope must error
-// with ErrOptionScope, and so must a request for more than one shard.
+// TestOptionScope: a request for more than one shard fails the
+// constructor instead of being silently ignored.
 func TestOptionScope(t *testing.T) {
 	algos := engineAlgos()
 	sel := func() nominal.Selector { return nominal.NewEpsilonGreedy(0.10) }
-
-	if _, err := NewTuner(algos, sel(), nil, 1, WithMaxInFlight(4)); !errors.Is(err, ErrOptionScope) {
-		t.Fatalf("NewTuner(WithMaxInFlight): err = %v, want ErrOptionScope", err)
-	}
-	if _, err := NewTuner(algos, sel(), nil, 1, WithShards(1)); !errors.Is(err, ErrOptionScope) {
-		t.Fatalf("NewTuner(WithShards(1)): err = %v, want ErrOptionScope", err)
-	}
 	for _, n := range []int{0, 2, 4} {
-		if _, err := NewConcurrentTuner(algos, sel(), nil, 1, WithShards(n)); !errors.Is(err, ErrOptionScope) {
-			t.Fatalf("NewConcurrentTuner(WithShards(%d)): err = %v, want ErrOptionScope", n, err)
+		if _, err := NewTuner(algos, sel(), nil, 1, WithShards(n)); err == nil {
+			t.Fatalf("NewTuner(WithShards(%d)) succeeded", n)
 		}
 	}
-	// Both scopes at once are exactly what NewConcurrentTuner accepts.
-	if _, err := NewConcurrentTuner(algos, sel(), nil, 1,
+	if _, err := NewTuner(algos, sel(), nil, 1,
 		WithoutHistory(), WithMaxInFlight(64), WithShards(1)); err != nil {
-		t.Fatalf("NewConcurrentTuner with both scopes: %v", err)
+		t.Fatalf("NewTuner(WithShards(1)): %v", err)
 	}
 }
 

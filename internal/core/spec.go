@@ -11,7 +11,7 @@ import (
 )
 
 // EngineSpec is the serialized form of an engine's option set: everything
-// NewConcurrentTuner takes through []Option that a service must be able to
+// NewTuner takes through []Option that a service must be able to
 // store, compare and reconstruct per tuning problem. A multi-tenant
 // server keeps one EngineSpec per tenant on disk next to the tenant's
 // checkpoints; Build turns it back into a live engine, resuming the
@@ -122,8 +122,8 @@ func (s EngineSpec) Hash(algos []string, selector string) uint32 {
 // makes the engine durable there at the spec's snapshot cadence, and
 // resumes it when ckptDir already holds a checkpoint (see
 // WithCheckpoint).
-func (s EngineSpec) Build(algos []Algorithm, selector nominal.Selector, factory search.Factory, ckptDir string) (*ConcurrentTuner, error) {
-	eng, err := NewConcurrentTuner(algos, selector, factory, s.Seed, s.Options(ckptDir)...)
+func (s EngineSpec) Build(algos []Algorithm, selector nominal.Selector, factory search.Factory, ckptDir string) (*Tuner, error) {
+	eng, err := NewTuner(algos, selector, factory, s.Seed, s.Options(ckptDir)...)
 	if err != nil {
 		return nil, fmt.Errorf("core: build from spec: %w", err)
 	}

@@ -174,7 +174,7 @@ func TestSpecEngineResumesHistoryKeepingEngine(t *testing.T) {
 
 	t.Run("history-keeping to spec", func(t *testing.T) {
 		dir := t.TempDir()
-		old, err := NewConcurrentTuner(specAlgos(), nominal.NewEpsilonGreedy(0.1), nil, seed, WithCheckpoint(dir, every))
+		old, err := NewTuner(specAlgos(), nominal.NewEpsilonGreedy(0.1), nil, seed, WithCheckpoint(dir, every))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +212,7 @@ func TestSpecEngineResumesHistoryKeepingEngine(t *testing.T) {
 		a, cfg, v := eng.Best()
 		want := view{eng.Iterations(), eng.Counts(), a, cfg, v}
 
-		re, err := NewConcurrentTuner(specAlgos(), nominal.NewEpsilonGreedy(0.1), nil, seed, WithCheckpoint(dir, every))
+		re, err := NewTuner(specAlgos(), nominal.NewEpsilonGreedy(0.1), nil, seed, WithCheckpoint(dir, every))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,6 +17,15 @@
 // tuning progress accumulates on all algorithms simultaneously as the
 // selector switches between them — the behaviour visible in the paper's
 // Figure 6.
+//
+// Tuner is the package's one tuner type. A single caller drives the
+// loop through Step and Run, or through the ask/tell pair Next/Observe;
+// many callers with measurements in flight at once lease ticketed
+// trials from the same tuner (Lease, LeaseN) and complete them in any
+// order. Both ways share one decision state, one option set
+// (WithGuard, WithCheckpoint, WithDriftWatchdog, WithoutHistory,
+// WithLeaseTimeout, WithMaxInFlight) and one checkpoint journal, whose
+// one replay step resumes a single caller's run exactly.
 package core
 
 import (
@@ -75,35 +84,32 @@ type Record struct {
 // wall-clock time of the operation, in milliseconds).
 type Measure func(algo int, cfg param.Config) float64
 
-// Tuner is the two-phase online autotuner. It is driven either through the
-// ask/tell pair Next/Observe — which embeds naturally into an existing
-// application loop, the paper's online-tuning setting — or through Run,
-// which owns the loop. A Tuner is not safe for concurrent use: online
-// tuning wraps one repeatedly executed operation of the application.
-// Applications measuring from many goroutines wrap it in a
-// ConcurrentTuner, whose lease-based trial engine serves multiple trials
-// in flight.
-type Tuner struct {
-	algos      []Algorithm
-	selector   nominal.Selector
-	strategies []search.Strategy
-	rng        *rand.Rand
-	src        *xrand.Source
-	seed       int64
+// tuner is the decision state of the two-phase tuner: the selector, one
+// phase-one strategy per algorithm and the proposer that serves it, the
+// counters, the incumbent, and the checkpoint journal. Tuner, the one
+// exported tuner type, owns one and drives it under its mutex.
+type tuner struct {
+	algos       []Algorithm
+	selector    nominal.Selector
+	inFlightSel nominal.InFlightAware // selector, when it is in-flight aware
+	strategies  []search.Strategy
+	proposers   []*search.Proposer
+	rng         *rand.Rand
+	src         *xrand.Source
+	seed        int64
 
 	history []Record
 	counts  []int
+	total   int // sum of counts
 
-	pending        bool
-	pendingAlgo    int
-	pendingCfg     param.Config
 	bestAlgo       int
 	bestCfg        param.Config
 	bestVal        float64
+	bestGen        uint64 // bumped whenever the incumbent changes
 	keepHistory    bool
 	perAlgoHistory [][]float64
 
-	// Fault tolerance (see WithGuard / WithWatchdog and FailureStats).
+	// Fault tolerance (see WithGuard and FailureStats).
 	guard       *guard.Guard
 	worstVal    float64 // worst valid observation, for the no-guard penalty
 	failTotal   int
@@ -123,23 +129,20 @@ type Tuner struct {
 	recentFill  int
 	recentFails int
 	degraded    bool
-	pinned      bool // the pending observation is a pinned (degraded) run
 	pinnedIters int
 
 	// Drift resilience (see WithDriftWatchdog). driftSeq is maintained
 	// even without the watchdog so journaled sentinels replay
-	// idempotently; engineOwned marks a tuner wrapped by a trial engine,
-	// whose strategies must never be restarted beneath the proposers.
-	drift       *driftWatchdog
-	driftSeq    uint64
-	engineOwned bool
+	// idempotently.
+	drift    *driftWatchdog
+	driftSeq uint64
 
 	// Crash-safe persistence (see WithCheckpoint).
 	ckptDir   string
 	ckptEvery int
 	ckptSeq   int                 // sequence number of the newest segment
 	journal   *checkpoint.Journal // the newest segment; nil until one is rolled
-	maxTrial  uint64              // highest trial ID issued or journaled, carried by snapshots
+	maxTrial  uint64              // highest trial ID issued, reserved or journaled, carried by snapshots
 	ckptErr   error
 	replaying bool
 	stateBuf  []byte // ExportState's reused payload buffer
@@ -148,6 +151,13 @@ type Tuner struct {
 	// state, so its global tuner's next snapshot need not encode it
 	// again (contextSet.appendState).
 	exported bool
+	// held marks the algorithms whose strategy the restored snapshot
+	// left holding an unreported proposal; only a resume's replay reads
+	// it (see replayCompletion). A held proposal whose trial was lost in
+	// the crash is not issued again: the strategy proposes afresh on its
+	// arm's next lease, and the resume's own snapshot, whose proposers
+	// hold nothing, makes a later replay propose afresh too.
+	held []bool
 
 	// Contexts (see NewContextualTuner). A contextual engine's global
 	// tuner holds its replicas in ctxs; each replica's tuner names its
@@ -155,49 +165,29 @@ type Tuner struct {
 	// replica's successes and keeps its records in its log.
 	ctxs  *contextSet
 	ctx   string
-	owner *Tuner
+	owner *tuner
 }
 
-// NewTuner creates a two-phase tuner over the given algorithms.
-//
-// The selector is the phase-two strategy choosing among algorithms; the
-// factory builds one independent phase-one strategy per algorithm.
-// NewTuner fails when an algorithm's space is not supported by the
-// strategy the factory builds (for example Nelder-Mead on a space with
-// ordinal parameters), and when an option outside the sequential tuner's
-// scope is passed (ErrOptionScope). The seed determines all stochastic
-// choices; runs with equal seeds and deterministic measurement functions
-// are identical. With WithCheckpoint on a directory that holds a
-// checkpoint, NewTuner resumes from it, replaying the journal through
-// Next/Observe and verifying every journaled proposal.
-func NewTuner(algos []Algorithm, selector nominal.Selector, factory search.Factory, seed int64, opts ...Option) (*Tuner, error) {
-	t, err := newTuner(algos, selector, factory, seed, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := t.openCheckpoint(t.replayVerified); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// newTuner builds a tuner without touching its checkpoint directory; the
-// caller opens it with the replay step that fits what it builds.
-func newTuner(algos []Algorithm, selector nominal.Selector, factory search.Factory, seed int64, opts []Option) (*Tuner, error) {
+// newTuner builds c's decision state and applies the options to both;
+// the caller opens the checkpoint directory. It fails when an option
+// does not apply (WithShards of more than one shard) and when a strategy
+// cannot start on its space.
+func newTuner(c *Tuner, algos []Algorithm, selector nominal.Selector, factory search.Factory, seed int64, opts []Option) error {
 	if len(algos) == 0 {
-		return nil, fmt.Errorf("core: no algorithms to tune")
+		return fmt.Errorf("core: no algorithms to tune")
 	}
 	if selector == nil {
-		return nil, fmt.Errorf("core: nil selector")
+		return fmt.Errorf("core: nil selector")
 	}
 	if factory == nil {
 		factory = DefaultFactory
 	}
 	src := xrand.New(seed)
-	t := &Tuner{
+	t := &tuner{
 		algos:       algos,
 		selector:    selector,
 		strategies:  make([]search.Strategy, len(algos)),
+		proposers:   make([]*search.Proposer, len(algos)),
 		rng:         src.Rand(),
 		src:         src,
 		seed:        seed,
@@ -210,11 +200,11 @@ func newTuner(algos []Algorithm, selector nominal.Selector, factory search.Facto
 		degradeAt:   DefaultDegradeThreshold,
 		recoverAt:   DefaultDegradeThreshold / 2,
 	}
+	c.t = t
 	for _, o := range opts {
-		if o.tuner == nil {
-			return nil, scopeErr(o)
+		if err := o(c); err != nil {
+			return err
 		}
-		o.tuner(t)
 	}
 	for i, a := range algos {
 		s := factory()
@@ -226,19 +216,26 @@ func newTuner(algos []Algorithm, selector nominal.Selector, factory search.Facto
 			s = DefaultStrategyFor(sp, seed+int64(i))
 		}
 		if err := s.Start(sp, a.Init); err != nil {
-			return nil, fmt.Errorf("core: algorithm %q: %w", a.Name, err)
+			return fmt.Errorf("core: algorithm %q: %w", a.Name, err)
 		}
 		t.strategies[i] = s
+		// Each proposer gets its own speculation stream, decorrelated
+		// from the selector's RNG and from the other proposers'.
+		t.proposers[i] = search.NewProposer(s, sp, seed^(0x9e3779b9*int64(i+1)))
 	}
 	selector.Init(len(algos))
+	t.inFlightSel, _ = selector.(nominal.InFlightAware)
 	if t.drift != nil {
 		t.drift.init(len(algos))
 	}
 	t.perAlgoHistory = make([][]float64, len(algos))
-	return t, nil
+	return nil
 }
 
-// Watchdog defaults (see WithWatchdog).
+// The failure-rate watchdog behind the degradation mode: when the
+// failure rate over the last DefaultWatchWindow completed iterations
+// reaches DefaultDegradeThreshold, the tuner stops exploring and pins
+// the known-good incumbent until the rate falls back below half of it.
 const (
 	// DefaultWatchWindow is the number of recent iterations over which
 	// the failure rate is computed.
@@ -268,123 +265,28 @@ func DefaultStrategyFor(space *param.Space, seed int64) search.Strategy {
 	}
 }
 
-// NumAlgorithms returns the number of algorithm alternatives.
-func (t *Tuner) NumAlgorithms() int { return len(t.algos) }
-
-// AlgorithmName returns the name of algorithm i.
-func (t *Tuner) AlgorithmName(i int) string { return t.algos[i].Name }
-
-// Next performs phase two (algorithm selection) and phase one
-// (configuration proposal) and returns what the application should run
-// this iteration. Every Next must be matched by exactly one Observe (or
-// ObserveFailure). In degradation mode — the recent failure rate crossed
-// the watchdog threshold — Next stops exploring and returns the pinned
-// known-good incumbent instead.
-func (t *Tuner) Next() (algo int, cfg param.Config) {
-	if t.pending {
-		panic("core: Next called with an observation pending")
-	}
-	if t.degraded && t.bestAlgo >= 0 {
-		t.pending = true
-		t.pinned = true
-		t.pendingAlgo = t.bestAlgo
-		t.pendingCfg = t.bestCfg.Clone()
-		return t.bestAlgo, t.bestCfg.Clone()
-	}
-	if p, ok := t.takeProbe(); ok {
-		// A drift reset scheduled this arm for a forced re-probe: the
-		// dethroned regime's evidence is being rebuilt, so the probe
-		// overrides phase two (phase one proposes normally).
-		algo = p
-	} else {
-		algo = t.selector.Select(t.rng)
-	}
-	cfg = t.strategies[algo].Propose()
-	t.pending = true
-	t.pendingAlgo = algo
-	t.pendingCfg = cfg.Clone()
-	return algo, cfg
-}
-
-// Observe reports the measured value of the configuration returned by the
-// preceding Next, feeding both tuning phases.
-//
-// Non-finite values (NaN, ±Inf) are never accepted as observations, even
-// without WithGuard: a NaN sample would silently poison every comparison
-// in both phases. The policy is penalty, never incumbent — the iteration
-// is recorded as an Invalid failure whose value is the penalty (the worst
-// valid observation × guard.DefaultPenaltyFactor, or
-// guard.DefaultFallbackPenalty before any), so the strategies steer away,
-// and Best() is never contaminated.
-func (t *Tuner) Observe(value float64) {
-	if !t.pending {
-		panic("core: Observe called without a pending Next")
-	}
-	if math.IsNaN(value) || math.IsInf(value, 0) {
-		t.observe(t.penalty(), &guard.Failure{
-			Kind: guard.Invalid,
-			Algo: t.pendingAlgo,
-			Err:  fmt.Errorf("core: non-finite measurement %v", value),
-		})
-		return
-	}
-	t.observe(value, nil)
-}
-
-// ObserveFailure reports that the pending measurement failed. Ask/tell
-// loops running their measurement through guard.(*Guard).Invoke use this
-// to complete the iteration: the failure's penalty (or the tuner's, when
-// unset) is fed to both phases, the incumbent is left untouched, and the
-// failure is counted in FailureStats.
-func (t *Tuner) ObserveFailure(f guard.Failure) {
-	if !t.pending {
-		panic("core: ObserveFailure called without a pending Next")
-	}
-	p := f.Penalty
-	if p <= 0 || math.IsNaN(p) || math.IsInf(p, 0) {
-		p = t.penalty()
-		f.Penalty = p
-	}
-	t.observe(p, &f)
-}
-
-// observe completes the pending iteration with the recorded value and an
-// optional failure. Pinned (degradation-mode) iterations bypass both
-// tuning phases: the incumbent configuration was not proposed by its
-// strategy, so reporting it would corrupt the ask/tell state machines.
-func (t *Tuner) observe(value float64, fail *guard.Failure) {
-	t.pending = false
-	pinned := t.pinned
-	t.pinned = false
-	algo, cfg := t.pendingAlgo, t.pendingCfg
-	t.applyCompletion(completion{algo: algo, cfg: cfg, value: value, fail: fail, pinned: pinned},
-		func(cf param.Config, v float64) { t.strategies[algo].Report(cf, v) })
-	t.journalSync()
-}
-
-// completion describes one finished trial, however it was driven:
-// sequential Observe, the trial engine's Complete/Fail/expiry, or
-// journal replay on resume.
+// completion describes one finished trial, however it was driven: a
+// completion, failure or expiry of a trial the engine handed out, an
+// Absorb, or journal replay on resume.
 type completion struct {
 	algo   int
 	cfg    param.Config
 	value  float64
 	fail   *guard.Failure
 	pinned bool
-	trial  uint64 // engine trial ID; 0 for sequential completions
+	trial  uint64 // engine trial ID; 0 in journals written before trial IDs
 	spec   bool   // speculative proposal: phase one must not learn it
 }
 
 // applyCompletion feeds one finished trial into both tuning phases and
-// every counter the tuner maintains, returning the iteration index it
-// completed. reportPhase1 routes the phase-one report — the sequential
-// path reports straight to the strategy, the trial engine through the
-// algorithm's Proposer — and is skipped entirely for pinned completions
-// (and nil callbacks), whose configuration was never proposed by any
-// strategy.
-func (t *Tuner) applyCompletion(c completion, reportPhase1 func(param.Config, float64)) int {
+// every counter the tuner maintains. reportPhase1 routes the phase-one
+// report — live completions through the algorithm's Proposer, replay
+// straight to the strategy — and is skipped entirely for pinned
+// completions (and nil callbacks), whose configuration was never
+// proposed by any strategy.
+func (t *tuner) applyCompletion(c completion, reportPhase1 func(param.Config, float64)) {
 	failed := c.fail != nil
-	iter := t.Iterations() // zero-based index of the completing iteration
+	iter := t.total // zero-based index of the completing iteration
 
 	if c.pinned {
 		t.pinnedIters++
@@ -404,6 +306,7 @@ func (t *Tuner) applyCompletion(c completion, reportPhase1 func(param.Config, fl
 		t.owner.selector.Report(c.algo, c.value)
 	}
 	t.counts[c.algo]++
+	t.total++
 	if t.keepHistory {
 		t.history = append(t.history, Record{
 			Iteration: iter,
@@ -433,6 +336,7 @@ func (t *Tuner) applyCompletion(c completion, reportPhase1 func(param.Config, fl
 			t.bestVal = c.value
 			t.bestAlgo = c.algo
 			t.bestCfg = c.cfg.Clone()
+			t.bestGen++
 		}
 	}
 	t.lastValue, t.lastFailed = c.value, failed
@@ -445,7 +349,6 @@ func (t *Tuner) applyCompletion(c completion, reportPhase1 func(param.Config, fl
 		// follow the observation that triggered it.
 		t.driftObserve(c)
 	}
-	return iter
 }
 
 // DefaultValuesTail bounds each per-algorithm value timeline of a tuner
@@ -458,7 +361,7 @@ const DefaultValuesTail = 1024
 // appendValue records a value on an algorithm's timeline, bounding the
 // timeline when history keeping is off (with history on, the timeline is
 // already O(run length) by request).
-func (t *Tuner) appendValue(algo int, v float64) {
+func (t *tuner) appendValue(algo int, v float64) {
 	h := append(t.perAlgoHistory[algo], v)
 	if !t.keepHistory && len(h) > 2*DefaultValuesTail {
 		copy(h, h[len(h)-DefaultValuesTail:])
@@ -468,7 +371,7 @@ func (t *Tuner) appendValue(algo int, v float64) {
 }
 
 // algoIndex returns the index of the named algorithm, or -1.
-func (t *Tuner) algoIndex(name string) int {
+func (t *tuner) algoIndex(name string) int {
 	for i, a := range t.algos {
 		if a.Name == name {
 			return i
@@ -478,7 +381,7 @@ func (t *Tuner) algoIndex(name string) int {
 }
 
 // penalty returns the value substituted for a failed observation.
-func (t *Tuner) penalty() float64 {
+func (t *tuner) penalty() float64 {
 	if t.guard != nil {
 		return t.guard.Penalty()
 	}
@@ -489,7 +392,7 @@ func (t *Tuner) penalty() float64 {
 }
 
 // watch feeds the failure-rate watchdog and toggles degradation mode.
-func (t *Tuner) watch(failed bool) {
+func (t *tuner) watch(failed bool) {
 	if t.watchWindow <= 0 {
 		return
 	}
@@ -520,69 +423,6 @@ func (t *Tuner) watch(failed bool) {
 	}
 }
 
-// Step runs one complete tuning iteration with the given measurement
-// function and returns its record. With WithGuard installed the
-// measurement runs under the guard: panics, deadline overruns, and
-// invalid samples become penalized failures instead of crashes.
-func (t *Tuner) Step(m Measure) Record {
-	algo, cfg := t.Next()
-	if t.guard != nil {
-		v, fail := t.guard.Invoke(m, algo, cfg)
-		if fail != nil {
-			t.ObserveFailure(*fail)
-		} else {
-			t.Observe(v)
-		}
-	} else {
-		t.Observe(m(algo, cfg))
-	}
-	return Record{Iteration: t.Iterations() - 1, Algo: algo, Config: cfg.Clone(), Value: t.lastValue, Failed: t.lastFailed}
-}
-
-// Run executes iters tuning iterations. This is the whole online tuning
-// loop for applications that let the tuner drive.
-func (t *Tuner) Run(iters int, m Measure) {
-	for i := 0; i < iters; i++ {
-		t.Step(m)
-	}
-}
-
-// RunUntil steps the tuner until stop returns true or maxIters iterations
-// have run, returning the number of iterations executed.
-func (t *Tuner) RunUntil(m Measure, stop func(*Tuner) bool, maxIters int) int {
-	n := 0
-	for n < maxIters && !stop(t) {
-		t.Step(m)
-		n++
-	}
-	return n
-}
-
-// Iterations returns the number of completed tuning iterations.
-func (t *Tuner) Iterations() int {
-	total := 0
-	for _, c := range t.counts {
-		total += c
-	}
-	return total
-}
-
-// Best returns the globally best observation so far: the optimal algorithm
-// with its configuration and value. Before any iteration it returns
-// (-1, nil, +Inf).
-func (t *Tuner) Best() (algo int, cfg param.Config, value float64) {
-	if t.bestAlgo < 0 {
-		return -1, nil, math.Inf(1)
-	}
-	return t.bestAlgo, t.bestCfg.Clone(), t.bestVal
-}
-
-// BestConfigOf returns the best observed configuration and value for one
-// specific algorithm (phase one's incumbent).
-func (t *Tuner) BestConfigOf(algo int) (param.Config, float64) {
-	return t.strategies[algo].Best()
-}
-
 // FailureStats summarizes the failures seen by a tuner (see
 // Tuner.FailureStats).
 type FailureStats struct {
@@ -600,11 +440,7 @@ type FailureStats struct {
 	PinnedIterations int
 }
 
-// FailureStats returns the failure counters maintained alongside
-// Counts(). Failures are counted whether they arrive through a guard
-// (Step with WithGuard), through ObserveFailure, or through Observe's
-// non-finite-sample sanitizing.
-func (t *Tuner) FailureStats() FailureStats {
+func (t *tuner) failureStats() FailureStats {
 	s := FailureStats{
 		Total:            t.failTotal,
 		Panics:           t.failPanics,
@@ -619,98 +455,4 @@ func (t *Tuner) FailureStats() FailureStats {
 		s.RecentRate = float64(t.recentFails) / float64(t.recentFill)
 	}
 	return s
-}
-
-// Guard exposes the guard installed by WithGuard (nil without it), e.g.
-// so ask/tell loops can wrap their measurement with SafeMeasure or
-// Invoke.
-func (t *Tuner) Guard() *guard.Guard { return t.guard }
-
-// Degraded reports whether the tuner is currently in degradation mode,
-// pinning the known-good incumbent instead of exploring.
-func (t *Tuner) Degraded() bool { return t.degraded }
-
-// Counts returns a copy of the per-algorithm selection counts — the data
-// behind the paper's Figures 4 and 8.
-func (t *Tuner) Counts() []int {
-	c := make([]int, len(t.counts))
-	copy(c, t.counts)
-	return c
-}
-
-// History returns the per-iteration records: every iteration of this
-// process plus, after a resume, the snapshot's history tail and the
-// replayed journal. It is empty with WithoutHistory, which every
-// service-built engine uses. The records are deep copies: mutating a
-// returned Record's Config does not touch the tuner's log.
-func (t *Tuner) History() []Record {
-	h := make([]Record, len(t.history))
-	copy(h, t.history)
-	for i := range h {
-		h[i].Config = h[i].Config.Clone()
-	}
-	return h
-}
-
-// ValuesOf returns the measured values of one algorithm in observation
-// order — the per-algorithm timeline behind the paper's Figure 5. With
-// WithoutHistory, which every service-built engine uses, the timeline is
-// bounded: only the most recent values (between DefaultValuesTail and
-// 2×DefaultValuesTail of them) are retained.
-func (t *Tuner) ValuesOf(algo int) []float64 {
-	v := make([]float64, len(t.perAlgoHistory[algo]))
-	copy(v, t.perAlgoHistory[algo])
-	return v
-}
-
-// Strategy exposes algorithm i's phase-one strategy (for inspection).
-func (t *Tuner) Strategy(i int) search.Strategy { return t.strategies[i] }
-
-// Selector exposes the phase-two selector (for inspection).
-func (t *Tuner) Selector() nominal.Selector { return t.selector }
-
-// ConvergedAll reports whether every algorithm's phase-one strategy has
-// converged. Note that phase two never "converges" in the bandit sense;
-// the paper runs a fixed iteration budget chosen to guarantee convergence.
-func (t *Tuner) ConvergedAll() bool {
-	for _, s := range t.strategies {
-		if !s.Converged() {
-			return false
-		}
-	}
-	return true
-}
-
-// Settled returns a RunUntil predicate that is true once the tuner's best
-// value has not improved by more than tol (relative) for window
-// consecutive iterations. The paper picks its loop lengths offline "to
-// ensure tuning convergence"; Settled lets an application detect that
-// point online instead. The returned predicate is stateful: use one per
-// tuning run.
-func Settled(window int, tol float64) func(*Tuner) bool {
-	if window < 1 {
-		window = 1
-	}
-	if tol < 0 {
-		tol = 0
-	}
-	lastImproved := 0
-	refBest := math.Inf(1)
-	return func(t *Tuner) bool {
-		_, _, best := t.Best()
-		iter := t.Iterations()
-		if math.IsInf(best, 1) {
-			// No finite best exists (every iteration failed so far): the
-			// tuner cannot have converged on anything, however long the
-			// plateau. The window starts counting from the first success.
-			lastImproved = iter
-			return false
-		}
-		if math.IsInf(refBest, 1) || best < refBest*(1-tol) {
-			refBest = best
-			lastImproved = iter
-			return false
-		}
-		return iter-lastImproved >= window
-	}
 }

@@ -219,27 +219,6 @@ func TestTunerDeterminism(t *testing.T) {
 	}
 }
 
-func TestTunerRunUntil(t *testing.T) {
-	algos, m := syntheticAlgos()
-	tu := mustNew(t, algos, nominal.NewEpsilonGreedy(0.1), DefaultFactory, 5)
-	n := tu.RunUntil(m, func(t *Tuner) bool {
-		_, _, v := t.Best()
-		return v <= 5.5
-	}, 2000)
-	if n == 2000 {
-		t.Error("RunUntil hit the iteration cap")
-	}
-	_, _, v := tu.Best()
-	if v > 5.5 {
-		t.Errorf("stopped at %g, want ≤ 5.5", v)
-	}
-	// Already-true predicate runs zero iterations.
-	n = tu.RunUntil(m, func(*Tuner) bool { return true }, 10)
-	if n != 0 {
-		t.Errorf("RunUntil with true predicate ran %d iterations", n)
-	}
-}
-
 func TestDefaultStrategyFor(t *testing.T) {
 	cases := []struct {
 		space *param.Space
@@ -308,21 +287,6 @@ func TestTunerStepRecord(t *testing.T) {
 	}
 }
 
-func TestTunerConvergedAll(t *testing.T) {
-	// All algorithms untunable: each Fixed strategy converges after one
-	// report, so after one full round ConvergedAll must hold.
-	algos := []Algorithm{{Name: "a"}, {Name: "b"}}
-	m := func(algo int, _ param.Config) float64 { return float64(algo + 1) }
-	tu := mustNew(t, algos, nominal.NewRoundRobin(), DefaultFactory, 1)
-	if tu.ConvergedAll() {
-		t.Error("converged before any iteration")
-	}
-	tu.Run(2, m)
-	if !tu.ConvergedAll() {
-		t.Error("not converged after all fixed algorithms ran")
-	}
-}
-
 func TestTunerAccessors(t *testing.T) {
 	algos, _ := syntheticAlgos()
 	tu := mustNew(t, algos, nominal.NewEpsilonGreedy(0.1), DefaultFactory, 1)
@@ -366,56 +330,5 @@ func TestCrossoverScenarioGradientWeighted(t *testing.T) {
 	best, _, val := tu.Best()
 	if best != 1 || val > 4.5 {
 		t.Errorf("crossover: best algo %d value %g, want algo 1 near 4", best, val)
-	}
-}
-
-func TestSettledDetectsConvergence(t *testing.T) {
-	// A single tunable algorithm under round-robin: every iteration is a
-	// Nelder-Mead step, so the best value improves steadily and then
-	// plateaus — exactly the signal Settled watches for.
-	algos := []Algorithm{{
-		Name: "tunable",
-		Space: param.NewSpace(
-			param.NewInterval("x", 0, 10),
-			param.NewInterval("y", 0, 10),
-		),
-		Init: param.Config{0, 0},
-	}}
-	m := func(_ int, cfg param.Config) float64 {
-		dx, dy := cfg[0]-7, cfg[1]-3
-		return 5 + dx*dx + dy*dy
-	}
-	tu := mustNew(t, algos, nominal.NewRoundRobin(), DefaultFactory, 5)
-	stop := Settled(40, 0.01)
-	n := tu.RunUntil(m, stop, 3000)
-	if n == 3000 {
-		t.Fatal("Settled never triggered")
-	}
-	if n < 40 {
-		t.Fatalf("settled after only %d iterations", n)
-	}
-	// After settling, the best must be near the optimum (5).
-	_, _, val := tu.Best()
-	if val > 5.5 {
-		t.Errorf("settled at %g, want near 5", val)
-	}
-}
-
-func TestSettledImmediatelyFalse(t *testing.T) {
-	algos, _ := syntheticAlgos()
-	tu := mustNew(t, algos, nominal.NewRoundRobin(), DefaultFactory, 1)
-	stop := Settled(10, 0.01)
-	if stop(tu) {
-		t.Error("Settled true before any iteration")
-	}
-}
-
-func TestSettledClampsArgs(t *testing.T) {
-	algos, m := syntheticAlgos()
-	tu := mustNew(t, algos, nominal.NewRoundRobin(), DefaultFactory, 1)
-	stop := Settled(0, -1) // clamps to window 1, tol 0
-	n := tu.RunUntil(m, stop, 100)
-	if n == 100 {
-		t.Error("clamped Settled never triggered")
 	}
 }

@@ -402,8 +402,8 @@ func TestLoadRefusesEarlierContextLayout(t *testing.T) {
 		if !errors.Is(err, checkpoint.ErrContextLayout) || !bytes.Contains([]byte(err.Error()), []byte(name)) {
 			t.Errorf("%s: New: %v, want the earlier-layout error naming it", name, err)
 		}
-		if _, err := core.NewConcurrentTuner(testConfig(t, "").Algos, testConfig(t, "").Selector(), nil, 1, core.WithCheckpoint(dir, 10)); !errors.Is(err, checkpoint.ErrContextLayout) {
-			t.Errorf("%s: NewConcurrentTuner: %v, want the earlier-layout error", name, err)
+		if _, err := core.NewTuner(testConfig(t, "").Algos, testConfig(t, "").Selector(), nil, 1, core.WithCheckpoint(dir, 10)); !errors.Is(err, checkpoint.ErrContextLayout) {
+			t.Errorf("%s: core.NewTuner: %v, want the earlier-layout error", name, err)
 		}
 		if _, err := os.Stat(path); err != nil {
 			t.Errorf("%s gone after the refusal: %v", name, err)

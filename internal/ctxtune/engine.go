@@ -77,7 +77,7 @@ type Config struct {
 // and heartbeats find their replica and the feature vector reaches the
 // partitioner when the measurement lands.
 type route struct {
-	eng    *core.ConcurrentTuner
+	eng    *core.Tuner
 	feats  Features
 	expiry time.Time
 }
@@ -85,10 +85,10 @@ type route struct {
 // replica is one per-context engine.
 type replica struct {
 	id  string
-	eng *core.ConcurrentTuner
+	eng *core.Tuner
 }
 
-// Engine is the contextual tuning engine: a global core.ConcurrentTuner
+// Engine is the contextual tuning engine: a global core.Tuner
 // for feature-less traffic plus one lazily created replica per
 // partitioner context (core.NewContextualTuner), whose successful trials
 // the global selector also learns from. It implements the tuned.Engine
@@ -97,7 +97,7 @@ type replica struct {
 type Engine struct {
 	cfg    Config
 	part   Partitioner
-	global *core.ConcurrentTuner
+	global *core.Tuner
 
 	mu     sync.Mutex
 	routes map[uint64]route
@@ -139,7 +139,7 @@ type completeScratch struct {
 type ctxItem struct {
 	idx int
 	rt  route
-	rep *core.ConcurrentTuner
+	rep *core.Tuner
 }
 
 // New builds a contextual engine. When cfg.Dir holds the state of a
@@ -221,7 +221,7 @@ func (h *contextHook) WarmStart(replica, global nominal.Selector) {
 
 // Born implements core.ContextHook: the new replica joins the lock-free
 // list the aggregates read.
-func (h *contextHook) Born(ctx string, eng *core.ConcurrentTuner) {
+func (h *contextHook) Born(ctx string, eng *core.Tuner) {
 	var reps []replica
 	if p := h.reps.Load(); p != nil {
 		reps = *p
@@ -350,7 +350,7 @@ func routeBatch[T any](e *Engine, batch []T, idOf func(T) uint64, take bool, err
 // marking them taken; nil when every item is taken. A batch is one call
 // per replica: a worker's batch is nearly always single-context, and at
 // wire batch sizes this scan is cheaper than building a map.
-func nextGroup(items []ctxItem, g *int, group []int) (*core.ConcurrentTuner, []int) {
+func nextGroup(items []ctxItem, g *int, group []int) (*core.Tuner, []int) {
 	for ; *g < len(items); *g++ {
 		rep := items[*g].rep
 		if rep == nil {
@@ -384,7 +384,7 @@ func (e *Engine) CompleteN(results []core.TrialResult) []error {
 	items, globalIdx := routeBatch(e, results, func(r core.TrialResult) uint64 { return r.ID }, true, errs, sc.items[:0], sc.globalIdx[:0])
 	batch, group, split := sc.batch, sc.group, false
 	for g := 0; ; {
-		var rep *core.ConcurrentTuner
+		var rep *core.Tuner
 		if rep, group = nextGroup(items, &g, group[:0]); rep == nil {
 			break
 		}
@@ -432,7 +432,7 @@ func (e *Engine) FailN(fails []core.TrialFailure) []error {
 	var batch []core.TrialFailure
 	var group []int
 	for g := 0; ; {
-		var rep *core.ConcurrentTuner
+		var rep *core.Tuner
 		if rep, group = nextGroup(items, &g, group[:0]); rep == nil {
 			break
 		}
@@ -460,13 +460,13 @@ func (e *Engine) FailN(fails []core.TrialFailure) []error {
 
 // liveness answers Heartbeat/Alive for a mixed ID batch with one probe
 // per replica, and drops the routes of contextual trials found dead.
-func (e *Engine) liveness(ids []uint64, probe func(r *core.ConcurrentTuner, local []uint64) []bool, global func([]uint64) []bool) []bool {
+func (e *Engine) liveness(ids []uint64, probe func(r *core.Tuner, local []uint64) []bool, global func([]uint64) []bool) []bool {
 	out := make([]bool, len(ids))
 	items, globalIdx := routeBatch(e, ids, func(id uint64) uint64 { return id }, false, nil, nil, nil)
 	var local []uint64
 	var group []int
 	for g := 0; ; {
-		var rep *core.ConcurrentTuner
+		var rep *core.Tuner
 		if rep, group = nextGroup(items, &g, group[:0]); rep == nil {
 			break
 		}
@@ -497,14 +497,14 @@ func (e *Engine) liveness(ids []uint64, probe func(r *core.ConcurrentTuner, loca
 // Heartbeat extends leases and reports liveness for a mixed ID batch.
 func (e *Engine) Heartbeat(ids []uint64) []bool {
 	return e.liveness(ids,
-		(*core.ConcurrentTuner).Heartbeat,
+		(*core.Tuner).Heartbeat,
 		e.global.Heartbeat)
 }
 
 // Alive reports liveness for a mixed ID batch without extending leases.
 func (e *Engine) Alive(ids []uint64) []bool {
 	return e.liveness(ids,
-		(*core.ConcurrentTuner).Alive,
+		(*core.Tuner).Alive,
 		e.global.Alive)
 }
 

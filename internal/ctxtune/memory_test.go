@@ -28,7 +28,7 @@ func liveHeap() uint64 {
 
 // checkNoPerTrialLog fails when eng keeps a per-trial log: History must
 // be empty and every per-algorithm timeline within its bound.
-func checkNoPerTrialLog(t *testing.T, name string, eng *core.ConcurrentTuner) {
+func checkNoPerTrialLog(t *testing.T, name string, eng *core.Tuner) {
 	t.Helper()
 	if h := eng.History(); len(h) != 0 {
 		t.Errorf("%s: History holds %d records, want none", name, len(h))
@@ -53,7 +53,7 @@ func TestServiceEnginesKeepNoPerTrialLog(t *testing.T) {
 	}
 	cost := func(algo, i int) float64 { return float64(1+algo) + float64(i%7)/10 }
 
-	run := func(t *testing.T, step func(i int), engines func() map[string]*core.ConcurrentTuner) {
+	run := func(t *testing.T, step func(i int), engines func() map[string]*core.Tuner) {
 		var mid uint64
 		for i := 0; i < trials; i += batch {
 			if i == trials/2 {
@@ -91,8 +91,8 @@ func TestServiceEnginesKeepNoPerTrialLog(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-		}, func() map[string]*core.ConcurrentTuner {
-			return map[string]*core.ConcurrentTuner{"spec": eng}
+		}, func() map[string]*core.Tuner {
+			return map[string]*core.Tuner{"spec": eng}
 		})
 		if got := eng.Iterations(); got != trials {
 			t.Fatalf("engine completed %d trials, want %d", got, trials)
@@ -130,8 +130,8 @@ func TestServiceEnginesKeepNoPerTrialLog(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-		}, func() map[string]*core.ConcurrentTuner {
-			engines := map[string]*core.ConcurrentTuner{"global": e.global}
+		}, func() map[string]*core.Tuner {
+			engines := map[string]*core.Tuner{"global": e.global}
 			for _, r := range e.snapshotReplicas() {
 				engines["context "+r.id] = r.eng
 			}

@@ -85,7 +85,7 @@ func (c *ChaosSoak) Pass() bool {
 // report — through the chaos network when cnet is non-nil, over the
 // plain loopback otherwise. When partition > 0, the network is
 // partitioned for that long once a quarter of the trials completed.
-func chaosSoakRun(eng *core.ConcurrentTuner, bank [][]float64, iters, workers int,
+func chaosSoakRun(eng *core.Tuner, bank [][]float64, iters, workers int,
 	cnet *chaos.Network, partition time.Duration) (secs float64, stats []tuned.WorkerStats, err error) {
 	srv := tuned.NewServer(eng,
 		tuned.WithTrialTarget(iters), tuned.WithSessionCap(16), tuned.WithGlobalCap(64))
@@ -175,7 +175,8 @@ func RunChaosSoak(cfg Config, iters int) *ChaosSoak {
 	res := &ChaosSoak{Iters: iters, Workers: workers, MaxSlowdown: 50,
 		Replay: Replay{Seed: cfg.Seed, Names: names, Banks: []NamedBank{{"bible", bank}}}}
 
-	// Reference: the paper's sequential tuner over the same bank.
+	// Reference: the paper's tuner, driven by a single caller, over the
+	// same bank.
 	seq, err := core.NewTuner(matcherAlgorithms(), nominal.NewEpsilonGreedy(0.10), nil, cfg.Seed)
 	if err != nil {
 		panic(err)
@@ -184,7 +185,7 @@ func RunChaosSoak(cfg Config, iters int) *ChaosSoak {
 	res.SequentialWinner = names[mostSelected(seq.Counts())]
 
 	// Clean distributed run.
-	cleanEng, err := core.NewConcurrentTuner(matcherAlgorithms(), nominal.NewEpsilonGreedy(0.10), nil, cfg.Seed,
+	cleanEng, err := core.NewTuner(matcherAlgorithms(), nominal.NewEpsilonGreedy(0.10), nil, cfg.Seed,
 		core.WithLeaseTimeout(250*time.Millisecond))
 	if err != nil {
 		panic(err)
@@ -200,7 +201,7 @@ func RunChaosSoak(cfg Config, iters int) *ChaosSoak {
 		panic(err)
 	}
 	defer os.RemoveAll(dir)
-	chaosEng, err := core.NewConcurrentTuner(matcherAlgorithms(), nominal.NewEpsilonGreedy(0.10), nil, cfg.Seed,
+	chaosEng, err := core.NewTuner(matcherAlgorithms(), nominal.NewEpsilonGreedy(0.10), nil, cfg.Seed,
 		core.WithLeaseTimeout(250*time.Millisecond), core.WithCheckpoint(dir, 0))
 	if err != nil {
 		panic(err)
@@ -240,8 +241,11 @@ func RunChaosSoak(cfg Config, iters int) *ChaosSoak {
 		if err != nil {
 			panic(err)
 		}
-		res.JournalRecords += len(recs)
 		for _, r := range recs {
+			if r.Mark != 0 {
+				continue // a trial-ID reservation, not a trial
+			}
+			res.JournalRecords++
 			if seen[r.Trial] {
 				res.JournalUnique = false
 			}

@@ -13,7 +13,7 @@ import (
 
 // Ablation A12 — concurrent trial engine. The paper's tuning loop is
 // strictly sequential: one proposal, one measurement, one report. The
-// lease-based engine (core.ConcurrentTuner) relaxes that to many trials
+// lease-based engine (core.Tuner's Lease/Complete) relaxes that to many trials
 // in flight, which raises two questions this experiment answers:
 //
 //  1. Fidelity — does the tuner still find the same winner when 4 or 16
@@ -36,7 +36,7 @@ type ConcurrentTuning struct {
 	Labels  []string
 	Iters   int
 	Workers []int
-	// SequentialWinner is the most-selected arm of a plain core.Tuner run
+	// SequentialWinner is the most-selected arm of a single-caller core.Tuner run
 	// over the same banks with the same seed; Winners are the
 	// most-selected arms of the engine runs, indexed like Workers.
 	SequentialWinner string
@@ -108,7 +108,7 @@ func RunConcurrentTuning(cfg Config, iters int) *ConcurrentTuning {
 
 	res.WinnersAgree = true
 	for _, w := range res.Workers {
-		ct, err := core.NewConcurrentTuner(matcherAlgorithms(), nominal.NewEpsilonGreedy(0.10), nil, cfg.Seed,
+		ct, err := core.NewTuner(matcherAlgorithms(), nominal.NewEpsilonGreedy(0.10), nil, cfg.Seed,
 			core.WithMaxInFlight(2*w))
 		if err != nil {
 			panic(err)
@@ -148,7 +148,7 @@ func TrialEngineThroughput(workers []int, total int, sleep time.Duration) []floa
 	}
 	out := make([]float64, len(workers))
 	for i, w := range workers {
-		ct, err := core.NewConcurrentTuner(algos, nominal.NewEpsilonGreedy(0.10), nil, 1,
+		ct, err := core.NewTuner(algos, nominal.NewEpsilonGreedy(0.10), nil, 1,
 			core.WithMaxInFlight(2*w))
 		if err != nil {
 			panic(err)

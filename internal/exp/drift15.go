@@ -276,7 +276,7 @@ func driftFleetRun(cfg Config, pre, post [][]float64, iters, swapAt int,
 	if watchdog {
 		opts = append(opts, core.WithDriftWatchdog(core.DefaultDriftConfig()))
 	}
-	eng, err := core.NewConcurrentTuner(matcherAlgorithms(), nominal.NewEpsilonGreedy(0.10), nil, cfg.Seed, opts...)
+	eng, err := core.NewTuner(matcherAlgorithms(), nominal.NewEpsilonGreedy(0.10), nil, cfg.Seed, opts...)
 	if err != nil {
 		return nil, nil, core.DriftStats{}, err
 	}

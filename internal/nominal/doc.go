@@ -16,7 +16,7 @@
 //     through the passed *rand.Rand, so a caller with a seeded source
 //     gets reproducible selection sequences.
 //   - Report(arm, value) records one measurement (lower is better; time
-//     in the paper). The sequential tuner strictly alternates
+//     in the paper). A single-caller tuner strictly alternates
 //     Select/Report; selectors must NOT rely on that alternation —
 //     concurrent drivers issue several Selects before the matching
 //     Reports arrive, and Absorb replays Report batches with no

@@ -31,7 +31,7 @@ type Selector interface {
 // Observation is one completed measurement reported outside the live
 // Select/Report loop: a degraded-mode worker records them against its
 // local selector and the engine replays them through Report
-// (core.ConcurrentTuner.Absorb). Failed observations carry the tuner's
+// (core.Tuner.Absorb). Failed observations carry the tuner's
 // penalty as Value, mirroring how failures reach Report in the live path.
 type Observation struct {
 	Arm    int

@@ -148,6 +148,11 @@ func (p *Proposer) Release(pr Proposal) {
 // Outstanding returns the number of unreported proposals.
 func (p *Proposer) Outstanding() int { return p.outstanding }
 
+// Holds reports whether the wrapped strategy awaits the report of a
+// proposal it made: the primary is out, or was handed back and will be
+// issued again.
+func (p *Proposer) Holds() bool { return p.primaryOut || p.released != nil }
+
 // Strategy exposes the wrapped strategy (for inspection).
 func (p *Proposer) Strategy() Strategy { return p.strat }
 

@@ -4,7 +4,7 @@
 // selector name and, for a contextual tenant, a Contexts block) with its
 // own checkpoint directory, session epoch, and drift/calibration state.
 // Spec.Build is the one way a served engine is made: a flat
-// core.ConcurrentTuner, or a ctxtune.Engine that tunes each input class
+// core.Tuner, or a ctxtune.Engine that tunes each input class
 // on its own when Contexts is set. The registry owns the engine
 // lifecycle — create, lazy warm-restart from checkpoint, LRU spill when
 // too many tenants are resident, and checkpoint-all on drain. NewSingle
@@ -103,7 +103,7 @@ func (s Spec) hash(names []string) uint32 {
 	return h
 }
 
-// Build constructs the spec's engine over algos: a core.ConcurrentTuner,
+// Build constructs the spec's engine over algos: a core.Tuner,
 // or with Contexts a ctxtune.Engine whose global engine and per-context
 // replicas all take the spec's seed, selector and engine options. A
 // non-empty dir makes the engine durable there, and resumed reports
@@ -166,7 +166,7 @@ func (s Spec) validate(roster RosterFunc) ([]core.Algorithm, error) {
 
 // Engine is the trial-engine surface a tenant is served through:
 // leasing, reporting, degraded-mode absorption, checkpointing and the
-// read-side summary calls. core.ConcurrentTuner and ctxtune.Engine both
+// read-side summary calls. core.Tuner and ctxtune.Engine both
 // satisfy it; tuned.Engine is this interface.
 type Engine interface {
 	LeaseN(n int) ([]core.Trial, error)

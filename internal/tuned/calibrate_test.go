@@ -121,7 +121,7 @@ func TestCalibrateNormalizesReports(t *testing.T) {
 // per-arm record stays within the true cost range; the slow worker's
 // reference probe lands as factor ≈ 4.
 func TestCalibrateHeterogeneousFleet(t *testing.T) {
-	eng, err := core.NewConcurrentTuner(testAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 1)
+	eng, err := core.NewTuner(testAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestCalibrateSharedClient(t *testing.T) {
 }
 
 func testCalibrateSharedClient(t *testing.T, pipeline bool) {
-	inner, err := core.NewConcurrentTuner(testAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 1)
+	inner, err := core.NewTuner(testAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

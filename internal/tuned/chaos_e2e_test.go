@@ -22,7 +22,7 @@ func TestDegradedModeReconnect(t *testing.T) {
 	}
 	const iters = 600
 	algos, bank := e2eBank()
-	eng, err := core.NewConcurrentTuner(algos, nominal.NewEpsilonGreedy(0.10), nil, 3,
+	eng, err := core.NewTuner(algos, nominal.NewEpsilonGreedy(0.10), nil, 3,
 		core.WithLeaseTimeout(200*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func TestChaosSoakLoopback(t *testing.T) {
 		workers = 3
 	)
 	algos, bank := e2eBank()
-	eng, err := core.NewConcurrentTuner(algos, nominal.NewEpsilonGreedy(0.10), nil, 5,
+	eng, err := core.NewTuner(algos, nominal.NewEpsilonGreedy(0.10), nil, 5,
 		core.WithLeaseTimeout(250*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)

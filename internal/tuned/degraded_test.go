@@ -193,7 +193,7 @@ func TestGlobalCap(t *testing.T) {
 // written, and the listener closed at the end.
 func TestDrain(t *testing.T) {
 	dir := t.TempDir()
-	eng, err := core.NewConcurrentTuner(testAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 1,
+	eng, err := core.NewTuner(testAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 1,
 		core.WithCheckpoint(dir, 0))
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +239,7 @@ func TestDrain(t *testing.T) {
 	}
 	// The final checkpoint must make the completed iteration durable:
 	// a resume with no journal replay still sees it.
-	rt, err := core.NewConcurrentTuner(testAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 1, core.WithCheckpoint(dir, 0))
+	rt, err := core.NewTuner(testAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 1, core.WithCheckpoint(dir, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

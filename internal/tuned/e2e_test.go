@@ -102,7 +102,7 @@ func TestLoopbackE2EKillAndRestart(t *testing.T) {
 	}
 
 	// Reference 2: the in-process worker pool on the same bank.
-	pool, err := core.NewConcurrentTuner(algos, nominal.NewEpsilonGreedy(0.10), nil, seed)
+	pool, err := core.NewTuner(algos, nominal.NewEpsilonGreedy(0.10), nil, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestLoopbackE2EKillAndRestart(t *testing.T) {
 
 	// The distributed session, checkpointed for the mid-run restart.
 	dir := t.TempDir()
-	eng, err := core.NewConcurrentTuner(algos, nominal.NewEpsilonGreedy(0.10), nil, seed,
+	eng, err := core.NewTuner(algos, nominal.NewEpsilonGreedy(0.10), nil, seed,
 		core.WithCheckpoint(dir, 200), core.WithLeaseTimeout(leaseTTL))
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +163,7 @@ func TestLoopbackE2EKillAndRestart(t *testing.T) {
 		// Kill the server. Workers stall on backoff while we resume the
 		// session from its snapshot + journal on the same address.
 		srv.Close()
-		eng2, err := core.NewConcurrentTuner(algos, nominal.NewEpsilonGreedy(0.10), nil, seed,
+		eng2, err := core.NewTuner(algos, nominal.NewEpsilonGreedy(0.10), nil, seed,
 			core.WithLeaseTimeout(leaseTTL), core.WithCheckpoint(dir, 200))
 		if err != nil {
 			errs <- err

@@ -300,7 +300,7 @@ func releaseEngines(t *testing.T) []struct {
 	t.Helper()
 	const ttl = 50 * time.Millisecond
 	flatDir, ctxDir := t.TempDir(), t.TempDir()
-	flat, err := core.NewConcurrentTuner(testAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 1,
+	flat, err := core.NewTuner(testAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 1,
 		core.WithCheckpoint(flatDir, 0), core.WithLeaseTimeout(ttl))
 	if err != nil {
 		t.Fatal(err)
@@ -645,7 +645,7 @@ func (l *countedListener) Accept() (net.Conn, error) {
 // carries the next lease — where two round trips per trial cost 2N.
 func TestLockstepTrialRequests(t *testing.T) {
 	const n = 50
-	eng, err := core.NewConcurrentTuner(testAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 1)
+	eng, err := core.NewTuner(testAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

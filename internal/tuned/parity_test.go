@@ -128,7 +128,7 @@ type parityRun struct {
 // session against a fresh engine.
 func runParityScript(t *testing.T, pipelined bool) parityRun {
 	t.Helper()
-	eng, err := core.NewConcurrentTuner(testAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 7)
+	eng, err := core.NewTuner(testAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,9 +12,9 @@ import (
 
 // startEngineServer is startServer but hands back the engine too, for
 // tests that assert on final engine state.
-func startEngineServer(t *testing.T, sopts ...ServerOption) (*core.ConcurrentTuner, string) {
+func startEngineServer(t *testing.T, sopts ...ServerOption) (*core.Tuner, string) {
 	t.Helper()
-	eng, err := core.NewConcurrentTuner(testAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 1)
+	eng, err := core.NewTuner(testAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func (c countingConn) Write(p []byte) (int, error) {
 // connections count the server's writes.
 func startCountingServer(t *testing.T) (addr string, writes *atomic.Int64) {
 	t.Helper()
-	eng, err := core.NewConcurrentTuner(testAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 1)
+	eng, err := core.NewTuner(testAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

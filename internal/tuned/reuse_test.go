@@ -130,7 +130,7 @@ func (c stallConn) Write(p []byte) (int, error) {
 // answer — trials for a lease, their own IDs acknowledged for a
 // completion — and not the stale error of the abandoned call.
 func TestPipeTimeoutThenRedial(t *testing.T) {
-	eng, err := core.NewConcurrentTuner(testAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 1)
+	eng, err := core.NewTuner(testAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package tuned is the distributed tuning service: a TCP front-end over
-// the lease-based trial engine (core.ConcurrentTuner), so trials can be
-// evaluated by worker processes on other machines while one server owns
-// the decision state.
+// the two-phase tuner's lease-based trial engine (core.Tuner), so trials
+// can be evaluated by worker processes on other machines while one
+// server owns the decision state.
 //
 // The division of labour mirrors the in-process engine exactly. The
 // server runs both tuning phases and the crash-safe journal; workers

@@ -87,7 +87,7 @@ func TestTenantLoopbackE2E(t *testing.T) {
 	// Identical engine parameters, identical worker fleet shape.
 	refWinner := make([]int, len(tenants))
 	for k := range tenants {
-		eng, err := core.NewConcurrentTuner(algos, nominal.NewEpsilonGreedy(0.10), nil, seed,
+		eng, err := core.NewTuner(algos, nominal.NewEpsilonGreedy(0.10), nil, seed,
 			core.WithLeaseTimeout(leaseTTL))
 		if err != nil {
 			t.Fatal(err)

@@ -33,9 +33,9 @@ func testMeasure(algo int, cfg param.Config) float64 {
 
 // startServer builds an engine + server on an ephemeral port and
 // returns them with the address, closing the server at cleanup.
-func startServer(t *testing.T, opts []core.Option, sopts ...ServerOption) (*Server, *core.ConcurrentTuner, string) {
+func startServer(t *testing.T, opts []core.Option, sopts ...ServerOption) (*Server, *core.Tuner, string) {
 	t.Helper()
-	eng, err := core.NewConcurrentTuner(testAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 1, opts...)
+	eng, err := core.NewTuner(testAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 1, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestWorkerPanicBecomesFailN(t *testing.T) {
 // TestClientReconnectAcrossRestart: a server restart inside the retry
 // budget is invisible to the caller except through the changed epoch.
 func TestClientReconnectAcrossRestart(t *testing.T) {
-	eng, err := core.NewConcurrentTuner(testAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 1)
+	eng, err := core.NewTuner(testAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestClientReconnectAcrossRestart(t *testing.T) {
 	srv1.Close()
 	// Restart on the same address after a gap the backoff must ride out.
 	time.Sleep(50 * time.Millisecond)
-	eng2, err := core.NewConcurrentTuner(testAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 1)
+	eng2, err := core.NewTuner(testAlgos(), nominal.NewEpsilonGreedy(0.10), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,11 +32,16 @@ func New(seed int64) *Source {
 // state a New(seed) source reaches after drawn values.
 func Restore(seed int64, drawn uint64) *Source {
 	s := New(seed)
-	for i := uint64(0); i < drawn; i++ {
+	s.AdvanceTo(drawn)
+	return s
+}
+
+// AdvanceTo fast-forwards s to the position drawn, discarding the values
+// in between. A position at or behind the current one leaves s as it is.
+func (s *Source) AdvanceTo(drawn uint64) {
+	for ; s.drawn < drawn; s.drawn++ {
 		s.inner.Uint64()
 	}
-	s.drawn = drawn
-	return s
 }
 
 // Int63 draws the next value, counting it.
